@@ -17,7 +17,7 @@ from repro.analysis.figures import histogram_text
 def test_bench_fig11(benchmark):
     result = benchmark.pedantic(fig11_idq_signature,
                                 kwargs={"iterations": 300},
-                                rounds=1, iterations=1)
+                                rounds=20, iterations=1, warmup_rounds=1)
 
     banner("Figure 11(a): normalized IDQ_UOPS_NOT_DELIVERED per iteration")
     throttled_mean = float(np.mean(result.throttled))

@@ -1,4 +1,4 @@
-"""Cycle-accurate model of the IDQ front-end to back-end interface.
+"""Cycle-exact model of the IDQ front-end to back-end interface.
 
 The paper establishes (Section 5.6, Figure 11) that during a throttling
 period the core blocks uop delivery from the Instruction Decode Queue to
@@ -7,6 +7,13 @@ the back-end during **three of every four cycles**, for the *entire core*
 reproduces that behaviour at cycle granularity so the PMC signatures
 (normalised ``IDQ_UOPS_NOT_DELIVERED`` ~0.75 throttled, ~0 otherwise) are
 measurable rather than asserted.
+
+The model is defined cycle by cycle, but :meth:`CorePipeline.run`
+advances it in closed form: per call, which thread owns each cycle and
+whether the gate blocks it repeat with the throttle window, and a loop's
+delivery repeats with its block, so counts multiply out instead of being
+stepped.  The per-cycle stepper lives in the tests as the reference
+oracle the closed form must match on every counter and state field.
 
 The model is delivery-bound: tight micro-benchmark loops (unrolled
 300-instruction blocks) keep the IDQ full, and the back-end accepts
@@ -22,7 +29,7 @@ only the offending thread's uops instead of the whole interface.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import ConfigError
 from repro.isa.instructions import IClass
@@ -93,7 +100,11 @@ class ThreadState:
 
 
 class CorePipeline:
-    """One core's IDQ-to-back-end interface, stepped cycle by cycle.
+    """One core's IDQ-to-back-end interface, exact to the cycle.
+
+    Each :meth:`run` call is advanced in closed form, at a cost set by
+    ``throttle_window`` and ``smt_threads`` rather than by the number of
+    cycles; the per-cycle stepper it reproduces is the test oracle.
 
     Usage::
 
@@ -114,6 +125,8 @@ class CorePipeline:
         self._throttled = False
         self._throttled_tids: Optional[Set[int]] = None
         self._rr_next = 0
+        #: :meth:`_walk` results by argument tuple (a few hundred at most).
+        self._walks: Dict[tuple, Tuple[list, list, int]] = {}
 
     # -- configuration -----------------------------------------------------
 
@@ -145,82 +158,109 @@ class CorePipeline:
     # -- simulation --------------------------------------------------------
 
     def run(self, cycles: int) -> None:
-        """Advance the front-end by ``cycles`` core clock cycles."""
+        """Advance the front-end by ``cycles`` core clock cycles.
+
+        Every counter and every piece of state ends exactly where stepping
+        one cycle at a time would leave it; the cost depends on the
+        throttle window and thread count, not on ``cycles``.
+        """
+        if not isinstance(cycles, int) or isinstance(cycles, bool):
+            raise ConfigError(f"cycles must be an int, got {cycles!r}")
         if cycles < 0:
             raise ConfigError(f"cycles must be >= 0, got {cycles}")
-        for _ in range(cycles):
-            self._step()
-
-    def _gate_blocks(self, tid: int) -> bool:
-        """Whether the throttle gate blocks delivery to ``tid`` this cycle."""
-        if not self._throttled:
-            return False
-        if self._throttled_tids is not None and tid not in self._throttled_tids:
-            return False
-        return (self._cycle % self.config.throttle_window) >= self.config.throttle_open_cycles
-
-    def _step(self) -> None:
         active = [t for t in self._threads.values() if t.active]
         if active:
-            self.core_counters.add(PMC.CPU_CLK_UNHALTED, 1)
+            owned = self._owned_cycles(active, cycles)
+            self.core_counters.add(PMC.CPU_CLK_UNHALTED, cycles)
             if self._throttled:
-                self.core_counters.add(PMC.THROTTLE_CYCLES, 1)
-        for thread in active:
-            thread.counters.add(PMC.CPU_CLK_UNHALTED, 1)
+                self.core_counters.add(PMC.THROTTLE_CYCLES, cycles)
+            width = self.config.delivery_width
+            for thread, open_cycles, blocked_cycles in zip(
+                    active, owned[::2], owned[1::2]):
+                thread.counters.add(PMC.CPU_CLK_UNHALTED, cycles)
+                delivered, thread._block_progress = _loop_delivery(
+                    thread._block_progress, open_cycles, width,
+                    self.config.block_instructions)
+                # Gated cycles deliver nothing while the back-end is not
+                # stalled: every slot of an owned cycle not filled counts.
+                undelivered = (open_cycles + blocked_cycles) * width - delivered
+                for bank in (thread.counters, self.core_counters):
+                    bank.add(PMC.UOPS_DELIVERED, delivered)
+                    bank.add(PMC.INSTRUCTIONS_RETIRED, delivered)
+                    bank.add(PMC.IDQ_UOPS_NOT_DELIVERED, undelivered)
+        self._cycle += cycles
 
-        if not active:
-            self._cycle += 1
-            return
+    def _owned_cycles(self, active: List[ThreadState],
+                      cycles: int) -> List[int]:
+        """Open and gated cycles each active thread owns over ``cycles``.
 
-        owner = self._pick_owner(active)
-        width = self.config.delivery_width
+        Returns ``[open, gated]`` per thread, flat, in ``active`` order,
+        and leaves ``_rr_next`` where the last of the ``cycles`` leaves it.
+        The walk from the current state (:meth:`_walk`) repeats within
+        ``2 * throttle_window`` steps, so its repeating part is multiplied
+        out.
+        """
+        tids = tuple(t.tid for t in active)
+        gated = tuple(tid for tid in tids if self._throttled and (
+            self._throttled_tids is None or tid in self._throttled_tids))
+        key = (tids, gated, self._cycle % self.config.throttle_window,
+               self._rr_next)
+        if key not in self._walks:
+            self._walks[key] = self._walk(*key)
+        states, counts, loop = self._walks[key]
+        index, repeats = cycles, 0
+        if cycles >= loop:
+            repeats, rest = divmod(cycles - loop, len(states) - loop)
+            index = loop + rest
+        self._rr_next = states[index][1]
+        return [count + repeats * (end - start) for count, end, start
+                in zip(counts[index], counts[-1], counts[loop])]
 
-        if self._gate_blocks(owner.tid):
-            # Delivery blocked by the throttle gate while the back-end is
-            # not stalled: every slot counts as not delivered.
-            self._charge_undelivered(owner, width)
-        else:
-            delivered = self._deliver(owner, width)
-            if delivered < width:
-                self._charge_undelivered(owner, width - delivered)
-        self._cycle += 1
+    def _walk(self, tids: Tuple[int, ...], gated: Tuple[int, ...],
+              phase: int, rr_next: int) -> Tuple[list, list, int]:
+        """Cycle ownership from one state until the state repeats.
 
-    def _pick_owner(self, active: list) -> ThreadState:
-        """Round-robin the delivery cycle among active threads."""
-        if len(active) == 1:
-            return active[0]
-        # With the whole-core gate, ownership still alternates; the gate
-        # decision is identical for both threads so the choice is moot.
-        # With per-thread gating it matters: a gated thread's cycle is a
-        # wasted slot for it, not for its sibling, so skip gated owners
-        # in favour of runnable ones when possible.
-        order = sorted(active, key=lambda t: (t.tid < self._rr_next, t.tid))
-        for candidate in order:
-            if not self._gate_blocks(candidate.tid):
-                self._rr_next = (candidate.tid + 1) % self.config.smt_threads
-                return candidate
-        chosen = order[0]
-        self._rr_next = (chosen.tid + 1) % self.config.smt_threads
-        return chosen
+        With the active and gated threads fixed, which thread owns a
+        cycle and whether the gate blocks it depend only on
+        ``(cycle % throttle_window, _rr_next)``.  Returns ``(states,
+        counts, loop)``: the states visited; the ``[open, gated]`` cycles
+        per thread (flat, in ``tids`` order) owned before each step and
+        after the last; and the index of the state the walk re-enters.
+        The result depends only on the arguments, so it is memoised.
+        """
+        window = self.config.throttle_window
+        states: List[Tuple[int, int]] = []
+        counts = [(0,) * (2 * len(tids))]
+        seen: Dict[Tuple[int, int], int] = {}
+        state = (phase, rr_next)
+        while state not in seen:
+            seen[state] = len(states)
+            states.append(state)
+            owner, blocked, rr_next = self._arbitrate(tids, gated, *state)
+            step = list(counts[-1])
+            step[2 * tids.index(owner) + blocked] += 1
+            counts.append(tuple(step))
+            state = ((state[0] + 1) % window, rr_next)
+        return states, counts, seen[state]
 
-    def _deliver(self, thread: ThreadState, width: int) -> int:
-        """Deliver up to ``width`` uops of the thread's loop; returns count."""
-        block = self.config.block_instructions
-        if thread._block_progress >= block:
-            # Loop-edge steer bubble: one empty delivery cycle per block.
-            thread._block_progress = 0
-            return 0
-        deliverable = min(width, block - thread._block_progress)
-        thread._block_progress += deliverable
-        thread.counters.add(PMC.UOPS_DELIVERED, deliverable)
-        thread.counters.add(PMC.INSTRUCTIONS_RETIRED, deliverable)
-        self.core_counters.add(PMC.UOPS_DELIVERED, deliverable)
-        self.core_counters.add(PMC.INSTRUCTIONS_RETIRED, deliverable)
-        return deliverable
+    def _arbitrate(self, tids: Tuple[int, ...], gated: Tuple[int, ...],
+                   phase: int, rr_next: int) -> Tuple[int, bool, int]:
+        """``(owner, gated, next rr_next)`` of one cycle at window ``phase``.
 
-    def _charge_undelivered(self, owner: ThreadState, slots: int) -> None:
-        owner.counters.add(PMC.IDQ_UOPS_NOT_DELIVERED, slots)
-        self.core_counters.add(PMC.IDQ_UOPS_NOT_DELIVERED, slots)
+        Ownership round-robins among active threads.  With the whole-core
+        gate the choice is moot (both threads are blocked alike); with
+        per-thread gating a gated thread's cycle is a wasted slot for it,
+        not for its sibling, so gated owners are skipped in favour of
+        runnable ones when possible.
+        """
+        closed = phase >= self.config.throttle_open_cycles
+        if len(tids) == 1:
+            return tids[0], closed and tids[0] in gated, rr_next
+        order = sorted(tids, key=lambda tid: (tid < rr_next, tid))
+        owner = next((tid for tid in order
+                      if not (closed and tid in gated)), order[0])
+        return (owner, closed and owner in gated,
+                (owner + 1) % self.config.smt_threads)
 
     # -- derived measurements ----------------------------------------------
 
@@ -238,3 +278,22 @@ class CorePipeline:
         if elapsed == 0:
             return 0.0
         return delta[PMC.UOPS_DELIVERED] / elapsed
+
+
+def _loop_delivery(progress: int, cycles: int, width: int,
+                   block: int) -> Tuple[int, int]:
+    """Uops a loop delivers over ``cycles`` open owned cycles.
+
+    Returns ``(delivered, progress after)``.  Each block takes
+    ``ceil(block / width)`` delivering cycles (``width`` uops each, the
+    last one short) and then one loop-edge steer bubble that resets
+    ``progress`` to 0.
+    """
+    to_edge = -(-(block - progress) // width)
+    if cycles <= to_edge:
+        delivered = min(cycles * width, block - progress)
+        return delivered, progress + delivered
+    # Finish this block, take its bubble, then whole blocks and a tail.
+    blocks, rest = divmod(cycles - to_edge - 1, -(-block // width) + 1)
+    tail = min(rest * width, block)
+    return block - progress + blocks * block + tail, tail

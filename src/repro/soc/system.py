@@ -600,13 +600,14 @@ class System:
         activity = thread.activity
         return activity is not None and activity.loop.iclass.is_phi
 
-    def _rate_of(self, thread: _HWThread, runnable_siblings: int) -> float:
+    def _rate_of(self, thread: _HWThread, runnable_siblings: int,
+                 throttled: bool) -> float:
         activity = thread.activity
         if activity is None or thread.suspensions > 0:
             return 0.0
         freq = self.pmu.freq_ghz
         rate = IPC[activity.loop.iclass] * freq / max(1, runnable_siblings)
-        if self._thread_throttled(thread):
+        if throttled:
             rate /= THROTTLE_FACTOR
         return rate
 
@@ -619,8 +620,9 @@ class System:
             if activity is None:
                 continue
             self._update_progress(thread, now)
-            activity.rate = self._rate_of(thread, runnable)
-            activity.rate_throttled = self._thread_throttled(thread)
+            throttled = self._thread_throttled(thread)
+            activity.rate = self._rate_of(thread, runnable, throttled)
+            activity.rate_throttled = throttled
             self._check_voltage_emergency(thread)
             self._reschedule_completion(thread)
 
