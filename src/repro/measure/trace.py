@@ -40,20 +40,25 @@ class StepTrace(Generic[T]):
         """Set the signal to ``value`` from ``t_ns`` onward.
 
         Returns whether the value in force from ``t_ns`` changed, so a
-        caller can update what depends on it only then.
+        caller can update what depends on it only then.  Re-recording
+        the last value is the common case and returns before any other
+        check, keeping the trace compact.
         """
-        if self._times and t_ns < self._times[-1] - 1e-9:
-            raise MeasurementError(
-                f"{self.name}: record at t={t_ns} before last t={self._times[-1]}"
-            )
-        changed = not self._values or self._values[-1] != value
-        if self._times and abs(t_ns - self._times[-1]) <= 1e-9:
-            self._values[-1] = value
-            return changed
-        if not changed:
-            return False  # no change, keep the trace compact
-        self._times.append(t_ns)
-        self._values.append(value)
+        values = self._values
+        if values and values[-1] == value:
+            return False
+        times = self._times
+        if times:
+            last = times[-1]
+            if t_ns < last - 1e-9:
+                raise MeasurementError(
+                    f"{self.name}: record at t={t_ns} before last t={last}"
+                )
+            if abs(t_ns - last) <= 1e-9:
+                values[-1] = value
+                return True
+        times.append(t_ns)
+        values.append(value)
         return True
 
     def value_at(self, t_ns: float, default: T = None) -> T:  # type: ignore[assignment]

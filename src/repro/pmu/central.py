@@ -162,6 +162,9 @@ class CentralPMU:
         self.freq_ghz = requested_freq_ghz
         self.granted: List[IClass] = [IClass.SCALAR_64] * self.n_cores
         self.active_cores: Set[int] = set()
+        # Sorted tuple of ``active_cores``, kept current by
+        # set_core_active for the _allowed_freq memo key.
+        self._active_key: tuple = ()
 
         self._queues: List[Deque[_Request]] = [deque() for _ in rails]
         self._inflight: List[Optional[_Request]] = [None] * len(rails)
@@ -291,6 +294,7 @@ class CentralPMU:
             self.active_cores.add(core)
         else:
             self.active_cores.discard(core)
+        self._active_key = tuple(sorted(self.active_cores))
         self._reconcile_frequency()
 
     # -- internals --------------------------------------------------------------
@@ -351,7 +355,7 @@ class CentralPMU:
         ``classes`` above its grant is being woken, so it always counts.
         """
         key = (self.requested_freq_ghz, tuple(classes),
-               tuple(sorted(self.active_cores)), tuple(self.granted))
+               self._active_key, tuple(self.granted))
         cached = self._allowed_cache.get(key)
         if cached is not None:
             return cached

@@ -11,10 +11,10 @@ as Python generators that ``yield`` request objects; the
 :class:`~repro.soc.system.System` resumes them when the request completes.
 The engine itself knows nothing about programs; it only runs callbacks.
 
-Engine-level optimisations keep cancel-heavy workloads cheap (every
-recompute of an in-flight loop cancels and reschedules its completion
-event, so hysteresis-churny covert transfers cancel far more events than
-they run):
+Engine-level optimisations keep cancel-heavy workloads cheap (a
+recompute that moves an in-flight loop's completion cancels and
+reschedules its event, so covert transfers cancel a large share of the
+events they schedule):
 
 * heap entries are plain ``(time, seq, handle)`` tuples — tuple
   comparison in C instead of dataclass ``__lt__`` dispatch per sift;
@@ -84,17 +84,25 @@ class Engine:
 
     def schedule(self, delay_ns: float, callback: Callable[..., Any],
                  *args: Any) -> EventHandle:
-        """Schedule ``callback(*args)`` to run ``delay_ns`` from now."""
-        if delay_ns < -1e-9:
+        """Schedule ``callback(*args)`` to run ``delay_ns`` from now.
+
+        Delegates to :meth:`schedule_at`; a NaN delay is rejected rather
+        than silently becoming "now".
+        """
+        if not delay_ns >= -1e-9:
             raise SimulationError(
-                f"cannot schedule {delay_ns} ns in the past at t={self.now}"
+                f"cannot schedule a delay of {delay_ns} ns at t={self.now}"
             )
         return self.schedule_at(self.now + max(0.0, delay_ns), callback, *args)
 
     def schedule_at(self, time_ns: float, callback: Callable[..., Any],
                     *args: Any) -> EventHandle:
-        """Schedule ``callback(*args)`` at absolute time ``time_ns``."""
-        if time_ns < self.now - 1e-9:
+        """Schedule ``callback(*args)`` at absolute time ``time_ns``.
+
+        The negated comparison also rejects NaN, which would otherwise
+        enter the heap, run out of order and set ``now`` to NaN.
+        """
+        if not time_ns >= self.now - 1e-9:
             raise SimulationError(
                 f"cannot schedule at t={time_ns} before now={self.now}"
             )

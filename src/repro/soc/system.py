@@ -16,13 +16,23 @@ running machine on top of the event engine:
 Execution timing uses the *recompute* pattern: each in-flight loop tracks
 its remaining instructions and current rate; every state change (throttle
 engage/release, frequency change, sibling start/stop, suspension) updates
-progress and reschedules the completion event.  The cycle-level model in
-:mod:`repro.microarch.pipeline` independently validates the rate factors
-used here (quarter-rate throttling, SMT sharing).
+progress, re-rates the loop and moves its completion event.  Each core is
+recomputed once per simulated instant of an entry point: PMU
+notifications raised inside :meth:`System._start_execute` or
+:meth:`System._finish_execute` only mark the PMU state changed, and one
+flush at the end recomputes the other cores and records the PMU state
+before the entry's own core is recomputed.  Notifications from PMU
+events and outside callers apply at once.  A completion event whose
+recomputed time is bit-identical stays queued.  The package Cdyn is
+kept per core, so a change re-derives only that core's share.  The
+cycle-level model in :mod:`repro.microarch.pipeline` independently
+validates the rate factors used here (quarter-rate throttling, SMT
+sharing).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, List, Optional
 
@@ -314,6 +324,10 @@ class System:
         ]
         self._hysteresis_checks: List[Optional[EventHandle]] = [None] * config.n_cores
         self._processes: List[_Process] = []
+        # Inside _start_execute/_finish_execute a PMU notification only
+        # sets _pmu_changed; the entry point flushes once at its end.
+        self._batching = False
+        self._pmu_changed = False
 
         # Observable traces.  Each is written where its input changes;
         # docs/SIMULATOR.md ("Trace recording") lists the sites.
@@ -326,6 +340,8 @@ class System:
             StepTrace(f"core{i}_class") for i in range(config.n_cores)
         ]
         self.temp_trace: StepTrace = StepTrace("tj_c")
+        #: Each core's share of the package Cdyn, re-derived per core.
+        self._cdyn_nf: List[float] = [0.0] * config.n_cores
         self._record_cdyn()
         for core in range(config.n_cores):
             self._record_label(core)
@@ -423,12 +439,14 @@ class System:
 
     def sleep(self, delay_ns: float) -> _SleepReq:
         """Request: pause the program for ``delay_ns``."""
-        if delay_ns < 0:
-            raise ConfigError(f"sleep must be >= 0, got {delay_ns}")
+        if not 0.0 <= delay_ns < math.inf:
+            raise ConfigError(f"sleep must be finite and >= 0, got {delay_ns}")
         return _SleepReq(delay_ns)
 
     def until(self, time_ns: float) -> _UntilReq:
         """Request: pause the program until absolute time ``time_ns``."""
+        if not math.isfinite(time_ns):
+            raise ConfigError(f"until must be a finite time, got {time_ns}")
         return _UntilReq(time_ns)
 
     def execute(self, thread_id: int, loop: Loop) -> _ExecReq:
@@ -478,7 +496,7 @@ class System:
         thread = self._thread(thread_id)
         thread.suspensions += 1
         self._recompute_core(thread.core_id)
-        self._record_cdyn()
+        self._record_cdyn(thread.core_id)
 
     def resume_thread(self, thread_id: int) -> None:
         """Return a preempted thread to execution."""
@@ -487,7 +505,7 @@ class System:
             raise SimulationError(f"thread {thread_id} resumed while not suspended")
         thread.suspensions -= 1
         self._recompute_core(thread.core_id)
-        self._record_cdyn()
+        self._record_cdyn(thread.core_id)
 
     # -- workload helpers ---------------------------------------------------------
 
@@ -556,12 +574,17 @@ class System:
         wake += local.gate_wake_latency(loop.iclass, now + wake)
         local.note_execute(loop.iclass, now)
         thread.activity = _Activity(loop, now, self.rdtsc(), wake, resume)
-        self.pmu.set_core_active(core, True)
-        self.pmu.request_up(core, loop.iclass)
+        self._batching = True
+        try:
+            self.pmu.set_core_active(core, True)
+            self.pmu.request_up(core, loop.iclass)
+        finally:
+            self._batching = False
+        self._flush_pmu_state(core)
         self._schedule_hysteresis_check(core)
         self._recompute_core(core)
         self._record_label(core)
-        self._record_cdyn()
+        self._record_cdyn(core)
 
     def _finish_execute(self, thread: _HWThread) -> None:
         activity = thread.activity
@@ -577,58 +600,79 @@ class System:
             throttled_ns=activity.throttled_ns,
             gate_wake_ns=activity.gate_wake_ns,
         )
-        self.local_pmus[thread.core_id].note_execute(activity.loop.iclass, now)
+        core = thread.core_id
+        self.local_pmus[core].note_execute(activity.loop.iclass, now)
         thread.activity = None
         core_busy = any(
-            t.activity is not None for t in self._core_threads[thread.core_id]
+            t.activity is not None for t in self._core_threads[core]
         )
         if self.cstates is not None and not core_busy:
-            self.cstates.note_idle(thread.core_id, now)
-        self.pmu.set_core_active(thread.core_id, core_busy)
-        self._recompute_core(thread.core_id)
-        self._record_label(thread.core_id)
-        self._record_cdyn()
+            self.cstates.note_idle(core, now)
+        self._batching = True
+        try:
+            self.pmu.set_core_active(core, core_busy)
+        finally:
+            self._batching = False
+        self._flush_pmu_state(core)
+        self._recompute_core(core)
+        self._record_label(core)
+        self._record_cdyn(core)
         activity.resume(result)
 
-    def _thread_throttled(self, thread: _HWThread) -> bool:
-        if self.options.disable_throttling:
-            return False
-        if not self.pmu.is_core_throttled(thread.core_id):
-            return False
-        if not self.options.improved_throttling:
-            return True
-        activity = thread.activity
-        return activity is not None and activity.loop.iclass.is_phi
-
-    def _rate_of(self, thread: _HWThread, runnable_siblings: int,
-                 throttled: bool) -> float:
-        activity = thread.activity
-        if activity is None or thread.suspensions > 0:
-            return 0.0
-        freq = self.pmu.freq_ghz
-        rate = IPC[activity.loop.iclass] * freq / max(1, runnable_siblings)
-        if throttled:
-            rate /= THROTTLE_FACTOR
-        return rate
-
     def _recompute_core(self, core: int) -> None:
-        now = self.engine.now
+        """Split every in-flight loop on ``core`` at now and re-rate it.
+
+        rate = IPC x f / runnable siblings, / THROTTLE_FACTOR while the
+        thread is throttled; a suspended thread runs at rate 0.
+        """
         members = self._core_threads[core]
-        runnable = sum(1 for t in members if t.runnable)
-        for thread in members:
+        busy = [t for t in members if t.activity is not None]
+        if not busy:
+            return
+        now = self.engine.now
+        runnable = max(1, sum(1 for t in busy if t.suspensions == 0))
+        options = self.options
+        core_throttled = (not options.disable_throttling
+                          and self.pmu.is_core_throttled(core))
+        phi_only = options.improved_throttling
+        freq = self.pmu.freq_ghz
+        for thread in busy:
             activity = thread.activity
-            if activity is None:
-                continue
             self._update_progress(thread, now)
-            throttled = self._thread_throttled(thread)
-            activity.rate = self._rate_of(thread, runnable, throttled)
+            iclass = activity.loop.iclass
+            throttled = core_throttled and (not phi_only or iclass.is_phi)
+            if thread.suspensions > 0:
+                rate = 0.0
+            else:
+                rate = IPC[iclass] * freq / runnable
+                if throttled:
+                    rate /= THROTTLE_FACTOR
+            activity.rate = rate
             activity.rate_throttled = throttled
             self._check_voltage_emergency(thread)
             self._reschedule_completion(thread)
 
     def _on_pmu_state_change(self) -> None:
+        if self._batching:
+            self._pmu_changed = True
+            return
         for core in range(self.config.n_cores):
             self._recompute_core(core)
+        self._record_pmu_state()
+
+    def _flush_pmu_state(self, own_core: int) -> None:
+        """End an entry point's batch: apply its PMU notifications once.
+
+        Every other core is recomputed and the PMU state recorded only
+        when a notification arrived; the caller recomputes ``own_core``
+        itself, so each core is recomputed once per entry point.
+        """
+        if not self._pmu_changed:
+            return
+        self._pmu_changed = False
+        for core in range(self.config.n_cores):
+            if core != own_core:
+                self._recompute_core(core)
         self._record_pmu_state()
 
     def _update_progress(self, thread: _HWThread, now: float) -> None:
@@ -646,20 +690,29 @@ class System:
         self.local_pmus[thread.core_id].note_execute(activity.loop.iclass, now)
 
     def _reschedule_completion(self, thread: _HWThread) -> None:
+        """Move the completion event to the loop's current finish time.
+
+        A pending event already at the bit-identical time is kept.
+        """
         activity = thread.activity
         assert activity is not None
-        if activity.completion is not None:
-            activity.completion.cancel()
-            activity.completion = None
+        pending = activity.completion
+        now = self.engine.now
         if activity.remaining <= 1e-9:
-            self.engine.schedule(0.0, self._complete, thread, activity)
-            return
-        if activity.rate <= 0.0:
-            return  # resumes when a recompute raises the rate
-        eta = activity.last_update + activity.remaining / activity.rate
-        delay = max(0.0, eta - self.engine.now)
-        activity.completion = self.engine.schedule(delay, self._complete,
-                                                   thread, activity)
+            when: Optional[float] = now
+        elif activity.rate <= 0.0:
+            when = None  # resumes when a recompute raises the rate
+        else:
+            eta = activity.last_update + activity.remaining / activity.rate
+            when = now + max(0.0, eta - now)
+        if pending is not None:
+            if pending.in_heap and pending.time_ns == when:
+                return
+            pending.cancel()
+            activity.completion = None
+        if when is not None:
+            activity.completion = self.engine.schedule_at(
+                when, self._complete, thread, activity)
 
     def _complete(self, thread: _HWThread, activity: _Activity) -> None:
         if thread.activity is not activity:
@@ -767,11 +820,21 @@ class System:
             self.engine.now, LABEL[top] if top is not None else "idle",
         )
 
-    def _record_cdyn(self) -> None:
-        """Write the package Cdyn; a change steps the thermal model."""
-        total_cdyn = sum(self._core_cdyn(core) for core in range(self.config.n_cores))
+    def _record_cdyn(self, core: Optional[int] = None) -> None:
+        """Write the package Cdyn; a change steps the thermal model.
+
+        Re-derives ``core``'s share only, or every core's when ``core``
+        is None or C-states make idle Cdyn depend on time.
+        """
+        shares = self._cdyn_nf
+        if core is None or self.cstates is not None:
+            for other in range(self.config.n_cores):
+                shares[other] = self._core_cdyn(other)
+        else:
+            shares[core] = self._core_cdyn(core)
+        total_cdyn = sum(shares)
         if self.cdyn_trace.record(self.engine.now, total_cdyn):
-            self._advance_thermal()
+            self._advance_thermal(total_cdyn)
 
     def _record_pmu_state(self) -> None:
         """Write what the PMU decides: per-core throttle and frequency."""
@@ -781,19 +844,19 @@ class System:
             trace.record(now, 1 if pmu.is_core_throttled(core) else 0)
         if self.cstates is not None:
             # C-state idle Cdyn deepens with time, not at an event of its
-            # own, so it is sampled at every PMU notification as well.
+            # own, so it is sampled at every PMU state record as well.
             self._record_cdyn()
         if self.freq_trace.record(now, pmu.freq_ghz):
-            self._advance_thermal()
+            self._advance_thermal(sum(self._cdyn_nf))
 
-    def _advance_thermal(self) -> None:
+    def _advance_thermal(self, total_cdyn: float) -> None:
         """Step the junction temperature to now under the new package power.
 
-        Called only where a power input (Cdyn or frequency) changes; the
-        rail voltage is sampled at that instant.
+        Called only where a power input (Cdyn or frequency) changes, with
+        the package Cdyn in force; the rail voltage is sampled at that
+        instant.
         """
         now = self.engine.now
-        total_cdyn = self.cdyn_trace.value_at(now)
         vcc = self.vcc_at(now)
         power = total_cdyn * vcc * vcc * self.pmu.freq_ghz
         self.temp_trace.record(now, self.thermal.advance(now, power))

@@ -59,6 +59,21 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             engine.schedule_at(5.0, lambda: None)
 
+    def test_schedule_at_nan_rejected(self):
+        engine = Engine()
+        with pytest.raises(SimulationError, match="nan"):
+            engine.schedule_at(float("nan"), lambda: None)
+        assert engine.peek_time() is None
+
+    def test_schedule_nan_delay_rejected(self):
+        engine = Engine()
+        engine.schedule(10.0, lambda: None)
+        engine.run()
+        with pytest.raises(SimulationError, match="nan"):
+            engine.schedule(float("nan"), lambda: None)
+        assert engine.peek_time() is None
+        assert engine.now == 10.0
+
     def test_nested_scheduling(self):
         engine = Engine()
         order = []

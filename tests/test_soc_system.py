@@ -88,6 +88,17 @@ class TestExecution:
         with pytest.raises(ConfigError):
             fresh(governor=9.0)
 
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf"), -1.0])
+    def test_sleep_rejects_non_finite_and_negative(self, delay):
+        with pytest.raises(ConfigError, match=str(delay)):
+            fresh().sleep(delay)
+
+    @pytest.mark.parametrize("when", [float("nan"), float("inf"),
+                                      float("-inf")])
+    def test_until_rejects_non_finite(self, when):
+        with pytest.raises(ConfigError, match=str(when)):
+            fresh().until(when)
+
 
 class TestMultiThrottlingThread:
     """Observation 1: multi-level TP proportional to intensity."""
