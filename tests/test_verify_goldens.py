@@ -59,10 +59,12 @@ class TestCommittedGoldens:
     def test_fast_scenarios_match_committed_goldens(self):
         """The cheap scenarios are re-verified inside the tier-1 suite.
 
-        (The full set, including the slower sweep slices, runs in the CI
-        verify job via ``python -m repro.verify``.)
+        ``demo_transfer`` pins the covert-transfer path, engine counters
+        included.  (The full set, including the slower sweep slices, runs
+        in the CI verify job via ``python -m repro.verify``.)
         """
-        for check in check_all(["fig6_slice", "fig8_slice"]):
+        for check in check_all(["demo_transfer", "fig6_slice",
+                                "fig8_slice"]):
             assert check.ok, check.render()
 
 
