@@ -26,7 +26,6 @@ from repro.runner.cache import (
     ResultCache,
     canonicalize,
     code_version,
-    reset_code_version,
     task_key,
 )
 from repro.runner.sweep import RunStats, SweepRunner
@@ -38,6 +37,5 @@ __all__ = [
     "SweepRunner",
     "canonicalize",
     "code_version",
-    "reset_code_version",
     "task_key",
 ]

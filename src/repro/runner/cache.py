@@ -55,11 +55,9 @@ def code_version() -> str:
     same sources always produce the same version and any edit produces a
     new one — the cache's whole-package invalidation lever.
 
-    The memoization is thread-safe (service workers share one process)
-    and explicitly resettable: a long-lived worker that survives a
-    source change keeps serving the stale digest until
-    :func:`reset_code_version` is called, which the service layer does
-    on every worker (re)spawn.
+    The memoization is thread-safe, so threads that race on the first
+    call all see one digest.  It lasts for the life of the process: a
+    source edit takes effect in the next process.
     """
     global _code_version
     with _code_version_lock:
@@ -74,18 +72,6 @@ def code_version() -> str:
                 digest.update(path.read_bytes())
             _code_version = digest.hexdigest()[:16]
         return _code_version
-
-
-def reset_code_version() -> None:
-    """Drop the memoized source digest; the next call recomputes it.
-
-    Call after the installed sources may have changed under a long-lived
-    process — :class:`repro.service` workers invoke this on (re)spawn so
-    a redeployed tree cannot keep addressing the old version's entries.
-    """
-    global _code_version
-    with _code_version_lock:
-        _code_version = None
 
 
 def canonicalize(obj: Any) -> Any:

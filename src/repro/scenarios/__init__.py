@@ -7,9 +7,8 @@ noise, fault suites, background workload traces (including replay of
 recorded phase traces), and N covert sender/receiver tenants sharing
 one PMU.  The registry ships 15 named scenarios from the paper's
 single-pair baselines to 8-pair interference matrices; each runs
-through ``python -m repro --scenario NAME``, the sweep runner, the
-service, and the verify golden gates, and renders its own entry in
-docs/SCENARIOS.md.
+through ``python -m repro --scenario NAME``, the sweep runner and the
+verify golden gates, and renders its own entry in docs/SCENARIOS.md.
 """
 
 from repro.scenarios.build import build_system, tenant_thread_ids

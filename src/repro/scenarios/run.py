@@ -12,9 +12,9 @@ pins, not an error.
 
 The module-level entry points (:func:`scenario_document`,
 :func:`interference_trial`) are picklable, so scenarios run unchanged
-through :class:`~repro.runner.SweepRunner` pools and the
-:mod:`repro.service` worker fleet; :func:`run_document` emits the
-plain-JSON document the :mod:`repro.verify` golden gates digest.
+through :class:`~repro.runner.SweepRunner` pools; :func:`run_document`
+emits the plain-JSON document the :mod:`repro.verify` golden gates
+digest.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ class TenantResult:
     measurements_tsc: Tuple[float, ...] = ()
 
     def to_mapping(self) -> Dict[str, Any]:
-        """Plain-JSON form for documents and service responses."""
+        """Plain-JSON form for scenario documents."""
         return {
             "index": self.index,
             "channel": self.channel,
@@ -267,8 +267,7 @@ def scenario_document(name: str) -> Dict[str, Any]:
     """Module-level task form of :func:`run_document`.
 
     Takes the scenario *name* (picklable) so it can fan out over
-    :class:`~repro.runner.SweepRunner` process pools and the service
-    worker fleet.
+    :class:`~repro.runner.SweepRunner` process pools.
     """
     return run_document(name)
 
@@ -299,7 +298,7 @@ class InterferenceSweepResult:
     points: Tuple[InterferencePoint, ...]
 
     def to_mapping(self) -> Dict[str, Any]:
-        """Plain-JSON form (for reports and service responses)."""
+        """Plain-JSON form (for reports and documents)."""
         return {
             "preset": self.preset,
             "points": [{

@@ -7,8 +7,8 @@ tenants share the package and where they are pinned, what OS noise,
 faults, and background workloads surround them, and what payload the
 tenants transfer.  Everything is plain data with a dict/TOML-friendly
 :meth:`ScenarioSpec.from_mapping` / :meth:`ScenarioSpec.to_mapping`
-round-trip, so scenarios can live in files, travel over the service
-HTTP API, and be digested by :mod:`repro.verify` without touching code.
+round-trip, so scenarios can live in files and be digested by
+:mod:`repro.verify` without touching code.
 
 Validation is front-loaded and actionable: unknown fields, impossible
 topologies (a tenant on a core the preset does not have, two tenants

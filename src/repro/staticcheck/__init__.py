@@ -16,10 +16,6 @@ text/JSON/SARIF reporters:
   unordered-set iteration);
 * :mod:`repro.staticcheck.passes.poolsafety` — process-pool safety
   (unpicklable callables, worker-side global mutation);
-* :mod:`repro.staticcheck.passes.asyncsafety` — event-loop safety in
-  the service layer (blocking calls in coroutines, unawaited
-  coroutines, dropped task handles, resources held across awaits,
-  shared-state mutation);
 * :mod:`repro.staticcheck.passes.goldenflow` — mapping-layer golden
   contracts (round-trip completeness, digest-stable emission,
   SystemOptions forwarding coverage);

@@ -33,8 +33,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.staticcheck",
         description="Project-invariant static analysis "
-                    "(dimensional, determinism, pool-safety, async-safety, "
-                    "golden-flow, hygiene).")
+                    "(dimensional, determinism, pool-safety, golden-flow, "
+                    "hygiene).")
     parser.add_argument(
         "paths", nargs="*", type=Path,
         help="files or directories to analyse "

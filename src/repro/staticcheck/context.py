@@ -3,11 +3,10 @@
 A :class:`ModuleContext` wraps one parsed source file (path, text, AST)
 with the helpers passes keep reaching for.  A :class:`ProjectContext`
 holds what a single module cannot know: the *signature table* mapping
-function names to their parameter names and inferred unit tags, the
-async/sync callable name sets the asyncsafety pass resolves bare calls
-against, and the dataclass field table the goldenflow pass checks
-mapping round-trips with — all built in a pre-scan over every module of
-the run.
+function names to their parameter names and inferred unit tags, and
+the dataclass field table the goldenflow pass checks mapping
+round-trips with — both built in a pre-scan over every module of the
+run.
 
 Name collisions are handled conservatively: two functions sharing a name
 with different parameter lists make that name *ambiguous* and call sites
@@ -38,7 +37,7 @@ from repro.staticcheck.dataflow import (
 )
 
 #: Version of the facts-dict layout; bump to invalidate cached facts.
-FACTS_VERSION = 1
+FACTS_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -182,15 +181,12 @@ def module_facts(module: ModuleContext) -> Dict[str, Any]:
     """The JSON-friendly cross-module facts one module contributes.
 
     Facts are everything :class:`ProjectContext` needs from a module:
-    its callable signatures (with unit tags), which callable names are
-    defined ``async def`` vs plain ``def``, and its dataclass field
+    its callable signatures (with unit tags) and its dataclass field
     tables.  Because the dict is pure JSON, the incremental engine can
     persist it keyed on the module's source hash and skip re-parsing
     unchanged modules entirely.
     """
     signatures: List[List[Any]] = []
-    async_names: Set[str] = set()
-    sync_names: Set[str] = set()
     dataclasses: Dict[str, List[str]] = {}
     for node in ast.walk(module.tree):
         sig = _sig_of(node)
@@ -200,17 +196,11 @@ def module_facts(module: ModuleContext) -> Dict[str, Any]:
                 [_tag_to_str(tag) for tag in sig.param_tags],
                 _tag_to_str(sig.return_tag),
             ])
-            if isinstance(node, ast.AsyncFunctionDef):
-                async_names.add(sig.name)
-            else:
-                sync_names.add(sig.name)
         elif isinstance(node, ast.ClassDef) and _is_dataclass_def(node):
             dataclasses[node.name] = list(_dataclass_field_names(node))
     return {
         "version": FACTS_VERSION,
         "signatures": signatures,
-        "async_names": sorted(async_names),
-        "sync_names": sorted(sync_names),
         "dataclasses": dataclasses,
     }
 
@@ -221,10 +211,6 @@ class ProjectContext:
     def __init__(self) -> None:
         self._signatures: Dict[str, FunctionSig] = {}
         self._ambiguous: Set[str] = set()
-        #: Callable names defined ``async def`` somewhere in the run.
-        self.async_names: Set[str] = set()
-        #: Callable names defined as plain ``def`` somewhere in the run.
-        self.sync_names: Set[str] = set()
         self._dataclass_fields: Dict[str, Tuple[str, ...]] = {}
         self._ambiguous_dataclasses: Set[str] = set()
         self._digest: Optional[str] = None
@@ -246,8 +232,6 @@ class ProjectContext:
                     name, tuple(params),
                     tuple(_tag_from_str(t) for t in tags),
                     _tag_from_str(return_tag)))
-            project.async_names.update(entry["async_names"])
-            project.sync_names.update(entry["sync_names"])
             for cls_name, fields_list in entry["dataclasses"].items():
                 project.add_dataclass(cls_name, tuple(fields_list))
         payload = json.dumps(canonical, sort_keys=True, ensure_ascii=True)
@@ -289,15 +273,6 @@ class ProjectContext:
         """Field names of the unambiguous dataclass ``name``, if known."""
         return self._dataclass_fields.get(name)
 
-    def is_async_name(self, name: str) -> bool:
-        """Whether ``name`` is *only* ever defined ``async def``.
-
-        Names defined both ways anywhere in the run are conservatively
-        treated as not-async, so the asyncsafety pass never flags a
-        call that might resolve to a synchronous implementation.
-        """
-        return name in self.async_names and name not in self.sync_names
-
     def digest(self) -> str:
         """Deterministic content hash of the cross-module tables.
 
@@ -316,8 +291,6 @@ class ProjectContext:
                      [_tag_to_str(t) for t in s.param_tags],
                      _tag_to_str(s.return_tag)]
                     for s in self._signatures.values()),
-                "async": sorted(self.async_names),
-                "sync": sorted(self.sync_names),
                 "dataclasses": {k: list(v) for k, v in
                                 sorted(self._dataclass_fields.items())},
             }, sort_keys=True)

@@ -5,8 +5,8 @@ Orchestration order:
 1. collect every ``*.py`` under the requested paths (source text only —
    parsing is deferred until a pass actually needs the AST);
 2. build the :class:`ProjectContext` from per-module *facts* (signature
-   table, async/sync name sets, dataclass fields), reading them from
-   the incremental cache where the source hash matches;
+   table, dataclass fields), reading them from the incremental cache
+   where the source hash matches;
 3. run the selected passes over every module — per ``(module, pass)``
    results come from the findings cache when the source hash, pass
    version and project digest all match, from a process pool when

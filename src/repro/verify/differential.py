@@ -9,11 +9,7 @@ verify run:
 * a :class:`~repro.core.session.CovertSession` configured with adaptive
   machinery behaves **exactly** like a plain session when no faults are
   injected — the adaptive state machine must be pay-for-what-you-use,
-  never perturbing a healthy channel;
-* routing a sweep through the :mod:`repro.service` queue / worker fleet
-  produces the same canonical document as the inline
-  :class:`~repro.runner.SweepRunner` — and both match the committed
-  golden.
+  never perturbing a healthy channel.
 
 Each check returns a :class:`DiffCheck` with leaf-level mismatch lines,
 rendered by ``python -m repro.verify``.
@@ -137,40 +133,9 @@ def check_adaptive_plain_equivalence() -> DiffCheck:
                      ok=not detail, detail=detail)
 
 
-def check_service_inline_equivalence() -> DiffCheck:
-    """The service path must be bit-identical to the inline runner.
-
-    Computes the ``fig13_slice`` canonical document twice — once with a
-    plain inline :class:`~repro.runner.SweepRunner` and once routed
-    through a :class:`~repro.service.ServiceRunner` (the full queue /
-    worker-fleet / streaming path of :mod:`repro.service`) — and diffs
-    the documents leaf by leaf.  Both digests are then also required to
-    match the committed golden, so "service == inline == golden" is one
-    proven chain, not two assumptions.
-    """
-    from repro.runner import SweepRunner
-    from repro.service import ServiceConfig, ServiceRunner
-    from repro.verify.digest import content_digest
-    from repro.verify.goldens import load_golden
-    from repro.verify.scenarios import compute_document
-
-    inline = compute_document("fig13_slice", runner=SweepRunner())
-    with ServiceRunner(ServiceConfig(workers=2, batch_size=4)) as runner:
-        routed = compute_document("fig13_slice", runner=runner)
-    detail = [f"fig13_slice: {line}"
-              for line in diff_documents(inline, routed)[:10]]
-    golden = load_golden("fig13_slice").get("digest")
-    digest = content_digest(inline)
-    if golden is not None and digest != golden:
-        detail.append(f"fig13_slice digest {digest} != golden {golden}")
-    return DiffCheck(name="service-inline-equivalence",
-                     ok=not detail, detail=detail)
-
-
 def run_all() -> List[DiffCheck]:
     """Every differential check, in reporting order."""
-    return [check_sampler_bitwise(), check_adaptive_plain_equivalence(),
-            check_service_inline_equivalence()]
+    return [check_sampler_bitwise(), check_adaptive_plain_equivalence()]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -12,7 +12,7 @@ PACKAGES = [
     "repro", "repro.isa", "repro.pdn", "repro.pmu", "repro.microarch",
     "repro.soc", "repro.measure", "repro.core", "repro.core.baselines",
     "repro.mitigations", "repro.analysis", "repro.runner", "repro.faults",
-    "repro.obs", "repro.verify", "repro.service",
+    "repro.obs", "repro.verify",
 ]
 
 

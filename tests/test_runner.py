@@ -8,11 +8,11 @@ import pytest
 
 from repro.analysis.experiments import fig8_throttling
 from repro.errors import ConfigError
+from repro.runner import cache as cache_module
 from repro.runner import (
     ResultCache,
     SweepRunner,
     code_version,
-    reset_code_version,
     task_key,
 )
 from repro.soc.config import cannon_lake_i3_8121u, coffee_lake_i7_9700k
@@ -250,15 +250,16 @@ class TestInCallDeduplication:
 
 
 class TestCodeVersionReset:
-    """The memoized source digest must be resettable and thread-safe."""
+    """The memoized source digest is stable and thread-safe."""
 
-    def test_reset_recomputes_same_digest_for_same_sources(self):
+    def test_reset_recomputes_same_digest_for_same_sources(self,
+                                                           monkeypatch):
         first = code_version()
-        reset_code_version()
+        monkeypatch.setattr(cache_module, "_code_version", None)
         assert code_version() == first
 
-    def test_concurrent_first_computation_is_consistent(self):
-        reset_code_version()
+    def test_concurrent_first_computation_is_consistent(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "_code_version", None)
         results = []
         lock = threading.Lock()
 

@@ -1,4 +1,4 @@
-"""Scenario materialisation and the N-tenant runner, CLI, service task."""
+"""Scenario materialisation and the N-tenant runner and CLI."""
 
 import json
 
@@ -191,14 +191,6 @@ class TestEntryPoints:
         out = capsys.readouterr().out
         assert "scenario: baseline_thread" in out
         assert "mean BER" in out
-
-    def test_service_task_matches_inline_digest(self):
-        from repro.service.tasks import get_task
-        answer = get_task("scenario_run")(name="baseline_cores")
-        assert answer["scenario"] == "baseline_cores"
-        assert answer["per_tenant_ber"] == [0.0]
-        assert answer["digest"] == content_digest(
-            run_document("baseline_cores"))
 
     def test_scenario_document_task_is_picklable(self):
         documents = SweepRunner(jobs=2).map(

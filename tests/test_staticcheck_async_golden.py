@@ -1,4 +1,4 @@
-"""Fixture tests for the asyncsafety and goldenflow passes.
+"""Fixture tests for the goldenflow pass.
 
 Every rule gets at least one *bad* fixture it must flag and one *good*
 fixture (the idiomatic fix) it must leave alone, so rule regressions
@@ -10,12 +10,6 @@ import textwrap
 from repro.staticcheck import analyze_source
 
 
-def async_findings(source, path="repro/service/example_mod.py"):
-    """Asyncsafety findings for one snippet."""
-    return analyze_source(textwrap.dedent(source), path,
-                          rules=["asyncsafety"])
-
-
 def golden_findings(source, path="repro/scenarios/example_mod.py"):
     """Goldenflow findings for one snippet."""
     return analyze_source(textwrap.dedent(source), path,
@@ -25,255 +19,6 @@ def golden_findings(source, path="repro/scenarios/example_mod.py"):
 def rules_of(findings):
     """The set of rule ids a fixture tripped."""
     return {f.rule for f in findings}
-
-
-class TestAsyncBlockingCall:
-    def test_time_sleep_flagged(self):
-        findings = async_findings("""
-            import time
-
-            async def poll():
-                time.sleep(0.5)
-        """)
-        assert rules_of(findings) == {"async-blocking-call"}
-
-    def test_bare_sleep_from_time_import_flagged(self):
-        findings = async_findings("""
-            from time import sleep
-
-            async def poll():
-                sleep(0.5)
-        """)
-        assert rules_of(findings) == {"async-blocking-call"}
-
-    def test_asyncio_sleep_clean(self):
-        findings = async_findings("""
-            import asyncio
-
-            async def poll():
-                await asyncio.sleep(0.5)
-        """)
-        assert findings == []
-
-    def test_sync_open_flagged(self):
-        findings = async_findings("""
-            async def dump(path):
-                with open(path, "w") as handle:
-                    handle.write("x")
-        """)
-        assert "async-blocking-call" in rules_of(findings)
-
-    def test_path_read_text_flagged(self):
-        findings = async_findings("""
-            async def load(path):
-                return path.read_text(encoding="utf-8")
-        """)
-        assert rules_of(findings) == {"async-blocking-call"}
-
-    def test_subprocess_run_flagged(self):
-        findings = async_findings("""
-            import subprocess
-
-            async def shell(cmd):
-                return subprocess.run(cmd, capture_output=True)
-        """)
-        assert rules_of(findings) == {"async-blocking-call"}
-
-    def test_sync_queue_get_flagged(self):
-        findings = async_findings("""
-            async def drain(self):
-                return self.work_queue.get()
-        """)
-        assert rules_of(findings) == {"async-blocking-call"}
-
-    def test_awaited_asyncio_queue_get_clean(self):
-        findings = async_findings("""
-            async def drain(self):
-                return await self.work_queue.get()
-        """)
-        assert findings == []
-
-    def test_sweep_runner_dispatch_flagged(self):
-        findings = async_findings("""
-            async def run_sweep(self, configs):
-                return self.runner.run(configs)
-        """)
-        assert rules_of(findings) == {"async-blocking-call"}
-
-    def test_executor_offload_clean(self):
-        findings = async_findings("""
-            import asyncio
-
-            async def run_sweep(self, configs):
-                loop = asyncio.get_running_loop()
-                return await loop.run_in_executor(
-                    None, self.runner.run, configs)
-        """)
-        assert findings == []
-
-    def test_blocking_call_in_nested_sync_def_clean(self):
-        findings = async_findings("""
-            import time
-
-            async def schedule(loop):
-                def job():
-                    time.sleep(1.0)
-                await loop.run_in_executor(None, job)
-        """)
-        assert findings == []
-
-
-class TestAsyncUnawaited:
-    BAD = """
-        async def refresh(self):
-            return None
-
-        async def tick(self):
-            self.refresh()
-    """
-
-    def test_discarded_coroutine_flagged(self):
-        assert rules_of(async_findings(self.BAD)) == {"async-unawaited"}
-
-    def test_awaited_coroutine_clean(self):
-        findings = async_findings("""
-            async def refresh(self):
-                return None
-
-            async def tick(self):
-                await self.refresh()
-        """)
-        assert findings == []
-
-    def test_coroutine_handed_to_scheduler_clean(self):
-        findings = async_findings("""
-            async def refresh(self):
-                return None
-
-            async def tick(self):
-                self._spawn(self.refresh())
-
-            def _spawn(self, coro):
-                return coro
-        """)
-        assert findings == []
-
-    def test_name_also_defined_sync_is_skipped(self):
-        findings = async_findings("""
-            async def refresh(self):
-                return None
-
-            def make():
-                def refresh():
-                    return 1
-                return refresh
-
-            async def tick(self):
-                self.refresh()
-        """)
-        assert findings == []
-
-
-class TestAsyncDroppedTask:
-    def test_discarded_create_task_flagged(self):
-        findings = async_findings("""
-            import asyncio
-
-            async def start(self):
-                asyncio.create_task(self.work())
-
-            async def work(self):
-                return None
-        """)
-        assert "async-dropped-task" in rules_of(findings)
-
-    def test_kept_handle_clean(self):
-        findings = async_findings("""
-            import asyncio
-
-            async def start(self):
-                self._task = asyncio.create_task(self.work())
-
-            async def work(self):
-                return None
-        """)
-        assert findings == []
-
-
-class TestAsyncHeldHandle:
-    def test_file_handle_across_await_flagged(self):
-        findings = async_findings("""
-            async def mirror(self, path):
-                with open(path, "w") as handle:
-                    await self.job.wait()
-                    handle.write("done")
-        """)
-        assert "async-held-handle" in rules_of(findings)
-
-    def test_lock_across_await_flagged(self):
-        findings = async_findings("""
-            async def update(self):
-                with self._lock:
-                    await self.refresh()
-
-            async def refresh(self):
-                return None
-        """)
-        assert "async-held-handle" in rules_of(findings)
-
-    def test_store_handle_across_await_flagged(self):
-        findings = async_findings("""
-            async def persist(self):
-                with self.artifact_store() as store:
-                    await self.job.wait()
-                    store.put("k", b"v")
-        """)
-        assert "async-held-handle" in rules_of(findings)
-
-    def test_with_block_without_await_clean(self):
-        findings = async_findings("""
-            async def update(self):
-                with self._lock:
-                    self.counter += 1
-        """)
-        assert findings == []
-
-
-class TestAsyncSharedState:
-    def test_global_declaration_flagged(self):
-        findings = async_findings("""
-            COUNTER = 0
-
-            async def bump():
-                global COUNTER
-                COUNTER += 1
-        """)
-        assert rules_of(findings) == {"async-shared-state"}
-
-    def test_module_list_mutation_flagged(self):
-        findings = async_findings("""
-            RESULTS = []
-
-            async def record(value):
-                RESULTS.append(value)
-        """)
-        assert rules_of(findings) == {"async-shared-state"}
-
-    def test_module_dict_store_flagged(self):
-        findings = async_findings("""
-            CACHE = {}
-
-            async def remember(key, value):
-                CACHE[key] = value
-        """)
-        assert rules_of(findings) == {"async-shared-state"}
-
-    def test_instance_state_clean(self):
-        findings = async_findings("""
-            async def record(self, value):
-                self.results.append(value)
-        """)
-        assert findings == []
 
 
 ROUNDTRIP_GOOD = """
@@ -548,13 +293,11 @@ class TestGoldenForward:
 
 
 class TestRealTreeIsClean:
-    def test_service_and_scenarios_pass_the_new_rules(self):
+    def test_scenarios_pass_goldenflow(self):
         from repro.staticcheck import analyze_paths
         from repro.staticcheck.runner import default_root
 
-        report = analyze_paths(
-            paths=[default_root() / "service",
-                   default_root() / "scenarios"],
-            rules=["asyncsafety", "goldenflow"])
+        report = analyze_paths(paths=[default_root() / "scenarios"],
+                               rules=["goldenflow"])
         assert report.findings == [], \
             [f.render() for f in report.findings]

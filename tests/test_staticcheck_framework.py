@@ -38,8 +38,7 @@ class TestRegistry:
     def test_builtin_passes_registered(self):
         names = {p.name for p in all_passes()}
         assert names == {"dimensional", "determinism", "poolsafety",
-                         "hygiene", "asyncsafety",
-                         "goldenflow"}
+                         "hygiene", "goldenflow"}
 
     def test_every_rule_has_unique_owner(self):
         ids = rule_ids()

@@ -209,13 +209,13 @@ class TestChangedMode:
 
 class TestSelectionExpansion:
     def test_pass_name_expands_to_its_rules(self):
-        rules = expand_selection(["asyncsafety"])
-        assert "async-blocking-call" in rules
-        assert "async-unawaited" in rules
+        rules = expand_selection(["goldenflow"])
+        assert "golden-roundtrip" in rules
+        assert "golden-emit" in rules
 
     def test_mixed_selection_dedupes(self):
-        rules = expand_selection(["asyncsafety", "async-unawaited"])
-        assert rules.count("async-unawaited") == 1
+        rules = expand_selection(["goldenflow", "golden-emit"])
+        assert rules.count("golden-emit") == 1
 
     def test_unknown_name_lists_both_namespaces(self):
         from repro.errors import ConfigError

@@ -83,20 +83,11 @@ class TestSeededMutations:
 
 
 def flow_findings(source, path):
-    """Async-safety plus golden-flow findings for one source text."""
-    return analyze_source(source, path, rules=["asyncsafety", "goldenflow"])
+    """Golden-flow findings for one source text."""
+    return analyze_source(source, path, rules=["goldenflow"])
 
 
 FLOW_CASES = [
-    pytest.param(
-        "service/scheduler.py",
-        "for job in list(self._jobs.values()):\n"
-        "                await job.wait()",
-        "for job in list(self._jobs.values()):\n"
-        "                job.wait()",
-        "async-unawaited",
-        id="scheduler-stop-forgot-await",
-    ),
     pytest.param(
         "scenarios/spec.py",
         '        mapping = {f.name: getattr(self, f.name) '
@@ -129,12 +120,12 @@ FLOW_CASES = [
 
 
 class TestFlowMutations:
-    """Async-safety and golden-flow rules catch the bugs they exist for.
+    """Golden-flow rules catch the bugs they exist for.
 
     Same discipline as the dimensional cases: the *committed* modules
     analyse clean, and reintroducing the exact regression each rule
-    guards against (a dropped ``await``, an unconditionally emitted
-    mapping key, a silently dropped forwarding kwarg) is flagged.
+    guards against (an unconditionally emitted mapping key, a dropped
+    round-trip key, a silently dropped forwarding kwarg) is flagged.
     """
 
     @pytest.mark.parametrize("rel, before, after, expected_rule", FLOW_CASES)

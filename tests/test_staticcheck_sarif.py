@@ -211,7 +211,7 @@ class TestSarifInvocationAndTiming:
         assert properties["changedOnly"] is False
         assert properties["cache"]["misses"] > 0
         timing_passes = {t["pass"] for t in properties["timings"]}
-        assert {"dimensional", "determinism", "asyncsafety",
+        assert {"dimensional", "determinism",
                 "goldenflow"} <= timing_passes
         for timing in properties["timings"]:
             assert timing["wallMs"] >= 0.0

@@ -7,7 +7,6 @@ from repro.verify.differential import (
     DiffCheck,
     check_adaptive_plain_equivalence,
     check_sampler_bitwise,
-    check_service_inline_equivalence,
     run_all,
 )
 from repro.verify.digest import diff_documents
@@ -43,18 +42,11 @@ class TestAdaptiveEquivalence:
         assert any("frames[0].attempts: 1 -> 2" in line for line in lines)
 
 
-class TestServiceInlineEquivalence:
-    def test_service_path_matches_inline_and_golden(self):
-        check = check_service_inline_equivalence()
-        assert check.ok, check.render()
-
-
 class TestRunAll:
     def test_run_all_names_and_order(self):
         checks = run_all()
         assert [check.name for check in checks] == [
-            "sampler-bitwise", "adaptive-plain-equivalence",
-            "service-inline-equivalence"]
+            "sampler-bitwise", "adaptive-plain-equivalence"]
         assert all(check.ok for check in checks)
 
     def test_render_shows_detail_on_mismatch(self):
