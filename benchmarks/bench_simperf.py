@@ -21,8 +21,11 @@ def test_bench_simperf(benchmark):
     simulated_s = system.now / 1e9
     benchmark.extra_info["simulated_ms"] = round(system.now / 1e6, 1)
     benchmark.extra_info["events"] = system.engine.events_run
+    traces = [system.freq_trace, system.cdyn_trace,
+              *system.throttle_traces, *system.activity_traces]
+    benchmark.extra_info["trace_breakpoints"] = sum(len(t) for t in traces)
     assert report.ber == 0.0
-    # The engine must stay event-driven: a multi-ms simulation takes a
-    # few hundred events, not millions.
-    assert system.engine.events_run < 20_000
+    # The event count of this transfer is deterministic; more events
+    # mean the simulator does more work for the same result.
+    assert system.engine.events_run <= 189
     assert simulated_s > 0.01  # really simulated multiple milliseconds

@@ -208,7 +208,8 @@ class GrantQueueInterference(FaultModel):
 class ThermalDriftRamp(FaultModel):
     """A slowly warming enclosure drifting the ambient reference.
 
-    Ramps :attr:`~repro.pmu.thermal.ThermalModel.ambient_offset_c` at
+    Ramps the thermal model's ambient offset (through
+    :meth:`~repro.soc.system.System.set_ambient_offset`) at
     ``rate_c_per_s * intensity`` until ``max_drift_c`` is reached,
     stepping every ``step_us``.  The junction temperature trace shifts
     accordingly; current-management throttling does **not** (the paper's
@@ -245,7 +246,7 @@ class ThermalDriftRamp(FaultModel):
         while offset < self.max_drift_c:
             yield system.sleep(us_to_ns(self.step_us))
             offset = min(self.max_drift_c, offset + step_c)
-            system.thermal.set_ambient_offset(system.now, offset)
+            system.set_ambient_offset(offset)
             self.events += 1
 
     def attach(self, system: "System", injector: "FaultInjector") -> None:

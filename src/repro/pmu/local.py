@@ -71,18 +71,14 @@ class LocalPMU:
         return best
 
     def next_expiry_ns(self, now_ns: float) -> Optional[float]:
-        """When the current requirement could next decrease, if ever.
+        """When the current requirement leaves the window, if ever.
 
-        Returns the earliest future time at which some class above the
-        would-be-new requirement leaves the window, or None when the
-        requirement is already the scalar floor.
+        Returns the expiry of the current requirement class's last
+        execute, or None when the requirement is already the scalar
+        floor.  A lower class expiring earlier does not lower the
+        requirement, so it is never the answer.
         """
         current = self.requirement(now_ns)
         if current == IClass.SCALAR_64:
             return None
-        expiries = [
-            last + self.reset_time_ns
-            for iclass, last in self._last_exec_ns.items()
-            if iclass > IClass.SCALAR_64 and last > now_ns - self.reset_time_ns
-        ]
-        return min(expiries) if expiries else None
+        return self._last_exec_ns[current] + self.reset_time_ns

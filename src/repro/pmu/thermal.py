@@ -7,6 +7,10 @@ studies.  The model exists to *demonstrate the negative*: during the
 microsecond-scale experiments the junction temperature barely moves and
 never approaches ``Tj_max``, confirming Key Conclusion 2 (the frequency
 drops after PHIs are current-limit protection, not thermal management).
+
+Nothing in the simulation loop steps the model: only Fig. 7 reads the
+temperature, so :attr:`repro.soc.system.System.temp_trace` replays a
+fresh model through the recorded power breakpoints when it is read.
 """
 
 from __future__ import annotations
@@ -50,9 +54,10 @@ class ThermalSpec:
 class ThermalModel:
     """Lazily-integrated junction temperature.
 
-    Call :meth:`advance` with the current (piecewise-constant) package
-    power at every power step; the model integrates the exact exponential
-    response over the elapsed span.
+    Feed :meth:`advance` the piecewise-constant package power at each of
+    its breakpoints, in time order, and :meth:`set_ambient_offset` each
+    ambient step; the model integrates the exact exponential response
+    over every elapsed span.
     """
 
     spec: ThermalSpec

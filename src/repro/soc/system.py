@@ -24,7 +24,9 @@ flush at the end recomputes the other cores and records the PMU state
 before the entry's own core is recomputed.  Notifications from PMU
 events and outside callers apply at once.  A completion event whose
 recomputed time is bit-identical stays queued.  The package Cdyn is
-kept per core, so a change re-derives only that core's share.  The
+kept per core, so a change re-derives only that core's share.  A
+core's hysteresis check is armed once its requirement's expiry is
+final, and the junction temperature is replayed only when read.  The
 cycle-level model in :mod:`repro.microarch.pipeline` independently
 validates the rate factors used here (quarter-rate throttling, SMT
 sharing).
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, List, Optional
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 import numpy as np
 
@@ -303,7 +305,9 @@ class System:
             )
             for i in range(config.n_cores)
         ]
-        self.thermal = ThermalModel(config.thermal)
+        #: (time_ns, offset_c) of every shift of the thermal model's
+        #: ambient reference (see :meth:`set_ambient_offset`).
+        self.ambient_steps: List[Tuple[float, float]] = []
         self.cstates: Optional[CStateTracker] = (
             CStateTracker(CStateSpec(), config.n_cores)
             if config.cstates_enabled else None
@@ -339,7 +343,6 @@ class System:
         self.activity_traces: List[StepTrace] = [
             StepTrace(f"core{i}_class") for i in range(config.n_cores)
         ]
-        self.temp_trace: StepTrace = StepTrace("tj_c")
         #: Each core's share of the package Cdyn, re-derived per core.
         self._cdyn_nf: List[float] = [0.0] * config.n_cores
         self._record_cdyn()
@@ -423,6 +426,36 @@ class System:
             values.append(float(icc_right[i]))
         return PiecewiseLinearSignal(np.asarray(times), np.asarray(values),
                                      name="icc")
+
+    @property
+    def temp_trace(self) -> StepTrace:
+        """Junction temperature, replayed from the power inputs on read.
+
+        A fresh :class:`~repro.pmu.thermal.ThermalModel` steps through
+        every Cdyn or frequency breakpoint under the package power
+        Cdyn x V^2 x f, with the rail voltage at that instant, and
+        through every ambient step; the temperature at each power
+        breakpoint is recorded.
+        """
+        model = ThermalModel(self.config.thermal)
+        trace: StepTrace = StepTrace("tj_c")
+        ambient = self.ambient_steps
+        k = 0
+        times = {t for t, _ in self.cdyn_trace.breakpoints()}
+        times.update(t for t, _ in self.freq_trace.breakpoints())
+        for t in sorted(times):
+            while k < len(ambient) and ambient[k][0] <= t:
+                model.set_ambient_offset(*ambient[k])
+                k += 1
+            vcc = self.vcc_at(t)
+            power = (self.cdyn_trace.value_at(t) * vcc * vcc
+                     * self.freq_trace.value_at(t))
+            trace.record(t, model.advance(t, power))
+        return trace
+
+    def set_ambient_offset(self, offset_c: float) -> None:
+        """Shift the thermal model's ambient reference from now on (degC)."""
+        self.ambient_steps.append((self.engine.now, float(offset_c)))
 
     def thread_on(self, core: int, smt_slot: int = 0) -> int:
         """Thread id of SMT slot ``smt_slot`` on ``core``."""
@@ -581,7 +614,6 @@ class System:
         finally:
             self._batching = False
         self._flush_pmu_state(core)
-        self._schedule_hysteresis_check(core)
         self._recompute_core(core)
         self._record_label(core)
         self._record_cdyn(core)
@@ -614,6 +646,7 @@ class System:
         finally:
             self._batching = False
         self._flush_pmu_state(core)
+        self._arm_hysteresis_check(core)
         self._recompute_core(core)
         self._record_label(core)
         self._record_cdyn(core)
@@ -767,17 +800,31 @@ class System:
                     requirement = running
         return requirement
 
-    def _schedule_hysteresis_check(self, core: int) -> None:
+    def _arm_hysteresis_check(self, core: int) -> None:
+        """Arm ``core``'s check for when its requirement leaves the window.
+
+        Armed only once that expiry is final: while an in-flight loop
+        holds the requirement, its finish arms the check instead.  A
+        pending check already due at that time stays queued.
+        """
+        now = self.engine.now
+        local = self.local_pmus[core]
+        expiry = local.next_expiry_ns(now)
+        if expiry is None:
+            return
+        requirement = local.requirement(now)
+        for thread in self._core_threads[core]:
+            if (thread.activity is not None
+                    and thread.activity.loop.iclass >= requirement):
+                return
+        when = expiry + 1.0
         pending = self._hysteresis_checks[core]
         if pending is not None:
+            if pending.time_ns == when:
+                return
             pending.cancel()
-        expiry = self.local_pmus[core].next_expiry_ns(self.engine.now)
-        if expiry is None:
-            self._hysteresis_checks[core] = None
-            return
-        delay = max(0.0, expiry - self.engine.now) + 1.0
-        self._hysteresis_checks[core] = self.engine.schedule(
-            delay, self._hysteresis_check, core,
+        self._hysteresis_checks[core] = self.engine.schedule_at(
+            when, self._hysteresis_check, core,
         )
 
     def _hysteresis_check(self, core: int) -> None:
@@ -792,7 +839,7 @@ class System:
         requirement = self._core_requirement(core, now)
         if requirement < self.pmu.granted[core]:
             self.pmu.request_down(core, requirement)
-        self._schedule_hysteresis_check(core)
+        self._arm_hysteresis_check(core)
 
     # -- tracing --------------------------------------------------------------------------
 
@@ -821,7 +868,7 @@ class System:
         )
 
     def _record_cdyn(self, core: Optional[int] = None) -> None:
-        """Write the package Cdyn; a change steps the thermal model.
+        """Write the package Cdyn.
 
         Re-derives ``core``'s share only, or every core's when ``core``
         is None or C-states make idle Cdyn depend on time.
@@ -832,9 +879,7 @@ class System:
                 shares[other] = self._core_cdyn(other)
         else:
             shares[core] = self._core_cdyn(core)
-        total_cdyn = sum(shares)
-        if self.cdyn_trace.record(self.engine.now, total_cdyn):
-            self._advance_thermal(total_cdyn)
+        self.cdyn_trace.record(self.engine.now, sum(shares))
 
     def _record_pmu_state(self) -> None:
         """Write what the PMU decides: per-core throttle and frequency."""
@@ -846,17 +891,4 @@ class System:
             # C-state idle Cdyn deepens with time, not at an event of its
             # own, so it is sampled at every PMU state record as well.
             self._record_cdyn()
-        if self.freq_trace.record(now, pmu.freq_ghz):
-            self._advance_thermal(sum(self._cdyn_nf))
-
-    def _advance_thermal(self, total_cdyn: float) -> None:
-        """Step the junction temperature to now under the new package power.
-
-        Called only where a power input (Cdyn or frequency) changes, with
-        the package Cdyn in force; the rail voltage is sampled at that
-        instant.
-        """
-        now = self.engine.now
-        vcc = self.vcc_at(now)
-        power = total_cdyn * vcc * vcc * self.pmu.freq_ghz
-        self.temp_trace.record(now, self.thermal.advance(now, power))
+        self.freq_trace.record(now, pmu.freq_ghz)

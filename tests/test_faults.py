@@ -315,7 +315,7 @@ class TestEndToEnd:
         counts = injector.event_counts()
         assert counts["grant-interference"] > 0
         assert counts["thermal-drift"] > 0
-        assert system.thermal.ambient_offset_c > 0.0
+        assert system.ambient_steps[-1][1] > 0.0
 
 
 class TestStateFlush:

@@ -65,12 +65,21 @@ class TestExpiry:
         assert local.next_expiry_ns(2000.0) == pytest.approx(
             1000.0 + us_to_ns(650.0))
 
-    def test_expiry_is_earliest_among_classes(self):
+    def test_expiry_is_current_requirement_class(self):
         local = make_local(reset_us=650.0)
         local.note_execute(IClass.HEAVY_512, 0.0)
         local.note_execute(IClass.HEAVY_128, us_to_ns(100.0))
         assert local.next_expiry_ns(us_to_ns(200.0)) == pytest.approx(
             us_to_ns(650.0))
+
+    def test_lower_class_expiring_first_is_not_the_expiry(self):
+        # HEAVY_128 leaves the window at 650 us, but the requirement
+        # stays HEAVY_512 until that class leaves at 750 us.
+        local = make_local(reset_us=650.0)
+        local.note_execute(IClass.HEAVY_128, 0.0)
+        local.note_execute(IClass.HEAVY_512, us_to_ns(100.0))
+        assert local.next_expiry_ns(us_to_ns(200.0)) == pytest.approx(
+            us_to_ns(750.0))
 
 
 class TestGates:

@@ -6,7 +6,10 @@ entry point into a single recompute.  These tests re-derive every
 recorded value, every in-flight loop's rate and its completion time
 from the live simulation state after *every* engine event, with the
 expressions of a full snapshot, and require the system to hold exactly
-that.
+that.  They also check that each core's hysteresis check is pending
+exactly when its requirement can still drop, and that the junction
+temperature the system derives on read equals an eager replay stepped
+at every change of a power input.
 """
 
 import math
@@ -16,8 +19,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro import IClass, Loop, System, SystemOptions
 from repro.core import IccThreadCovert
-from repro.faults import FaultInjector, SlotScheduleJitter
+from repro.faults import FaultInjector, SlotScheduleJitter, parse_fault_spec
 from repro.isa.instructions import CDYN_NF, IPC, LABEL
+from repro.measure.trace import StepTrace
 from repro.pmu.thermal import ThermalModel, ThermalSpec
 from repro.soc import Engine
 from repro.soc.config import cannon_lake_i3_8121u
@@ -53,7 +57,6 @@ def snapshot(system, sampled_at_ns):
         "throttle": [1 if pmu.is_core_throttled(core) else 0
                      for core in range(system.config.n_cores)],
         "label": labels,
-        "temp": system.thermal.temperature_c,
     }
 
 
@@ -64,7 +67,6 @@ def recorded(system, now):
         "freq": system.freq_trace.value_at(now),
         "throttle": [t.value_at(now) for t in system.throttle_traces],
         "label": [t.value_at(now) for t in system.activity_traces],
-        "temp": system.temp_trace.value_at(now),
     }
 
 
@@ -116,56 +118,173 @@ def check_activities(system):
                 f"completion of {where} at {handle.time_ns}, not {eta}")
 
 
-class _Oracle:
-    """Checks a system's traces and rates against live state.
+def _holds_requirement(system, core, now):
+    """Whether an in-flight loop on ``core`` holds its requirement."""
+    requirement = system.local_pmus[core].requirement(now)
+    return any(t.activity is not None
+               and t.activity.loop.iclass >= requirement
+               for t in system.threads if t.core_id == core)
 
-    Both are checked after every event of the system's engine.
+
+def check_hysteresis_fire(system, core):
+    """A check fires only once the requirement it stands for has expired.
+
+    A check is due 1 ns after the expiry it stands for; looking 1.5 ns
+    back absorbs the rounding of that sum.  The expiry found there must
+    be in the past, unless a loop started since holds the requirement.
+    """
+    now = system.engine.now
+    stood_for = system.local_pmus[core].next_expiry_ns(now - 1.5)
+    assert (stood_for is not None and stood_for < now
+            or _holds_requirement(system, core, now)), (
+        f"early hysteresis check on core {core} at t={now}")
+
+
+def check_hysteresis_pending(system):
+    """At most one pending check per core, and one wherever it is due.
+
+    A core whose requirement is above ``SCALAR_64`` with no in-flight
+    loop holding it has exactly one pending check.
+    """
+    now = system.engine.now
+    for core in range(system.config.n_cores):
+        pending = [
+            handle for _, _, handle in system.engine._heap
+            if not handle.cancelled
+            and handle.callback == system._hysteresis_check
+            and handle.args == (core,)
+        ]
+        assert len(pending) <= 1, f"core {core} has {len(pending)} checks"
+        requirement = system.local_pmus[core].requirement(now)
+        if (requirement > IClass.SCALAR_64
+                and not _holds_requirement(system, core, now)):
+            assert len(pending) == 1, (
+                f"core {core} needs {requirement.name} at t={now} "
+                f"with no hysteresis check pending")
+
+
+def _hex(trace):
+    return [(t.hex(), float(v).hex()) for t, v in trace.breakpoints()]
+
+
+class _Oracle:
+    """Checks a system's traces, rates and timers against live state.
+
+    Builds the system with ``make_system`` while watching it.  Traces,
+    rates and pending hysteresis checks are checked after every event
+    of the system's engine, and each check as it fires.  On a clean
+    exit the derived ``temp_trace`` must equal, bit for bit, an eager
+    thermal model stepped where each power input changed, as the
+    simulator once did: at every Cdyn or frequency change under Cdyn x
+    V^2 x f, with the rail voltage at that instant, and at every
+    ambient step.
     """
 
-    def __init__(self, system):
-        self.system = system
+    def __init__(self, make_system):
+        self.make_system = make_system
+        self.system = None
         self.sampled_at_ns = 0.0
         self.checked = 0
+        self.fired = 0
+        self.eager_model = None
+        self.eager_trace = StepTrace("tj_c")
+
+    def _advance_eager(self, system):
+        if self.eager_model is None:
+            self.eager_model = ThermalModel(system.config.thermal)
+        now = system.engine.now
+        vcc = system.vcc_at(now)
+        power = (system.cdyn_trace.value_at(now) * vcc * vcc
+                 * system.pmu.freq_ghz)
+        self.eager_trace.record(now, self.eager_model.advance(now, power))
 
     def __enter__(self):
-        system = self.system
         dispatch = Engine._dispatch
         recompute = System._recompute_core
+        hysteresis_check = System._hysteresis_check
+        record_cdyn = System._record_cdyn
+        record_pmu_state = System._record_pmu_state
+        set_ambient_offset = System.set_ambient_offset
 
         def checked_dispatch(engine, time_ns, handle):
             dispatch(engine, time_ns, handle)
-            if engine is system.engine:
+            system = self.system
+            if system is not None and engine is system.engine:
                 now = engine.now
                 assert (recorded(system, now)
                         == snapshot(system, self.sampled_at_ns)), (
                     f"traces drift from live state after "
                     f"{handle.callback!r} at t={now}")
                 check_activities(system)
+                check_hysteresis_pending(system)
                 self.checked += 1
 
         def noted_recompute(owner, core):
             recompute(owner, core)
-            if owner is system:
+            if owner is self.system:
                 self.sampled_at_ns = owner.engine.now
+
+        def checked_fire(owner, core):
+            if owner is self.system:
+                check_hysteresis_fire(owner, core)
+                self.fired += 1
+            hysteresis_check(owner, core)
+
+        # The eager reference: the system under test is the only one
+        # built inside this context, so every call here is its own.
+        def eager_cdyn(owner, core=None):
+            trace = owner.cdyn_trace
+            before = (len(trace), trace.value_at(owner.engine.now))
+            record_cdyn(owner, core)
+            if (len(trace), trace.value_at(owner.engine.now)) != before:
+                self._advance_eager(owner)
+
+        def eager_pmu_state(owner):
+            trace = owner.freq_trace
+            before = (len(trace), trace.value_at(owner.engine.now))
+            record_pmu_state(owner)
+            if (len(trace), trace.value_at(owner.engine.now)) != before:
+                self._advance_eager(owner)
+
+        def eager_ambient(owner, offset_c):
+            set_ambient_offset(owner, offset_c)
+            self.eager_model.set_ambient_offset(owner.engine.now, offset_c)
 
         self._patches = [
             mock.patch.object(Engine, "_dispatch", checked_dispatch),
             mock.patch.object(System, "_recompute_core", noted_recompute),
+            mock.patch.object(System, "_hysteresis_check", checked_fire),
+            mock.patch.object(System, "_record_cdyn", eager_cdyn),
+            mock.patch.object(System, "_record_pmu_state", eager_pmu_state),
+            mock.patch.object(System, "set_ambient_offset", eager_ambient),
         ]
         for patch in self._patches:
             patch.start()
+        try:
+            self.system = self.make_system()
+        except BaseException:
+            self._stop()
+            raise
         return self
 
-    def __exit__(self, *exc):
+    def _stop(self):
         for patch in reversed(self._patches):
             patch.stop()
+
+    def __exit__(self, exc_type, *exc):
+        self._stop()
+        if exc_type is None:
+            assert _hex(self.system.temp_trace) == _hex(self.eager_trace), (
+                "derived temp_trace differs from the eager thermal replay")
         return False
 
 
 class TestTracesFollowLiveState:
     def test_fresh_system(self):
-        system = System(cannon_lake_i3_8121u())
-        assert recorded(system, 0.0) == snapshot(system, 0.0)
+        with _Oracle(lambda: System(cannon_lake_i3_8121u())) as oracle:
+            system = oracle.system
+            assert recorded(system, 0.0) == snapshot(system, 0.0)
+            check_hysteresis_pending(system)
 
     def test_pll_relock(self):
         """At max turbo, AVX-512 on core 1 forces a frequency change.
@@ -175,42 +294,53 @@ class TestTracesFollowLiveState:
         when core 1 goes idle and the package clocks back up.
         """
         config = cannon_lake_i3_8121u()
-        system = System(config, governor_freq_ghz=config.max_turbo_ghz)
+        with _Oracle(lambda: System(
+                config, governor_freq_ghz=config.max_turbo_ghz)) as oracle:
+            system = oracle.system
 
-        def program(thread_id, iclass, iterations, start_ns):
-            yield system.until(start_ns)
-            yield system.execute(thread_id, Loop(iclass, iterations))
+            def program(thread_id, iclass, iterations, start_ns):
+                yield system.until(start_ns)
+                yield system.execute(thread_id, Loop(iclass, iterations))
 
-        def preempt():
-            yield system.until(4_000.0)
-            system.suspend_thread(1)
-            yield system.sleep(2_000.0)
-            system.resume_thread(1)
+            def preempt():
+                yield system.until(4_000.0)
+                system.suspend_thread(1)
+                yield system.sleep(2_000.0)
+                system.resume_thread(1)
 
-        system.spawn(program(0, IClass.SCALAR_64, 400, 1_000.0))
-        system.spawn(program(1, IClass.SCALAR_64, 100, 1_200.0))
-        system.spawn(program(2, IClass.HEAVY_512, 20, 3_000.0))
-        system.spawn(preempt())
-        with _Oracle(system) as oracle:
+            system.spawn(program(0, IClass.SCALAR_64, 400, 1_000.0))
+            system.spawn(program(1, IClass.SCALAR_64, 100, 1_200.0))
+            system.spawn(program(2, IClass.HEAVY_512, 20, 3_000.0))
+            system.spawn(preempt())
             system.run_until(us_to_ns(1_000.0))
         freqs = [freq for _, freq in system.freq_trace.breakpoints()]
         assert len(freqs) > 2, "no PLL relock happened"
         assert oracle.checked > 0
+        assert oracle.fired > 0
 
     def test_covert_transfer(self):
-        system = System(cannon_lake_i3_8121u())
-        with _Oracle(system) as oracle:
-            report = IccThreadCovert(system).transfer(b"\x5a")
+        with _Oracle(lambda: System(cannon_lake_i3_8121u())) as oracle:
+            report = IccThreadCovert(oracle.system).transfer(b"\x5a")
         assert report.received == b"\x5a"
         assert oracle.checked > 100
+        assert oracle.fired > 0
 
     def test_faulted_transfer(self):
-        system = System(cannon_lake_i3_8121u())
-        FaultInjector([SlotScheduleJitter(seed=7)]).attach(system)
-        with _Oracle(system) as oracle:
-            report = IccThreadCovert(system).transfer(b"\xc3\x0f")
+        with _Oracle(lambda: System(cannon_lake_i3_8121u())) as oracle:
+            FaultInjector([SlotScheduleJitter(seed=7)]).attach(oracle.system)
+            report = IccThreadCovert(oracle.system).transfer(b"\xc3\x0f")
         assert report.sent == b"\xc3\x0f"
         assert oracle.checked > 100
+
+    def test_thermal_drift_transfer(self):
+        """The derived temperature follows every ambient step."""
+        with _Oracle(lambda: System(cannon_lake_i3_8121u())) as oracle:
+            parse_fault_spec("thermal-drift:rate_c_per_s=50,step_us=100"
+                             ).attach(oracle.system)
+            report = IccThreadCovert(oracle.system).transfer(b"\x5a")
+        assert report.received == b"\x5a"
+        assert len(oracle.system.ambient_steps) > 10
+        assert len(oracle.eager_trace) > 10
 
 
 # Random schedules: thread, class, iterations, start offset; plus
@@ -250,25 +380,26 @@ class TestRecordingProperties:
         deduped = list({item[0]: item for item in schedule}.values())
         config = cannon_lake_i3_8121u().with_overrides(
             cstates_enabled=cstates)
-        system = System(config, options=opts)
         results = []
+        with _Oracle(lambda: System(config, options=opts)) as oracle:
+            system = oracle.system
 
-        def program(thread_id, iclass, iterations, start_ns):
-            yield system.until(start_ns)
-            result = yield system.execute(thread_id, Loop(iclass, iterations))
-            results.append(result)
+            def program(thread_id, iclass, iterations, start_ns):
+                yield system.until(start_ns)
+                result = yield system.execute(thread_id,
+                                              Loop(iclass, iterations))
+                results.append(result)
 
-        def preempt(thread_id, start_ns, duration_ns):
-            yield system.until(start_ns)
-            system.suspend_thread(thread_id)
-            yield system.sleep(duration_ns)
-            system.resume_thread(thread_id)
+            def preempt(thread_id, start_ns, duration_ns):
+                yield system.until(start_ns)
+                system.suspend_thread(thread_id)
+                yield system.sleep(duration_ns)
+                system.resume_thread(thread_id)
 
-        for item in deduped:
-            system.spawn(program(*item))
-        for item in suspend:
-            system.spawn(preempt(*item))
-        with _Oracle(system) as oracle:
+            for item in deduped:
+                system.spawn(program(*item))
+            for item in suspend:
+                system.spawn(preempt(*item))
             system.run_until(us_to_ns(2_000.0))
         assert len(results) == len(deduped)
         assert oracle.checked > 0
