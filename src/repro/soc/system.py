@@ -824,12 +824,23 @@ class System:
                 return
             pending.cancel()
         self._hysteresis_checks[core] = self.engine.schedule_at(
-            when, self._hysteresis_check, core,
+            when, self._hysteresis_check, core, requirement,
         )
 
-    def _hysteresis_check(self, core: int) -> None:
+    def _hysteresis_check(self, core: int, armed: IClass) -> None:
+        """Lower ``core``'s grant once the class ``armed`` left the window.
+
+        A check that comes due while ``armed`` is still in the window (a
+        loop of that class or higher started after the check was armed)
+        lowers nothing: an outside holder's grant (state flush, grant
+        interference) is then never cut short at an instant when the
+        local requirement did not drop.
+        """
         self._hysteresis_checks[core] = None
         now = self.engine.now
+        if self.local_pmus[core].requirement(now) >= armed:
+            self._arm_hysteresis_check(core)
+            return
         # A still-running loop keeps its class fresh even with no events.
         for thread in self._core_threads[core]:
             if thread.activity is not None:

@@ -152,7 +152,7 @@ def check_hysteresis_pending(system):
             handle for _, _, handle in system.engine._heap
             if not handle.cancelled
             and handle.callback == system._hysteresis_check
-            and handle.args == (core,)
+            and handle.args[0] == core
         ]
         assert len(pending) <= 1, f"core {core} has {len(pending)} checks"
         requirement = system.local_pmus[core].requirement(now)
@@ -224,11 +224,11 @@ class _Oracle:
             if owner is self.system:
                 self.sampled_at_ns = owner.engine.now
 
-        def checked_fire(owner, core):
+        def checked_fire(owner, core, armed):
             if owner is self.system:
                 check_hysteresis_fire(owner, core)
                 self.fired += 1
-            hysteresis_check(owner, core)
+            hysteresis_check(owner, core, armed)
 
         # The eager reference: the system under test is the only one
         # built inside this context, so every call here is its own.

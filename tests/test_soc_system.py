@@ -170,6 +170,32 @@ class TestMultiThrottlingThread:
         assert results[1].throttled_ns == pytest.approx(
             results[0].throttled_ns, rel=0.2)
 
+    def test_check_due_while_its_class_runs_again_keeps_outside_grant(self):
+        # The first loop's finish arms a check for ~663 us.  By then a
+        # second HEAVY_128 loop keeps the class in the window, so that
+        # check must not cut the HEAVY_512 grant an outside holder (a
+        # state flush, say) raised meanwhile.
+        system = fresh()
+        granted = []
+
+        def program():
+            yield system.until(us_to_ns(5.0))
+            yield system.execute(0, Loop(IClass.HEAVY_128, 30))
+            yield system.until(us_to_ns(600.0))
+            yield system.execute(0, Loop(IClass.HEAVY_128, 3000))
+
+        def outside_holder():
+            yield system.until(us_to_ns(620.0))
+            system.pmu.request_up(0, IClass.HEAVY_512)
+            for t_us in (660.0, 700.0):
+                yield system.until(us_to_ns(t_us))
+                granted.append(system.pmu.granted[0])
+
+        system.spawn(program())
+        system.spawn(outside_holder())
+        system.run_until(us_to_ns(720.0))
+        assert granted == [IClass.HEAVY_512, IClass.HEAVY_512]
+
 
 class TestMultiThrottlingSMT:
     """Observation 2: co-located SMT threads are throttled together."""
