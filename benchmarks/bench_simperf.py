@@ -21,9 +21,6 @@ def test_bench_simperf(benchmark):
     simulated_s = system.now / 1e9
     benchmark.extra_info["simulated_ms"] = round(system.now / 1e6, 1)
     benchmark.extra_info["events"] = system.engine.events_run
-    traces = [system.freq_trace, system.cdyn_trace,
-              *system.throttle_traces, *system.activity_traces]
-    benchmark.extra_info["trace_breakpoints"] = sum(len(t) for t in traces)
     assert report.ber == 0.0
     # The event count of this transfer is deterministic; more events
     # mean the simulator does more work for the same result.
