@@ -28,70 +28,82 @@ from typing import Dict, List, Tuple
 from repro.errors import ConfigError
 
 
+#: The per-class parameters :class:`IClass` members carry.  They are set
+#: once, when the enum is created, and are read-only afterwards: a write
+#: would change the model for every later user of the class.
+_PARAMS = ("width_bits", "heavy", "cdyn_nf", "ipc", "uses_avx256_unit",
+           "uses_avx512_unit", "is_phi")
+
+
 @enum.unique
 class IClass(enum.IntEnum):
     """Computational-intensity classes, ordered by increasing intensity.
 
     The integer values order the classes by the supply-voltage guardband
     they require: comparing two classes compares their power appetite.
+
+    Every member carries read-only parameter attributes:
+
+    * ``width_bits`` — vector width in bits (64 for scalar);
+    * ``heavy`` — True when the class needs the FPU or a multiplier;
+    * ``cdyn_nf`` — effective switched capacitance (nF) of a full-rate loop;
+    * ``ipc`` — baseline unthrottled instructions per cycle of a tight loop;
+    * ``uses_avx256_unit`` / ``uses_avx512_unit`` — True when the class
+      exercises the 256-bit / 512-bit AVX datapath;
+    * ``is_phi`` — True for power-hungry instruction (PHI) classes.  The
+      paper treats every class above plain 128-bit light code as a PHI:
+      these are the classes whose execution triggers a voltage guardband
+      adjustment and hence throttling.
     """
 
-    SCALAR_64 = 0
-    LIGHT_128 = 1
-    HEAVY_128 = 2
-    LIGHT_256 = 3
-    HEAVY_256 = 4
-    LIGHT_512 = 5
-    HEAVY_512 = 6
+    width_bits: int
+    heavy: bool
+    cdyn_nf: float
+    ipc: float
+    uses_avx256_unit: bool
+    uses_avx512_unit: bool
+    is_phi: bool
 
-    @property
-    def width_bits(self) -> int:
-        """Vector width in bits (64 for scalar)."""
-        return _CLASS_PARAMS[self].width_bits
+    # value, width_bits, heavy, cdyn_nf, ipc.  Cdyn calibration (see the
+    # module docstring): the scalar baseline of 3.0 nF puts a 2-core
+    # mobile part at ~10 A of background current; the heavy-512 value of
+    # 9.0 nF makes a single AVX-512 core draw ~22 A at 3.1 GHz / 0.8 V.
+    SCALAR_64 = (0, 64, False, 3.0, 2.0)
+    LIGHT_128 = (1, 128, False, 3.6, 2.0)
+    HEAVY_128 = (2, 128, True, 4.2, 1.0)
+    LIGHT_256 = (3, 256, False, 5.0, 1.0)
+    HEAVY_256 = (4, 256, True, 6.0, 1.0)
+    LIGHT_512 = (5, 512, False, 7.4, 1.0)
+    HEAVY_512 = (6, 512, True, 9.0, 1.0)
 
-    @property
-    def heavy(self) -> bool:
-        """True when the class needs the FPU or a multiplier."""
-        return _CLASS_PARAMS[self].heavy
+    def __new__(cls, value: int, width_bits: int, heavy: bool,
+                cdyn_nf: float, ipc: float) -> "IClass":
+        member = int.__new__(cls, value)
+        member._value_ = value
+        # Every class from HEAVY_128 (value 2) up is a PHI.
+        params = (width_bits, heavy, cdyn_nf, ipc, width_bits >= 256,
+                  width_bits >= 512, value >= 2)
+        for name, param in zip(_PARAMS, params):
+            object.__setattr__(member, name, param)
+        return member
 
-    @property
-    def cdyn_nf(self) -> float:
-        """Effective switched capacitance (nF) of a full-rate loop."""
-        return _CLASS_PARAMS[self].cdyn_nf
+    def __setattr__(self, name: str, value: object) -> None:
+        if name in _PARAMS:
+            raise AttributeError(f"IClass.{name} is read-only")
+        super().__setattr__(name, value)
 
-    @property
-    def ipc(self) -> float:
-        """Baseline unthrottled instructions per cycle of a tight loop."""
-        return _CLASS_PARAMS[self].ipc
-
-    @property
-    def uses_avx256_unit(self) -> bool:
-        """True when the class exercises the 256-bit AVX datapath."""
-        return self.width_bits >= 256
-
-    @property
-    def uses_avx512_unit(self) -> bool:
-        """True when the class exercises the 512-bit AVX datapath."""
-        return self.width_bits >= 512
-
-    @property
-    def is_phi(self) -> bool:
-        """True for power-hungry instruction (PHI) classes.
-
-        The paper treats every class above plain 128-bit light code as a
-        PHI: these are the classes whose execution triggers a voltage
-        guardband adjustment and hence throttling.
-        """
-        return self >= IClass.HEAVY_128
+    def __delattr__(self, name: str) -> None:
+        if name in _PARAMS:
+            raise AttributeError(f"IClass.{name} is read-only")
+        super().__delattr__(name)
 
     @property
     def label(self) -> str:
         """Paper-style label, e.g. ``256b_Heavy``."""
-        params = _CLASS_PARAMS[self]
         if self == IClass.SCALAR_64:
             return "64b"
-        kind = "Heavy" if params.heavy else "Light"
-        return f"{params.width_bits}b_{kind}"
+        kind = "Heavy" if self.heavy else "Light"
+        return f"{self.width_bits}b_{kind}"
 
     @classmethod
     def from_label(cls, label: str) -> "IClass":
@@ -103,38 +115,15 @@ class IClass(enum.IntEnum):
         raise ConfigError(f"unknown instruction class label: {label!r}")
 
 
-@dataclass(frozen=True)
-class _ClassParams:
-    width_bits: int
-    heavy: bool
-    cdyn_nf: float
-    ipc: float
-
-
-# Cdyn calibration (see module docstring).  The scalar baseline of 3.0 nF
-# puts a 2-core mobile part at ~10 A of background current; the heavy-512
-# value of 9.0 nF makes a single AVX-512 core draw ~22 A at 3.1 GHz / 0.8 V.
-_CLASS_PARAMS: Dict[IClass, _ClassParams] = {
-    IClass.SCALAR_64: _ClassParams(width_bits=64, heavy=False, cdyn_nf=3.0, ipc=2.0),
-    IClass.LIGHT_128: _ClassParams(width_bits=128, heavy=False, cdyn_nf=3.6, ipc=2.0),
-    IClass.HEAVY_128: _ClassParams(width_bits=128, heavy=True, cdyn_nf=4.2, ipc=1.0),
-    IClass.LIGHT_256: _ClassParams(width_bits=256, heavy=False, cdyn_nf=5.0, ipc=1.0),
-    IClass.HEAVY_256: _ClassParams(width_bits=256, heavy=True, cdyn_nf=6.0, ipc=1.0),
-    IClass.LIGHT_512: _ClassParams(width_bits=512, heavy=False, cdyn_nf=7.4, ipc=1.0),
-    IClass.HEAVY_512: _ClassParams(width_bits=512, heavy=True, cdyn_nf=9.0, ipc=1.0),
-}
-
 #: Classes the paper treats as power-hungry instructions.
 PHI_CLASSES: Tuple[IClass, ...] = tuple(c for c in IClass if c.is_phi)
 
-# Flat parameter maps for hot paths.  The ``IClass`` properties dispatch
-# through ``_CLASS_PARAMS`` on every access; the simulation inner loop
-# (rate recomputes, Cdyn accounting, guardband evaluation) reads these
-# values millions of times per figure sweep, so it uses plain dict
-# lookups instead.  Values are the same float objects the properties
-# return — no numerical difference, only fewer attribute dispatches.
-CDYN_NF: Dict[IClass, float] = {c: p.cdyn_nf for c, p in _CLASS_PARAMS.items()}
-IPC: Dict[IClass, float] = {c: p.ipc for c, p in _CLASS_PARAMS.items()}
+# Parameter maps keyed by class.  A dict lookup is still a little
+# cheaper than a member attribute read, so the rate recompute and the
+# Cdyn and label traces use these.  They hold the very objects the
+# member attributes do, so either way reads the same value.
+CDYN_NF: Dict[IClass, float] = {c: c.cdyn_nf for c in IClass}
+IPC: Dict[IClass, float] = {c: c.ipc for c in IClass}
 LABEL: Dict[IClass, str] = {c: c.label for c in IClass}
 
 

@@ -88,8 +88,8 @@ class PowerGate:
 
     def touch(self, now_ns: float) -> None:
         """Refresh the idle timer without charging a wake latency."""
-        if self.spec.present and self._is_open:
-            self._last_use_ns = max(self._last_use_ns, now_ns)
+        if self.spec.present and self._is_open and now_ns > self._last_use_ns:
+            self._last_use_ns = now_ns
 
     def _maybe_close(self, now_ns: float) -> None:
         if self._is_open and (

@@ -84,10 +84,14 @@ class VRSpec:
             raise ConfigError(f"VID step must be positive, got {self.vid_step_mv}")
         if self.vcc_max <= 0 or self.icc_max <= 0:
             raise ConfigError("vcc_max and icc_max must be positive")
+        # The VID step and slew in volts, converted once: every command
+        # reads both.
+        object.__setattr__(self, "_vid_step_v", mv_to_v(self.vid_step_mv))
+        object.__setattr__(self, "_slew_v_per_us", mv_to_v(self.slew_mv_per_us))
 
     def quantize_vid(self, vcc: float) -> float:
         """Round ``vcc`` up to the next VID step."""
-        step = mv_to_v(self.vid_step_mv)
+        step = self._vid_step_v
         return math.ceil(vcc / step - 1e-9) * step
 
     def transition_ns(self, v_from: float, v_to: float) -> float:
@@ -124,7 +128,7 @@ def ldo_spec(vcc_max: float, icc_max: float,
                   vid_step_mv, vcc_max, icc_max)
 
 
-@dataclass
+@dataclass(slots=True)
 class _Segment:
     """One piecewise-linear span of the rail's output voltage."""
 
@@ -138,7 +142,10 @@ class _Segment:
         if self.t_end <= self.t_start:
             return self.v_end
         frac = (t_ns - self.t_start) / (self.t_end - self.t_start)
-        frac = min(1.0, max(0.0, frac))
+        if not frac > 0.0:
+            frac = 0.0
+        elif not frac < 1.0:
+            frac = 1.0
         return self.v_start + frac * (self.v_end - self.v_start)
 
 
@@ -229,7 +236,7 @@ class VoltageRegulator:
                 tracer.metrics.counter("vr.commands_noop").inc()
             return now_ns
         latency = self.spec.command_latency_ns
-        slew_ns = abs(target - v_now) / mv_to_v(self.spec.slew_mv_per_us) * 1_000.0
+        slew_ns = abs(target - v_now) / self.spec._slew_v_per_us * 1_000.0
         start = now_ns + latency
         end = start + slew_ns
         self._append_segment(_Segment(now_ns, start, v_now, v_now))

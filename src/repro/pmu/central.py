@@ -157,6 +157,11 @@ class CentralPMU:
         self.licenses = licenses
         self.config = config
         self.n_cores = len(rail_of_core)
+        #: The cores each rail powers, in core order.
+        self._rail_cores: List[List[int]] = [
+            [core for core, r in enumerate(self.rail_of_core) if r == rail]
+            for rail in range(len(self.rails))
+        ]
 
         self.requested_freq_ghz = requested_freq_ghz
         self.freq_ghz = requested_freq_ghz
@@ -184,6 +189,10 @@ class CentralPMU:
         # requested frequency, the candidate coverage, the active-core
         # set and the current grants — all captured in the key.
         self._allowed_cache: Dict[tuple, float] = {}
+        # _command_rail memo: the V/F baseline and the guardband depend
+        # only on the package frequency and the classes of the rail's
+        # cores, so those two are the key.
+        self._rail_targets: Dict[tuple, float] = {}
         #: Count of voltage transitions issued, per rail (for reports).
         self.transitions_issued: List[int] = [0] * len(rails)
 
@@ -433,25 +442,24 @@ class CentralPMU:
         else:
             self._command_rail(rail, req)
 
-    def _rail_classes(self, rail: int, classes: Sequence[IClass]) -> List[IClass]:
-        """The per-core classes of the cores powered by ``rail``."""
-        return [
-            classes[core]
-            for core, core_rail in enumerate(self.rail_of_core)
-            if core_rail == rail
-        ]
-
     def _command_rail(self, rail: int, req: _Request) -> None:
-        classes = self._rail_classes(
-            rail, self._classes_with(req.targets),
-        )
-        baseline = self.curve.vcc_for(self.freq_ghz)
-        target = self.guardband.target_vcc(baseline, classes, self.freq_ghz)
-        regulator = self.rails[rail]
-        settle_ns = regulator.command(self.engine.now, target)
+        """Command ``rail`` to its cores' guardband with ``req`` granted."""
+        freq = self.freq_ghz
+        targets = req.targets
+        granted = self.granted
+        classes: List[IClass] = []
+        for core in self._rail_cores[rail]:
+            classes.append(targets.get(core, granted[core]))
+        key = (freq, tuple(classes))
+        target = self._rail_targets.get(key)
+        if target is None:
+            target = self.guardband.target_vcc(
+                self.curve.vcc_for(freq), classes, freq)
+            self._rail_targets[key] = target
+        now = self.engine.now
+        settle_ns = self.rails[rail].command(now, target)
         self.transitions_issued[rail] += 1
-        delay = max(0.0, settle_ns - self.engine.now)
-        self.engine.schedule(delay, self._on_settle, rail, req)
+        self.engine.schedule(settle_ns - now, self._on_settle, rail, req)
 
     def _on_settle(self, rail: int, req: _Request) -> None:
         for core, target in req.targets.items():
@@ -563,11 +571,7 @@ class CentralPMU:
             if self._rail_active[rail_idx] or self._queues[rail_idx]:
                 self._kick(rail_idx)
                 continue
-            classes = [
-                self.granted[core]
-                for core, rail in enumerate(self.rail_of_core)
-                if rail == rail_idx
-            ]
+            classes = [self.granted[core] for core in self._rail_cores[rail_idx]]
             target = self.guardband.target_vcc(baseline, classes, self.freq_ghz)
             if abs(regulator.settled_voltage() - regulator.spec.quantize_vid(target)) > 1e-9:
                 self._rail_active[rail_idx] = True
@@ -592,11 +596,7 @@ class CentralPMU:
         self.granted = [IClass.HEAVY_512] * self.n_cores
         baseline = self.curve.vcc_for(self.freq_ghz)
         for rail_idx, regulator in enumerate(self.rails):
-            classes = [
-                IClass.HEAVY_512
-                for core, rail in enumerate(self.rail_of_core)
-                if rail == rail_idx
-            ]
+            classes = [IClass.HEAVY_512] * len(self._rail_cores[rail_idx])
             target = self.guardband.target_vcc(baseline, classes, self.freq_ghz)
             regulator.force_level(min(target, regulator.spec.vcc_max))
 

@@ -14,12 +14,16 @@ latency — a negligible (~0.1 %) share of the throttling period.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import List, Optional
 
 from repro.errors import ConfigError
 from repro.isa.instructions import IClass
 from repro.pdn.powergate import PowerGate
+
+#: The classes above the scalar floor, most intense first.
+_DESCENDING = tuple(sorted(IClass, reverse=True))[:-1]
 
 
 @dataclass
@@ -30,7 +34,9 @@ class LocalPMU:
     reset_time_ns: float
     avx256_gate: PowerGate
     avx512_gate: PowerGate
-    _last_exec_ns: Dict[IClass, float] = field(default_factory=dict)
+    #: Last execute time of each class, indexed by class; -inf if never.
+    _last_exec_ns: List[float] = field(
+        default_factory=lambda: [-math.inf] * len(IClass))
 
     def __post_init__(self) -> None:
         if self.reset_time_ns <= 0:
@@ -58,17 +64,18 @@ class LocalPMU:
 
     def note_execute(self, iclass: IClass, now_ns: float) -> None:
         """Record that the core is executing ``iclass`` at ``now_ns``."""
-        previous = self._last_exec_ns.get(iclass, float("-inf"))
-        self._last_exec_ns[iclass] = max(previous, now_ns)
+        last = self._last_exec_ns
+        if now_ns > last[iclass]:
+            last[iclass] = now_ns
 
     def requirement(self, now_ns: float) -> IClass:
         """Most intense class still inside the reset-time window."""
         cutoff = now_ns - self.reset_time_ns
-        best = IClass.SCALAR_64
-        for iclass, last in self._last_exec_ns.items():
-            if last > cutoff and iclass > best:
-                best = iclass
-        return best
+        last = self._last_exec_ns
+        for iclass in _DESCENDING:
+            if last[iclass] > cutoff:
+                return iclass
+        return IClass.SCALAR_64
 
     def next_expiry_ns(self, now_ns: float) -> Optional[float]:
         """When the current requirement leaves the window, if ever.

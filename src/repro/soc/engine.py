@@ -86,14 +86,15 @@ class Engine:
                  *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` to run ``delay_ns`` from now.
 
-        Delegates to :meth:`schedule_at`; a NaN delay is rejected rather
-        than silently becoming "now".
+        Delegates to :meth:`schedule_at`, which clamps a delay within
+        rounding of zero to "now"; a NaN delay is rejected rather than
+        silently becoming "now".
         """
         if not delay_ns >= -1e-9:
             raise SimulationError(
                 f"cannot schedule a delay of {delay_ns} ns at t={self.now}"
             )
-        return self.schedule_at(self.now + max(0.0, delay_ns), callback, *args)
+        return self.schedule_at(self.now + delay_ns, callback, *args)
 
     def schedule_at(self, time_ns: float, callback: Callable[..., Any],
                     *args: Any) -> EventHandle:
@@ -102,13 +103,16 @@ class Engine:
         The negated comparison also rejects NaN, which would otherwise
         enter the heap, run out of order and set ``now`` to NaN.
         """
-        if not time_ns >= self.now - 1e-9:
+        now = self.now
+        if not time_ns >= now - 1e-9:
             raise SimulationError(
-                f"cannot schedule at t={time_ns} before now={self.now}"
+                f"cannot schedule at t={time_ns} before now={now}"
             )
-        handle = EventHandle(max(time_ns, self.now), callback, args, self)
+        if now > time_ns:
+            time_ns = now
+        handle = EventHandle(time_ns, callback, args, self)
         handle.in_heap = True
-        heapq.heappush(self._heap, (handle.time_ns, next(self._seq), handle))
+        heapq.heappush(self._heap, (time_ns, next(self._seq), handle))
         return handle
 
     # -- cancellation bookkeeping --------------------------------------------

@@ -206,11 +206,6 @@ class _HWThread:
         self.activity: Optional[_Activity] = None
         self.suspensions = 0
 
-    @property
-    def runnable(self) -> bool:
-        """Has work and is not suspended by an interrupt/context switch."""
-        return self.activity is not None and self.suspensions == 0
-
 
 class System:
     """A simulated processor executing programs."""
@@ -576,8 +571,9 @@ class System:
         if isinstance(request, _SleepReq):
             self.engine.schedule(request.delay_ns, self._advance, process, None)
         elif isinstance(request, _UntilReq):
-            delay = max(0.0, request.time_ns - self.engine.now)
-            self.engine.schedule(delay, self._advance, process, None)
+            delay = request.time_ns - self.engine.now
+            self.engine.schedule(delay if delay > 0.0 else 0.0,
+                                 self._advance, process, None)
         elif isinstance(request, _ExecReq):
             self._start_execute(
                 request.thread_id, request.loop,
@@ -635,9 +631,11 @@ class System:
         core = thread.core_id
         self.local_pmus[core].note_execute(activity.loop.iclass, now)
         thread.activity = None
-        core_busy = any(
-            t.activity is not None for t in self._core_threads[core]
-        )
+        core_busy = False
+        for sibling in self._core_threads[core]:
+            if sibling.activity is not None:
+                core_busy = True
+                break
         if self.cstates is not None and not core_busy:
             self.cstates.note_idle(core, now)
         self._batching = True
@@ -659,18 +657,27 @@ class System:
         thread is throttled; a suspended thread runs at rate 0.
         """
         members = self._core_threads[core]
-        busy = [t for t in members if t.activity is not None]
+        busy = False
+        runnable = 0
+        for thread in members:
+            if thread.activity is not None:
+                busy = True
+                if thread.suspensions == 0:
+                    runnable += 1
         if not busy:
             return
+        if runnable == 0:
+            runnable = 1
         now = self.engine.now
-        runnable = max(1, sum(1 for t in busy if t.suspensions == 0))
         options = self.options
         core_throttled = (not options.disable_throttling
                           and self.pmu.is_core_throttled(core))
         phi_only = options.improved_throttling
         freq = self.pmu.freq_ghz
-        for thread in busy:
+        for thread in members:
             activity = thread.activity
+            if activity is None:
+                continue
             self._update_progress(thread, now)
             iclass = activity.loop.iclass
             throttled = core_throttled and (not phi_only or iclass.is_phi)
@@ -714,8 +721,8 @@ class System:
         elapsed = now - activity.last_update
         if elapsed <= 0:
             return
-        done = activity.rate * elapsed
-        activity.remaining = max(0.0, activity.remaining - done)
+        remaining = activity.remaining - activity.rate * elapsed
+        activity.remaining = remaining if remaining > 0.0 else 0.0
         if activity.rate_throttled and activity.rate > 0:
             activity.throttled_ns += elapsed
         activity.last_update = now
@@ -736,8 +743,8 @@ class System:
         elif activity.rate <= 0.0:
             when = None  # resumes when a recompute raises the rate
         else:
-            eta = activity.last_update + activity.remaining / activity.rate
-            when = now + max(0.0, eta - now)
+            lag = activity.last_update + activity.remaining / activity.rate - now
+            when = now + (lag if lag > 0.0 else 0.0)
         if pending is not None:
             if pending.in_heap and pending.time_ns == when:
                 return
@@ -855,16 +862,18 @@ class System:
     # -- tracing --------------------------------------------------------------------------
 
     def _core_cdyn(self, core: int) -> float:
-        classes = [
-            t.activity.loop.iclass
-            for t in self._core_threads[core]
-            if t.runnable and t.activity is not None
-        ]
-        if not classes:
-            if self.cstates is not None:
-                return self.cstates.idle_cdyn_nf(core, self.engine.now)
-            return IDLE_CDYN_NF
-        return max(CDYN_NF[c] for c in classes)
+        """Cdyn of ``core``'s heaviest runnable loop, or its idle Cdyn."""
+        top: Optional[float] = None
+        for thread in self._core_threads[core]:
+            if thread.activity is not None and thread.suspensions == 0:
+                cdyn = CDYN_NF[thread.activity.loop.iclass]
+                if top is None or cdyn > top:
+                    top = cdyn
+        if top is not None:
+            return top
+        if self.cstates is not None:
+            return self.cstates.idle_cdyn_nf(core, self.engine.now)
+        return IDLE_CDYN_NF
 
     def _record_label(self, core: int) -> None:
         """Write ``core``'s activity label (its heaviest in-flight class)."""

@@ -11,6 +11,21 @@ from repro.isa import (
     instruction,
     instructions_in_class,
 )
+from repro.isa.instructions import CDYN_NF, IPC
+
+# The class table: width_bits, heavy, cdyn_nf, ipc, uses_avx256_unit,
+# uses_avx512_unit, is_phi.
+_TABLE = {
+    IClass.SCALAR_64: (64, False, 3.0, 2.0, False, False, False),
+    IClass.LIGHT_128: (128, False, 3.6, 2.0, False, False, False),
+    IClass.HEAVY_128: (128, True, 4.2, 1.0, False, False, True),
+    IClass.LIGHT_256: (256, False, 5.0, 1.0, True, False, True),
+    IClass.HEAVY_256: (256, True, 6.0, 1.0, True, False, True),
+    IClass.LIGHT_512: (512, False, 7.4, 1.0, True, True, True),
+    IClass.HEAVY_512: (512, True, 9.0, 1.0, True, True, True),
+}
+_PARAMS = ("width_bits", "heavy", "cdyn_nf", "ipc", "uses_avx256_unit",
+           "uses_avx512_unit", "is_phi")
 
 
 class TestIClassOrdering:
@@ -60,6 +75,33 @@ class TestIClassProperties:
     def test_phi_classes_tuple(self):
         assert set(PHI_CLASSES) == {c for c in IClass if c.is_phi}
         assert len(PHI_CLASSES) == 5
+
+
+class TestIClassTable:
+    @pytest.mark.parametrize("iclass", list(IClass), ids=lambda c: c.name)
+    def test_parameters_match_the_table(self, iclass):
+        assert tuple(getattr(iclass, name) for name in _PARAMS) == (
+            _TABLE[iclass])
+
+    @pytest.mark.parametrize("iclass", list(IClass), ids=lambda c: c.name)
+    def test_flat_maps_agree_with_attributes(self, iclass):
+        assert CDYN_NF[iclass] == iclass.cdyn_nf
+        assert IPC[iclass] == iclass.ipc
+
+    @pytest.mark.parametrize("name", _PARAMS)
+    def test_parameters_are_read_only(self, name):
+        for iclass in IClass:
+            before = getattr(iclass, name)
+            with pytest.raises(AttributeError):
+                setattr(iclass, name, before)
+            with pytest.raises(AttributeError):
+                delattr(iclass, name)
+            assert getattr(iclass, name) == before
+
+    def test_value_lookup_returns_the_member(self):
+        for iclass in IClass:
+            assert IClass(int(iclass)) is iclass
+            assert IClass[iclass.name] is iclass
 
 
 class TestLabels:

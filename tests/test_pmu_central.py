@@ -146,6 +146,47 @@ class TestSerialization:
         assert v0 > v1  # core 1's rail unaffected by core 0's big guardband
 
 
+class TestRailTarget:
+    @pytest.mark.parametrize("per_core_vr", [False, True])
+    def test_same_classes_at_two_frequencies_get_each_cold_target(
+            self, per_core_vr):
+        """The rail-target memo keys on the frequency as well as the classes.
+
+        The same grant change is commanded at 2.2 GHz, then again after
+        the governor moved the package to 1.6 GHz; each command must
+        carry the guardband target computed afresh at its frequency.
+        Core 1 holds a grant throughout, which only a shared rail counts.
+        """
+        engine, pmu = build_pmu(per_core_vr=per_core_vr, freq=2.2)
+        pmu.request_up(1, IClass.HEAVY_128)
+        engine.run()
+        regulator = pmu.rail_of(0)
+        commanded = []
+        command = regulator.command
+
+        def spy(now_ns, target_vcc):
+            commanded.append((pmu.freq_ghz, target_vcc))
+            return command(now_ns, target_vcc)
+
+        regulator.command = spy
+        classes = ([IClass.HEAVY_256] if per_core_vr
+                   else [IClass.HEAVY_256, IClass.HEAVY_128])
+        cold = {}
+        for freq in (2.2, 1.6):
+            pmu.set_requested_freq(freq)
+            engine.run()
+            assert pmu.freq_ghz == freq
+            cold[freq] = pmu.guardband.target_vcc(
+                pmu.curve.vcc_for(freq), classes, freq)
+            del commanded[:]
+            pmu.request_up(0, IClass.HEAVY_256)
+            engine.run()
+            assert commanded == [(freq, cold[freq])]
+            pmu.request_down(0, IClass.SCALAR_64)
+            engine.run()
+        assert cold[2.2] != cold[1.6]
+
+
 class TestRequestDown:
     def test_down_lowers_rail_without_throttling(self):
         engine, pmu = build_pmu()

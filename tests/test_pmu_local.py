@@ -1,6 +1,7 @@
 """Per-core local PMU: hysteresis window and gate wiring."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError
 from repro.isa import IClass
@@ -80,6 +81,34 @@ class TestExpiry:
         local.note_execute(IClass.HEAVY_512, us_to_ns(100.0))
         assert local.next_expiry_ns(us_to_ns(200.0)) == pytest.approx(
             us_to_ns(750.0))
+
+
+class TestWindowProperty:
+    """The per-class window against a brute-force scan of every execute."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from(list(IClass)),
+                           st.floats(0.0, 2_000_000.0)), max_size=12),
+        st.floats(0.0, 3_000_000.0),
+        st.sampled_from([1.0, 650.0, 1_000.0]),
+    )
+    def test_requirement_and_expiry_match_brute_force(self, executes,
+                                                      now, reset_us):
+        local = make_local(reset_us=reset_us)
+        for iclass, t in executes:
+            local.note_execute(iclass, t)
+        reset_ns = us_to_ns(reset_us)
+        last = {}
+        for iclass, t in executes:
+            last[iclass] = max(last.get(iclass, t), t)
+        inside = [c for c, t in last.items() if t > now - reset_ns]
+        expected = max(inside, default=IClass.SCALAR_64)
+        assert local.requirement(now) == expected
+        if expected == IClass.SCALAR_64:
+            assert local.next_expiry_ns(now) is None
+        else:
+            assert local.next_expiry_ns(now) == last[expected] + reset_ns
 
 
 class TestGates:

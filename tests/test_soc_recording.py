@@ -346,7 +346,7 @@ class TestTracesFollowLiveState:
 # Random schedules: thread, class, iterations, start offset; plus
 # suspensions of a thread (start, duration) and an optional C-state
 # configuration whose idle Cdyn deepens with time, under the default,
-# improved-throttling or throttling-ablated options.
+# improved-throttling, throttling-ablated or per-core-rail options.
 _SETTINGS = dict(max_examples=15, deadline=None)
 schedules = st.lists(
     st.tuples(
@@ -369,6 +369,7 @@ options = st.sampled_from([
     SystemOptions(),
     SystemOptions(improved_throttling=True),
     SystemOptions(disable_throttling=True),
+    SystemOptions(per_core_vr=True),
 ])
 
 
