@@ -14,6 +14,7 @@ else — framing, calibration, decoding, reporting — lives here.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass, field
 from typing import ClassVar, List, Optional, Sequence
 
@@ -88,8 +89,14 @@ class ChannelConfig:
     jitter_seed: int = 7
 
     def __post_init__(self) -> None:
-        if self.slot_us <= 0:
-            raise ProtocolError(f"slot must be positive, got {self.slot_us}")
+        # Negated comparisons so NaN fails them too.
+        if not 0 < self.slot_us < math.inf:
+            raise ProtocolError(
+                f"slot must be positive and finite, got {self.slot_us}")
+        if not 0 <= self.slot_jitter_us < math.inf:
+            raise ProtocolError(
+                f"slot jitter must be finite and >= 0, got "
+                f"{self.slot_jitter_us}")
         if self.sender_iterations < 1 or self.probe_iterations < 1:
             raise ProtocolError("loop iterations must be >= 1")
         if self.training_rounds < 1:

@@ -13,6 +13,7 @@ attacker's answer to periodicity-based detection
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,10 +40,13 @@ class SlotSchedule:
     slot_ns: float
 
     def __post_init__(self) -> None:
-        if self.slot_ns <= 0:
-            raise ProtocolError(f"slot length must be positive, got {self.slot_ns}")
-        if self.epoch_ns < 0:
-            raise ProtocolError(f"epoch must be >= 0, got {self.epoch_ns}")
+        # Negated comparisons so NaN fails them too.
+        if not 0 < self.slot_ns < math.inf:
+            raise ProtocolError(
+                f"slot length must be positive and finite, got {self.slot_ns}")
+        if not 0 <= self.epoch_ns < math.inf:
+            raise ProtocolError(
+                f"epoch must be finite and >= 0, got {self.epoch_ns}")
 
     def slot_start(self, index: int) -> float:
         """Absolute start time of slot ``index``."""
@@ -91,7 +95,7 @@ class JitteredSchedule(SlotSchedule):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.jitter_ns < 0:
+        if not self.jitter_ns >= 0:
             raise ProtocolError(f"jitter must be >= 0, got {self.jitter_ns}")
         if self.jitter_ns >= self.slot_ns:
             raise ProtocolError(
@@ -144,8 +148,10 @@ class PerturbedSchedule(SlotSchedule):
         super().__post_init__()
         if self.base is None:
             raise ProtocolError("PerturbedSchedule needs a base schedule")
-        if self.sigma_ns < 0 or self.cap_ns < 0:
-            raise ProtocolError("delay sigma and cap must be >= 0")
+        if not (0 <= self.sigma_ns < math.inf and 0 <= self.cap_ns < math.inf):
+            raise ProtocolError(
+                f"delay sigma and cap must be finite and >= 0, got "
+                f"{self.sigma_ns} and {self.cap_ns}")
 
     @classmethod
     def wrap(cls, base: SlotSchedule, sigma_ns: float, cap_ns: float,

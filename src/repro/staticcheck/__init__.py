@@ -23,10 +23,9 @@ text/JSON/SARIF reporters:
   equality on physics, mutable defaults, hints/docstrings).
 
 Run it with ``python -m repro.staticcheck [paths] [--format text|json|
-sarif] [--rule ID] [--baseline FILE]``.  ``--cache-dir``/``--jobs``/
-``--changed`` enable the incremental parallel engine (per-module
-findings cached on source hash, pass version and project digest).  The
-legacy ``repro.verify.lint`` module is a thin shim over this package.
+sarif] [--rule ID] [--baseline FILE]``.  The ``repro.verify`` lint
+stage calls :func:`analyze_paths` with the determinism and hygiene
+rules its golden digests depend on.
 """
 
 from repro.staticcheck.baseline import (  # noqa: F401
@@ -35,16 +34,10 @@ from repro.staticcheck.baseline import (  # noqa: F401
     refresh_command,
     save_baseline,
 )
-from repro.staticcheck.cache import (  # noqa: F401
-    AnalysisCache,
-    default_cache_root,
-    source_hash,
-)
 from repro.staticcheck.context import (  # noqa: F401
     FunctionSig,
     ModuleContext,
     ProjectContext,
-    module_facts,
 )
 from repro.staticcheck.dataflow import (  # noqa: F401
     UnitTag,
@@ -52,7 +45,6 @@ from repro.staticcheck.dataflow import (  # noqa: F401
     tag_of_identifier,
 )
 from repro.staticcheck.model import (  # noqa: F401
-    CacheUsage,
     Finding,
     PassTiming,
     Report,
@@ -66,7 +58,6 @@ from repro.staticcheck.registry import (  # noqa: F401
     all_rules,
     expand_selection,
     get_pass,
-    pass_version,
     register,
     rule_ids,
     rule_owners,
@@ -84,14 +75,12 @@ from repro.staticcheck.waivers import (  # noqa: F401
 )
 
 __all__ = [
-    "AnalysisCache", "CacheUsage", "Finding", "FunctionSig",
-    "ModuleContext", "Pass", "PassTiming", "ProjectContext", "Report",
-    "Rule", "Severity", "UnitTag", "Waiver",
+    "Finding", "FunctionSig", "ModuleContext", "Pass", "PassTiming",
+    "ProjectContext", "Report", "Rule", "Severity", "UnitTag", "Waiver",
     "all_passes", "all_rules", "analyze_paths", "analyze_source",
-    "default_cache_root", "default_root", "default_waivers_path",
-    "describe_stale_entry", "expand_selection", "get_pass",
-    "load_baseline", "load_waivers", "module_facts", "parse_waivers",
-    "pass_version", "refresh_command", "register", "render",
+    "default_root", "default_waivers_path", "describe_stale_entry",
+    "expand_selection", "get_pass", "load_baseline", "load_waivers",
+    "parse_waivers", "refresh_command", "register", "render",
     "rule_ids", "rule_owners", "save_baseline", "scan_function",
-    "source_hash", "tag_of_identifier", "to_json", "to_sarif",
+    "tag_of_identifier", "to_json", "to_sarif",
 ]

@@ -4,25 +4,17 @@ Exit status is 0 when the tree is clean (waived and baselined findings
 allowed, every baseline entry used), 1 when live findings or stale
 baseline entries remain, 2 on configuration errors (unknown rules,
 unreadable baseline, unparsable sources).
-
-Incremental mode: ``--cache-dir`` (or ``--cache`` for the shared
-``$REPRO_CACHE_DIR`` root) reuses per-module findings across runs,
-``--jobs`` fans cache misses out over a process pool, ``--changed``
-narrows analysis to git-touched modules plus their dependents, and
-``--stats-json`` records the cache-hit/timing statistics CI uploads.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import List, Optional
 
 from repro.errors import ConfigError
 from repro.staticcheck.baseline import save_baseline
-from repro.staticcheck.cache import default_cache_root
 from repro.staticcheck.registry import all_rules, expand_selection
 from repro.staticcheck.reporters import render
 from repro.staticcheck.runner import analyze_paths, default_root
@@ -59,24 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-waivers", action="store_true",
         help="ignore the default waiver file")
     parser.add_argument(
-        "--cache-dir", type=Path, default=None, metavar="DIR",
-        help="enable the incremental findings cache rooted at DIR")
-    parser.add_argument(
-        "--cache", action="store_true",
-        help="enable the incremental cache at the shared root "
-             "($REPRO_CACHE_DIR/staticcheck, default "
-             ".repro-cache/staticcheck)")
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="process-pool width for cache-missed modules (default: 1)")
-    parser.add_argument(
-        "--changed", action="store_true",
-        help="analyse only git-touched modules plus their name-level "
-             "dependents (falls back to everything outside a git tree)")
-    parser.add_argument(
-        "--stats-json", type=Path, default=None, metavar="FILE",
-        help="write cache-hit and per-pass timing statistics to FILE")
-    parser.add_argument(
         "--output", type=Path, default=None, metavar="FILE",
         help="write the report to FILE instead of stdout")
     parser.add_argument(
@@ -96,21 +70,6 @@ def _list_rules() -> str:
     return "\n".join(lines)
 
 
-def _stats_payload(report) -> dict:
-    """The ``--stats-json`` document (the CI cache-stats artifact)."""
-    return {
-        "files_analyzed": report.files_analyzed,
-        "changed_only": report.changed_only,
-        "cache": None if report.cache is None else report.cache.as_dict(),
-        "timings": [
-            {"pass": t.pass_name, "wall_ms": t.wall_ms,
-             "modules": t.modules, "findings": t.findings}
-            for t in report.timings
-        ],
-        "ok": report.ok,
-    }
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns the process exit status."""
     args = _build_parser().parse_args(argv)
@@ -121,28 +80,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     rules = None
     if args.rule:
         rules = expand_selection(args.rule)
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
 
     paths = args.paths if args.paths else [default_root()]
     waivers_path = args.waivers
     waivers = [] if args.no_waivers and waivers_path is None else None
     if waivers_path is None and waivers is None:
         waivers_path = default_waivers_path()
-    cache_dir = args.cache_dir
-    if cache_dir is None and args.cache:
-        cache_dir = default_cache_root()
 
     report = analyze_paths(paths=paths, rules=rules, waivers=waivers,
                            waivers_path=waivers_path,
-                           baseline_path=args.baseline,
-                           cache_dir=cache_dir, jobs=args.jobs,
-                           changed_only=args.changed)
-
-    if args.stats_json is not None:
-        args.stats_json.write_text(
-            json.dumps(_stats_payload(report), indent=2) + "\n",
-            encoding="utf-8")
+                           baseline_path=args.baseline)
 
     if args.write_baseline is not None:
         count = save_baseline(report.findings + report.baselined,

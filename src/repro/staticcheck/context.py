@@ -13,21 +13,13 @@ with different parameter lists make that name *ambiguous* and call sites
 through it are skipped rather than guessed at; two dataclasses sharing a
 name with different field tuples drop out of the field table the same
 way.
-
-The pre-scan of one module reduces to a JSON-friendly *facts* dict
-(:func:`module_facts`), so the incremental engine can cache facts per
-source hash and rebuild the :class:`ProjectContext` — including its
-deterministic :meth:`~ProjectContext.digest` used in finding cache
-keys — without re-parsing unchanged modules.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigError
 from repro.staticcheck.dataflow import (
@@ -35,10 +27,6 @@ from repro.staticcheck.dataflow import (
     return_tag_of,
     tag_of_identifier,
 )
-
-#: Version of the facts-dict layout; bump to invalidate cached facts.
-FACTS_VERSION = 2
-
 
 @dataclass(frozen=True)
 class FunctionSig:
@@ -138,21 +126,6 @@ class ModuleContext:
         return names
 
 
-def _tag_to_str(tag: Optional[UnitTag]) -> Optional[str]:
-    """Serialise a unit tag as ``group`` / ``group:scale`` / None."""
-    if tag is None:
-        return None
-    return tag.group if tag.scale is None else f"{tag.group}:{tag.scale}"
-
-
-def _tag_from_str(text: Optional[str]) -> Optional[UnitTag]:
-    """Inverse of :func:`_tag_to_str`."""
-    if text is None:
-        return None
-    group, _, scale = text.partition(":")
-    return UnitTag(group, scale or None)
-
-
 def _is_dataclass_def(node: ast.ClassDef) -> bool:
     """Whether a class def carries a ``@dataclass`` decorator."""
     for deco in node.decorator_list:
@@ -177,34 +150,6 @@ def _dataclass_field_names(node: ast.ClassDef) -> Tuple[str, ...]:
     return tuple(names)
 
 
-def module_facts(module: ModuleContext) -> Dict[str, Any]:
-    """The JSON-friendly cross-module facts one module contributes.
-
-    Facts are everything :class:`ProjectContext` needs from a module:
-    its callable signatures (with unit tags) and its dataclass field
-    tables.  Because the dict is pure JSON, the incremental engine can
-    persist it keyed on the module's source hash and skip re-parsing
-    unchanged modules entirely.
-    """
-    signatures: List[List[Any]] = []
-    dataclasses: Dict[str, List[str]] = {}
-    for node in ast.walk(module.tree):
-        sig = _sig_of(node)
-        if sig is not None:
-            signatures.append([
-                sig.name, list(sig.params),
-                [_tag_to_str(tag) for tag in sig.param_tags],
-                _tag_to_str(sig.return_tag),
-            ])
-        elif isinstance(node, ast.ClassDef) and _is_dataclass_def(node):
-            dataclasses[node.name] = list(_dataclass_field_names(node))
-    return {
-        "version": FACTS_VERSION,
-        "signatures": signatures,
-        "dataclasses": dataclasses,
-    }
-
-
 class ProjectContext:
     """Cross-module knowledge shared by every pass of one run."""
 
@@ -213,29 +158,20 @@ class ProjectContext:
         self._ambiguous: Set[str] = set()
         self._dataclass_fields: Dict[str, Tuple[str, ...]] = {}
         self._ambiguous_dataclasses: Set[str] = set()
-        self._digest: Optional[str] = None
 
     @classmethod
     def build(cls, modules: Iterable[ModuleContext]) -> "ProjectContext":
         """Pre-scan ``modules`` into the cross-module tables."""
-        return cls.from_facts(module_facts(m) for m in modules)
-
-    @classmethod
-    def from_facts(cls, facts: Iterable[Dict[str, Any]]) -> "ProjectContext":
-        """Merge per-module facts dicts (see :func:`module_facts`)."""
         project = cls()
-        canonical: List[Dict[str, Any]] = []
-        for entry in facts:
-            canonical.append(entry)
-            for name, params, tags, return_tag in entry["signatures"]:
-                project.add_signature(FunctionSig(
-                    name, tuple(params),
-                    tuple(_tag_from_str(t) for t in tags),
-                    _tag_from_str(return_tag)))
-            for cls_name, fields_list in entry["dataclasses"].items():
-                project.add_dataclass(cls_name, tuple(fields_list))
-        payload = json.dumps(canonical, sort_keys=True, ensure_ascii=True)
-        project._digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        for module in modules:
+            for node in ast.walk(module.tree):
+                sig = _sig_of(node)
+                if sig is not None:
+                    project.add_signature(sig)
+                elif (isinstance(node, ast.ClassDef)
+                      and _is_dataclass_def(node)):
+                    project.add_dataclass(node.name,
+                                          _dataclass_field_names(node))
         return project
 
     def add_signature(self, sig: FunctionSig) -> None:
@@ -272,27 +208,3 @@ class ProjectContext:
     def dataclass_fields(self, name: str) -> Optional[Tuple[str, ...]]:
         """Field names of the unambiguous dataclass ``name``, if known."""
         return self._dataclass_fields.get(name)
-
-    def digest(self) -> str:
-        """Deterministic content hash of the cross-module tables.
-
-        Part of every finding-cache key: a module's cached findings are
-        only valid while the project facts every pass may consult are
-        byte-identical.  Built from the canonical facts stream, so
-        body-only edits that leave signatures/field tables unchanged do
-        not invalidate other modules' cached findings.
-        """
-        if self._digest is None:
-            # Built incrementally via add_signature (legacy path): hash
-            # the merged tables instead of the per-module facts stream.
-            payload = json.dumps({
-                "signatures": sorted(
-                    [s.name, list(s.params),
-                     [_tag_to_str(t) for t in s.param_tags],
-                     _tag_to_str(s.return_tag)]
-                    for s in self._signatures.values()),
-                "dataclasses": {k: list(v) for k, v in
-                                sorted(self._dataclass_fields.items())},
-            }, sort_keys=True)
-            self._digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-        return self._digest

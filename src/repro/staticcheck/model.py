@@ -48,10 +48,9 @@ class Severity(enum.Enum):
 class Finding:
     """One diagnostic: a rule violated at a source location.
 
-    The first five fields match the legacy ``repro.verify.lint.Finding``
-    exactly (rule id, repo-relative posix path, 1-based line, message,
-    stripped source line), so waiver files and downstream tooling keep
-    working; ``severity`` and ``fix_hint`` are additive.
+    ``path`` is repo-relative posix, ``line`` 1-based and ``source``
+    the stripped source line; waivers and baseline entries match on
+    rule, path and source, so findings survive unrelated line shifts.
     """
 
     rule: str
@@ -113,29 +112,14 @@ class Waiver:
 class PassTiming:
     """Wall-clock cost of one pass across one analysis run.
 
-    ``modules`` counts modules the pass actually executed on (cache
-    hits excluded); ``findings`` counts every finding attributed to the
-    pass this run, cached or fresh.
+    ``modules`` counts the modules the pass ran on; ``findings`` counts
+    every finding it produced, before rule filtering.
     """
 
     pass_name: str
     wall_ms: float
     modules: int = 0
     findings: int = 0
-
-
-@dataclass
-class CacheUsage:
-    """Hit/miss counters of the incremental findings cache for one run."""
-
-    hits: int = 0
-    misses: int = 0
-    stored: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        """Plain-dict form for the JSON reporter and the stats artifact."""
-        return {"hits": self.hits, "misses": self.misses,
-                "stored": self.stored}
 
 
 @dataclass
@@ -158,14 +142,10 @@ class Report:
     files_analyzed: int = 0
     #: Per-pass wall-clock timings, sorted by pass name.
     timings: List[PassTiming] = field(default_factory=list)
-    #: Findings-cache counters (None when caching was disabled).
-    cache: Optional[CacheUsage] = None
     #: The baseline file this run applied, for the stale-entry hint.
     baseline_path: Optional[str] = None
     #: The analysed root paths as given, for the stale-entry hint.
     roots: Tuple[str, ...] = ()
-    #: True when ``--changed`` restricted analysis to touched modules.
-    changed_only: bool = False
 
     @property
     def ok(self) -> bool:

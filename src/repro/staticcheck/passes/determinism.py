@@ -2,9 +2,9 @@
 
 The golden-trace harness (:mod:`repro.verify`) certifies that canonical
 runs are bit-reproducible; this pass certifies the *source* obeys the
-rules that make those runs reproducible in the first place.  It subsumes
-the determinism rules of the original ``repro.verify.lint`` (which is
-now a shim over this framework) and adds two event-engine rules:
+rules that make those runs reproducible in the first place.  Its first
+three rules are part of the ``repro.verify`` lint stage; the last two
+are event-engine rules:
 
 ``unseeded-rng``
     ``np.random.default_rng()`` / ``random.Random()`` constructed

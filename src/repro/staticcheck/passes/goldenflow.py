@@ -188,8 +188,6 @@ class GoldenFlowPass:
     """Checks the mapping layer's round-trip and digest contracts."""
 
     name = "goldenflow"
-    #: Cache version; bump when rules or the pinned table change.
-    version = 2
     rules: Tuple[Rule, ...] = (
         Rule("golden-roundtrip",
              "mapping dataclass field missing from the round-trip",

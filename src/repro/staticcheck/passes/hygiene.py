@@ -1,7 +1,7 @@
 """API-hygiene pass.
 
-Two rules ported unchanged from the original ``repro.verify.lint``
-(same ids, same messages, so existing waivers keep working):
+Two rules that are part of the ``repro.verify`` lint stage (the
+committed waivers in ``tests/lint_waivers.txt`` name them):
 
 ``float-eq``
     Bare ``==``/``!=`` between physical quantities (voltages, times,

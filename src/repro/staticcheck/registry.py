@@ -39,13 +39,7 @@ class Rule:
 
 
 class Pass(Protocol):
-    """The plugin interface every analysis pass implements.
-
-    A pass may also carry an integer ``version`` class attribute
-    (default 1, read via :func:`pass_version`).  The incremental engine
-    keys cached findings on it, so bumping the version after a rule
-    change invalidates stale cached results everywhere at once.
-    """
+    """The plugin interface every analysis pass implements."""
 
     #: Unique pass name (``dimensional``, ``determinism``, ...).
     name: str
@@ -56,11 +50,6 @@ class Pass(Protocol):
             project: "ProjectContext") -> List[Finding]:
         """Analyse one module and return its findings."""
         ...  # pragma: no cover - protocol body
-
-
-def pass_version(pass_obj: Pass) -> int:
-    """The pass's declared cache version (1 when undeclared)."""
-    return int(getattr(pass_obj, "version", 1))
 
 
 #: Registered passes by name, in registration order.
@@ -150,7 +139,7 @@ def expand_selection(selected: Iterable[str]) -> Tuple[str, ...]:
 
 
 def rule_owners() -> Dict[str, str]:
-    """Rule id -> owning pass name, for reporters and cache keys."""
+    """Rule id -> owning pass name, for the reporters."""
     _ensure_loaded()
     return dict(_RULE_OWNERS)
 

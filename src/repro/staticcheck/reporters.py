@@ -73,9 +73,7 @@ def to_json(report: Report) -> Dict[str, Any]:
              "modules": t.modules, "findings": t.findings}
             for t in report.timings
         ],
-        "cache": None if report.cache is None else report.cache.as_dict(),
         "baseline_path": report.baseline_path,
-        "changed_only": report.changed_only,
         "ok": report.ok,
     }
 
@@ -93,7 +91,7 @@ def to_sarif(report: Report) -> Dict[str, Any]:
 
     Beyond the code-scanning core (driver + rules + results), the run
     carries an ``invocations`` record with ``executionSuccessful`` and
-    property bags: run-level cache/timing statistics, plus a per-rule
+    property bags: run-level timing statistics, plus a per-rule
     bag naming the owning pass and its wall-clock share.
     """
     owners = rule_owners()
@@ -163,9 +161,6 @@ def to_sarif(report: Report) -> Dict[str, Any]:
             },
             "properties": {
                 "filesAnalyzed": report.files_analyzed,
-                "changedOnly": report.changed_only,
-                "cache": (None if report.cache is None
-                          else report.cache.as_dict()),
                 "timings": [
                     {"pass": t.pass_name, "wallMs": t.wall_ms,
                      "modules": t.modules, "findings": t.findings}

@@ -1,10 +1,9 @@
 """Waiver-file parsing and default discovery.
 
 The waiver file records *reviewed, deliberate* exceptions — one
-``rule path-glob [substring]`` line each, ``#`` comments allowed.  It is
-shared with the legacy ``repro.verify.lint`` front end, so the grammar
-and the default location (``tests/lint_waivers.txt``) are unchanged;
-only the set of valid rule ids has grown with the new passes.
+``rule path-glob [substring]`` line each, ``#`` comments allowed.  The
+CLI and the ``repro.verify`` lint stage both read the default file,
+``tests/lint_waivers.txt``; any registered rule id may be waived.
 
 Waivers that match nothing are reported by the driver so the file
 cannot rot.

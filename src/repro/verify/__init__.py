@@ -12,14 +12,13 @@ not a tolerance judgement call.  This package implements that gate:
   round-trip;
 * :mod:`repro.verify.audit` — determinism audit across hash seeds,
   worker counts and cache states;
-* :mod:`repro.verify.lint` — AST lint enforcing the determinism rules
-  at the source level;
 * :mod:`repro.verify.differential` — fast-path vs reference-path
   equivalence checks;
 * :mod:`repro.verify.bench_gate` — benchmark regression gate over
   pytest-benchmark artifacts.
 
-Run the whole gate with ``python -m repro.verify``; see
+Its lint stage runs :mod:`repro.staticcheck` with the determinism
+rules.  Run the whole gate with ``python -m repro.verify``; see
 ``docs/VERIFICATION.md``.
 """
 
@@ -54,15 +53,6 @@ from repro.verify.goldens import (
     update_goldens,
     write_golden,
 )
-from repro.verify.lint import (
-    Finding,
-    LintReport,
-    Waiver,
-    lint_paths,
-    lint_source,
-    load_waivers,
-    parse_waivers,
-)
 from repro.verify.scenarios import (
     SCENARIOS,
     Scenario,
@@ -77,13 +67,10 @@ __all__ = [
     "AuditReport",
     "BenchDelta",
     "DiffCheck",
-    "Finding",
     "GateReport",
     "GoldenCheck",
-    "LintReport",
     "SCENARIOS",
     "Scenario",
-    "Waiver",
     "audit_all",
     "audit_scenario",
     "canonical_json",
@@ -98,13 +85,9 @@ __all__ = [
     "diff_documents",
     "flatten_leaves",
     "get_scenario",
-    "lint_paths",
-    "lint_source",
     "load_baseline",
     "load_benchmark_medians",
     "load_golden",
-    "load_waivers",
-    "parse_waivers",
     "scenario_names",
     "section_digests",
     "summarize_array",

@@ -23,11 +23,16 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
+from repro.staticcheck import Report, analyze_paths
 from repro.verify.audit import audit_all
 from repro.verify.differential import run_all as run_differential
 from repro.verify.goldens import check_all, update_goldens
-from repro.verify.lint import lint_paths, load_waivers
 from repro.verify.scenarios import SCENARIOS, compute_digest, scenario_names
+
+#: The staticcheck rules the lint stage enforces: the source-level
+#: determinism and hygiene rules the golden digests depend on.
+LINT_RULES = ("unseeded-rng", "global-rng", "wall-clock", "float-eq",
+              "mutable-default")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -69,6 +74,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _render_lint(report: Report) -> str:
+    """The lint stage's indented findings and unused-waiver warnings."""
+    lines = [finding.render() for finding in report.findings]
+    for waiver in report.unused_waivers:
+        lines.append(f"warning: unused waiver '{waiver.render()}'")
+    if not lines:
+        return "  lint clean"
+    return "\n".join(f"  {line}" for line in lines)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run the verification gate; returns a process exit code."""
     args = _build_parser().parse_args(argv)
@@ -94,9 +109,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if not args.skip_lint:
         print("== lint ==")
-        waivers = load_waivers(args.waivers) if args.waivers else None
-        report = lint_paths(waivers=waivers)
-        print(report.render())
+        report = analyze_paths(rules=LINT_RULES, waivers_path=args.waivers)
+        print(_render_lint(report))
         print(f"  ({len(report.waived)} waived)")
         if not report.ok:
             failures.append(f"lint: {len(report.findings)} violation(s)")

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Calibrator, SlotSchedule
+from repro.core import (
+    Calibrator,
+    JitteredSchedule,
+    PerturbedSchedule,
+    SlotSchedule,
+)
 from repro.errors import CalibrationError, ProtocolError
 
 
@@ -94,6 +99,33 @@ class TestSlotSchedule:
             SlotSchedule(0.0, 0.0)
         with pytest.raises(ProtocolError):
             SlotSchedule(-1.0, 10.0)
+
+    @pytest.mark.parametrize("epoch_ns", [float("nan"), float("inf")])
+    def test_non_finite_epoch_rejected(self, epoch_ns):
+        with pytest.raises(ProtocolError, match="epoch"):
+            SlotSchedule(epoch_ns, 10.0)
+
+    @pytest.mark.parametrize("slot_ns", [float("nan"), float("inf")])
+    def test_non_finite_slot_rejected(self, slot_ns):
+        with pytest.raises(ProtocolError, match="slot length"):
+            SlotSchedule(0.0, slot_ns)
+
+    @pytest.mark.parametrize("jitter_ns", [float("nan"), -1.0, 10.0])
+    def test_bad_jitter_rejected(self, jitter_ns):
+        with pytest.raises(ProtocolError, match="jitter"):
+            JitteredSchedule(0.0, 10.0, jitter_ns=jitter_ns)
+
+    @pytest.mark.parametrize("sigma_ns", [float("nan"), float("inf"), -1.0])
+    def test_bad_perturbation_sigma_rejected(self, sigma_ns):
+        with pytest.raises(ProtocolError, match="sigma"):
+            PerturbedSchedule.wrap(SlotSchedule(0.0, 10.0), sigma_ns, 5.0,
+                                   salt=(1,))
+
+    @pytest.mark.parametrize("cap_ns", [float("nan"), float("inf"), -1.0])
+    def test_bad_perturbation_cap_rejected(self, cap_ns):
+        with pytest.raises(ProtocolError, match="cap"):
+            PerturbedSchedule.wrap(SlotSchedule(0.0, 10.0), 1.0, cap_ns,
+                                   salt=(1,))
 
 
 class TestSlotBoundaryRoundoff:

@@ -186,6 +186,17 @@ class TestChannelConfig:
         with pytest.raises(ProtocolError):
             ChannelConfig(slot_us=0.0)
 
+    @pytest.mark.parametrize("slot_us", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_slot_rejected(self, slot_us):
+        with pytest.raises(ProtocolError, match="slot must be"):
+            ChannelConfig(slot_us=slot_us)
+
+    @pytest.mark.parametrize("slot_jitter_us",
+                             [float("nan"), float("inf"), -1.0])
+    def test_bad_slot_jitter_rejected(self, slot_jitter_us):
+        with pytest.raises(ProtocolError, match="slot jitter"):
+            ChannelConfig(slot_jitter_us=slot_jitter_us)
+
     def test_bad_iterations_rejected(self):
         with pytest.raises(ProtocolError):
             ChannelConfig(sender_iterations=0)

@@ -19,6 +19,7 @@ from repro.staticcheck import (
 )
 from repro.staticcheck.baseline import apply_baseline, load_baseline
 from repro.staticcheck.__main__ import main
+from repro.staticcheck.context import ModuleContext
 from repro.staticcheck.registry import passes_for, validate_rules
 from repro.staticcheck.reporters import render_text, to_json
 
@@ -32,6 +33,19 @@ BAD_MODULE = textwrap.dedent("""
         heapq.heappush(heap, (time_ns, handle))
         return time_ns + idle_us
 """)
+
+CLEAN_MODULE = '"""Clean module."""\n\n\nVALUE = 3\n'
+
+
+def make_tree(tmp_path, n_clean=3):
+    """A small analysable tree: one bad module plus clean ones."""
+    root = tmp_path / "pkg"
+    root.mkdir()
+    (root / "bad_mod.py").write_text(BAD_MODULE, encoding="utf-8")
+    for index in range(n_clean):
+        (root / f"clean_{index}.py").write_text(CLEAN_MODULE,
+                                                encoding="utf-8")
+    return root
 
 
 class TestRegistry:
@@ -57,6 +71,26 @@ class TestRegistry:
     def test_unknown_rule_rejected(self):
         with pytest.raises(ConfigError, match="unknown rule"):
             validate_rules(["no-such-rule"])
+
+
+class TestDriver:
+    def test_each_module_is_parsed_once_per_run(self, tmp_path, monkeypatch):
+        root = make_tree(tmp_path)
+        parsed = []
+        original = ModuleContext.from_source.__func__
+
+        def counting(cls, source, path):
+            parsed.append(path)
+            return original(cls, source, path)
+
+        monkeypatch.setattr(ModuleContext, "from_source",
+                            classmethod(counting))
+        report = analyze_paths(paths=[root], waivers=[])
+        assert report.files_analyzed == 4
+        assert len(parsed) == report.files_analyzed
+        assert [t.pass_name for t in report.timings] \
+            == [p.name for p in all_passes()]
+        assert {t.modules for t in report.timings} == {4}
 
 
 class TestWaiverIntegration:
@@ -278,3 +312,4 @@ class TestCli:
         assert main([str(src), "--no-waivers",
                      "--output", str(out_file)]) == 0
         assert "0 finding(s)" in out_file.read_text(encoding="utf-8")
+

@@ -1,21 +1,17 @@
-"""Lint rules on fixture snippets, waiver semantics, repo cleanliness."""
+"""The ``repro.verify`` lint stage: rule fixtures, waivers, clean repo."""
 
 import textwrap
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.verify.lint import (
-    Waiver,
-    lint_paths,
-    lint_source,
-    parse_waivers,
-)
+from repro.staticcheck import Waiver, analyze_paths, analyze_source, parse_waivers
+from repro.verify.__main__ import LINT_RULES
 
 
 def lint(source, path="repro/core/example.py"):
-    """Lint a dedented snippet under a given virtual path."""
-    return lint_source(textwrap.dedent(source), path)
+    """Check a dedented snippet under a virtual path with the lint rules."""
+    return analyze_source(textwrap.dedent(source), path, rules=LINT_RULES)
 
 
 def rules_of(findings):
@@ -204,15 +200,15 @@ class TestWaivers:
 class TestRepoLint:
     def test_repo_is_clean_under_committed_waivers(self):
         """src/repro has no unwaived violations and no stale waivers."""
-        report = lint_paths()
-        assert report.ok, report.render()
-        assert report.unused_waivers == [], report.render()
+        report = analyze_paths(rules=LINT_RULES)
+        assert report.ok, [f.render() for f in report.findings]
+        assert report.unused_waivers == [], report.unused_waivers
 
     def test_repo_waivers_are_exercised(self):
         """Every committed waiver still covers a real finding."""
-        report = lint_paths()
+        report = analyze_paths(rules=LINT_RULES)
         assert len(report.waived) >= 3
 
     def test_syntax_error_raises_config_error(self):
         with pytest.raises(ConfigError, match="cannot parse"):
-            lint_source("def broken(:\n", "repro/x.py")
+            lint("def broken(:\n", "repro/x.py")
