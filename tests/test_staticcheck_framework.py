@@ -73,7 +73,7 @@ class TestRegistry:
             validate_rules(["no-such-rule"])
 
 
-class TestDriver:
+class TestAnalyzePaths:
     def test_each_module_is_parsed_once_per_run(self, tmp_path, monkeypatch):
         root = make_tree(tmp_path)
         parsed = []
