@@ -27,8 +27,6 @@ from repro.core.channel import ChannelConfig, CovertChannel, TransferReport
 from repro.core.thread_channel import IccThreadCovert
 from repro.core.smt_channel import IccSMTcovert
 from repro.core.cores_channel import IccCoresCovert
-from repro.core.broadcast import BroadcastReport, IccBroadcast
-from repro.core.burst_channel import BurstReport, IccSMTBurst
 from repro.core.session import (
     AdaptiveConfig,
     CovertSession,
@@ -36,7 +34,6 @@ from repro.core.session import (
     SessionConfig,
     SessionReport,
 )
-from repro.core.five_level import FiveLevelReport, FiveLevelThreadChannel
 from repro.core.capacity import (
     binary_symmetric_capacity,
     effective_throughput_bps,
@@ -72,16 +69,10 @@ __all__ = [
     "IccThreadCovert",
     "IccSMTcovert",
     "IccCoresCovert",
-    "BroadcastReport",
-    "IccBroadcast",
-    "BurstReport",
-    "IccSMTBurst",
     "CovertSession",
     "FecScheme",
     "SessionConfig",
     "SessionReport",
-    "FiveLevelReport",
-    "FiveLevelThreadChannel",
     "binary_symmetric_capacity",
     "effective_throughput_bps",
     "symbol_channel_capacity_bps",

@@ -21,6 +21,7 @@ one dial from "clean" (0.0) through "nominal" (1.0) to "hostile" (>1).
 from __future__ import annotations
 
 import abc
+import math
 import zlib
 from typing import TYPE_CHECKING, ClassVar, Dict, Union
 
@@ -66,8 +67,9 @@ class FaultModel(abc.ABC):
     perturbs_schedule: ClassVar[bool] = False
 
     def __init__(self, intensity: float = 1.0, seed: int = 0) -> None:
-        if intensity < 0:
-            raise ConfigError(f"fault intensity must be >= 0, got {intensity}")
+        if not 0 <= intensity < math.inf:
+            raise ConfigError(
+                f"fault intensity must be finite and >= 0, got {intensity}")
         self.intensity = float(intensity)
         self.seed = int(seed)
         #: Perturbation events applied so far (for reports and tests).

@@ -27,6 +27,7 @@ to an attacker-facing noise source.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Dict, Generator, Optional
 
 import numpy as np
@@ -59,8 +60,8 @@ class RailVoltageJitter(FaultModel):
     def __init__(self, sigma_mv: float = 2.0,
                  intensity: float = 1.0, seed: int = 0) -> None:
         super().__init__(intensity, seed)
-        if sigma_mv < 0:
-            raise ConfigError(f"sigma_mv must be >= 0, got {sigma_mv}")
+        if not 0 <= sigma_mv < math.inf:
+            raise ConfigError(f"sigma_mv must be finite and >= 0, got {sigma_mv}")
         self.sigma_mv = float(sigma_mv)
         self._calls = 0
 
@@ -158,12 +159,15 @@ class GrantQueueInterference(FaultModel):
                  core: Optional[int] = None, horizon_ms: float = 5000.0,
                  intensity: float = 1.0, seed: int = 0) -> None:
         super().__init__(intensity, seed)
-        if burst_rate_per_s < 0:
-            raise ConfigError(f"burst rate must be >= 0, got {burst_rate_per_s}")
-        if hold_us <= 0:
-            raise ConfigError(f"hold time must be positive, got {hold_us}")
-        if horizon_ms <= 0:
-            raise ConfigError(f"horizon must be positive, got {horizon_ms}")
+        if not 0 <= burst_rate_per_s < math.inf:
+            raise ConfigError(
+                f"burst rate must be finite and >= 0, got {burst_rate_per_s}")
+        if not 0 < hold_us < math.inf:
+            raise ConfigError(
+                f"hold time must be finite and positive, got {hold_us}")
+        if not 0 < horizon_ms < math.inf:
+            raise ConfigError(
+                f"horizon must be finite and positive, got {horizon_ms}")
         self.burst_rate_per_s = float(burst_rate_per_s)
         self.hold_us = float(hold_us)
         self.core = core
@@ -224,12 +228,14 @@ class ThermalDriftRamp(FaultModel):
                  step_us: float = 500.0,
                  intensity: float = 1.0, seed: int = 0) -> None:
         super().__init__(intensity, seed)
-        if rate_c_per_s < 0:
-            raise ConfigError(f"drift rate must be >= 0, got {rate_c_per_s}")
-        if max_drift_c < 0:
-            raise ConfigError(f"max drift must be >= 0, got {max_drift_c}")
-        if step_us <= 0:
-            raise ConfigError(f"step must be positive, got {step_us}")
+        if not 0 <= rate_c_per_s < math.inf:
+            raise ConfigError(
+                f"drift rate must be finite and >= 0, got {rate_c_per_s}")
+        if not 0 <= max_drift_c < math.inf:
+            raise ConfigError(
+                f"max drift must be finite and >= 0, got {max_drift_c}")
+        if not 0 < step_us < math.inf:
+            raise ConfigError(f"step must be finite and positive, got {step_us}")
         self.rate_c_per_s = float(rate_c_per_s)
         self.max_drift_c = float(max_drift_c)
         self.step_us = float(step_us)
@@ -272,6 +278,11 @@ class ReceiverClockSkew(FaultModel):
     def __init__(self, skew_ppm: float = 200.0, drift_ppm_per_s: float = 2000.0,
                  intensity: float = 1.0, seed: int = 0) -> None:
         super().__init__(intensity, seed)
+        if not -math.inf < skew_ppm < math.inf:
+            raise ConfigError(f"skew_ppm must be finite, got {skew_ppm}")
+        if not -math.inf < drift_ppm_per_s < math.inf:
+            raise ConfigError(
+                f"drift_ppm_per_s must be finite, got {drift_ppm_per_s}")
         self.skew_ppm = float(skew_ppm)
         self.drift_ppm_per_s = float(drift_ppm_per_s)
 
@@ -310,8 +321,10 @@ class SlotScheduleJitter(FaultModel):
     def __init__(self, sigma_us: float = 1.5, cap_us: float = 10.0,
                  intensity: float = 1.0, seed: int = 0) -> None:
         super().__init__(intensity, seed)
-        if sigma_us < 0 or cap_us < 0:
-            raise ConfigError("sigma_us and cap_us must be >= 0")
+        if not (0 <= sigma_us < math.inf and 0 <= cap_us < math.inf):
+            raise ConfigError(
+                f"sigma_us and cap_us must be finite and >= 0, "
+                f"got {sigma_us} and {cap_us}")
         self.sigma_us = float(sigma_us)
         self.cap_us = float(cap_us)
 
@@ -371,12 +384,15 @@ class StateFlush(FaultModel):
                  horizon_ms: float = 5000.0,
                  intensity: float = 1.0, seed: int = 0) -> None:
         super().__init__(intensity, seed)
-        if quantum_us <= 0:
-            raise ConfigError(f"quantum must be positive, got {quantum_us}")
-        if hold_us <= 0:
-            raise ConfigError(f"hold time must be positive, got {hold_us}")
-        if horizon_ms <= 0:
-            raise ConfigError(f"horizon must be positive, got {horizon_ms}")
+        if not 0 < quantum_us < math.inf:
+            raise ConfigError(
+                f"quantum must be finite and positive, got {quantum_us}")
+        if not 0 < hold_us < math.inf:
+            raise ConfigError(
+                f"hold time must be finite and positive, got {hold_us}")
+        if not 0 < horizon_ms < math.inf:
+            raise ConfigError(
+                f"horizon must be finite and positive, got {horizon_ms}")
         self.quantum_us = float(quantum_us)
         self.hold_us = float(hold_us)
         self.horizon_ms = float(horizon_ms)

@@ -24,6 +24,7 @@ pickle; attached injectors don't), and
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Type
 
 from repro.errors import ConfigError
@@ -79,6 +80,8 @@ def _coerce(key: str, raw: str) -> float:
     except ValueError:
         raise ConfigError(f"fault knob {key}={raw!r} is not a number") from None
     if key in ("seed", "core"):
+        if not -math.inf < value < math.inf:
+            raise ConfigError(f"fault knob {key}={raw!r} must be finite")
         return int(value)
     return value
 

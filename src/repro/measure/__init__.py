@@ -13,7 +13,6 @@ from repro.measure.sampler import (
     PiecewiseLinearSignal,
     TraceSampler,
 )
-from repro.measure.railwatch import RailPhase, RailPhaseDetector, RailStep
 from repro.measure.spectral import RailSpectralDetector, SpectralVerdict
 from repro.measure.probe import (
     IterationTimings,
@@ -37,9 +36,6 @@ __all__ = [
     "PiecewiseConstantSignal",
     "PiecewiseLinearSignal",
     "TraceSampler",
-    "RailPhase",
-    "RailPhaseDetector",
-    "RailStep",
     "RailSpectralDetector",
     "SpectralVerdict",
     "IterationTimings",

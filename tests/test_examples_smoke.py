@@ -8,6 +8,7 @@ stripped.
 """
 
 import os
+import re
 import subprocess
 import sys
 
@@ -22,10 +23,19 @@ EXAMPLES = sorted(
 )
 
 
+def _readme_examples():
+    """The ``python examples/<name>.py`` lines of README's example block."""
+    with open(os.path.join(REPO_ROOT, "README.md")) as fh:
+        readme = fh.read()
+    block = readme.split("Runnable examples", 1)[1].split("```bash", 1)[1]
+    block = block.split("```", 1)[0]
+    return sorted(re.findall(r"^python examples/(\S+\.py)", block, re.M))
+
+
 def test_examples_discovered():
-    """The listing finds the documented examples (guards the glob)."""
+    """README's runnable-examples block lists exactly the example files."""
     assert "quickstart.py" in EXAMPLES
-    assert len(EXAMPLES) >= 7
+    assert EXAMPLES == _readme_examples()
 
 
 @pytest.mark.parametrize("name", EXAMPLES)

@@ -20,6 +20,7 @@ from repro.faults import (
     ReceiverClockSkew,
     SampleDropout,
     SlotScheduleJitter,
+    StateFlush,
     ThermalDriftRamp,
     default_fault_suite,
     fault_model_names,
@@ -34,10 +35,38 @@ def fresh_system(seed=2021):
     return System(cannon_lake_i3_8121u(), seed=seed)
 
 
+#: Every float knob a model constructor takes, ``intensity`` included;
+#: ``dropout``'s ``probability`` is range-checked in TestSampleDropout.
+FLOAT_KNOBS = [
+    (RailVoltageJitter, "intensity"),
+    (RailVoltageJitter, "sigma_mv"),
+    (GrantQueueInterference, "burst_rate_per_s"),
+    (GrantQueueInterference, "hold_us"),
+    (GrantQueueInterference, "horizon_ms"),
+    (ThermalDriftRamp, "rate_c_per_s"),
+    (ThermalDriftRamp, "max_drift_c"),
+    (ThermalDriftRamp, "step_us"),
+    (ReceiverClockSkew, "skew_ppm"),
+    (ReceiverClockSkew, "drift_ppm_per_s"),
+    (SlotScheduleJitter, "sigma_us"),
+    (SlotScheduleJitter, "cap_us"),
+    (StateFlush, "quantum_us"),
+    (StateFlush, "hold_us"),
+    (StateFlush, "horizon_ms"),
+]
+
+
 class TestBaseContract:
     def test_negative_intensity_rejected(self):
         with pytest.raises(ConfigError):
             RailVoltageJitter(intensity=-0.1)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("cls,knob", FLOAT_KNOBS,
+                             ids=[f"{c.name}.{k}" for c, k in FLOAT_KNOBS])
+    def test_non_finite_knob_rejected(self, cls, knob, value):
+        with pytest.raises(ConfigError, match="finite"):
+            cls(**{knob: value})
 
     def test_rng_streams_are_deterministic(self):
         a = RailVoltageJitter(seed=7).rng("x", 1)
@@ -261,6 +290,14 @@ class TestSpecParsing:
         assert model.core == 1 and isinstance(model.core, int)
         assert model.seed == 4 and isinstance(model.seed, int)
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("clause", ["default:intensity",
+                                        "default:seed",
+                                        "grant-interference:core"])
+    def test_non_finite_knob_rejected(self, clause, value):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_fault_spec(f"{clause}={value}")
+
     def test_names_listing(self):
         names = fault_model_names()
         assert "default" in names
@@ -327,7 +364,6 @@ class TestStateFlush:
         assert all(m.name != "state-flush" for m in suite.models)
 
     def test_parameter_validation(self):
-        from repro.faults import StateFlush
         with pytest.raises(ConfigError):
             StateFlush(quantum_us=0.0)
         with pytest.raises(ConfigError):
@@ -336,7 +372,6 @@ class TestStateFlush:
             StateFlush(horizon_ms=0.0)
 
     def test_intensity_zero_is_a_no_op(self):
-        from repro.faults import StateFlush
         system = System(cannon_lake_i3_8121u())
         baseline_processes = len(system._processes)
         StateFlush(intensity=0.0).attach(system, FaultInjector([]))
@@ -355,7 +390,6 @@ class TestStateFlush:
         assert len(system.pmu.transitions_issued) > 0
 
     def test_flush_params_round_trip(self):
-        from repro.faults import StateFlush
         model = StateFlush(quantum_us=500.0, hold_us=80.0, horizon_ms=5.0)
         assert model.params() == {"quantum_us": 500.0, "hold_us": 80.0,
                                   "horizon_ms": 5.0}

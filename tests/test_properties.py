@@ -171,51 +171,6 @@ class TestRegulatorProperties:
             assert lo <= v <= hi
 
 
-class TestBurstPackingProperties:
-    @given(st.lists(st.integers(0, 3), min_size=1, max_size=64))
-    def test_pack_unpack_roundtrip(self, symbols):
-        from repro.core.burst_channel import pack_pairs, unpack_pairs
-
-        assert unpack_pairs(pack_pairs(symbols)) == symbols
-
-    @given(st.lists(st.integers(0, 3), min_size=1, max_size=64))
-    def test_pairs_are_strictly_ascending(self, symbols):
-        from repro.core.burst_channel import pack_pairs
-
-        for first, second in pack_pairs(symbols):
-            if second is not None:
-                assert second > first
-
-    @given(st.lists(st.integers(0, 3), min_size=1, max_size=64))
-    def test_slot_count_bounds(self, symbols):
-        from repro.core.burst_channel import pack_pairs
-
-        slots = pack_pairs(symbols)
-        assert len(symbols) / 2 <= len(slots) <= len(symbols)
-
-
-class TestBase5Properties:
-    @given(st.binary(min_size=1, max_size=40))
-    def test_codec_roundtrip(self, data):
-        from repro.core.base5 import bytes_to_digits, digits_to_bytes
-
-        assert digits_to_bytes(bytes_to_digits(data), len(data)) == data
-
-    @given(st.binary(min_size=1, max_size=40))
-    def test_digits_always_in_alphabet(self, data):
-        from repro.core.base5 import BASE, bytes_to_digits
-
-        assert all(0 <= d < BASE for d in bytes_to_digits(data))
-
-    @given(st.binary(min_size=1, max_size=40))
-    def test_digit_count_beats_bit_pairs(self, data):
-        # log2(5) > 2: base-5 never needs more transactions than the
-        # paper's two-bit symbols.
-        from repro.core.base5 import bytes_to_digits
-
-        assert len(bytes_to_digits(data)) <= len(data) * 4
-
-
 class TestInterleaverProperties:
     @given(st.lists(st.integers(0, 1), min_size=8, max_size=64).filter(
         lambda b: len(b) % 8 == 0))
