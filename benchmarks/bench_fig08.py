@@ -10,15 +10,14 @@ Paper claims regenerated here:
 """
 
 import numpy as np
-from conftest import banner, runner_from_env
+from conftest import banner
 
 from repro.analysis.experiments import fig8_throttling
 from repro.analysis.figures import histogram_text
 
 
 def test_bench_fig08(benchmark):
-    result = benchmark.pedantic(fig8_throttling, kwargs={"trials": 20,
-                                        "runner": runner_from_env()},
+    result = benchmark.pedantic(fig8_throttling, kwargs={"trials": 20},
                                 rounds=1, iterations=1)
 
     banner("Figure 8(a): AVX2 throttling-period distribution per part")

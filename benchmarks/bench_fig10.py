@@ -8,7 +8,7 @@ Paper claims regenerated here:
   loop's intensity increases, forming at least five levels (L1-L5).
 """
 
-from conftest import banner, runner_from_env
+from conftest import banner
 
 from repro.analysis.experiments import fig10_multilevel
 from repro.analysis.figures import ascii_bars, format_table
@@ -16,9 +16,7 @@ from repro.isa import IClass
 
 
 def test_bench_fig10(benchmark):
-    result = benchmark.pedantic(fig10_multilevel,
-                                kwargs={"runner": runner_from_env()},
-                                rounds=1, iterations=1)
+    result = benchmark.pedantic(fig10_multilevel, rounds=1, iterations=1)
 
     banner("Figure 10(a): TP (us) vs class x frequency x active cores")
     rows = []

@@ -5,7 +5,7 @@ overlap, with adjacent clusters separated by more than 2 000 TSC cycles,
 so threshold decoding has a near-zero error rate under low system noise.
 """
 
-from conftest import banner, runner_from_env
+from conftest import banner
 
 from repro.analysis.experiments import fig13_level_distribution
 from repro.analysis.figures import histogram_text
@@ -13,8 +13,7 @@ from repro.analysis.figures import histogram_text
 
 def test_bench_fig13(benchmark):
     result = benchmark.pedantic(fig13_level_distribution,
-                                kwargs={"symbols_per_level": 10,
-                                        "runner": runner_from_env()},
+                                kwargs={"symbols_per_level": 10},
                                 rounds=1, iterations=1)
 
     banner("Figure 13: receiver TP measurement clusters (TSC cycles)")

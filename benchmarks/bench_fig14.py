@@ -11,7 +11,7 @@ Paper claims regenerated here:
   below the paper's 0.07 bound.
 """
 
-from conftest import banner, runner_from_env
+from conftest import banner
 
 from repro.analysis.experiments import fig14_noise_sensitivity
 from repro.analysis.figures import ascii_bars
@@ -19,7 +19,6 @@ from repro.analysis.figures import ascii_bars
 
 def test_bench_fig14(benchmark):
     result = benchmark.pedantic(fig14_noise_sensitivity,
-                                kwargs={"runner": runner_from_env()},
                                 rounds=1, iterations=1)
 
     banner("Figure 14(a): BER vs interrupt/context-switch rate")

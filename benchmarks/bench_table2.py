@@ -6,18 +6,15 @@ crosses cores but needs turbo and manages ~61 b/s; IChannels covers all
 three placements at ~3 kb/s, user-level, turbo-independent.
 """
 
-from conftest import banner, runner_from_env
+from conftest import banner
 
 from repro.analysis.experiments import fig12_throughput, table2_comparison
 from repro.analysis.figures import format_table
 
 
 def test_bench_table2(benchmark):
-    def build():
-        runner = runner_from_env()
-        return table2_comparison(fig12_throughput(runner=runner))
-
-    rows = benchmark.pedantic(build, rounds=1, iterations=1)
+    rows = benchmark.pedantic(lambda: table2_comparison(fig12_throughput()),
+                              rounds=1, iterations=1)
 
     banner("Table 2: comparison to state-of-the-art covert channels")
     def mark(flag):

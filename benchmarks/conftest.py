@@ -53,7 +53,7 @@ def runner_from_env() -> SweepRunner:
 
     ``REPRO_JOBS`` sets the worker-process count (default 1, serial) and
     ``REPRO_CACHE_DIR`` — when set — attaches a result cache there, so
-    CI can parallelise and warm-cache the sweep benchmarks without
+    the resilience benchmark can run parallel and warm-cached without
     touching the harness code.
     """
     jobs = int(os.environ.get("REPRO_JOBS", "1"))

@@ -2,23 +2,23 @@
 
 Transfers a message over each of the three IChannels on a simulated
 Cannon Lake part and prints the decoded payloads — the fastest way to
-see the reproduction work.  ``--jobs N`` runs the three transfers on a
-process pool and ``--cache-dir PATH`` caches their results (see
-:mod:`repro.runner`); the demo output is identical either way.
-``--faults SPEC`` attaches fault models from :mod:`repro.faults` (try
-``--faults default``) and ``--adaptive`` routes each message through
-the adaptive session — together they demo the resilience story from
-docs/FAULTS.md.  ``--scenario NAME`` runs a named topology from the
-declarative scenario library instead (see docs/SCENARIOS.md and
-``python -m repro.scenarios list``).  ``--mitigation-matrix`` runs the
-attacker-vs-defender evaluation matrix (optionally exporting
-``--matrix-csv``/``--matrix-json``; see docs/MITIGATIONS.md).  For the
-full paper regeneration use ``python -m repro.analysis.report``.
+see the reproduction work.  ``--faults SPEC`` attaches fault models
+from :mod:`repro.faults` (try ``--faults default``) and ``--adaptive``
+routes each message through the adaptive session — together they demo
+the resilience story from docs/FAULTS.md.  ``--scenario NAME`` runs a
+named topology from the declarative scenario library instead (see
+docs/SCENARIOS.md and ``python -m repro.scenarios list``).
+``--mitigation-matrix`` runs the attacker-vs-defender evaluation matrix
+(optionally exporting ``--matrix-csv``/``--matrix-json``; see
+docs/MITIGATIONS.md), on a process pool with ``--jobs N`` and cached
+under ``--cache-dir PATH`` (see :mod:`repro.runner`).  For the full
+paper regeneration use ``python -m repro.analysis.report``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import Optional, Sequence, Tuple
 
@@ -78,7 +78,7 @@ def _cmd_mitigation_matrix(args: argparse.Namespace) -> int:
     from repro.mitigations.matrix import run_matrix, smoke_matrix
 
     cache = ResultCache(root=args.cache_dir) if args.cache_dir else None
-    runner = SweepRunner(jobs=args.jobs, cache=cache)
+    runner = SweepRunner(jobs=args.jobs or 1, cache=cache)
     if args.mitigation_matrix == "smoke":
         report = smoke_matrix(runner=runner)
     else:
@@ -118,11 +118,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="python -m repro",
         description="IChannels reproduction demo (three covert channels).")
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the transfers (default: 1, serial)")
+        "--jobs", type=int, default=None, metavar="N",
+        help="with --mitigation-matrix, worker processes for the cells "
+             "(default: 1, serial)")
     parser.add_argument(
         "--cache-dir", default=None, metavar="PATH",
-        help="cache transfer results under PATH (default: no cache)")
+        help="with --mitigation-matrix, cache cell results under PATH "
+             "(default: no cache)")
     parser.add_argument(
         "--trace", default=None, metavar="PATH",
         help="write a Chrome trace (chrome://tracing) of the demo to PATH")
@@ -156,12 +158,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="with --mitigation-matrix, also write the canonical report "
              "document as JSON")
     args = parser.parse_args(list(argv) if argv is not None else [])
-    if args.jobs < 1:
+    if args.jobs is not None and args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
     if args.mitigation_matrix is not None:
         return _cmd_mitigation_matrix(args)
     if (args.matrix_csv or args.matrix_json):
         parser.error("--matrix-csv/--matrix-json need --mitigation-matrix")
+    if args.jobs is not None or args.cache_dir:
+        parser.error("--jobs/--cache-dir need --mitigation-matrix")
     if args.scenario is not None:
         from repro.scenarios.__main__ import _cmd_run
         try:
@@ -174,15 +178,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except ConfigError as exc:
             parser.error(f"--faults: {exc}")
         print(f"faults: {injector.describe()}")
-    if (args.trace or args.metrics) and args.jobs > 1:
-        # Spans are recorded in-process; pool workers would trace into
-        # their own (discarded) tracers.  Keep the observed run honest.
-        print("note: --trace/--metrics force --jobs 1 so every span "
-              "lands in one trace")
-        args.jobs = 1
-
-    cache = ResultCache(root=args.cache_dir) if args.cache_dir else None
-    runner = SweepRunner(jobs=args.jobs, cache=cache)
 
     message = b"IChannels"
     print(f"IChannels demo on a simulated {cannon_lake_i3_8121u().name} "
@@ -196,16 +191,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     tracer: Optional[Tracer] = None
     if args.trace or args.metrics:
         tracer = Tracer(events=args.trace is not None)
-    tasks = [
-        dict(channel_name=name, message=message, fault_spec=args.faults,
-             adaptive=args.adaptive)
-        for _, name in labels
-    ]
-    if tracer is not None:
-        with tracing(tracer):
-            results = runner.map(_demo_transfer, tasks)
-    else:
-        results = runner.map(_demo_transfer, tasks)
+    with (tracing(tracer) if tracer is not None
+          else contextlib.nullcontext()):
+        results = [_demo_transfer(name, message, args.faults, args.adaptive)
+                   for _, name in labels]
     failures = 0
     for (label, _), (received, ber, bps) in zip(labels, results):
         ok = received == message
@@ -213,9 +202,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"  {label}: {received!r}  "
               f"BER={ber:.3f}  {bps:,.0f} bit/s  "
               f"[{'OK' if ok else 'FAILED'}]")
-    if runner.total.cache_hits:
-        print(f"\n({runner.total.cache_hits} of {runner.total.tasks} "
-              f"transfers served from cache)")
     if tracer is not None:
         if args.trace:
             trace = write_chrome_trace(tracer, args.trace)

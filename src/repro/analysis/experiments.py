@@ -6,18 +6,9 @@ series/rows the corresponding figure or table plots.  The benchmark
 harnesses under ``benchmarks/`` print these; EXPERIMENTS.md records the
 paper-vs-measured comparison.
 
-Two execution conventions keep regeneration fast at scale:
-
-* rail traces are captured through the vectorized signal exports
-  (:meth:`System.vcc_signal`), so the simulated DAQ evaluates each
-  sample grid in one call instead of one rail lookup per sample;
-* the multi-trial sweeps (fig8, fig10, fig13, fig14, table2/fig12)
-  accept an optional :class:`repro.runner.SweepRunner`.  Every trial is
-  a module-level function of picklable arguments, so a runner with
-  ``jobs > 1`` fans trials out over a process pool and a runner with a
-  cache makes warm reruns free — with results identical to a serial,
-  uncached run in either case.  ``runner=None`` runs serial and
-  uncached, exactly the legacy behaviour.
+Rail traces are captured through the vectorized signal exports
+(:meth:`System.vcc_signal`), so the simulated DAQ evaluates each sample
+grid in one call instead of one rail lookup per sample.
 """
 
 from __future__ import annotations
@@ -312,41 +303,31 @@ def _iteration_deltas(config: ProcessorConfig, freq: float) -> List[float]:
     return [r.elapsed_ns - steady for r in results]
 
 
-def fig8_throttling(trials: int = 25,
-                    runner: Optional[SweepRunner] = None) -> Fig8Result:
-    """TP distributions on the three parts and PG wake deltas.
+def _require_positive(name: str, value: int) -> None:
+    """Reject a non-positive trial or symbol count at sweep entry."""
+    if value < 1:
+        raise ConfigError(f"{name} must be >= 1, got {value}")
 
-    Every trial is an independent simulation; ``runner`` (see
-    :class:`repro.runner.SweepRunner`) may execute them in parallel
-    and/or cache them without changing the result.
-    """
-    runner = runner if runner is not None else SweepRunner()
+
+def fig8_throttling(trials: int = 25) -> Fig8Result:
+    """TP distributions on the three parts and PG wake deltas."""
+    _require_positive("trials", trials)
     rng = np.random.default_rng(8)
     parts = {
         "Haswell": haswell_i7_4770k(),
         "Coffee Lake": coffee_lake_i7_9700k(),
         "Cannon Lake": cannon_lake_i3_8121u(),
     }
-    # Draw every trial frequency up front, in the legacy loop order, so
-    # the rng stream is identical to a serial per-part run.
-    labels: List[str] = []
-    tasks: List[Dict] = []
+    tp: Dict[str, List[float]] = {}
     for name, config in parts.items():
+        tp[name] = []
         for trial in range(trials):
             freq = float(rng.uniform(2.9, 3.1))
             freq = min(max(freq, config.min_freq_ghz), config.max_turbo_ghz)
-            labels.append(name)
-            tasks.append(dict(config=config, freq=freq, seed=trial + 1))
-    tp: Dict[str, List[float]] = {name: [] for name in parts}
-    for name, sample in zip(labels, runner.map(_tp_sample, tasks)):
-        tp[name].append(sample)
-    delta_results = runner.map(_iteration_deltas, [
-        dict(config=coffee_lake_i7_9700k(), freq=3.0),
-        dict(config=haswell_i7_4770k(), freq=3.0),
-    ])
+            tp[name].append(_tp_sample(config, freq, seed=trial + 1))
     deltas = {
-        "Coffee Lake": delta_results[0],
-        "Haswell": delta_results[1],
+        "Coffee Lake": _iteration_deltas(coffee_lake_i7_9700k(), 3.0),
+        "Haswell": _iteration_deltas(haswell_i7_4770k(), 3.0),
     }
     return Fig8Result(tp_us_by_part=tp, iteration_deltas_ns=deltas)
 
@@ -453,31 +434,18 @@ def _fig10_preceded(config: ProcessorConfig, freq: float, iclass: IClass,
 
 def fig10_multilevel(freqs: Sequence[float] = (1.0, 1.2, 1.4),
                      classes: Sequence[IClass] = tuple(IClass),
-                     iterations: int = 60,
-                     runner: Optional[SweepRunner] = None) -> Fig10Result:
+                     iterations: int = 60) -> Fig10Result:
     """Cannon Lake TP vs instruction class x frequency x active cores."""
     config = cannon_lake_i3_8121u()
-    runner = runner if runner is not None else SweepRunner()
-    cell_keys: List[Tuple[str, float, int]] = []
-    cell_tasks: List[Dict] = []
-    for freq in freqs:
-        for n_cores in (1, 2):
-            for iclass in classes:
-                cell_keys.append((iclass.label, freq, n_cores))
-                cell_tasks.append(dict(config=config, freq=freq,
-                                       n_cores=n_cores, iclass=iclass,
-                                       iterations=iterations))
-    sweep: Dict[Tuple[str, float, int], float] = dict(
-        zip(cell_keys, runner.map(_fig10_cell, cell_tasks)))
-
-    preceded_tasks = [
-        dict(config=config, freq=freqs[-1], iclass=iclass,
-             iterations=iterations)
+    sweep: Dict[Tuple[str, float, int], float] = {
+        (iclass.label, freq, n_cores):
+            _fig10_cell(config, freq, n_cores, iclass, iterations)
+        for freq in freqs for n_cores in (1, 2) for iclass in classes
+    }
+    preceded: Dict[str, float] = {
+        iclass.label: _fig10_preceded(config, freqs[-1], iclass, iterations)
         for iclass in classes
-    ]
-    preceded: Dict[str, float] = dict(
-        zip((iclass.label for iclass in classes),
-            runner.map(_fig10_preceded, preceded_tasks)))
+    }
 
     # Assign L1..L5 by ranking the distinct preceded-TP plateaus.
     ordered = sorted(preceded.items(), key=lambda kv: kv[1])
@@ -576,29 +544,19 @@ def _fig12_baseline_run(name: str, bits: List[int]) -> Tuple[float, float]:
 
 
 def fig12_throughput(payload: bytes = b"\xa5\x3c\x96\x0f\x5a\xc3",
-                     baseline_bits: int = 12,
-                     runner: Optional[SweepRunner] = None) -> Fig12Result:
+                     baseline_bits: int = 12) -> Fig12Result:
     """Run every channel and baseline on Cannon Lake systems."""
-    runner = runner if runner is not None else SweepRunner()
-    channel_names = ["IccThreadCovert", "IccSMTcovert", "IccCoresCovert"]
-    channel_results = runner.map(
-        _fig12_channel_run,
-        [dict(name=name, payload=payload) for name in channel_names])
-
+    results: Dict[str, Tuple[float, float]] = {}
+    for name in ("IccThreadCovert", "IccSMTcovert", "IccCoresCovert"):
+        results[name] = _fig12_channel_run(name, payload)
     rng = np.random.default_rng(12)
     bits = [int(b) for b in rng.integers(0, 2, baseline_bits)]
-    baseline_names = ["NetSpectre", "TurboCC", "DFScovert", "POWERT"]
-    baseline_results = runner.map(
-        _fig12_baseline_run,
-        [dict(name=name, bits=bits) for name in baseline_names])
-
-    out_bps: Dict[str, float] = {}
-    out_ber: Dict[str, float] = {}
-    for name, (bps, ber) in zip(channel_names + baseline_names,
-                                channel_results + baseline_results):
-        out_bps[name] = bps
-        out_ber[name] = ber
-    return Fig12Result(throughput_bps=out_bps, ber=out_ber)
+    for name in ("NetSpectre", "TurboCC", "DFScovert", "POWERT"):
+        results[name] = _fig12_baseline_run(name, bits)
+    return Fig12Result(
+        throughput_bps={name: bps for name, (bps, _) in results.items()},
+        ber={name: ber for name, (_, ber) in results.items()},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -616,8 +574,10 @@ class Fig13Result:
     min_gap_cycles: float
 
 
-def _fig13_impl(symbols_per_level: int, seed: int) -> Fig13Result:
-    """The Figure 13 measurement proper, as one cacheable task."""
+def fig13_level_distribution(symbols_per_level: int = 10,
+                             seed: int = 13) -> Fig13Result:
+    """IccThreadCovert level clusters under low system noise."""
+    _require_positive("symbols_per_level", symbols_per_level)
     config = cannon_lake_i3_8121u()
     system = System(config, seed=seed)
     attach_system_noise(
@@ -645,16 +605,6 @@ def _fig13_impl(symbols_per_level: int, seed: int) -> Fig13Result:
         separations=separations,
         min_gap_cycles=min_gap,
     )
-
-
-def fig13_level_distribution(symbols_per_level: int = 10,
-                             seed: int = 13,
-                             runner: Optional[SweepRunner] = None
-                             ) -> Fig13Result:
-    """IccThreadCovert level clusters under low system noise."""
-    runner = runner if runner is not None else SweepRunner()
-    return runner.call(_fig13_impl,
-                       symbols_per_level=symbols_per_level, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -719,38 +669,31 @@ def fig14_noise_sensitivity(
                                         5000.0, 10000.0),
         phi_rates: Sequence[float] = (10.0, 100.0, 1000.0, 10000.0),
         trials: int = 3,
-        seed: int = 14,
-        runner: Optional[SweepRunner] = None) -> Fig14Result:
+        seed: int = 14) -> Fig14Result:
     """BER vs interrupt/context-switch rate and vs App-PHI rate.
 
     Each point averages ``trials`` independent transfers; single
     transfers are dominated by whether a burst happens to land inside a
     decode window at all.  Every transfer has a seed derived only from
-    its (rate, trial) coordinates, so sweep order — and therefore
-    parallel execution via ``runner`` — cannot change the result.
+    its (rate, trial) coordinates, so sweep order cannot change the
+    result.
     """
-    runner = runner if runner is not None else SweepRunner()
-    event_tasks = [
-        dict(event_rate_per_s=rate, payload=payload,
-             seed=seed + int(rate) + 1000 * t)
-        for rate in event_rates for t in range(trials)
-    ]
-    event_bers = runner.map(_channel_ber_under_noise, event_tasks)
+    _require_positive("trials", trials)
     ber_events = {
-        rate: float(np.mean(event_bers[i * trials:(i + 1) * trials]))
-        for i, rate in enumerate(event_rates)
+        rate: float(np.mean([
+            _channel_ber_under_noise(rate, payload,
+                                     seed + int(rate) + 1000 * t)
+            for t in range(trials)]))
+        for rate in event_rates
     }
-    phi_tasks = [
-        dict(phi_rate_per_s=rate, payload=payload,
-             seed=seed + int(rate) + 1000 * t)
-        for rate in phi_rates for t in range(trials)
-    ]
-    phi_bers = runner.map(_channel_ber_under_phi_app, phi_tasks)
     ber_phis = {
-        rate: float(np.mean(phi_bers[i * trials:(i + 1) * trials]))
-        for i, rate in enumerate(phi_rates)
+        rate: float(np.mean([
+            _channel_ber_under_phi_app(rate, payload,
+                                       seed + int(rate) + 1000 * t)
+            for t in range(trials)]))
+        for rate in phi_rates
     }
-    sevenzip = runner.call(_sevenzip_ber, payload=payload, seed=seed)
+    sevenzip = _sevenzip_ber(payload, seed)
     return Fig14Result(
         ber_vs_event_rate=ber_events,
         ber_vs_phi_rate=ber_phis,
@@ -784,11 +727,11 @@ class Table2Row:
     effective_mitigations: bool
 
 
-def table2_comparison(fig12: Optional[Fig12Result] = None,
-                      runner: Optional[SweepRunner] = None) -> List[Table2Row]:
+def table2_comparison(fig12: Optional[Fig12Result] = None
+                      ) -> List[Table2Row]:
     """Comparison matrix with measured bandwidths (Table 2)."""
     if fig12 is None:
-        fig12 = fig12_throughput(runner=runner)
+        fig12 = fig12_throughput()
     ichannels_bw = max(
         fig12.throughput_bps["IccThreadCovert"],
         fig12.throughput_bps["IccSMTcovert"],
@@ -868,67 +811,6 @@ def side_channel_inference(rounds: int = 3, seed: int = 65
         confusion=confusion,
         key_bits_recovered=key_recovered,
         key_bits_total=len(key),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Neighbour-noise matrix: channel BER vs realistic co-running apps
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class NeighbourMatrixResult:
-    """BER of each channel under each neighbour application."""
-
-    ber: Dict[Tuple[str, str], float]
-    channels: List[str]
-    neighbours: List[str]
-
-
-def neighbour_noise_matrix(payload: bytes = b"\x5a\x3c\xc3\x0f\x69\x96",
-                           seed: int = 88) -> NeighbourMatrixResult:
-    """Run every channel beside every synthetic neighbour application.
-
-    Extends Section 6.3's single 7-zip data point into a matrix: the
-    browser-like neighbour barely touches the rail, the video codec's
-    frame-clocked AVX2 perturbs it periodically, and the ML server's
-    dense AVX-512 bursts are the worst case.
-    """
-    from repro.isa.workload import (
-        browser_like_trace,
-        ml_inference_like_trace,
-        sevenzip_like_trace,
-        video_codec_like_trace,
-    )
-    from repro.soc.noise import attach_trace
-
-    config = cannon_lake_i3_8121u()
-    duration_ms = 60.0 + 0.9 * len(payload) * 4
-    neighbours = {
-        "idle": None,
-        "browser": lambda: browser_like_trace(duration_ms, seed=seed),
-        "7-zip": lambda: sevenzip_like_trace(duration_ms, seed=seed),
-        "video-codec": lambda: video_codec_like_trace(duration_ms, seed=seed),
-        "ml-inference": lambda: ml_inference_like_trace(duration_ms, seed=seed),
-    }
-    channels = {
-        "IccThreadCovert": lambda s: IccThreadCovert(s),
-        "IccSMTcovert": lambda s: IccSMTcovert(s),
-    }
-    ber: Dict[Tuple[str, str], float] = {}
-    for channel_name, channel_factory in channels.items():
-        for neighbour_name, trace_factory in neighbours.items():
-            system = System(config, seed=seed)
-            if trace_factory is not None:
-                # The neighbour shares the package from the other core.
-                attach_trace(system, system.thread_on(1, 0), trace_factory())
-            channel = channel_factory(system)
-            report = channel.transfer(payload)
-            ber[(channel_name, neighbour_name)] = report.ber
-    return NeighbourMatrixResult(
-        ber=ber,
-        channels=list(channels),
-        neighbours=list(neighbours),
     )
 
 
@@ -1138,8 +1020,7 @@ def resilience_sweep(
             raise ConfigError(
                 f"unknown mitigation {name!r}; choose from "
                 f"{list(RESILIENCE_MITIGATIONS)}")
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
+    _require_positive("trials", trials)
     runner = runner if runner is not None else SweepRunner()
     coords = [(c, m, x) for c in channels for m in mitigations
               for x in intensities]

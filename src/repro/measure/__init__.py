@@ -13,7 +13,6 @@ from repro.measure.sampler import (
     PiecewiseLinearSignal,
     TraceSampler,
 )
-from repro.measure.spectral import RailSpectralDetector, SpectralVerdict
 from repro.measure.probe import (
     IterationTimings,
     ThrottleDetector,
@@ -36,8 +35,6 @@ __all__ = [
     "PiecewiseConstantSignal",
     "PiecewiseLinearSignal",
     "TraceSampler",
-    "RailSpectralDetector",
-    "SpectralVerdict",
     "IterationTimings",
     "ThrottleDetector",
     "expected_iteration_tsc",

@@ -1,24 +1,23 @@
 """Experiment sweep runner: parallel execution + content-addressed cache.
 
-Regenerating the paper's artifacts means re-running sweeps of full
-covert-channel transfers (Figures 8, 10, 13, 14, Table 2) whose trials
-are independent simulations.  This package is the infrastructure every
-scaling study runs on:
+The mitigation matrix and the resilience sweep re-run grids of full
+covert-channel transfers whose cells are independent simulations.  This
+package is the infrastructure they run on:
 
 * :class:`SweepRunner` — executes a list of (function, kwargs) tasks,
   serially or on a process pool (``jobs``), returning results in input
   order so parallel and serial runs are bit-identical;
 * :class:`ResultCache` — a content-addressed on-disk cache keyed by the
   code version plus the canonicalised task parameters, so a warm rerun
-  of a figure skips all simulation work.
+  of a sweep skips all simulation work.
 
 Usage::
 
     from repro.runner import ResultCache, SweepRunner
-    from repro.analysis.experiments import fig8_throttling
+    from repro.analysis.experiments import resilience_sweep
 
     runner = SweepRunner(jobs=4, cache=ResultCache())
-    result = fig8_throttling(trials=25, runner=runner)
+    result = resilience_sweep(trials=2, runner=runner)
 """
 
 from repro.runner.cache import (

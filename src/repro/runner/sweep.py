@@ -1,16 +1,15 @@
 """Parallel experiment executor with optional result caching.
 
 A *task* is a module-level function plus a kwargs dict, both picklable —
-exactly the shape of the per-trial helpers in
-:mod:`repro.analysis.experiments` (every trial builds its own
-:class:`~repro.soc.system.System` from a :class:`ProcessorConfig` and a
-seed, so tasks share no state and any execution order gives identical
-results).  :meth:`SweepRunner.map` preserves input order in its output,
+exactly the shape of the resilience-sweep and mitigation-matrix trials
+(every trial builds its own :class:`~repro.soc.system.System` from a
+:class:`ProcessorConfig` and a seed, so tasks share no state and any
+execution order gives identical results).  :meth:`SweepRunner.map` preserves input order in its output,
 which makes ``jobs=1`` and ``jobs=N`` bit-identical by construction.
 
 With a :class:`~repro.runner.cache.ResultCache` attached, each task is
 looked up by content address first; only misses are executed (in
-parallel if requested) and stored back, so a warm rerun of a figure
+parallel if requested) and stored back, so a warm rerun of a sweep
 executes nothing.
 """
 

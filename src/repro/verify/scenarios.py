@@ -24,9 +24,10 @@ Section-5 behaviours are all covered:
   (:mod:`repro.mitigations.matrix`), whose undefended plain cell must
   stay bit-identical to ``scenario_baseline_cores``.
 
-Scenarios marked ``supports_runner`` accept a
-:class:`~repro.runner.SweepRunner`, which the determinism auditor uses
-to prove that worker count and cache state cannot change any digest.
+Scenarios marked ``supports_runner`` (``resilience_slice`` and
+``matrix_2x2``) accept a :class:`~repro.runner.SweepRunner`, which the
+determinism auditor uses to prove that worker count and cache state
+cannot change any digest.
 """
 
 from __future__ import annotations
@@ -116,9 +117,9 @@ def fig6_slice() -> Dict[str, Any]:
     }
 
 
-def fig8_slice(runner: Optional[SweepRunner] = None) -> Dict[str, Any]:
+def fig8_slice() -> Dict[str, Any]:
     """Figure 8 TP distributions (trimmed sweep) as a digest document."""
-    result = fig8_throttling(trials=6, runner=runner)
+    result = fig8_throttling(trials=6)
     return {
         "tp_us": {part: [float(v) for v in values]
                   for part, values in result.tp_us_by_part.items()},
@@ -129,10 +130,9 @@ def fig8_slice(runner: Optional[SweepRunner] = None) -> Dict[str, Any]:
     }
 
 
-def fig13_slice(runner: Optional[SweepRunner] = None) -> Dict[str, Any]:
+def fig13_slice() -> Dict[str, Any]:
     """Figure 13 receiver level clusters as a digest document."""
-    result = fig13_level_distribution(symbols_per_level=6, seed=13,
-                                      runner=runner)
+    result = fig13_level_distribution(symbols_per_level=6, seed=13)
     return {
         "samples_by_symbol": {
             str(symbol): summarize_array(values, name=f"symbol{symbol}")
@@ -234,9 +234,9 @@ SCENARIOS: Tuple[Scenario, ...] = (
              "three covert channels transferring the demo payload"),
     Scenario("fig6_slice", fig6_slice, False,
              "Eq.-1 guardband voltage steps (Figure 6)"),
-    Scenario("fig8_slice", fig8_slice, True,
+    Scenario("fig8_slice", fig8_slice, False,
              "TP quantization distributions (Figure 8, trimmed)"),
-    Scenario("fig13_slice", fig13_slice, True,
+    Scenario("fig13_slice", fig13_slice, False,
              "receiver TP level clusters and thresholds (Figure 13)"),
     Scenario("resilience_slice", resilience_slice, True,
              "fault-injection resilience sweep at nominal intensity"),

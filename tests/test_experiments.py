@@ -4,7 +4,19 @@ import numpy as np
 import pytest
 
 from repro.analysis import experiments as ex
+from repro.errors import ConfigError
 from repro.isa import IClass
+
+
+@pytest.mark.parametrize("sweep, kwargs", [
+    (ex.fig8_throttling, {"trials": 0}),
+    (ex.fig8_throttling, {"trials": -1}),
+    (ex.fig14_noise_sensitivity, {"trials": 0}),
+    (ex.fig13_level_distribution, {"symbols_per_level": 0}),
+], ids=["fig8-trials0", "fig8-trials-1", "fig14-trials0", "fig13-symbols0"])
+def test_sweeps_reject_non_positive_counts(sweep, kwargs):
+    with pytest.raises(ConfigError, match="must be >= 1"):
+        sweep(**kwargs)
 
 
 class TestFig6:

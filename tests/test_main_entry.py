@@ -1,5 +1,7 @@
 """Package entry point (`python -m repro`)."""
 
+import pytest
+
 from repro.__main__ import main
 
 
@@ -10,3 +12,9 @@ class TestMainDemo:
         assert "IChannels demo" in out
         assert out.count("[OK]") == 3
         assert "[FAILED]" not in out
+
+    def test_runner_flags_need_mitigation_matrix(self, tmp_path):
+        for argv in (["--jobs", "2"], ["--cache-dir", str(tmp_path)]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.analysis.experiments import fig8_throttling
+from repro.analysis.experiments import resilience_sweep
 from repro.errors import ConfigError
 from repro.runner import cache as cache_module
 from repro.runner import (
@@ -352,25 +352,30 @@ class TestSweepFailureSemantics:
         assert runner.total.executed == 5
 
 
+def _small_resilience(runner=None):
+    """A two-trial resilience sweep: the smallest experiment taking a runner."""
+    return resilience_sweep(payload=b"\x5a\x0f", intensities=(1.0,),
+                            mitigations=("none",), trials=2, runner=runner)
+
+
 class TestExperimentDeterminism:
     """Parallelism and caching must not change experiment results."""
 
-    def test_fig8_parallel_equals_serial(self):
-        serial = fig8_throttling(trials=3, runner=SweepRunner(jobs=1))
-        parallel = fig8_throttling(trials=3, runner=SweepRunner(jobs=4))
+    def test_resilience_parallel_equals_serial(self):
+        serial = _small_resilience(SweepRunner(jobs=1))
+        parallel = _small_resilience(SweepRunner(jobs=2))
         assert serial == parallel
 
-    def test_fig8_warm_cache_executes_nothing(self, tmp_path):
+    def test_resilience_warm_cache_executes_nothing(self, tmp_path):
         cold_runner = SweepRunner(cache=ResultCache(root=tmp_path))
-        cold = fig8_throttling(trials=3, runner=cold_runner)
+        cold = _small_resilience(cold_runner)
         assert cold_runner.total.executed > 0
         warm_runner = SweepRunner(cache=ResultCache(root=tmp_path))
-        warm = fig8_throttling(trials=3, runner=warm_runner)
+        warm = _small_resilience(warm_runner)
         assert warm_runner.total.executed == 0
         assert warm_runner.total.cache_hits == warm_runner.total.tasks
         assert cold == warm
 
-    def test_fig8_default_runner_unchanged(self):
-        # No runner argument is the legacy serial path.
-        assert fig8_throttling(trials=2) == fig8_throttling(
-            trials=2, runner=SweepRunner())
+    def test_resilience_default_runner_unchanged(self):
+        # No runner argument is the serial, uncached path.
+        assert _small_resilience() == _small_resilience(SweepRunner())

@@ -7,7 +7,7 @@ from repro.verify.scenarios import compute_digest
 class TestAuditChecks:
     def test_runner_variations_reproduce_baseline(self):
         """jobs=2 and cache cold/warm must all match the serial digest."""
-        checks = audit_scenario("fig8_slice", subprocess_checks=False)
+        checks = audit_scenario("matrix_2x2", subprocess_checks=False)
         variations = {check.variation for check in checks}
         assert variations == {"jobs=2", "cache=cold", "cache=warm"}
         for check in checks:
@@ -16,10 +16,13 @@ class TestAuditChecks:
     def test_serial_scenario_has_no_runner_variations(self):
         checks = audit_scenario("fig6_slice", subprocess_checks=False)
         assert checks == []
+        # The figure sweeps run serially, so the audit has nothing to vary.
+        assert audit_scenario("fig8_slice", baseline="0" * 64,
+                              subprocess_checks=False) == []
 
     def test_supplied_baseline_is_trusted(self):
         """A wrong baseline must surface as a divergence, not pass."""
-        checks = audit_scenario("fig8_slice", baseline="0" * 64,
+        checks = audit_scenario("matrix_2x2", baseline="0" * 64,
                                 subprocess_checks=False)
         assert checks and all(not check.ok for check in checks)
 
