@@ -12,6 +12,8 @@ Section-5 behaviours are all covered:
 * ``fig8_slice`` — TP quantization distributions across the three
   parts, plus power-gate wake deltas;
 * ``fig13_slice`` — receiver TP level clusters and decode thresholds;
+* ``fig14_slice`` — BER under OS noise, beside a PHI-injecting app and
+  beside 7-zip (one point of each Figure 14 sweep);
 * ``resilience_slice`` — the fault-injection resilience sweep at
   nominal intensity across all three mitigation stacks;
 * ``scenario_baseline_cores`` / ``scenario_trace_replay`` /
@@ -40,6 +42,7 @@ from repro.analysis.experiments import (
     fig6_voltage_steps,
     fig8_throttling,
     fig13_level_distribution,
+    fig14_noise_sensitivity,
     resilience_sweep,
 )
 from repro.core import IccCoresCovert, IccSMTcovert, IccThreadCovert
@@ -145,6 +148,19 @@ def fig13_slice() -> Dict[str, Any]:
     }
 
 
+def fig14_slice() -> Dict[str, Any]:
+    """Figure 14 BER points (one per noise source) as a digest document."""
+    result = fig14_noise_sensitivity(event_rates=(10000.0,),
+                                     phi_rates=(1000.0,), trials=1)
+    return {
+        "ber_vs_event_rate": {f"{rate:g}": float(ber) for rate, ber
+                              in result.ber_vs_event_rate.items()},
+        "ber_vs_phi_rate": {f"{rate:g}": float(ber) for rate, ber
+                            in result.ber_vs_phi_rate.items()},
+        "sevenzip_ber": float(result.sevenzip_ber),
+    }
+
+
 def resilience_slice(runner: Optional[SweepRunner] = None) -> Dict[str, Any]:
     """Resilience sweep at nominal fault intensity as a digest document."""
     result = resilience_sweep(
@@ -238,6 +254,8 @@ SCENARIOS: Tuple[Scenario, ...] = (
              "TP quantization distributions (Figure 8, trimmed)"),
     Scenario("fig13_slice", fig13_slice, False,
              "receiver TP level clusters and thresholds (Figure 13)"),
+    Scenario("fig14_slice", fig14_slice, False,
+             "BER under OS noise, App PHIs and 7-zip (Figure 14, trimmed)"),
     Scenario("resilience_slice", resilience_slice, True,
              "fault-injection resilience sweep at nominal intensity"),
     Scenario("scenario_baseline_cores", scenario_baseline_cores, False,
