@@ -6,6 +6,11 @@ series/rows the corresponding figure or table plots.  The benchmark
 harnesses under ``benchmarks/`` print these; EXPERIMENTS.md records the
 paper-vs-measured comparison.
 
+The covert-channel sweep points (Figure 12's channels, Figure 14 and
+the resilience sweep) are built from
+:class:`~repro.scenarios.ScenarioSpec` values, through the same
+system builder and channel factory the scenario library uses.
+
 Rail traces are captured through the vectorized signal exports
 (:meth:`System.vcc_signal`), so the simulated DAQ evaluates each sample
 grid in one call instead of one rail lookup per sample.
@@ -13,6 +18,7 @@ grid in one call instead of one rail lookup per sample.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
@@ -21,15 +27,12 @@ import numpy as np
 from repro.core import (
     AdaptiveConfig,
     CovertSession,
-    IccCoresCovert,
-    IccSMTcovert,
     IccThreadCovert,
     SessionConfig,
 )
 from repro.core.baselines import DFSCovert, NetSpectreGadget, PowerT, TurboCC
-from repro.core.channel import ChannelConfig, CovertChannel
+from repro.core.channel import CovertChannel
 from repro.errors import CalibrationError, ConfigError, ProtocolError
-from repro.faults import parse_fault_spec
 from repro.isa.instructions import IClass
 from repro.isa.workload import Loop, calculix_like_trace, uniform_loop
 from repro.measure.daq import DAQCard
@@ -38,13 +41,23 @@ from repro.microarch.counters import PMC, normalized_undelivered
 from repro.microarch.pipeline import CorePipeline, PipelineConfig
 from repro.mitigations.report import MitigationReport, evaluate_all
 from repro.runner import SweepRunner
+from repro.scenarios import (
+    CHANNEL_KINDS,
+    NoiseSpec,
+    ScenarioSpec,
+    TenantSpec,
+    WorkloadSpec,
+    build_system,
+    make_channel,
+    run_scenario,
+)
 from repro.soc.config import (
     ProcessorConfig,
     cannon_lake_i3_8121u,
     coffee_lake_i7_9700k,
     haswell_i7_4770k,
 )
-from repro.soc.noise import NoiseConfig, attach_concurrent_app, attach_system_noise
+from repro.soc.noise import NoiseConfig, attach_system_noise
 from repro.soc.system import System
 from repro.units import ms_to_ns, ns_to_us, us_to_ns, v_to_mv
 
@@ -309,6 +322,29 @@ def _require_positive(name: str, value: int) -> None:
         raise ConfigError(f"{name} must be >= 1, got {value}")
 
 
+def _require_finite_nonnegative(name: str, values: Sequence[float]) -> None:
+    """Reject a negative, NaN or infinite sweep coordinate at entry."""
+    for value in values:
+        if not 0 <= value < math.inf:
+            raise ConfigError(
+                f"{name} must be finite and >= 0, got {value}")
+
+
+def _spec_channel(kind: str, faults: str = "") -> CovertChannel:
+    """A ``kind`` channel on a fresh Cannon Lake system, built from a spec.
+
+    ``kind`` is one of :data:`~repro.scenarios.CHANNEL_KINDS`; the
+    tenant sits on core 0 (and core 1 for ``cores``), and ``faults`` is
+    an optional :mod:`repro.faults` spec string attached before the
+    channel is made.
+    """
+    tenant = TenantSpec(kind, 0, 1 if kind == "cores" else 0)
+    spec = ScenarioSpec(name=f"{kind}_channel",
+                        description=f"one {kind} channel on Cannon Lake",
+                        tenants=(tenant,), faults=faults)
+    return make_channel(build_system(spec), tenant, spec)
+
+
 def fig8_throttling(trials: int = 25) -> Fig8Result:
     """TP distributions on the three parts and PG wake deltas."""
     _require_positive("trials", trials)
@@ -508,22 +544,6 @@ class Fig12Result:
         return self.throughput_bps[ours] / self.throughput_bps[baseline]
 
 
-def _fig12_channel_run(name: str, payload: bytes) -> Tuple[float, float]:
-    """(throughput_bps, ber) of one IChannels channel on a fresh system."""
-    channel_types = {
-        "IccThreadCovert": IccThreadCovert,
-        "IccSMTcovert": IccSMTcovert,
-        "IccCoresCovert": IccCoresCovert,
-    }
-    if name not in channel_types:
-        raise ConfigError(f"unknown channel {name!r}")
-    system = System(cannon_lake_i3_8121u())
-    channel = channel_types[name](system)
-    channel.calibrate()
-    report = channel.transfer(payload)
-    return report.throughput_bps, report.ber
-
-
 def _fig12_baseline_run(name: str, bits: List[int]) -> Tuple[float, float]:
     """(throughput_bps, ber) of one baseline channel on a fresh system."""
     config = cannon_lake_i3_8121u()
@@ -547,8 +567,11 @@ def fig12_throughput(payload: bytes = b"\xa5\x3c\x96\x0f\x5a\xc3",
                      baseline_bits: int = 12) -> Fig12Result:
     """Run every channel and baseline on Cannon Lake systems."""
     results: Dict[str, Tuple[float, float]] = {}
-    for name in ("IccThreadCovert", "IccSMTcovert", "IccCoresCovert"):
-        results[name] = _fig12_channel_run(name, payload)
+    for kind in CHANNEL_KINDS:
+        channel = _spec_channel(kind)
+        channel.calibrate()
+        report = channel.transfer(payload)
+        results[type(channel).__name__] = (report.throughput_bps, report.ber)
     rng = np.random.default_rng(12)
     bits = [int(b) for b in rng.integers(0, 2, baseline_bits)]
     for name in ("NetSpectre", "TurboCC", "DFScovert", "POWERT"):
@@ -621,46 +644,30 @@ class Fig14Result:
     sevenzip_ber: float
 
 
-def _channel_ber_under_noise(event_rate_per_s: float, payload: bytes,
-                             seed: int) -> float:
-    config = cannon_lake_i3_8121u()
-    system = System(config, seed=seed)
-    noise = NoiseConfig(
-        interrupt_rate_per_s=0.8 * event_rate_per_s,
-        ctx_switch_rate_per_s=0.2 * event_rate_per_s,
-    )
-    horizon = ms_to_ns(40.0 + 0.9 * len(payload) * 4)
-    attach_system_noise(system, [system.thread_on(0)], noise,
-                        horizon_ns=horizon, seed=seed)
-    channel = IccThreadCovert(system)
-    report = channel.transfer(payload)
-    return report.ber
+def _fig14_ber(payload: bytes, seed: int, source: str,
+               rate_per_s: float = 0.0) -> float:
+    """BER of one IccThreadCovert transfer beside one Section-6.3 noise source.
 
-
-def _channel_ber_under_phi_app(phi_rate_per_s: float, payload: bytes,
-                               seed: int) -> float:
-    config = cannon_lake_i3_8121u()
-    system = System(config, seed=seed)
+    ``source`` ``"os"`` preempts the channel's thread with interrupts
+    and context switches at ``rate_per_s`` events/s (split 80/20);
+    ``"phi_schedule"`` (an App injecting ``rate_per_s`` PHIs/s) and
+    ``"sevenzip"`` run that workload on core 1.
+    """
     duration_ms = 40.0 + 0.9 * len(payload) * 4
-    attach_concurrent_app(system, system.thread_on(1), phi_rate_per_s,
-                          duration_ms=duration_ms, seed=seed)
-    channel = IccThreadCovert(system)
-    report = channel.transfer(payload)
-    return report.ber
-
-
-def _sevenzip_ber(payload: bytes, seed: int) -> float:
-    """BER beside a 7-zip-like sparse AVX2 neighbour (Section 6.3)."""
-    from repro.isa.workload import sevenzip_like_trace
-    from repro.soc.noise import attach_trace
-
-    config = cannon_lake_i3_8121u()
-    system = System(config, seed=seed)
-    duration_ms = 40.0 + 0.9 * len(payload) * 4
-    attach_trace(system, system.thread_on(1),
-                 sevenzip_like_trace(total_ms=duration_ms, seed=seed))
-    channel = IccThreadCovert(system)
-    return channel.transfer(payload).ber
+    noise = None
+    background: Tuple[WorkloadSpec, ...] = ()
+    if source == "os":
+        noise = NoiseSpec(interrupt_rate_per_s=0.8 * rate_per_s,
+                          ctx_switch_rate_per_s=0.2 * rate_per_s,
+                          horizon_ms=duration_ms, seed=seed)
+    else:
+        background = (WorkloadSpec(source, core=1, duration_ms=duration_ms,
+                                   seed=seed, rate_per_s=rate_per_s),)
+    spec = ScenarioSpec(name="fig14_point",
+                        description=f"IccThreadCovert beside {source} noise",
+                        noise=noise, background=background,
+                        payload_hex=payload.hex(), seed=seed)
+    return run_scenario(spec).tenants[0].ber
 
 
 def fig14_noise_sensitivity(
@@ -679,21 +686,22 @@ def fig14_noise_sensitivity(
     result.
     """
     _require_positive("trials", trials)
+    _require_finite_nonnegative("event_rates", event_rates)
+    _require_finite_nonnegative("phi_rates", phi_rates)
     ber_events = {
         rate: float(np.mean([
-            _channel_ber_under_noise(rate, payload,
-                                     seed + int(rate) + 1000 * t)
+            _fig14_ber(payload, seed + int(rate) + 1000 * t, "os", rate)
             for t in range(trials)]))
         for rate in event_rates
     }
     ber_phis = {
         rate: float(np.mean([
-            _channel_ber_under_phi_app(rate, payload,
-                                       seed + int(rate) + 1000 * t)
+            _fig14_ber(payload, seed + int(rate) + 1000 * t,
+                       "phi_schedule", rate)
             for t in range(trials)]))
         for rate in phi_rates
     }
-    sevenzip = _sevenzip_ber(payload, seed)
+    sevenzip = _fig14_ber(payload, seed, "sevenzip")
     return Fig14Result(
         ber_vs_event_rate=ber_events,
         ber_vs_phi_rate=ber_phis,
@@ -815,89 +823,8 @@ def side_channel_inference(rounds: int = 3, seed: int = 65
 
 
 # ---------------------------------------------------------------------------
-# Multi-tenant interference: two covert pairs sharing one machine
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class MultiPairResult:
-    """BER of two concurrently running cross-core pairs."""
-
-    ber_aligned: Tuple[float, float]
-    ber_offset: Tuple[float, float]
-    ber_solo: float
-
-
-def multi_pair_interference(payload: bytes = b"\x5a\x3c\xc3\x0f",
-                            seed: int = 99) -> MultiPairResult:
-    """Two IccCoresCovert pairs on one 8-core part, sharing the rail.
-
-    Both pairs' voltage transitions serialise on the same regulator, so
-    each pair is the other's worst-case 'App-PHI' noise.  With slot
-    clocks *aligned*, every transaction collides and readings carry the
-    other sender's level; offsetting one pair's schedule by half a slot
-    moves its transitions into the other pair's quiet window and mostly
-    restores the channel.  A beyond-paper result with an operational
-    flavour: covert channel capacity on a shared machine is a contended
-    resource.
-    """
-    from repro.core.sync import SlotSchedule
-
-    config = coffee_lake_i7_9700k()
-    symbols = None
-
-    def run_pairs(offset_fraction: float) -> Tuple[float, float]:
-        nonlocal symbols
-        system = System(config, seed=seed)
-        pair_a = IccCoresCovert(system, sender_core=0, receiver_core=1)
-        pair_b = IccCoresCovert(system, sender_core=4, receiver_core=5)
-        # Calibrate sequentially (each alone on the machine).
-        pair_a.calibrate()
-        pair_b.calibrate()
-        symbols = bytes_to_symbols_cached(payload)
-        slot = max(pair_a.slot_ns, pair_b.slot_ns)
-        epoch = system.now + slot
-        schedule_a = SlotSchedule(epoch, slot)
-        schedule_b = SlotSchedule(epoch + offset_fraction * slot, slot)
-        meas_a: List[Optional[float]] = [None] * len(symbols)
-        meas_b: List[Optional[float]] = [None] * len(symbols)
-        pair_a._spawn_transaction_programs(schedule_a, symbols, meas_a)
-        pair_b._spawn_transaction_programs(schedule_b, symbols, meas_b)
-        system.run_until(schedule_b.slot_start(len(symbols)) + slot)
-        def ber(channel, readings):
-            decoded = channel.calibrator.decode_all(
-                [float(m) for m in readings])
-            wrong = sum(bin((a ^ b) & 0b11).count("1")
-                        for a, b in zip(symbols, decoded))
-            return wrong / (2 * len(symbols))
-        return ber(pair_a, meas_a), ber(pair_b, meas_b)
-
-    def bytes_to_symbols_cached(data: bytes) -> List[int]:
-        from repro.core.encoding import bytes_to_symbols
-
-        return bytes_to_symbols(data)
-
-    solo_system = System(config, seed=seed)
-    solo = IccCoresCovert(solo_system, sender_core=0, receiver_core=1)
-    solo_report = solo.transfer(payload)
-
-    return MultiPairResult(
-        ber_aligned=run_pairs(0.0),
-        ber_offset=run_pairs(0.5),
-        ber_solo=solo_report.ber,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Resilience under fault injection (docs/FAULTS.md)
 # ---------------------------------------------------------------------------
-
-#: Channel constructors the resilience sweep knows how to build.
-RESILIENCE_CHANNELS: Dict[str, type] = {
-    "thread": IccThreadCovert,
-    "smt": IccSMTcovert,
-    "cores": IccCoresCovert,
-}
 
 #: Mitigation stacks compared by the resilience sweep, weakest first.
 RESILIENCE_MITIGATIONS: Tuple[str, ...] = ("none", "arq", "adaptive")
@@ -951,12 +878,9 @@ def _resilience_trial(channel_name: str, mitigation: str, intensity: float,
     strings, not injector objects, are the currency shipped to worker
     processes.
     """
-    system = System(cannon_lake_i3_8121u(), seed=2021)
-    if intensity > 0.0:
-        injector = parse_fault_spec(
-            f"default:intensity={intensity},seed={seed}")
-        injector.attach(system)
-    channel = RESILIENCE_CHANNELS[channel_name](system)
+    faults = (f"default:intensity={intensity},seed={seed}"
+              if intensity > 0.0 else "")
+    channel = _spec_channel(channel_name, faults)
 
     if mitigation == "none":
         # Bare channel: one calibrated transfer, no framing, no FEC.
@@ -1011,16 +935,17 @@ def resilience_sweep(
     parallel cached run returns exactly what a serial run would.
     """
     for name in channels:
-        if name not in RESILIENCE_CHANNELS:
+        if name not in CHANNEL_KINDS:
             raise ConfigError(
                 f"unknown channel {name!r}; choose from "
-                f"{sorted(RESILIENCE_CHANNELS)}")
+                f"{sorted(CHANNEL_KINDS)}")
     for name in mitigations:
         if name not in RESILIENCE_MITIGATIONS:
             raise ConfigError(
                 f"unknown mitigation {name!r}; choose from "
                 f"{list(RESILIENCE_MITIGATIONS)}")
     _require_positive("trials", trials)
+    _require_finite_nonnegative("intensities", intensities)
     runner = runner if runner is not None else SweepRunner()
     coords = [(c, m, x) for c in channels for m in mitigations
               for x in intensities]

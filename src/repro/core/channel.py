@@ -161,7 +161,16 @@ class TransferReport:
 
     @property
     def throughput_bps(self) -> float:
-        """Realised throughput in bits per second."""
+        """Realised throughput in bits per second.
+
+        The denominator is the whole run, :attr:`elapsed_ns`: the
+        leading quiet slot, one slot per symbol, and the drain slot
+        after the last one, so n + 2 slots for n symbols.  A 6-byte
+        payload (24 symbols) at 750 us slots takes 19.5 ms, 2,461.5
+        b/s; the scenario runner's
+        :attr:`~repro.scenarios.run.TenantResult.throughput_bps` counts
+        the 24 symbol slots only (2,666.7 b/s).
+        """
         return bits_per_second(self.bits, self.elapsed_ns)
 
     @property

@@ -231,7 +231,3 @@ class SweepRunner:
         tracer.metrics.histogram("runner.task_wall_ms").observe(
             (time.perf_counter() - start) * 1e3)
         return result
-
-    def call(self, fn: Callable[..., Any], **kwargs: Any) -> Any:
-        """Run (or cache-resolve) a single task."""
-        return self.map(fn, [kwargs])[0]

@@ -30,11 +30,9 @@ from repro.scenarios.run import (
     ScenarioRun,
     TenantResult,
     interference_sweep,
-    interference_trial,
     make_channel,
     run_document,
     run_scenario,
-    scenario_document,
 )
 from repro.scenarios.spec import (
     CHANNEL_KINDS,
@@ -68,14 +66,12 @@ __all__ = [
     "get_spec",
     "interference_spec",
     "interference_sweep",
-    "interference_trial",
     "make_channel",
     "register",
     "registry_markdown",
     "render_docs",
     "run_document",
     "run_scenario",
-    "scenario_document",
     "scenario_names",
     "tenant_thread_ids",
 ]

@@ -1,20 +1,19 @@
 """Run declarative scenarios end to end (N tenants, one shared PMU).
 
-Generalises the two-pair experiment of
-:func:`repro.analysis.experiments.multi_pair_interference` to any
-registered topology: every tenant calibrates sequentially (alone on
-the machine), then all feasible tenants transfer the payload
-*concurrently* on a common slot length, each with its own slot-clock
-offset.  A tenant whose calibration fails (per-core LDO rails, secure
-mode, drowned-out levels) is reported infeasible with BER 1.0 rather
-than aborting the scenario — infeasibility is a result the registry
-pins, not an error.
+Every tenant calibrates sequentially (alone on the machine), then all
+feasible tenants transfer the payload *concurrently* on a common slot
+length, each with its own slot-clock offset — a single pair is the
+one-tenant case.  A tenant whose calibration fails (per-core LDO
+rails, secure mode, drowned-out levels) is reported infeasible with
+BER 1.0 rather than aborting the scenario — infeasibility is a result
+the registry pins, not an error.
 
-The module-level entry points (:func:`scenario_document`,
-:func:`interference_trial`) are picklable, so scenarios run unchanged
-through :class:`~repro.runner.SweepRunner` pools; :func:`run_document`
-emits the plain-JSON document the :mod:`repro.verify` golden gates
-digest.
+The paper's covert-channel sweeps in :mod:`repro.analysis.experiments`
+build every point as a spec: Figure 14 points run through
+:func:`run_scenario`, while Figure 12 and the resilience sweep take
+their system from :func:`~repro.scenarios.build.build_system` and
+their channel from :func:`make_channel`.  :func:`run_document` emits
+the plain-JSON document the :mod:`repro.verify` golden gates digest.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from repro.core.channel import CovertChannel
 from repro.core.encoding import bytes_to_symbols
 from repro.core.sync import SlotSchedule
 from repro.errors import CalibrationError, ProtocolError
-from repro.runner import SweepRunner
 from repro.scenarios.build import build_system
 from repro.scenarios.registry import get_spec, interference_spec
 from repro.scenarios.spec import ScenarioSpec, TenantSpec
@@ -46,8 +44,8 @@ def make_channel(system: System, tenant: TenantSpec,
     Maps the tenant's channel kind to the concrete primitive —
     ``thread`` -> :class:`IccThreadCovert`, ``smt`` ->
     :class:`IccSMTcovert`, ``cores`` -> :class:`IccCoresCovert` — on
-    the tenant's cores.  Shared by :func:`run_scenario` and the
-    mitigation matrix's session cells.
+    the tenant's cores.  Shared by :func:`run_scenario`, the mitigation
+    matrix's session cells, and the Figure 12 and resilience sweeps.
     """
     config = spec.channel_config()
     if tenant.channel == "thread":
@@ -67,7 +65,11 @@ class TenantResult:
     under this topology); then BER is pinned at 1.0 and the streams
     are empty.  ``symbols_received`` uses ``-1`` for slots where the
     receiver produced no measurement (lost to noise/faults) — those
-    slots count as fully errored.
+    slots count as fully errored.  ``throughput_bps`` divides the
+    payload bits by the symbol slots alone (``len(symbols) * slot_ns``),
+    unlike :attr:`~repro.core.channel.TransferReport.throughput_bps`,
+    which also counts the leading quiet slot and the trailing drain
+    slot.
     """
 
     index: int
@@ -263,22 +265,6 @@ def run_document(spec: Union[ScenarioSpec, str]) -> Dict[str, Any]:
     return run_scenario(spec).document()
 
 
-def scenario_document(name: str) -> Dict[str, Any]:
-    """Module-level task form of :func:`run_document`.
-
-    Takes the scenario *name* (picklable) so it can fan out over
-    :class:`~repro.runner.SweepRunner` process pools.
-    """
-    return run_document(name)
-
-
-def interference_trial(n_pairs: int, preset: str = "skylake_sp",
-                       payload_hex: str = "43") -> Dict[str, Any]:
-    """One interference-ladder point as a module-level (picklable) task."""
-    return run_document(interference_spec(n_pairs, preset=preset,
-                                          payload_hex=payload_hex))
-
-
 @dataclass(frozen=True)
 class InterferencePoint:
     """Per-tenant channel quality at one tenant-pair count."""
@@ -314,30 +300,23 @@ class InterferenceSweepResult:
 def interference_sweep(pair_counts: Sequence[int] = (1, 2, 4, 8),
                        preset: str = "skylake_sp",
                        payload_hex: str = "43",
-                       runner: Optional[SweepRunner] = None,
                        ) -> InterferenceSweepResult:
     """Per-tenant BER/capacity as tenant count grows on one rail.
 
     Runs the N-pair ladder (same part, same payload, slot clocks tiled
     per :func:`~repro.scenarios.registry.interference_spec`) and
-    reduces each point to per-tenant BER and capacity.  ``runner``
-    fans the independent points out over a process pool.
+    reduces each point to per-tenant BER and capacity.
     """
-    tasks = [dict(n_pairs=int(n), preset=preset, payload_hex=payload_hex)
-             for n in pair_counts]
-    if runner is not None:
-        documents = runner.map(interference_trial, tasks)
-    else:
-        documents = [interference_trial(**kwargs) for kwargs in tasks]
     points = []
-    for n, document in zip(pair_counts, documents):
-        tenants = document["tenants"]
+    for n in pair_counts:
+        run = run_scenario(interference_spec(
+            int(n), preset=preset, payload_hex=payload_hex))
         points.append(InterferencePoint(
             n_pairs=int(n),
-            per_tenant_ber=tuple(t["ber"] for t in tenants),
+            per_tenant_ber=tuple(t.ber for t in run.tenants),
             per_tenant_capacity_bps=tuple(
-                t["capacity_bps"] for t in tenants),
-            mean_ber=document["mean_ber"],
-            aggregate_goodput_bps=document["aggregate_goodput_bps"],
+                t.capacity_bps for t in run.tenants),
+            mean_ber=run.mean_ber,
+            aggregate_goodput_bps=run.aggregate_goodput_bps,
         ))
     return InterferenceSweepResult(preset=preset, points=tuple(points))

@@ -22,6 +22,7 @@ See docs/SCENARIOS.md for the full grammar and worked examples.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
@@ -178,10 +179,18 @@ class NoiseSpec:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        if self.horizon_ms <= 0:
-            raise ConfigError(
-                f"noise.horizon_ms must be positive, got {self.horizon_ms}")
-        self.config()  # delegate rate/service-time validation
+        for name in ("interrupt_rate_per_s", "ctx_switch_rate_per_s"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ConfigError(
+                    f"noise.{name} must be finite and >= 0, got {value}")
+        for name in ("interrupt_mean_us", "ctx_switch_mean_us",
+                     "horizon_ms"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ConfigError(
+                    f"noise.{name} must be finite and positive, "
+                    f"got {value}")
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, Any]) -> "NoiseSpec":
@@ -256,9 +265,14 @@ class WorkloadSpec:
         if self.smt_slot not in (0, 1):
             raise ConfigError(
                 f"workload smt_slot must be 0 or 1, got {self.smt_slot}")
-        if self.duration_ms <= 0:
+        if not 0 < self.duration_ms < math.inf:
             raise ConfigError(
-                f"workload duration_ms must be positive, got {self.duration_ms}")
+                f"workload duration_ms must be finite and positive, "
+                f"got {self.duration_ms}")
+        if not 0 <= self.rate_per_s < math.inf:
+            raise ConfigError(
+                f"workload rate_per_s must be finite and >= 0, "
+                f"got {self.rate_per_s}")
         if self.kind == "replay":
             if not self.phases:
                 raise ConfigError(
@@ -270,10 +284,10 @@ class WorkloadSpec:
                         f"unknown instruction class {name!r} in replay "
                         f"phases; valid classes: "
                         f"{', '.join(IClass.__members__)}")
-                if duration <= 0:
+                if not 0 < duration < math.inf:
                     raise ConfigError(
-                        f"replay phase durations must be positive ns, "
-                        f"got {duration} for {name}")
+                        f"replay phase durations must be finite and "
+                        f"positive ns, got {duration} for {name}")
         elif self.phases:
             raise ConfigError(
                 f"'phases' is only valid for kind 'replay', "

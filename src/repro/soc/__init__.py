@@ -20,7 +20,7 @@ from repro.soc.config import (
 )
 from repro.soc.feasibility import ChannelFeasibility, FeasibilityReport, analyze as analyze_feasibility
 from repro.soc.system import ExecResult, System
-from repro.soc.noise import NoiseConfig, attach_concurrent_app, attach_system_noise
+from repro.soc.noise import NoiseConfig, attach_system_noise
 
 __all__ = [
     "Engine",
@@ -40,6 +40,5 @@ __all__ = [
     "ExecResult",
     "System",
     "NoiseConfig",
-    "attach_concurrent_app",
     "attach_system_noise",
 ]

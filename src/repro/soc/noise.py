@@ -11,20 +11,20 @@ Section 6.3 of the paper analyses two noise sources:
   Because the voltage request of a *noisier* (higher-level) PHI can
   outrank the covert channel's own PHI, decode errors appear when the
   noise app's rate rises (Figure 14b/c).  The noise app here is a real
-  simulated program — its PHIs go through the same PMU path as the
-  channel's.
+  simulated program — a :func:`~repro.isa.workload.random_phi_schedule`
+  trace played by :func:`attach_trace`, whose PHIs go through the same
+  PMU path as the channel's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List, Optional, Sequence
+from typing import Generator, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.isa.instructions import IClass
-from repro.isa.workload import PhaseTrace, random_phi_schedule
+from repro.isa.workload import PhaseTrace
 from repro.soc.system import System
 from repro.units import us_to_ns
 
@@ -95,28 +95,6 @@ def attach_system_noise(system: System, thread_ids: Sequence[int],
                                 config.ctx_switch_mean_us, ctx_rng, horizon_ns),
             name=f"ctx_noise_t{thread_id}",
         )
-
-
-def attach_concurrent_app(system: System, thread_id: int,
-                          phi_rate_per_s: float, duration_ms: float,
-                          classes: Optional[Sequence[IClass]] = None,
-                          seed: int = 14) -> None:
-    """Run a synthetic PHI-injecting application on ``thread_id``.
-
-    Models the 'App' of Section 6.3/Figure 14c: mostly scalar code with
-    Poisson PHI bursts at a random level among the four channel levels,
-    at ``phi_rate_per_s`` bursts per second.
-    """
-    usable: List[IClass] = list(classes) if classes is not None else [
-        IClass.HEAVY_128, IClass.LIGHT_256, IClass.HEAVY_256, IClass.HEAVY_512,
-    ]
-    usable = [c for c in usable if c.width_bits <= system.config.max_vector_bits]
-    if not usable:
-        raise ConfigError("no PHI class fits this processor's vector width")
-    trace = random_phi_schedule(duration_ms, phi_rate_per_s,
-                                classes=usable, seed=seed)
-    system.spawn(system.trace_program(thread_id, trace),
-                 name=f"app_phi_t{thread_id}")
 
 
 def attach_trace(system: System, thread_id: int, trace: PhaseTrace) -> None:

@@ -17,8 +17,9 @@ from repro.core.session import (
     SessionReport,
 )
 from repro.errors import ProtocolError
+from repro.isa.workload import random_phi_schedule
 from repro.soc.config import cannon_lake_i3_8121u
-from repro.soc.noise import attach_concurrent_app
+from repro.soc.noise import attach_trace
 
 
 def clean_session(channel_cls=IccThreadCovert, **kwargs):
@@ -79,8 +80,8 @@ class TestCleanTransport:
 class TestNoisyTransport:
     def _noisy_session(self, fec, rate=800.0, seed=9):
         system = System(cannon_lake_i3_8121u(), seed=seed)
-        attach_concurrent_app(system, system.thread_on(1), rate,
-                              duration_ms=800.0, seed=seed)
+        attach_trace(system, system.thread_on(1),
+                     random_phi_schedule(800.0, rate, seed=seed))
         return CovertSession(IccThreadCovert(system), SessionConfig(fec=fec))
 
     def test_hamming_survives_noise_that_kills_uncoded(self):
@@ -184,8 +185,8 @@ class TestQuietSensing:
 
     def test_hot_system_senses_busy_sometimes(self):
         system = System(cannon_lake_i3_8121u(), seed=3)
-        attach_concurrent_app(system, system.thread_on(1), 5000.0,
-                              duration_ms=300.0, seed=3)
+        attach_trace(system, system.thread_on(1),
+                     random_phi_schedule(300.0, 5000.0, seed=3))
         session = CovertSession(IccThreadCovert(system))
         verdicts = [session.channel_is_quiet() for _ in range(12)]
         assert verdicts.count(False) >= 2
@@ -202,8 +203,8 @@ class TestQuietSensing:
 
     def test_gated_send_still_delivers_under_noise(self):
         system = System(cannon_lake_i3_8121u(), seed=21)
-        attach_concurrent_app(system, system.thread_on(1), 400.0,
-                              duration_ms=900.0, seed=21)
+        attach_trace(system, system.thread_on(1),
+                     random_phi_schedule(900.0, 400.0, seed=21))
         session = CovertSession(
             IccThreadCovert(system),
             SessionConfig(wait_for_quiet=True, quiet_patience=4))

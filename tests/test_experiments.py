@@ -19,6 +19,22 @@ def test_sweeps_reject_non_positive_counts(sweep, kwargs):
         sweep(**kwargs)
 
 
+@pytest.mark.parametrize("sweep, kwargs", [
+    (ex.resilience_sweep, {"intensities": (-1.0,)}),
+    (ex.resilience_sweep, {"intensities": (float("nan"),)}),
+    (ex.resilience_sweep, {"intensities": (float("inf"),)}),
+    (ex.fig14_noise_sensitivity, {"event_rates": (float("nan"),)}),
+    (ex.fig14_noise_sensitivity, {"event_rates": (float("inf"),)}),
+    (ex.fig14_noise_sensitivity, {"phi_rates": (float("nan"),)}),
+    (ex.fig14_noise_sensitivity, {"phi_rates": (float("inf"),)}),
+], ids=["resilience-neg", "resilience-nan", "resilience-inf",
+        "fig14-event-nan", "fig14-event-inf", "fig14-phi-nan",
+        "fig14-phi-inf"])
+def test_sweeps_reject_bad_coordinates(sweep, kwargs):
+    with pytest.raises(ConfigError, match="must be finite and >= 0"):
+        sweep(**kwargs)
+
+
 class TestFig6:
     @pytest.fixture(scope="class")
     def result(self):
@@ -278,11 +294,3 @@ class TestSideChannelExperiment:
             diagonal = sum(n for (a, b), n in matrix.items() if a == b)
             total = sum(matrix.values())
             assert diagonal / total >= 0.8, location
-
-
-class TestMultiPairInterference:
-    def test_aligned_pairs_jam_offset_pairs_coexist(self):
-        result = ex.multi_pair_interference()
-        assert result.ber_solo == 0.0
-        assert min(result.ber_aligned) > 0.2
-        assert max(result.ber_offset) < 0.05

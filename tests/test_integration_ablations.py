@@ -125,7 +125,8 @@ class TestEndToEndScenario:
         from repro.core import Hamming74
         from repro.core.ecc import deinterleave, interleave
         from repro.core.encoding import bits_to_bytes, bytes_to_bits
-        from repro.soc.noise import attach_concurrent_app
+        from repro.isa.workload import random_phi_schedule
+        from repro.soc.noise import attach_trace
 
         payload = b"\x9d\x42"
         code = Hamming74()
@@ -136,8 +137,8 @@ class TestEndToEndScenario:
         wire = bits_to_bytes(wire_bits)
 
         system = System(cannon_lake_i3_8121u(), seed=77)
-        attach_concurrent_app(system, system.thread_on(1), 2000.0,
-                              duration_ms=60.0, seed=77)
+        attach_trace(system, system.thread_on(1),
+                     random_phi_schedule(60.0, 2000.0, seed=77))
         channel = IccThreadCovert(system)
         report = channel.transfer(wire)
         received = deinterleave(bytes_to_bits(report.received),

@@ -5,12 +5,10 @@ import pytest
 from repro import IClass, System
 from repro.core import ChannelLocation, IccThreadCovert, InstructionClassSpy
 from repro.errors import ConfigError
+from repro.isa.workload import random_phi_schedule
+from repro.scenarios import WorkloadSpec
 from repro.soc.config import cannon_lake_i3_8121u, coffee_lake_i7_9700k
-from repro.soc.noise import (
-    NoiseConfig,
-    attach_concurrent_app,
-    attach_system_noise,
-)
+from repro.soc.noise import NoiseConfig, attach_system_noise, attach_trace
 from repro.units import ms_to_ns, us_to_ns
 
 
@@ -80,16 +78,18 @@ class TestConcurrentApp:
         clean = IccThreadCovert(quiet).transfer(b"\x5a\x3c\xf0\x69")
 
         noisy = System(cannon_lake_i3_8121u(), seed=5)
-        attach_concurrent_app(noisy, noisy.thread_on(1), 10_000.0,
-                              duration_ms=80.0, seed=5)
+        attach_trace(noisy, noisy.thread_on(1),
+                     random_phi_schedule(80.0, 10_000.0, seed=5))
         dirty = IccThreadCovert(noisy).transfer(b"\x5a\x3c\xf0\x69")
         assert clean.ber == 0.0
         assert dirty.ber >= clean.ber
 
     def test_app_classes_clamped_to_part_width(self):
         system = System(coffee_lake_i7_9700k())
-        attach_concurrent_app(system, system.thread_on(1), 100.0,
-                              duration_ms=5.0)
+        app = WorkloadSpec("phi_schedule", duration_ms=5.0, seed=14,
+                           rate_per_s=100.0)
+        attach_trace(system, system.thread_on(1),
+                     app.build_trace(system.config.max_vector_bits))
         system.run_until(ms_to_ns(1.0))  # must not raise about AVX-512
 
 

@@ -170,9 +170,6 @@ class TestSweepRunner:
         parallel = SweepRunner(jobs=3).map(_square, tasks)
         assert serial == parallel
 
-    def test_call_single_task(self):
-        assert SweepRunner().call(_square, x=7) == 49
-
     def test_cache_skips_execution_on_rerun(self, tmp_path):
         tasks = [{"x": x} for x in range(6)]
         cold = SweepRunner(cache=ResultCache(root=tmp_path))

@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.isa import IClass
-from repro.runner import SweepRunner
 from repro.scenarios import (
     NoiseSpec,
     PMUSpec,
@@ -20,7 +19,6 @@ from repro.scenarios import (
     interference_sweep,
     run_document,
     run_scenario,
-    scenario_document,
     scenario_names,
     tenant_thread_ids,
 )
@@ -158,12 +156,6 @@ class TestInterferenceSweep:
         assert len(result.points[1].per_tenant_ber) == 2
         assert len(result.points[1].per_tenant_capacity_bps) == 2
 
-    def test_runner_path_matches_inline(self):
-        inline = interference_sweep(pair_counts=(1, 2))
-        pooled = interference_sweep(pair_counts=(1, 2),
-                                    runner=SweepRunner(jobs=2))
-        assert pooled.to_mapping() == inline.to_mapping()
-
     def test_contention_is_visible_at_scale(self):
         result = interference_sweep(pair_counts=(1, 4))
         solo, crowded = result.points
@@ -191,13 +183,6 @@ class TestEntryPoints:
         out = capsys.readouterr().out
         assert "scenario: baseline_thread" in out
         assert "mean BER" in out
-
-    def test_scenario_document_task_is_picklable(self):
-        documents = SweepRunner(jobs=2).map(
-            scenario_document,
-            [dict(name="baseline_thread"), dict(name="baseline_cores")])
-        assert [d["spec"]["name"] for d in documents] == [
-            "baseline_thread", "baseline_cores"]
 
 
 class TestScenarioPhysics:
@@ -228,3 +213,25 @@ class TestScenarioPhysics:
         assert any(p.iclass is IClass.HEAVY_256 for p in trace)
         run = run_scenario(spec)
         assert run.tenants[0].feasible
+
+
+class TestMultiPairInterference:
+    """Two cross-core pairs on one 8-core part contend for the rail."""
+
+    @staticmethod
+    def _bers(*tenants):
+        spec = ScenarioSpec(
+            name="two_pairs", description="cross-core pairs on one rail",
+            preset="coffee_lake", tenants=tenants,
+            payload_hex="5a3cc30f", seed=99)
+        return [t.ber for t in run_scenario(spec).tenants]
+
+    def test_aligned_pairs_jam_offset_pairs_coexist(self):
+        solo = self._bers(TenantSpec("cores", 0, 1))
+        aligned = self._bers(TenantSpec("cores", 0, 1),
+                             TenantSpec("cores", 4, 5))
+        offset = self._bers(TenantSpec("cores", 0, 1),
+                            TenantSpec("cores", 4, 5, offset_fraction=0.5))
+        assert solo == [0.0]
+        assert min(aligned) > 0.2
+        assert max(offset) < 0.05

@@ -234,6 +234,33 @@ class TestRejection:
             ScenarioSpec(name="x", description="d",
                          protocol=(("slot_width_us", 750),))
 
+    @pytest.mark.parametrize("field", [
+        "interrupt_rate_per_s", "interrupt_mean_us",
+        "ctx_switch_rate_per_s", "ctx_switch_mean_us", "horizon_ms"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")],
+                             ids=["nan", "inf"])
+    def test_noise_rejects_non_finite(self, field, value):
+        with pytest.raises(ConfigError, match=f"noise.{field}"):
+            NoiseSpec(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("rate_per_s", -1.0),
+        ("rate_per_s", float("nan")),
+        ("rate_per_s", float("inf")),
+        ("duration_ms", float("nan")),
+        ("duration_ms", float("inf")),
+    ], ids=["rate-neg", "rate-nan", "rate-inf", "duration-nan",
+            "duration-inf"])
+    def test_workload_rejects_bad_numbers(self, field, value):
+        with pytest.raises(ConfigError, match=f"workload {field}"):
+            WorkloadSpec("phi_schedule", **{field: value})
+
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf")],
+                             ids=["nan", "inf"])
+    def test_replay_rejects_non_finite_phase(self, duration):
+        with pytest.raises(ConfigError, match="replay phase durations"):
+            WorkloadSpec("replay", phases=(("SCALAR_64", duration),))
+
     def test_bad_protocol_value_propagates(self):
         with pytest.raises(ProtocolError):
             ScenarioSpec(name="x", description="d",
