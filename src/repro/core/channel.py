@@ -97,6 +97,9 @@ class ChannelConfig:
             raise ProtocolError(
                 f"slot jitter must be finite and >= 0, got "
                 f"{self.slot_jitter_us}")
+        if self.jitter_seed < 0:
+            raise ProtocolError(
+                f"jitter_seed must be >= 0, got {self.jitter_seed}")
         if self.sender_iterations < 1 or self.probe_iterations < 1:
             raise ProtocolError("loop iterations must be >= 1")
         if self.training_rounds < 1:

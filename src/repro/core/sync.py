@@ -9,14 +9,20 @@ offset derived from a shared seed: both parties compute identical slot
 times, but an outside observer sees an aperiodic throttle train — the
 attacker's answer to periodicity-based detection
 (:class:`~repro.mitigations.detector.ThrottleAnomalyDetector`).
+:class:`PerturbedSchedule` is the opposite: one party's private,
+uncoordinated wake-up delays.
+
+Both draw per slot from a counter-based generator: the salt folds into
+a 64-bit key once per schedule, and slot ``i``'s draw hashes
+``(key, i)`` with splitmix64.  A draw depends only on the salt and the
+slot index — never on query order, process, or ``PYTHONHASHSEED`` — so
+two parties that share the salt share the draws without talking.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.errors import ProtocolError
 
@@ -30,6 +36,30 @@ from repro.errors import ProtocolError
 #: the magnitudes whose ulps dominate the error — and stays far below
 #: any physically meaningful fraction of a slot.
 _BOUNDARY_EPS = 4e-15
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN64 = 0x9E3779B97F4A7C15
+
+
+def _mix64(z: int) -> int:
+    """splitmix64's finaliser: a bijective avalanche of a 64-bit word."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _fold_key(salt: tuple) -> int:
+    """Fold a tuple of ints (each taken mod 2**64) into a 64-bit key."""
+    key = 0
+    for part in salt:
+        key = _mix64(((key ^ part) + _GOLDEN64) & _MASK64)
+    return key
+
+
+def _uniform(key: int, counter: int) -> float:
+    """Output ``counter`` of the splitmix64 stream ``key``, in [0, 1)."""
+    word = _mix64((key + (counter + 1) * _GOLDEN64) & _MASK64)
+    return (word >> 11) * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -83,18 +113,20 @@ class JitteredSchedule(SlotSchedule):
     """Slots with shared-seed pseudo-random start offsets.
 
     Slot ``i`` starts at ``epoch + i*slot + U(0, jitter)`` where the
-    uniform draw comes from a deterministic stream both parties seed
-    identically.  Slots never overlap because the jitter only delays a
-    start within its own slot (``jitter_ns`` must stay below the slack
-    the slot leaves after its send window).
+    uniform draw hashes ``(seed, i)``, so both parties holding the seed
+    compute it identically.  Slots never overlap because the jitter only
+    delays a start within its own slot (``jitter_ns`` must stay below the
+    slack the slot leaves after its send window).
     """
 
     jitter_ns: float = 0.0
     seed: int = 0
     _offsets: dict = field(default_factory=dict, compare=False)
+    _key: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        object.__setattr__(self, "_key", _fold_key((self.seed,)))
         if not self.jitter_ns >= 0:
             raise ProtocolError(f"jitter must be >= 0, got {self.jitter_ns}")
         if self.jitter_ns >= self.slot_ns:
@@ -106,10 +138,7 @@ class JitteredSchedule(SlotSchedule):
     def _offset(self, index: int) -> float:
         cached = self._offsets.get(index)
         if cached is None:
-            # Derive each slot's offset independently so lookups need no
-            # ordering; (seed, index) gives both parties the same draw.
-            rng = np.random.default_rng((self.seed, index))
-            cached = float(rng.uniform(0.0, self.jitter_ns))
+            cached = self.jitter_ns * _uniform(self._key, index)
             self._offsets[index] = cached
         return cached
 
@@ -133,6 +162,8 @@ class PerturbedSchedule(SlotSchedule):
 
     Delays are half-normal (``|N(0, sigma)|``), capped at ``cap_ns`` and
     always non-negative — the OS can wake a task late, never early.
+    Slot ``i``'s normal comes by Box–Muller from two uniforms hashed
+    from ``(salt, i)``.
     Indexing (:meth:`slot_index_at`) follows the unperturbed base
     schedule: the party is late *into* its nominal slot, the slot grid
     itself does not move.
@@ -143,9 +174,11 @@ class PerturbedSchedule(SlotSchedule):
     cap_ns: float = 0.0
     salt: tuple = ()
     _delays: dict = field(default_factory=dict, compare=False)
+    _key: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        object.__setattr__(self, "_key", _fold_key(self.salt))
         if self.base is None:
             raise ProtocolError("PerturbedSchedule needs a base schedule")
         if not (0 <= self.sigma_ns < math.inf and 0 <= self.cap_ns < math.inf):
@@ -164,8 +197,12 @@ class PerturbedSchedule(SlotSchedule):
         """This party's wake-up delay entering slot ``index``."""
         cached = self._delays.get(index)
         if cached is None:
-            rng = np.random.default_rng(self.salt + (index,))
-            cached = min(self.cap_ns, abs(float(rng.normal(0.0, self.sigma_ns))))
+            # Box–Muller; 1 - u lies in (0, 1], so the log is finite.
+            u1 = _uniform(self._key, 2 * index)
+            u2 = _uniform(self._key, 2 * index + 1)
+            normal = (math.sqrt(-2.0 * math.log(1.0 - u1))
+                      * math.cos(2.0 * math.pi * u2))
+            cached = min(self.cap_ns, abs(self.sigma_ns * normal))
             self._delays[index] = cached
         return cached
 

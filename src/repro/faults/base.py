@@ -9,7 +9,9 @@ holds any number of them and attaches the whole suite to a
 
 Determinism contract: every model draws randomness only from generators
 created by :meth:`FaultModel.rng`, which seeds from ``(seed, model name,
-salt)``.  Two runs with the same seeds, the same models and the same
+salt)`` — except ``slot-jitter``, whose per-slot delays come from the
+counter hash of :class:`~repro.core.sync.PerturbedSchedule`, keyed on
+the same tuple.  Two runs with the same seeds, the same models and the same
 workload produce bit-identical simulations — fault injection never makes
 an experiment unrepeatable.
 
@@ -70,6 +72,8 @@ class FaultModel(abc.ABC):
         if not 0 <= intensity < math.inf:
             raise ConfigError(
                 f"fault intensity must be finite and >= 0, got {intensity}")
+        if seed < 0:
+            raise ConfigError(f"fault seed must be >= 0, got {seed}")
         self.intensity = float(intensity)
         self.seed = int(seed)
         #: Perturbation events applied so far (for reports and tests).

@@ -197,6 +197,10 @@ class TestChannelConfig:
         with pytest.raises(ProtocolError, match="slot jitter"):
             ChannelConfig(slot_jitter_us=slot_jitter_us)
 
+    def test_negative_jitter_seed_rejected(self):
+        with pytest.raises(ProtocolError, match="jitter_seed"):
+            ChannelConfig(slot_jitter_us=100.0, jitter_seed=-1)
+
     def test_bad_iterations_rejected(self):
         with pytest.raises(ProtocolError):
             ChannelConfig(sender_iterations=0)

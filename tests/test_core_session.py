@@ -290,23 +290,29 @@ class TestAdaptiveSession:
         assert any(f.degraded for f in report.frames)
 
     def test_adaptive_beats_plain_arq_under_default_suite(self):
+        # docs/FAULTS.md's claim is statistical, so check it over fault
+        # seeds 1-10 rather than at one seed: some seeds leave plain ARQ
+        # a benign draw, but the adaptive session must deliver at every
+        # seed and plain ARQ must average residual BER above 1e-1.
         from repro.faults import parse_fault_spec
 
         payload = b"\x5a\x0f\xc3\x3c\xa5\x69\x96\x0a"
 
-        def run(adaptive):
+        def run(adaptive, seed):
             system = System(cannon_lake_i3_8121u(), seed=2021)
-            parse_fault_spec("default:seed=2701").attach(system)
+            parse_fault_spec(f"default:seed={seed}").attach(system)
             config = SessionConfig(
                 max_retries=8,
                 adaptive=AdaptiveConfig() if adaptive else None)
             return CovertSession(IccCoresCovert(system), config).send(payload)
 
-        plain = run(adaptive=False)
-        resilient = run(adaptive=True)
-        assert not plain.ok and plain.residual_ber > 1e-1
-        assert resilient.ok and resilient.residual_ber <= 1e-2
-        assert resilient.recalibrations > 0 or resilient.degraded
+        seeds = range(1, 11)
+        plain = [run(False, seed).residual_ber for seed in seeds]
+        assert sum(plain) / len(plain) > 1e-1
+        for seed in seeds:
+            resilient = run(True, seed)
+            assert resilient.ok and resilient.residual_ber <= 1e-2
+            assert resilient.recalibrations > 0 or resilient.degraded
 
     def test_best_effort_assembly_on_failure(self):
         system = System(cannon_lake_i3_8121u(), seed=5)

@@ -7,8 +7,13 @@ experiment relies on: intensity 0 is a perfect no-op, and the default
 suite actually damages the cross-channel transfers.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro import System, cannon_lake_i3_8121u
 from repro.core import IccCoresCovert, IccThreadCovert, PerturbedSchedule, SlotSchedule
@@ -168,6 +173,59 @@ class TestPerturbedSchedule:
             assert sched.slot_index_at(base.slot_start(i) + 1.0) == i
         assert sched.next_slot_after(2500.0) == base.next_slot_after(2500.0)
 
+    def test_delays_follow_capped_half_normal(self):
+        # Cap at 1.5 sigma so ~13% of the 1e5 draws sit on the cap: the
+        # atom must match P(|N| >= cap) and the rest |N(0, sigma)|
+        # truncated at the cap (KS cannot test a CDF with an atom).
+        sigma, cap = 1000.0, 1500.0
+        sched = PerturbedSchedule.wrap(SlotSchedule(0.0, 750_000.0),
+                                       sigma, cap, salt=(1, 2))
+        delays = np.array([sched.delay(i) for i in range(100_000)])
+        on_cap = delays == cap
+        p_cap = 2.0 * stats.norm.sf(cap / sigma)
+        assert stats.binomtest(int(on_cap.sum()), delays.size,
+                               p_cap).pvalue > 1e-3
+        below = stats.truncnorm(0.0, cap / sigma, scale=sigma)
+        assert stats.kstest(delays[~on_cap], below.cdf).pvalue > 1e-3
+
+    def test_delay_independent_of_query_order(self):
+        base = SlotSchedule(epoch_ns=0.0, slot_ns=750_000.0)
+        forward = PerturbedSchedule.wrap(base, 1000.0, 5000.0, salt=(4,))
+        backward = PerturbedSchedule.wrap(base, 1000.0, 5000.0, salt=(4,))
+        late = [backward.delay(i) for i in (10**6, 999, 3)]
+        reverse = {i: backward.delay(i) for i in reversed(range(64))}
+        assert [forward.delay(i) for i in range(64)] == [
+            reverse[i] for i in range(64)]
+        assert late == [forward.delay(i) for i in (10**6, 999, 3)]
+
+    def test_draws_independent_of_hash_seed(self):
+        program = (
+            "import sys; sys.path.insert(0, {src!r})\n"
+            "from repro.core import JitteredSchedule, SlotSchedule\n"
+            "from repro.faults import SlotScheduleJitter\n"
+            "base = SlotSchedule(0.0, 750000.0)\n"
+            "rx = SlotScheduleJitter(seed=3).perturb_schedule(base, 'receiver')\n"
+            "jit = JitteredSchedule(0.0, 1000.0, jitter_ns=300.0, seed=7)\n"
+            "print([rx.delay(i).hex() for i in range(8)],\n"
+            "      [jit.slot_start(i).hex() for i in range(8)])\n"
+        ).format(src=os.path.abspath("src"))
+        outputs = set()
+        for seed in ("0", "424242"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            out = subprocess.run([sys.executable, "-c", program], env=env,
+                                 capture_output=True, text=True, check=True)
+            outputs.add(out.stdout)
+        assert len(outputs) == 1
+
+    def test_pinned_draws(self):
+        # Golden (salt, index) -> delay pairs: a change of generator must
+        # fail here, not only as drifted goldens downstream.
+        base = SlotSchedule(epoch_ns=0.0, slot_ns=750_000.0)
+        sched = PerturbedSchedule.wrap(base, 1000.0, 5000.0, salt=(1, 2))
+        assert [sched.delay(i) for i in (0, 1, 7, 10**6)] == [
+            404.53942932833274, 62.74847682208549, 188.743018322919,
+            1121.37918399482]
+
 
 class TestDriftingTsc:
     def test_positive_skew_runs_fast(self):
@@ -297,6 +355,12 @@ class TestSpecParsing:
     def test_non_finite_knob_rejected(self, clause, value):
         with pytest.raises(ConfigError, match="finite"):
             parse_fault_spec(f"{clause}={value}")
+
+    @pytest.mark.parametrize("name", fault_model_names())
+    def test_negative_seed_rejected(self, name):
+        # Rejected when the model is built, not when its stream is drawn.
+        with pytest.raises(ConfigError, match="seed"):
+            parse_fault_spec(f"{name}:seed=-1")
 
     def test_names_listing(self):
         names = fault_model_names()

@@ -170,6 +170,34 @@ class TestJitteredSchedule:
         assert [a.slot_start(i) for i in range(8)] != [
             b.slot_start(i) for i in range(8)]
 
+    def test_offsets_uniform_over_jitter(self):
+        from scipy import stats
+
+        from repro.core.sync import JitteredSchedule
+
+        schedule = JitteredSchedule(0.0, 1000.0, jitter_ns=300.0, seed=7)
+        offsets = [schedule.slot_start(i) - i * 1000.0 for i in range(100_000)]
+        assert stats.kstest(offsets, stats.uniform(0.0, 300.0).cdf).pvalue > 1e-3
+
+    def test_offset_independent_of_query_order(self):
+        from repro.core.sync import JitteredSchedule
+
+        a = JitteredSchedule(0.0, 1000.0, jitter_ns=300.0, seed=5)
+        b = JitteredSchedule(0.0, 1000.0, jitter_ns=300.0, seed=5)
+        reverse = {i: b.slot_start(i) for i in reversed(range(64))}
+        assert [a.slot_start(i) for i in range(64)] == [
+            reverse[i] for i in range(64)]
+
+    def test_pinned_offsets(self):
+        # Golden (seed, index) -> start pairs: a change of generator must
+        # fail here, not only as drifted goldens downstream.
+        from repro.core.sync import JitteredSchedule
+
+        schedule = JitteredSchedule(0.0, 1000.0, jitter_ns=300.0, seed=7)
+        assert [schedule.slot_start(i) for i in (0, 1, 7, 10**6)] == [
+            216.45245418149108, 1194.9113009405366, 7270.562856456156,
+            1000000161.7888615]
+
     def test_jitter_must_stay_below_slot(self):
         from repro.core.sync import JitteredSchedule
         from repro.errors import ProtocolError
