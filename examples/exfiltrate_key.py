@@ -44,7 +44,7 @@ def recover(wire: bytes, payload_len: int) -> "tuple[bytes, bool]":
 
 
 def main() -> None:
-    system = System(cannon_lake_i3_8121u(), seed=42)
+    system = System(cannon_lake_i3_8121u())
 
     # OS noise on both communicating threads for the whole session.
     horizon = ms_to_ns(400.0)
@@ -100,7 +100,7 @@ def session_demo() -> None:
     from repro.core.session import CovertSession, SessionConfig
 
     print("\n--- same attack via CovertSession (framing + FEC + ARQ) ---")
-    system = System(cannon_lake_i3_8121u(), seed=43)
+    system = System(cannon_lake_i3_8121u())
     attach_system_noise(
         system,
         [system.thread_on(0, 0), system.thread_on(1, 0)],

@@ -70,7 +70,7 @@ def stage3_exfiltrate(key_bits: "list[int]") -> None:
         int("".join(map(str, key_bits[i:i + 8])), 2)
         for i in range(0, len(key_bits), 8)
     )
-    system = System(cannon_lake_i3_8121u(), seed=1234)
+    system = System(cannon_lake_i3_8121u())
     attach_system_noise(
         system, [system.thread_on(0, 0), system.thread_on(1, 0)],
         NoiseConfig(), horizon_ns=ms_to_ns(300.0), seed=1234)

@@ -279,7 +279,7 @@ class Fig8Result:
 
 def _tp_sample(config: ProcessorConfig, freq: float, seed: int) -> float:
     """One receiver-style TP estimate for an AVX2 loop at ~``freq``."""
-    system = System(config, governor_freq_ghz=freq, seed=seed)
+    system = System(config, governor_freq_ghz=freq)
     attach_system_noise(system, [system.thread_on(0)],
                         NoiseConfig(interrupt_rate_per_s=300.0,
                                     ctx_switch_rate_per_s=50.0),
@@ -602,7 +602,7 @@ def fig13_level_distribution(symbols_per_level: int = 10,
     """IccThreadCovert level clusters under low system noise."""
     _require_positive("symbols_per_level", symbols_per_level)
     config = cannon_lake_i3_8121u()
-    system = System(config, seed=seed)
+    system = System(config)
     attach_system_noise(
         system, [system.thread_on(0)],
         NoiseConfig(interrupt_rate_per_s=400.0, interrupt_mean_us=2.0,
@@ -666,7 +666,7 @@ def _fig14_ber(payload: bytes, seed: int, source: str,
     spec = ScenarioSpec(name="fig14_point",
                         description=f"IccThreadCovert beside {source} noise",
                         noise=noise, background=background,
-                        payload_hex=payload.hex(), seed=seed)
+                        payload_hex=payload.hex())
     return run_scenario(spec).tenants[0].ber
 
 

@@ -102,6 +102,15 @@ class ChannelConfig:
                 f"jitter_seed must be >= 0, got {self.jitter_seed}")
         if self.sender_iterations < 1 or self.probe_iterations < 1:
             raise ProtocolError("loop iterations must be >= 1")
+        if not self.block_instructions >= 1:
+            raise ProtocolError(
+                f"block_instructions must be >= 1, got "
+                f"{self.block_instructions}")
+        for name in ("cross_core_delay_ns", "min_level_gap_tsc"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ProtocolError(
+                    f"{name} must be finite and >= 0, got {value}")
         if self.training_rounds < 1:
             raise ProtocolError("training needs at least one round per symbol")
 

@@ -23,8 +23,9 @@ queues and no throttling ever occurs.
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Set
 
 from repro.errors import ConfigError, SimulationError
@@ -36,10 +37,6 @@ from repro.pmu.dvfs import PState, VFCurve
 from repro.pmu.limits import LimitPolicy
 from repro.pmu.turbo import TurboLicenseTable
 from repro.soc.engine import Engine
-
-
-#: Grant policies :class:`PMUConfig` accepts.
-GRANT_POLICIES = ("serialized", "coalesced")
 
 
 @dataclass(frozen=True)
@@ -54,20 +51,6 @@ class PMUConfig:
     secure_mode:
         The paper's secure-mode mitigation: guardbands pinned at the
         worst case, no voltage transitions, no throttling.
-    queue_depth:
-        Bound on queued transition entries per rail; 0 (the default)
-        models the unbounded mailbox the paper characterises.  When a
-        rail's queue is full, a new request coalesces into the newest
-        queued entry of the same direction (the cores batch into one
-        transition) instead of appending — a shallow PMU mailbox, one
-        of the scenario library's topology knobs.
-    grant_policy:
-        ``"serialized"`` (the default, matching the paper's
-        measurements) starts one queued entry per settle; a
-        ``"coalesced"`` PMU drains every queued up-entry into a single
-        transition to the collective worst-case level, shortening the
-        shared throttle window at the cost of over-granting — the
-        hypothetical firmware fix the interference scenarios probe.
     turbo_license_limit:
         Defender recipe of the mitigation matrix: clamp the package
         frequency to the worst-case turbo-license ceiling (every core
@@ -81,40 +64,25 @@ class PMUConfig:
 
     pll_relock_ns: float = 1_500.0
     secure_mode: bool = False
-    queue_depth: int = 0
-    grant_policy: str = "serialized"
     turbo_license_limit: bool = False
 
     def __post_init__(self) -> None:
         if self.pll_relock_ns < 0:
             raise ConfigError(f"PLL relock must be >= 0, got {self.pll_relock_ns}")
-        if self.queue_depth < 0:
-            raise ConfigError(
-                f"queue_depth must be >= 0 (0 = unbounded), got {self.queue_depth}")
-        if self.grant_policy not in GRANT_POLICIES:
-            raise ConfigError(
-                f"grant_policy must be one of {GRANT_POLICIES}, "
-                f"got {self.grant_policy!r}")
 
 
 @dataclass
 class _Request:
-    """One queued voltage transition: per-core target levels.
+    """One queued voltage transition: one core's target level.
 
-    With the default serialized policy and an unbounded queue every
-    entry carries exactly one core (the paper's behaviour); shallow
-    queues and the coalesced grant policy batch several cores' levels
-    into a single entry, granted together when the rail settles.
+    The mailbox is unbounded and serialized (the paper's measured
+    behaviour): every request is its own entry, granted by its own
+    transition when the rail settles.
     """
 
-    targets: Dict[int, IClass]
+    core: int
+    target: IClass
     up: bool
-
-    def merge(self, core: int, target: IClass) -> None:
-        """Fold ``core``'s request into this entry (highest level wins)."""
-        current = self.targets.get(core)
-        if current is None or target > current:
-            self.targets[core] = target
 
 
 class CentralPMU:
@@ -248,7 +216,7 @@ class CentralPMU:
         if pending_target is not None and pending_target >= iclass:
             # Already queued at this or a higher level; stay throttled.
             return True
-        self._enqueue(rail, core, iclass, up=True)
+        self._queues[rail].append(_Request(core, iclass, up=True))
         self._throttled[rail].add(core)
         tracer = _obs()
         if tracer.enabled:
@@ -270,7 +238,7 @@ class CentralPMU:
         if self.config.secure_mode or new_requirement >= self.granted[core]:
             return
         rail = self.rail_of_core[core]
-        self._enqueue(rail, core, new_requirement, up=False)
+        self._queues[rail].append(_Request(core, new_requirement, up=False))
         tracer = _obs()
         if tracer.enabled:
             tracer.metrics.counter("pmu.downgrades_queued").inc()
@@ -281,9 +249,15 @@ class CentralPMU:
         self._kick(rail)
 
     def set_requested_freq(self, freq_ghz: float) -> None:
-        """Governor request for a new package frequency."""
-        if freq_ghz <= 0:
-            raise ConfigError(f"frequency must be positive, got {freq_ghz}")
+        """Governor request for a new package frequency.
+
+        The negated comparison also rejects NaN, which would otherwise
+        become the requested frequency.
+        """
+        if not 0 < freq_ghz < math.inf:
+            raise ConfigError(
+                f"requested frequency must be finite and positive, "
+                f"got {freq_ghz}")
         self.requested_freq_ghz = freq_ghz
         self._reconcile_frequency()
 
@@ -316,25 +290,6 @@ class CentralPMU:
         if self.on_state_change is not None:
             self.on_state_change()
 
-    def _enqueue(self, rail: int, core: int, target: IClass, up: bool) -> None:
-        """Append a transition request, honouring the queue-depth bound.
-
-        With ``queue_depth == 0`` (the default) every request becomes
-        its own single-core entry — the serialized mailbox the paper
-        measures.  At a full bounded queue the request coalesces into
-        the newest queued entry of the same direction, so the cores'
-        levels are granted together by one transition; only when no
-        same-direction entry is queued does the entry count grow.
-        """
-        queue = self._queues[rail]
-        depth = self.config.queue_depth
-        if depth > 0 and len(queue) >= depth:
-            for req in reversed(queue):
-                if req.up == up:
-                    req.merge(core, target)
-                    return
-        queue.append(_Request({core: target}, up=up))
-
     def _pending_target(self, rail: int, core: int) -> Optional[IClass]:
         """Highest level ``core`` has queued or in flight on ``rail``."""
         best: Optional[IClass] = None
@@ -343,17 +298,15 @@ class CentralPMU:
         if inflight is not None:
             candidates.append(inflight)
         for req in candidates:
-            if req.up and core in req.targets:
-                target = req.targets[core]
-                if best is None or target > best:
-                    best = target
+            if req.up and req.core == core:
+                if best is None or req.target > best:
+                    best = req.target
         return best
 
-    def _classes_with(self, targets: Dict[int, IClass]) -> List[IClass]:
-        """Per-core covered classes if ``targets`` were all granted."""
+    def _classes_with(self, req: _Request) -> List[IClass]:
+        """Per-core covered classes if ``req`` were granted."""
         classes = list(self.granted)
-        for core, target in targets.items():
-            classes[core] = target
+        classes[req.core] = req.target
         return classes
 
     def _allowed_freq(self, classes: Sequence[IClass]) -> float:
@@ -391,13 +344,10 @@ class CentralPMU:
         self._allowed_cache[key] = allowed
         return allowed
 
-    def _live_targets(self, req: _Request) -> Dict[int, IClass]:
-        """The entry's targets that still change their core's grant."""
-        if req.up:
-            return {core: target for core, target in req.targets.items()
-                    if target > self.granted[core]}
-        return {core: target for core, target in req.targets.items()
-                if target < self.granted[core]}
+    def _is_live(self, req: _Request) -> bool:
+        """Whether ``req`` still changes its core's grant."""
+        granted = self.granted[req.core]
+        return req.target > granted if req.up else req.target < granted
 
     def _kick(self, rail: int) -> None:
         """Start the next queued transition on ``rail`` if it is idle."""
@@ -406,36 +356,16 @@ class CentralPMU:
         queue = self._queues[rail]
         while queue:
             req = queue.popleft()
-            live = self._live_targets(req)
-            if not live:
+            if not self._is_live(req):
                 continue  # stale: previous transitions already covered it
-            req.targets = live
-            if req.up and self.config.grant_policy == "coalesced":
-                self._absorb_up_entries(rail, req)
             self._begin_transition(rail, req)
             return
         self._release_if_settled(rail)
 
-    def _absorb_up_entries(self, rail: int, req: _Request) -> None:
-        """Coalesced policy: drain every queued up-entry into ``req``.
-
-        The batched transition ramps straight to the collective
-        worst-case level, so every waiting core is granted by a single
-        settle; queued down-entries keep their order behind it.
-        """
-        queue = self._queues[rail]
-        kept = [other for other in queue if not other.up]
-        for other in queue:
-            if other.up:
-                for core, target in self._live_targets(other).items():
-                    req.merge(core, target)
-        queue.clear()
-        queue.extend(kept)
-
     def _begin_transition(self, rail: int, req: _Request) -> None:
         self._rail_active[rail] = True
         self._inflight[rail] = req
-        classes = self._classes_with(req.targets)
+        classes = self._classes_with(req)
         allowed = self._allowed_freq(classes)
         if abs(allowed - self.freq_ghz) > 1e-9 and req.up:
             self._begin_freq_change(allowed, lambda: self._command_rail(rail, req))
@@ -445,11 +375,10 @@ class CentralPMU:
     def _command_rail(self, rail: int, req: _Request) -> None:
         """Command ``rail`` to its cores' guardband with ``req`` granted."""
         freq = self.freq_ghz
-        targets = req.targets
         granted = self.granted
         classes: List[IClass] = []
         for core in self._rail_cores[rail]:
-            classes.append(targets.get(core, granted[core]))
+            classes.append(req.target if core == req.core else granted[core])
         key = (freq, tuple(classes))
         target = self._rail_targets.get(key)
         if target is None:
@@ -462,8 +391,7 @@ class CentralPMU:
         self.engine.schedule(settle_ns - now, self._on_settle, rail, req)
 
     def _on_settle(self, rail: int, req: _Request) -> None:
-        for core, target in req.targets.items():
-            self.granted[core] = target
+        self.granted[req.core] = req.target
         self._inflight[rail] = None
         self._rail_active[rail] = False
         if not req.up:

@@ -2,10 +2,10 @@
 
 The scenario layer turns every experiment topology in this repo into
 plain data: a :class:`~repro.scenarios.spec.ScenarioSpec` composes the
-processor preset (and overrides), the VR/PMU behaviour knobs, OS
-noise, fault suites, background workload traces (including replay of
+processor preset (and overrides), the mitigation switches, OS noise,
+fault suites, background workload traces (including replay of
 recorded phase traces), and N covert sender/receiver tenants sharing
-one PMU.  The registry ships 15 named scenarios from the paper's
+one PMU.  The registry ships 16 named scenarios from the paper's
 single-pair baselines to 8-pair interference matrices; each runs
 through ``python -m repro --scenario NAME``, the sweep runner and the
 verify golden gates, and renders its own entry in docs/SCENARIOS.md.
@@ -39,7 +39,6 @@ from repro.scenarios.spec import (
     NoiseSpec,
     OVERRIDABLE_FIELDS,
     OptionsSpec,
-    PMUSpec,
     ScenarioSpec,
     TenantSpec,
     WORKLOAD_KINDS,
@@ -53,7 +52,6 @@ __all__ = [
     "NoiseSpec",
     "OVERRIDABLE_FIELDS",
     "OptionsSpec",
-    "PMUSpec",
     "ScenarioRun",
     "ScenarioSpec",
     "TenantResult",

@@ -77,15 +77,12 @@ def _entry_markdown(spec: ScenarioSpec) -> str:
         f"{config.vr_kind.name} rail) |",
         f"| Overrides | {overrides} |",
         f"| Mitigations | {', '.join(mitigations) if mitigations else '—'} |",
-        f"| PMU | queue_depth={spec.pmu.queue_depth}, "
-        f"grant_policy={spec.pmu.grant_policy} |",
         f"| Tenants | {_tenant_line(spec)} |",
         f"| Background | {_background_line(spec)} |",
         f"| OS noise | {noise} |",
         f"| Faults | {'`' + spec.faults + '`' if spec.faults else '—'} |",
         f"| Protocol | {protocol} |",
-        f"| Payload | `{spec.payload_hex}` ({len(spec.payload)} byte(s)), "
-        f"seed {spec.seed} |",
+        f"| Payload | `{spec.payload_hex}` ({len(spec.payload)} byte(s)) |",
         "",
         f"Run it: `python -m repro --scenario {spec.name}`",
     ]

@@ -1,4 +1,4 @@
-"""The named scenario registry (15 curated topologies).
+"""The named scenario registry (16 curated topologies).
 
 Scenarios fall into four groups:
 
@@ -16,9 +16,10 @@ Scenarios fall into four groups:
   PMU (``interference_1pair`` .. ``interference_8pair``), the
   Multi-Throttling-Cores root cause at scale; tenants spread their
   slot clocks across the slot to dodge each other.
-* **PMU microarchitecture** — the same two-pair contention under a
-  shallow transition queue (``shallow_queue_2pair``) and under the
-  hypothetical coalescing grant policy (``coalesced_2pair``).
+* **Mitigation-matrix defenders** — the cross-core channel under each
+  non-paper defender of the attacker/defender matrix
+  (``matrix_noise_injection``, ``matrix_turbo_license``,
+  ``matrix_state_flush``).
 
 Every registered spec is immutable, cheap enough for the verify/docs
 gates (small payloads, trimmed training), and renders its own entry in
@@ -33,7 +34,6 @@ from repro.errors import ConfigError
 from repro.scenarios.spec import (
     NoiseSpec,
     OptionsSpec,
-    PMUSpec,
     ScenarioSpec,
     TenantSpec,
     WorkloadSpec,
@@ -78,8 +78,6 @@ _FAST_PROTOCOL: Tuple[Tuple[str, int], ...] = (("training_rounds", 1),)
 
 
 def interference_spec(n_pairs: int, preset: str = "skylake_sp",
-                      pmu: PMUSpec = PMUSpec(),
-                      name: str = "", description: str = "",
                       payload_hex: str = "43") -> ScenarioSpec:
     """An N-pair cross-core interference scenario on one shared rail.
 
@@ -97,15 +95,14 @@ def interference_spec(n_pairs: int, preset: str = "skylake_sp",
                    offset_fraction=i / n_pairs)
         for i in range(n_pairs))
     return ScenarioSpec(
-        name=name or f"interference_{n_pairs}pair",
-        description=description or (
+        name=f"interference_{n_pairs}pair",
+        description=(
             f"{n_pairs} cross-core pair(s) sharing one {preset} rail, "
             f"slot clocks tiled at 1/{n_pairs} offsets — "
             f"Multi-Throttling-Cores contention at scale."),
         preset=preset,
         protocol=_FAST_PROTOCOL,
         tenants=tenants,
-        pmu=pmu,
         payload_hex=payload_hex,
     )
 
@@ -228,30 +225,6 @@ register(interference_spec(1, preset="coffee_lake"))
 register(interference_spec(2, preset="coffee_lake"))
 register(interference_spec(4))
 register(interference_spec(8))
-
-# -- PMU microarchitecture variants ------------------------------------------
-
-register(interference_spec(
-    2, preset="coffee_lake",
-    pmu=PMUSpec(queue_depth=1),
-    name="shallow_queue_2pair",
-    description=(
-        "Two contending pairs against a shallow (depth-1) PMU "
-        "transition mailbox: overflowing requests coalesce into the "
-        "newest queued entry, so waiting cores are granted in batches "
-        "instead of strictly one by one."),
-))
-
-register(interference_spec(
-    2, preset="coffee_lake",
-    pmu=PMUSpec(grant_policy="coalesced"),
-    name="coalesced_2pair",
-    description=(
-        "Two contending pairs against a coalescing PMU: every queued "
-        "up-request drains into a single transition to the collective "
-        "worst-case level — the hypothetical firmware fix that "
-        "shortens the shared throttle window by over-granting."),
-))
 
 # -- mitigation-matrix defenders ---------------------------------------------
 #

@@ -2,10 +2,10 @@
 
 A :class:`ScenarioSpec` is a frozen, validated description of one
 complete experiment: which processor preset (and overrides) to build,
-which mitigation options and PMU behaviour knobs to apply, which covert
-tenants share the package and where they are pinned, what OS noise,
-faults, and background workloads surround them, and what payload the
-tenants transfer.  Everything is plain data with a dict/TOML-friendly
+which mitigation options to apply, which covert tenants share the
+package and where they are pinned, what OS noise, faults, and
+background workloads surround them, and what payload the tenants
+transfer.  Everything is plain data with a dict/TOML-friendly
 :meth:`ScenarioSpec.from_mapping` / :meth:`ScenarioSpec.to_mapping`
 round-trip, so scenarios can live in files and be digested by
 :mod:`repro.verify` without touching code.
@@ -41,7 +41,6 @@ from repro.isa.workload import (
     sevenzip_like_trace,
     video_codec_like_trace,
 )
-from repro.pmu.central import GRANT_POLICIES
 from repro.soc.config import PRESETS, ProcessorConfig, preset
 from repro.soc.noise import NoiseConfig
 from repro.soc.system import SystemOptions
@@ -84,53 +83,11 @@ def _require_keys(mapping: Mapping[str, Any], valid: Iterable[str],
 
 
 @dataclass(frozen=True)
-class PMUSpec:
-    """Central-PMU behaviour knobs of one scenario.
-
-    Parameters
-    ----------
-    queue_depth:
-        Per-rail transition queue bound; 0 (default) is the unbounded
-        mailbox the paper characterises.  See
-        :class:`repro.pmu.central.PMUConfig`.
-    grant_policy:
-        ``"serialized"`` (paper behaviour) or ``"coalesced"`` (batch
-        all queued up-requests into one transition).
-    """
-
-    queue_depth: int = 0
-    grant_policy: str = "serialized"
-
-    def __post_init__(self) -> None:
-        if self.queue_depth < 0:
-            raise ConfigError(
-                f"pmu.queue_depth must be >= 0 (0 = unbounded), "
-                f"got {self.queue_depth}")
-        if self.grant_policy not in GRANT_POLICIES:
-            raise ConfigError(
-                f"pmu.grant_policy must be one of {GRANT_POLICIES}, "
-                f"got {self.grant_policy!r}")
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any]) -> "PMUSpec":
-        """Build from a plain dict; unknown keys raise ConfigError."""
-        _require_keys(mapping, ("queue_depth", "grant_policy"), "pmu")
-        return cls(queue_depth=int(mapping.get("queue_depth", 0)),
-                   grant_policy=str(mapping.get("grant_policy", "serialized")))
-
-    def to_mapping(self) -> Dict[str, Any]:
-        """Canonical plain-dict form (every field explicit)."""
-        return {"queue_depth": self.queue_depth,
-                "grant_policy": self.grant_policy}
-
-
-@dataclass(frozen=True)
 class OptionsSpec:
     """Mitigation/ablation switches forwarded to ``SystemOptions``.
 
     Each field mirrors the identically named
-    :class:`~repro.soc.system.SystemOptions` switch; the PMU knobs are
-    carried by :class:`PMUSpec`.
+    :class:`~repro.soc.system.SystemOptions` switch.
     """
 
     per_core_vr: bool = False
@@ -457,9 +414,9 @@ class TenantSpec:
 
 #: Keys a scenario mapping may carry (the spec grammar's top level).
 _SPEC_KEYS: Tuple[str, ...] = (
-    "name", "description", "preset", "overrides", "options", "pmu",
+    "name", "description", "preset", "overrides", "options",
     "protocol", "tenants", "noise", "faults", "background",
-    "payload_hex", "seed",
+    "payload_hex",
 )
 
 
@@ -475,8 +432,8 @@ class ScenarioSpec:
     preset / overrides:
         Processor: a :data:`repro.soc.config.PRESETS` name plus scalar
         field overrides from :data:`OVERRIDABLE_FIELDS`.
-    options / pmu:
-        Mitigation switches and PMU queue/grant-policy knobs.
+    options:
+        Mitigation switches.
     protocol:
         :class:`~repro.core.channel.ChannelConfig` field overrides
         applied to every tenant's channel (e.g. shorter
@@ -486,8 +443,8 @@ class ScenarioSpec:
     noise / faults / background:
         Optional OS-noise profile, :mod:`repro.faults` spec string
         (empty = none), and background workloads.
-    payload_hex / seed:
-        The transferred payload (hex) and the system RNG seed.
+    payload_hex:
+        The transferred payload (hex).
     """
 
     name: str
@@ -495,14 +452,12 @@ class ScenarioSpec:
     preset: str = "cannon_lake"
     overrides: Tuple[Tuple[str, Any], ...] = ()
     options: OptionsSpec = OptionsSpec()
-    pmu: PMUSpec = PMUSpec()
     protocol: Tuple[Tuple[str, Any], ...] = ()
     tenants: Tuple[TenantSpec, ...] = (TenantSpec("thread", 0, 0),)
     noise: Optional[NoiseSpec] = None
     faults: str = ""
     background: Tuple[WorkloadSpec, ...] = ()
     payload_hex: str = "4943"
-    seed: int = 2021
 
     def __post_init__(self) -> None:
         # Normalise the collection fields so equal scenarios compare
@@ -635,7 +590,6 @@ class ScenarioSpec:
                 (str(k), v)
                 for k, v in dict(mapping.get("overrides", {})).items())),
             options=OptionsSpec.from_mapping(mapping.get("options", {})),
-            pmu=PMUSpec.from_mapping(mapping.get("pmu", {})),
             protocol=tuple(sorted(
                 (str(k), v)
                 for k, v in dict(mapping.get("protocol", {})).items())),
@@ -647,7 +601,6 @@ class ScenarioSpec:
             background=tuple(WorkloadSpec.from_mapping(w)
                              for w in mapping.get("background", ())),
             payload_hex=str(mapping.get("payload_hex", "4943")),
-            seed=int(mapping.get("seed", 2021)),
         )
 
     def to_mapping(self) -> Dict[str, Any]:
@@ -664,14 +617,12 @@ class ScenarioSpec:
             "preset": self.preset,
             "overrides": dict(self.overrides),
             "options": self.options.to_mapping(),
-            "pmu": self.pmu.to_mapping(),
             "protocol": dict(self.protocol),
             "tenants": [t.to_mapping() for t in self.tenants],
             "noise": None if self.noise is None else self.noise.to_mapping(),
             "faults": self.faults,
             "background": [w.to_mapping() for w in self.background],
             "payload_hex": self.payload_hex,
-            "seed": self.seed,
         }
 
     # -- materialisation helpers ---------------------------------------------
@@ -688,8 +639,6 @@ class ScenarioSpec:
             improved_throttling=self.options.improved_throttling,
             secure_mode=self.options.secure_mode,
             turbo_license_limit=self.options.turbo_license_limit,
-            pmu_queue_depth=self.pmu.queue_depth,
-            pmu_grant_policy=self.pmu.grant_policy,
         )
 
     def channel_config(self) -> ChannelConfig:

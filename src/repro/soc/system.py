@@ -86,13 +86,6 @@ class SystemOptions:
     secure_mode:
         Pin guardbands at the worst case; no transitions, no throttling
         (Section 7 'A New Secure Mode of Operation').
-    pmu_queue_depth:
-        Bound on the central PMU's per-rail transition queue; 0 keeps
-        the paper's unbounded mailbox (see
-        :class:`repro.pmu.central.PMUConfig`).
-    pmu_grant_policy:
-        ``"serialized"`` (the paper's behaviour) or ``"coalesced"``
-        (batch all queued up-requests into one transition).
     turbo_license_limit:
         Mitigation-matrix defender: clamp the package frequency to the
         worst-case turbo-license ceiling so guardband traffic never
@@ -111,8 +104,6 @@ class SystemOptions:
     secure_mode: bool = False
     turbo_license_limit: bool = False
     disable_throttling: bool = False
-    pmu_queue_depth: int = 0
-    pmu_grant_policy: str = "serialized"
 
 
 @dataclass(frozen=True)
@@ -213,14 +204,12 @@ class System:
     def __init__(self, config: ProcessorConfig,
                  options: Optional[SystemOptions] = None,
                  governor_freq_ghz: Optional[float] = None,
-                 governor: Optional["Governor"] = None,
-                 seed: int = 2021) -> None:
+                 governor: Optional["Governor"] = None) -> None:
         if options is None:
             options = SystemOptions()
         self.config = config
         self.options = options
         self.engine = Engine()
-        self.rng = np.random.default_rng(seed)
         self.tsc = TimestampCounter(config.base_freq_ghz)
         #: Fault injector attached to this system, if any.  Set by
         #: :meth:`repro.faults.FaultInjector.attach`; layers below the
@@ -282,8 +271,6 @@ class System:
             config=PMUConfig(
                 pll_relock_ns=config.pll_relock_ns,
                 secure_mode=options.secure_mode,
-                queue_depth=options.pmu_queue_depth,
-                grant_policy=options.pmu_grant_policy,
                 turbo_license_limit=options.turbo_license_limit,
             ),
         )
@@ -746,7 +733,7 @@ class System:
             lag = activity.last_update + activity.remaining / activity.rate - now
             when = now + (lag if lag > 0.0 else 0.0)
         if pending is not None:
-            if pending.in_heap and pending.time_ns == when:
+            if pending.time_ns == when:
                 return
             pending.cancel()
             activity.completion = None
@@ -759,6 +746,7 @@ class System:
             return  # stale completion after the activity already finished
         self._update_progress(thread, self.engine.now)
         if activity.remaining > 1e-6:
+            activity.completion = None  # fired: reschedule, never keep it
             self._reschedule_completion(thread)
             return
         self._finish_execute(thread)

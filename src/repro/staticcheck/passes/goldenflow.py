@@ -50,7 +50,6 @@ from repro.staticcheck.registry import Pass, Rule, register
 #: of the committed golden digests — change them only together with a
 #: deliberate golden regeneration.
 GOLDEN_UNCONDITIONAL: Dict[str, frozenset] = {
-    "PMUSpec": frozenset({"queue_depth", "grant_policy"}),
     # turbo_license_limit is the reviewed absent-means-default exception.
     "OptionsSpec": frozenset({
         "per_core_vr", "ldo_rails", "improved_throttling", "secure_mode"}),
@@ -63,9 +62,9 @@ GOLDEN_UNCONDITIONAL: Dict[str, frozenset] = {
     "TenantSpec": frozenset({
         "channel", "sender_core", "receiver_core", "offset_fraction"}),
     "ScenarioSpec": frozenset({
-        "name", "description", "preset", "overrides", "options", "pmu",
+        "name", "description", "preset", "overrides", "options",
         "protocol", "tenants", "noise", "faults", "background",
-        "payload_hex", "seed"}),
+        "payload_hex"}),
 }
 
 #: ``SystemOptions`` fields a forwarding site may legitimately omit:

@@ -10,6 +10,8 @@ not a tolerance judgement call.  This package implements that gate:
 * :mod:`repro.verify.scenarios` — the canonical scenario registry;
 * :mod:`repro.verify.goldens` — committed goldens and the check/update
   round-trip;
+* :mod:`repro.verify.report` — the committed REPORT.md against a fresh
+  regeneration;
 * :mod:`repro.verify.audit` — determinism audit across hash seeds,
   worker counts and cache states;
 * :mod:`repro.verify.differential` — fast-path vs reference-path
@@ -53,6 +55,7 @@ from repro.verify.goldens import (
     update_goldens,
     write_golden,
 )
+from repro.verify.report import ReportCheck, check_report
 from repro.verify.scenarios import (
     SCENARIOS,
     Scenario,
@@ -69,6 +72,7 @@ __all__ = [
     "DiffCheck",
     "GateReport",
     "GoldenCheck",
+    "ReportCheck",
     "SCENARIOS",
     "Scenario",
     "audit_all",
@@ -76,6 +80,7 @@ __all__ = [
     "canonical_json",
     "check_adaptive_plain_equivalence",
     "check_all",
+    "check_report",
     "check_sampler_bitwise",
     "check_scenario",
     "compare",

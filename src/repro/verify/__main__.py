@@ -1,10 +1,11 @@
 """``python -m repro.verify`` — the full verification gate.
 
-Default run order (each stage independently skippable)::
+Default run order (each stage but the report independently skippable)::
 
     lint          AST lint of src/repro against the determinism rules
     differential  fast path vs reference equivalence checks
     goldens       canonical scenarios vs committed golden digests
+    report        a fresh paper report vs the committed REPORT.md
     audit         hash-seed / worker-count / cache-state variations
 
 Exit status is 0 only when every selected stage passes.  Other modes:
@@ -27,6 +28,7 @@ from repro.staticcheck import Report, analyze_paths
 from repro.verify.audit import audit_all
 from repro.verify.differential import run_all as run_differential
 from repro.verify.goldens import check_all, update_goldens
+from repro.verify.report import check_report
 from repro.verify.scenarios import SCENARIOS, compute_digest, scenario_names
 
 #: The staticcheck rules the lint stage enforces: the source-level
@@ -134,6 +136,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         bad = [check.scenario for check in checks if not check.ok]
         if bad:
             failures.append(f"goldens: {', '.join(bad)}")
+
+    print("== report ==")
+    check = check_report()
+    print(check.render())
+    if not check.ok:
+        failures.append("report: REPORT.md differs from a fresh report")
 
     if not args.skip_audit:
         print("== determinism audit ==")

@@ -205,6 +205,20 @@ class TestChannelConfig:
         with pytest.raises(ProtocolError):
             ChannelConfig(sender_iterations=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("block_instructions", 0),
+        ("block_instructions", -300),
+        ("cross_core_delay_ns", float("nan")),
+        ("cross_core_delay_ns", float("inf")),
+        ("cross_core_delay_ns", -1.0),
+        ("min_level_gap_tsc", float("nan")),
+        ("min_level_gap_tsc", float("inf")),
+        ("min_level_gap_tsc", -1.0),
+    ])
+    def test_bad_numeric_knob_rejected_at_construction(self, field, value):
+        with pytest.raises(ProtocolError, match=field):
+            ChannelConfig(**{field: value})
+
     def test_too_short_slot_detected_at_runtime(self):
         # With the adaptive slot disabled, a slot shorter than the send
         # window cannot produce measurements for every transaction.

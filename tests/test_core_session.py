@@ -79,7 +79,7 @@ class TestCleanTransport:
 
 class TestNoisyTransport:
     def _noisy_session(self, fec, rate=800.0, seed=9):
-        system = System(cannon_lake_i3_8121u(), seed=seed)
+        system = System(cannon_lake_i3_8121u())
         attach_trace(system, system.thread_on(1),
                      random_phi_schedule(800.0, rate, seed=seed))
         return CovertSession(IccThreadCovert(system), SessionConfig(fec=fec))
@@ -184,7 +184,7 @@ class TestQuietSensing:
         assert session.channel_is_quiet()
 
     def test_hot_system_senses_busy_sometimes(self):
-        system = System(cannon_lake_i3_8121u(), seed=3)
+        system = System(cannon_lake_i3_8121u())
         attach_trace(system, system.thread_on(1),
                      random_phi_schedule(300.0, 5000.0, seed=3))
         session = CovertSession(IccThreadCovert(system))
@@ -202,7 +202,7 @@ class TestQuietSensing:
             SessionConfig(quiet_patience=0)
 
     def test_gated_send_still_delivers_under_noise(self):
-        system = System(cannon_lake_i3_8121u(), seed=21)
+        system = System(cannon_lake_i3_8121u())
         attach_trace(system, system.thread_on(1),
                      random_phi_schedule(900.0, 400.0, seed=21))
         session = CovertSession(
@@ -265,7 +265,7 @@ class TestAdaptiveSession:
         assert plain.total_attempts == adaptive.total_attempts
 
     def test_backoff_waits_between_retries(self):
-        system = System(cannon_lake_i3_8121u(), seed=5)
+        system = System(cannon_lake_i3_8121u())
         from repro.faults import parse_fault_spec
 
         parse_fault_spec("slot-jitter:seed=11").attach(system)
@@ -277,7 +277,7 @@ class TestAdaptiveSession:
             assert report.backoff_ns > 0.0
 
     def test_degrades_under_persistent_faults(self):
-        system = System(cannon_lake_i3_8121u(), seed=5)
+        system = System(cannon_lake_i3_8121u())
         from repro.faults import parse_fault_spec
 
         parse_fault_spec("slot-jitter:sigma_us=3,seed=11").attach(system)
@@ -299,7 +299,7 @@ class TestAdaptiveSession:
         payload = b"\x5a\x0f\xc3\x3c\xa5\x69\x96\x0a"
 
         def run(adaptive, seed):
-            system = System(cannon_lake_i3_8121u(), seed=2021)
+            system = System(cannon_lake_i3_8121u())
             parse_fault_spec(f"default:seed={seed}").attach(system)
             config = SessionConfig(
                 max_retries=8,
@@ -315,7 +315,7 @@ class TestAdaptiveSession:
             assert resilient.recalibrations > 0 or resilient.degraded
 
     def test_best_effort_assembly_on_failure(self):
-        system = System(cannon_lake_i3_8121u(), seed=5)
+        system = System(cannon_lake_i3_8121u())
         from repro.faults import parse_fault_spec
 
         parse_fault_spec("slot-jitter:sigma_us=4,seed=3").attach(system)

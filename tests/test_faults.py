@@ -35,9 +35,9 @@ from repro.microarch.tsc import DriftingTimestampCounter
 from repro.units import us_to_ns
 
 
-def fresh_system(seed=2021):
+def fresh_system():
     """A Cannon Lake system, the resilience experiments' default part."""
-    return System(cannon_lake_i3_8121u(), seed=seed)
+    return System(cannon_lake_i3_8121u())
 
 
 #: Every float knob a model constructor takes, ``intensity`` included;

@@ -136,7 +136,7 @@ class TestEndToEndScenario:
         wire_bits = interleave(coded_bits, depth=code.block_bits)
         wire = bits_to_bytes(wire_bits)
 
-        system = System(cannon_lake_i3_8121u(), seed=77)
+        system = System(cannon_lake_i3_8121u())
         attach_trace(system, system.thread_on(1),
                      random_phi_schedule(60.0, 2000.0, seed=77))
         channel = IccThreadCovert(system)

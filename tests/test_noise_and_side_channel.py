@@ -29,7 +29,7 @@ class TestNoiseConfig:
 
 class TestSystemNoise:
     def test_noise_preempts_threads(self):
-        system = System(cannon_lake_i3_8121u(), seed=3)
+        system = System(cannon_lake_i3_8121u())
         attach_system_noise(system, [0],
                             NoiseConfig(interrupt_rate_per_s=1_000_000.0,
                                         ctx_switch_rate_per_s=0.0),
@@ -48,7 +48,7 @@ class TestSystemNoise:
         assert sink[0].elapsed_ns > expected * 1.2
 
     def test_zero_rate_noise_is_silent(self):
-        system = System(cannon_lake_i3_8121u(), seed=3)
+        system = System(cannon_lake_i3_8121u())
         attach_system_noise(system, [0],
                             NoiseConfig(interrupt_rate_per_s=0.0,
                                         ctx_switch_rate_per_s=0.0),
@@ -63,9 +63,9 @@ class TestSystemNoise:
 
     def test_noise_is_deterministic_per_seed(self):
         def run(seed):
-            system = System(cannon_lake_i3_8121u(), seed=seed)
+            system = System(cannon_lake_i3_8121u())
             attach_system_noise(system, [0], NoiseConfig(),
-                                horizon_ns=ms_to_ns(2.0), seed=7)
+                                horizon_ns=ms_to_ns(2.0), seed=seed)
             system.run_until(ms_to_ns(2.0))
             return system.engine.events_run
 
@@ -74,10 +74,10 @@ class TestSystemNoise:
 
 class TestConcurrentApp:
     def test_app_raises_channel_ber_at_high_rate(self):
-        quiet = System(cannon_lake_i3_8121u(), seed=5)
+        quiet = System(cannon_lake_i3_8121u())
         clean = IccThreadCovert(quiet).transfer(b"\x5a\x3c\xf0\x69")
 
-        noisy = System(cannon_lake_i3_8121u(), seed=5)
+        noisy = System(cannon_lake_i3_8121u())
         attach_trace(noisy, noisy.thread_on(1),
                      random_phi_schedule(80.0, 10_000.0, seed=5))
         dirty = IccThreadCovert(noisy).transfer(b"\x5a\x3c\xf0\x69")

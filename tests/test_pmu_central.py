@@ -249,6 +249,13 @@ class TestFrequencyProtection:
         engine.run()
         assert pmu.freq_ghz == pytest.approx(3.1)
 
+    @pytest.mark.parametrize("freq", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bad_requested_frequency_rejected(self, freq):
+        _, pmu = build_pmu()
+        with pytest.raises(ConfigError, match="requested frequency"):
+            pmu.set_requested_freq(freq)
+        assert pmu.requested_freq_ghz == 2.2
+
 
 class TestSecureMode:
     def test_no_request_ever_queues(self):

@@ -8,7 +8,6 @@ from repro.errors import ConfigError
 from repro.isa import IClass
 from repro.scenarios import (
     NoiseSpec,
-    PMUSpec,
     ScenarioSpec,
     TenantSpec,
     WorkloadSpec,
@@ -57,15 +56,6 @@ class TestRegistry:
 
 
 class TestBuildSystem:
-    def test_pmu_knobs_reach_the_system(self):
-        spec = ScenarioSpec(
-            name="knobs", description="d", preset="coffee_lake",
-            pmu=PMUSpec(queue_depth=2, grant_policy="coalesced"),
-            tenants=(TenantSpec("cores", 0, 1),))
-        system = build_system(spec)
-        assert system.pmu.config.queue_depth == 2
-        assert system.pmu.config.grant_policy == "coalesced"
-
     def test_overrides_reach_the_processor(self):
         spec = ScenarioSpec(
             name="ov", description="d", preset="coffee_lake",
@@ -223,7 +213,7 @@ class TestMultiPairInterference:
         spec = ScenarioSpec(
             name="two_pairs", description="cross-core pairs on one rail",
             preset="coffee_lake", tenants=tenants,
-            payload_hex="5a3cc30f", seed=99)
+            payload_hex="5a3cc30f")
         return [t.ber for t in run_scenario(spec).tenants]
 
     def test_aligned_pairs_jam_offset_pairs_coexist(self):

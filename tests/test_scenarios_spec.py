@@ -9,7 +9,6 @@ from repro.errors import ConfigError, ProtocolError
 from repro.scenarios import (
     NoiseSpec,
     OptionsSpec,
-    PMUSpec,
     ScenarioSpec,
     TenantSpec,
     WorkloadSpec,
@@ -17,12 +16,6 @@ from repro.scenarios import (
 from repro.isa.workload import sevenzip_like_trace
 
 # -- strategies --------------------------------------------------------------
-
-pmu_specs = st.builds(
-    PMUSpec,
-    queue_depth=st.integers(min_value=0, max_value=4),
-    grant_policy=st.sampled_from(("serialized", "coalesced")),
-)
 
 options_specs = st.builds(
     OptionsSpec,
@@ -84,7 +77,6 @@ def scenario_specs(draw):
             st.just((("vid_step_mv", 10.0),)),
             st.just((("n_cores", 6), ("reset_time_us", 500.0))))),
         options=draw(options_specs),
-        pmu=draw(pmu_specs),
         protocol=draw(st.one_of(
             st.just(()),
             st.just((("training_rounds", 1),)),
@@ -93,7 +85,6 @@ def scenario_specs(draw):
         noise=draw(st.one_of(st.none(), noise_specs)),
         background=background,
         payload_hex=draw(st.sampled_from(("43", "4943", "deadbeef"))),
-        seed=draw(st.integers(min_value=0, max_value=2**31)),
     )
 
 
@@ -119,9 +110,8 @@ class TestRoundTrips:
         assert ScenarioSpec.from_mapping(mapping).to_mapping() == mapping
 
     @settings(max_examples=40, deadline=None)
-    @given(pmu=pmu_specs, options=options_specs, noise=noise_specs)
-    def test_component_round_trips(self, pmu, options, noise):
-        assert PMUSpec.from_mapping(pmu.to_mapping()) == pmu
+    @given(options=options_specs, noise=noise_specs)
+    def test_component_round_trips(self, options, noise):
         assert OptionsSpec.from_mapping(options.to_mapping()) == options
         assert NoiseSpec.from_mapping(noise.to_mapping()) == noise
 
@@ -147,9 +137,18 @@ class TestRejection:
             ScenarioSpec.from_mapping(
                 {"name": "x", "description": "d", "tenant": []})
 
-    def test_unknown_pmu_field(self):
-        with pytest.raises(ConfigError, match="valid fields"):
-            PMUSpec.from_mapping({"depth": 3})
+    @pytest.mark.parametrize("key, value", [
+        ("pmu", {"queue_depth": 0, "grant_policy": "serialized"}),
+        ("seed", 2021),
+    ], ids=["pmu", "seed"])
+    def test_retired_key_is_named(self, key, value):
+        # The PMU knob section and the system seed changed nothing the
+        # simulator computes; a document still carrying one fails here
+        # rather than being silently accepted.
+        with pytest.raises(ConfigError,
+                           match=f"unknown scenario field.*'{key}'"):
+            ScenarioSpec.from_mapping(
+                {"name": "x", "description": "d", key: value})
 
     def test_unknown_preset_lists_presets(self):
         with pytest.raises(ConfigError, match="cannon_lake"):

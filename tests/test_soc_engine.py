@@ -111,20 +111,7 @@ class TestCancel:
         first.cancel()
         assert engine.peek_time() == 20.0
 
-
-class TestCompaction:
-    def test_mass_cancel_compacts_heap(self):
-        engine = Engine()
-        handles = [engine.schedule(float(i + 1), lambda: None)
-                   for i in range(200)]
-        for i, handle in enumerate(handles):
-            if i % 4 != 0:
-                handle.cancel()
-        # 150 of 200 entries cancelled: the heap must have been rebuilt
-        # rather than left to carry the dead entries until pop time.
-        assert len(engine._heap) < 100
-
-    def test_survivors_fire_in_order_after_compaction(self):
+    def test_survivors_fire_in_order_after_mass_cancel(self):
         engine = Engine()
         seen = []
         handles = []
@@ -148,17 +135,6 @@ class TestCompaction:
         engine.schedule(1.0, seen.append, "y")
         engine.run()
         assert seen == ["x", "y"]
-
-    def test_small_heaps_skip_compaction(self):
-        engine = Engine()
-        handles = [engine.schedule(float(i + 1), lambda: None)
-                   for i in range(10)]
-        for handle in handles:
-            handle.cancel()
-        # Below the compaction threshold the heap is left to drain lazily.
-        assert len(engine._heap) == 10
-        engine.run()
-        assert engine.events_run == 0
 
 
 class TestRunUntil:
@@ -225,11 +201,11 @@ class TestRunaway:
 
 
 class TestEngineCancelRegressions:
-    """Regressions for the fused run_until loop and cancel bookkeeping."""
+    """Regressions for the fused run_until loop and lazy cancellation."""
 
     def test_cancel_heavy_run_until_runs_every_live_event(self):
-        # Enough entries to clear _COMPACT_MIN_SIZE, cancelled from
-        # inside a dispatched callback so compaction fires mid-loop.
+        # Most entries are cancelled from inside a dispatched callback,
+        # so the loop meets them as dead heads mid-run.
         engine = Engine()
         ran = []
         handles = [engine.schedule(100.0 + i, ran.append, i)
@@ -242,13 +218,11 @@ class TestEngineCancelRegressions:
         engine.schedule(50.0, cancel_most)
         engine.run_until(1_000.0)
         assert ran == list(range(10)) + list(range(190, 200))
-        assert engine.check_cancel_invariant()
         assert engine.now == 1_000.0
 
-    def test_compaction_mid_run_does_not_drop_later_schedules(self):
-        # The callback cancels enough garbage to trigger a compaction,
-        # then schedules a new event; run_until's cached heap alias must
-        # still see it (compaction rebuilds the heap in place).
+    def test_cancels_mid_run_do_not_drop_later_schedules(self):
+        # The callback cancels a batch of entries, then schedules a new
+        # event; run_until's cached heap alias must still see it.
         engine = Engine()
         ran = []
         garbage = [engine.schedule(500.0 + i, ran.append, "garbage")
@@ -262,17 +236,8 @@ class TestEngineCancelRegressions:
         engine.schedule(1.0, churn)
         engine.run_until(2_000.0)
         assert ran == ["late"]
-        assert engine.check_cancel_invariant()
 
-    def test_cancel_after_pop_leaves_garbage_estimate_alone(self):
-        engine = Engine()
-        handle = engine.schedule(1.0, lambda: None)
-        engine.run_until(5.0)
-        handle.cancel()  # stale cancel of an already-run event
-        assert engine._cancelled == 0
-        assert engine.check_cancel_invariant()
-
-    def test_cancel_invariant_across_compactions(self):
+    def test_run_until_drains_cancelled_entries(self):
         engine = Engine()
         for _ in range(3):
             handles = [engine.schedule(1_000.0, lambda: None)
@@ -280,7 +245,6 @@ class TestEngineCancelRegressions:
             for handle in handles:
                 handle.cancel()
                 handle.cancel()  # idempotent: second cancel is a no-op
-                assert engine.check_cancel_invariant()
         engine.run_until(2_000.0)
-        assert engine.check_cancel_invariant()
+        assert engine.events_run == 0
         assert engine._heap == []

@@ -105,14 +105,13 @@ def check_activities(system):
             f"stale throttle on {where}")
         handle = activity.completion
         if activity.remaining <= 1e-9:
-            assert handle is not None and handle.in_heap, where
+            assert handle is not None and not handle.cancelled, where
             assert handle.time_ns <= now, where
         elif rate == 0.0:
             assert handle is None, f"suspended {where} has a completion"
         else:
             eta = activity.last_update + activity.remaining / rate
-            assert handle is not None and handle.in_heap, where
-            assert not handle.cancelled, where
+            assert handle is not None and not handle.cancelled, where
             assert math.isclose(handle.time_ns, eta, rel_tol=1e-12,
                                 abs_tol=1e-9), (
                 f"completion of {where} at {handle.time_ns}, not {eta}")
@@ -404,7 +403,6 @@ class TestRecordingProperties:
             system.run_until(us_to_ns(2_000.0))
         assert len(results) == len(deduped)
         assert oracle.checked > 0
-        assert system.engine.check_cancel_invariant()
 
 
 class TestThermalZeroStep:

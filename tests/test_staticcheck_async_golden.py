@@ -181,26 +181,32 @@ class TestGoldenEmit:
 
 
             @dataclass(frozen=True)
-            class PMUSpec:
-                queue_depth: int = 0
-                grant_policy: str = "serialized"
+            class TenantSpec:
+                channel: str
+                sender_core: int
+                receiver_core: int
+                offset_fraction: float = 0.0
 
                 @classmethod
                 def from_mapping(cls, mapping):
                     return cls(
-                        queue_depth=int(mapping.get("queue_depth", 0)),
-                        grant_policy=str(
-                            mapping.get("grant_policy", "serialized")))
+                        channel=str(mapping["channel"]),
+                        sender_core=int(mapping["sender_core"]),
+                        receiver_core=int(mapping["receiver_core"]),
+                        offset_fraction=float(
+                            mapping.get("offset_fraction", 0.0)))
 
                 def to_mapping(self) -> Dict[str, Any]:
-                    mapping = {"queue_depth": self.queue_depth,
-                               "grant_policy": self.grant_policy}
-                    if self.queue_depth == 0:
-                        del mapping["queue_depth"]
+                    mapping = {"channel": self.channel,
+                               "sender_core": self.sender_core,
+                               "receiver_core": self.receiver_core,
+                               "offset_fraction": self.offset_fraction}
+                    if not self.offset_fraction:
+                        del mapping["offset_fraction"]
                     return mapping
         """)
         assert rules_of(findings) == {"golden-emit"}
-        assert any("'queue_depth'" in f.message
+        assert any("'offset_fraction'" in f.message
                    and "no longer unconditionally" in f.message
                    for f in findings)
 

@@ -103,11 +103,10 @@ FLOW_CASES = [
     ),
     pytest.param(
         "scenarios/spec.py",
-        'return {"queue_depth": self.queue_depth,\n'
-        '                "grant_policy": self.grant_policy}',
-        'return {"queue_depth": self.queue_depth}',
+        '            "offset_fraction": self.offset_fraction,\n',
+        '',
         "golden-roundtrip",
-        id="pmuspec-dropped-mapping-key",
+        id="tenantspec-dropped-mapping-key",
     ),
     pytest.param(
         "scenarios/spec.py",
@@ -140,12 +139,11 @@ class TestFlowMutations:
         assert expected_rule in {f.rule for f in findings}, \
             [f.render() for f in findings]
 
-    def test_pmuspec_dropped_key_also_breaks_the_pinned_contract(self):
-        """The dropped PMUSpec key trips the digest-stability rule too."""
+    def test_tenantspec_dropped_key_also_breaks_the_pinned_contract(self):
+        """The dropped TenantSpec key trips the digest-stability rule too."""
         mutant = mutate(
             real_source("scenarios/spec.py"),
-            'return {"queue_depth": self.queue_depth,\n'
-            '                "grant_policy": self.grant_policy}',
-            'return {"queue_depth": self.queue_depth}')
+            '            "offset_fraction": self.offset_fraction,\n',
+            '')
         rules = {f.rule for f in flow_findings(mutant, "repro/scenarios/spec.py")}
         assert "golden-emit" in rules

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+from repro.verify import report as report_stage
 from repro.verify.__main__ import main
 from repro.verify.scenarios import compute_digest, scenario_names
 
@@ -56,10 +57,38 @@ class TestModes:
         assert "MISSING" in capsys.readouterr().out
 
     def test_fast_full_gate_passes(self, capsys):
-        """Lint + differential + fast-scenario goldens + in-process audit."""
+        """Lint, differential, fast goldens, the report, in-process audit."""
         code = main(["--scenario", "fig6_slice", "--scenario", "fig8_slice",
                      "--no-subprocess-audit"])
         out = capsys.readouterr().out
         assert code == 0, out
         assert "all stages passed" in out
         assert "lint clean" in out
+        assert "ok       REPORT.md" in out
+
+
+class TestReportStage:
+    def test_drift_names_first_line_and_command(self, tmp_path, monkeypatch):
+        path = tmp_path / "REPORT.md"
+        path.write_text("# title\nold row\ntail\n", encoding="utf-8")
+        monkeypatch.setattr(report_stage, "generate_report",
+                            lambda: "# title\nnew row\ntail\n")
+        check = report_stage.check_report(path)
+        assert not check.ok
+        rendered = check.render()
+        assert "line 2: 'old row\\n' -> 'new row\\n'" in rendered
+        assert report_stage.REGENERATE in rendered
+
+    def test_truncated_file_is_drift(self, tmp_path, monkeypatch):
+        path = tmp_path / "REPORT.md"
+        path.write_text("a\n", encoding="utf-8")
+        monkeypatch.setattr(report_stage, "generate_report",
+                            lambda: "a\nb\n")
+        check = report_stage.check_report(path)
+        assert not check.ok
+        assert "line 2: file has 1 lines, fresh report has 2" in check.detail
+
+    def test_missing_file_is_drift(self, tmp_path):
+        check = report_stage.check_report(tmp_path / "REPORT.md")
+        assert not check.ok
+        assert "not found" in check.detail
