@@ -6,6 +6,8 @@ efficiency.  A full covert-channel transfer (calibration + 16 symbols,
 in the tens-of-milliseconds range of host time.
 """
 
+import gc
+
 from repro import System, cannon_lake_i3_8121u
 from repro.core import IccThreadCovert
 
@@ -21,6 +23,12 @@ def test_bench_simperf(benchmark):
     simulated_s = system.now / 1e9
     benchmark.extra_info["simulated_ms"] = round(system.now / 1e6, 1)
     benchmark.extra_info["events"] = system.engine.events_run
+    # The collector's cadence: objects left to the cyclic GC drive it.
+    # Informational only; the count differs between Python versions.
+    gen0 = gc.get_stats()[0]["collections"]
+    one_transfer()
+    benchmark.extra_info["gc_gen0_collections"] = (
+        gc.get_stats()[0]["collections"] - gen0)
     assert report.ber == 0.0
     # The event count of this transfer is deterministic; more events
     # mean the simulator does more work for the same result.

@@ -14,8 +14,9 @@ The three kinds mirror the paper:
 * ``LDO`` — per-core low-dropout regulator (AMD-style), the paper's
   mitigation: sub-0.5 us transitions (Section 7).
 
-Output voltage over time is kept as piecewise-linear segments so the
-simulated NI-DAQ (:mod:`repro.measure.daq`) can sample the rail.
+Output voltage over time is kept as piecewise-linear segments in flat
+float columns so the simulated NI-DAQ (:mod:`repro.measure.daq`) can
+sample the rail.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import bisect
 import enum
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
@@ -128,27 +130,6 @@ def ldo_spec(vcc_max: float, icc_max: float,
                   vid_step_mv, vcc_max, icc_max)
 
 
-@dataclass(slots=True)
-class _Segment:
-    """One piecewise-linear span of the rail's output voltage."""
-
-    t_start: float
-    t_end: float
-    v_start: float
-    v_end: float
-
-    def voltage_at(self, t_ns: float) -> float:
-        """Linear interpolation inside the span, clamped at its ends."""
-        if self.t_end <= self.t_start:
-            return self.v_end
-        frac = (t_ns - self.t_start) / (self.t_end - self.t_start)
-        if not frac > 0.0:
-            frac = 0.0
-        elif not frac < 1.0:
-            frac = 1.0
-        return self.v_start + frac * (self.v_end - self.v_start)
-
-
 @dataclass
 class VoltageRegulator:
     """A stateful rail driven by VID commands.
@@ -164,19 +145,26 @@ class VoltageRegulator:
     spec: VRSpec
     v_initial: float
     name: str = "vr"
-    _segments: List[_Segment] = field(default_factory=list)
-    _starts: List[float] = field(default_factory=list)
+    # Segment i runs from (_t_start[i], _v_start[i]) to (_t_end[i],
+    # _v_end[i]); flat columns hold no per-segment objects for the GC.
+    _t_start: array = field(default_factory=lambda: array("d"))
+    _t_end: array = field(default_factory=lambda: array("d"))
+    _v_start: array = field(default_factory=lambda: array("d"))
+    _v_end: array = field(default_factory=lambda: array("d"))
     _busy_until: float = 0.0
     _last_command_ns: float = 0.0
 
     def __post_init__(self) -> None:
         if self.v_initial <= 0:
             raise ConfigError(f"initial voltage must be positive, got {self.v_initial}")
-        self._append_segment(_Segment(0.0, 0.0, self.v_initial, self.v_initial))
+        self._append_segment(0.0, 0.0, self.v_initial, self.v_initial)
 
-    def _append_segment(self, segment: _Segment) -> None:
-        self._segments.append(segment)
-        self._starts.append(segment.t_start)
+    def _append_segment(self, t_start: float, t_end: float,
+                        v_start: float, v_end: float) -> None:
+        self._t_start.append(t_start)
+        self._t_end.append(t_end)
+        self._v_start.append(v_start)
+        self._v_end.append(v_end)
 
     # -- queries -----------------------------------------------------------
 
@@ -196,16 +184,25 @@ class VoltageRegulator:
         the last one starting at or before ``t_ns`` (ties go to the most
         recently appended segment, as a reversed linear scan would).
         """
-        if not self._segments:
-            raise SimulationError("regulator has no history")
-        idx = bisect.bisect_right(self._starts, t_ns) - 1
+        idx = bisect.bisect_right(self._t_start, t_ns) - 1
         if idx < 0:
-            return self._segments[0].v_start
-        return self._segments[idx].voltage_at(t_ns)
+            return self._v_start[0]
+        t_start = self._t_start[idx]
+        t_end = self._t_end[idx]
+        if t_end <= t_start:
+            return self._v_end[idx]
+        # Linear interpolation inside the segment, clamped at its ends.
+        frac = (t_ns - t_start) / (t_end - t_start)
+        if not frac > 0.0:
+            frac = 0.0
+        elif not frac < 1.0:
+            frac = 1.0
+        v_start = self._v_start[idx]
+        return v_start + frac * (self._v_end[idx] - v_start)
 
     def settled_voltage(self) -> float:
         """The target of the most recent command (the eventual voltage)."""
-        return self._segments[-1].v_end
+        return self._v_end[-1]
 
     # -- commands ----------------------------------------------------------
 
@@ -239,8 +236,8 @@ class VoltageRegulator:
         slew_ns = abs(target - v_now) / self.spec._slew_v_per_us * 1_000.0
         start = now_ns + latency
         end = start + slew_ns
-        self._append_segment(_Segment(now_ns, start, v_now, v_now))
-        self._append_segment(_Segment(start, end, v_now, target))
+        self._append_segment(now_ns, start, v_now, v_now)
+        self._append_segment(start, end, v_now, target)
         self._busy_until = end
         if tracer.enabled:
             tracer.metrics.counter("vr.commands").inc()
@@ -259,22 +256,23 @@ class VoltageRegulator:
         Used by secure mode to boot with the worst-case guardband already
         applied; not valid once commands have been issued.
         """
-        if len(self._segments) > 1 or self._busy_until > 0.0:
+        if len(self._t_start) > 1 or self._busy_until > 0.0:
             raise SimulationError(
                 f"rail {self.name} already has history; force_level is "
                 f"setup-time only"
             )
         level = min(self.spec.quantize_vid(vcc), self.spec.vcc_max)
-        self._segments = [_Segment(0.0, 0.0, level, level)]
-        self._starts = [0.0]
+        # The one segment left is the flat (0, 0) start: relevel it.
+        self._v_start[0] = self._v_end[0] = level
         self._busy_until = 0.0
 
     def history(self) -> List[Tuple[float, float]]:
         """(time, voltage) breakpoints of the full rail history."""
         points: List[Tuple[float, float]] = []
-        for segment in self._segments:
-            points.append((segment.t_start, segment.v_start))
-            points.append((segment.t_end, segment.v_end))
+        for t0, t1, v0, v1 in zip(self._t_start, self._t_end,
+                                  self._v_start, self._v_end):
+            points.append((t0, v0))
+            points.append((t1, v1))
         return points
 
     def breakpoints(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -286,13 +284,10 @@ class VoltageRegulator:
         span) reproduces :meth:`voltage_at` exactly — the rail output is
         continuous, so no jump encoding is needed.
         """
-        times: List[float] = []
-        volts: List[float] = []
-        for segment in self._segments:
-            for t, v in ((segment.t_start, segment.v_start),
-                         (segment.t_end, segment.v_end)):
-                if times and t == times[-1] and v == volts[-1]:
-                    continue
-                times.append(t)
-                volts.append(v)
-        return np.asarray(times, dtype=float), np.asarray(volts, dtype=float)
+        times = np.column_stack((self._t_start, self._t_end)).ravel()
+        volts = np.column_stack((self._v_start, self._v_end)).ravel()
+        # A point equal to its raw predecessor equals the last kept one
+        # too, so one vectorised comparison dedups the run.
+        keep = np.ones(len(times), dtype=bool)
+        keep[1:] = (times[1:] != times[:-1]) | (volts[1:] != volts[:-1])
+        return times[keep], volts[keep]

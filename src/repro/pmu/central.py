@@ -216,6 +216,8 @@ class CentralPMU:
         if pending_target is not None and pending_target >= iclass:
             # Already queued at this or a higher level; stay throttled.
             return True
+        # Transitions ahead of this request (0: the rail was idle).
+        ahead = len(self._queues[rail]) + (self._inflight[rail] is not None)
         self._queues[rail].append(_Request(core, iclass, up=True))
         self._throttled[rail].add(core)
         tracer = _obs()
@@ -226,7 +228,7 @@ class CentralPMU:
             tracer.instant(
                 "pmu.queue_up", "pmu", self.engine.now, track=f"rail{rail}",
                 args={"core": core, "iclass": iclass.name,
-                      "queue_depth": len(self._queues[rail])},
+                      "queue_depth": ahead},
             )
         self._notify()
         self._kick(rail)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, List, Optional, Tuple
+from typing import Any, Generator, List, Optional, Tuple
 
 import numpy as np
 
@@ -165,12 +165,11 @@ class _Activity:
     __slots__ = (
         "loop", "remaining", "rate", "rate_throttled", "last_update",
         "start_ns", "start_tsc", "gate_wake_ns", "throttled_ns",
-        "completion", "resume", "emergency_checked",
+        "completion", "process", "emergency_checked",
     )
 
     def __init__(self, loop: Loop, start_ns: float, start_tsc: int,
-                 gate_wake_ns: float,
-                 resume: Callable[[ExecResult], None]) -> None:
+                 gate_wake_ns: float, process: _Process) -> None:
         self.loop = loop
         self.remaining = float(loop.total_instructions)
         self.rate = 0.0
@@ -181,7 +180,7 @@ class _Activity:
         self.gate_wake_ns = gate_wake_ns
         self.throttled_ns = 0.0
         self.completion: Optional[EventHandle] = None
-        self.resume = resume
+        self.process = process
         self.emergency_checked = False
 
 
@@ -562,17 +561,14 @@ class System:
             self.engine.schedule(delay if delay > 0.0 else 0.0,
                                  self._advance, process, None)
         elif isinstance(request, _ExecReq):
-            self._start_execute(
-                request.thread_id, request.loop,
-                lambda result: self._advance(process, result),
-            )
+            self._start_execute(request.thread_id, request.loop, process)
         else:
             raise SimulationError(
                 f"process {process.name} yielded unknown request {request!r}"
             )
 
     def _start_execute(self, thread_id: int, loop: Loop,
-                       resume: Callable[[ExecResult], None]) -> None:
+                       process: _Process) -> None:
         thread = self._thread(thread_id)
         if thread.activity is not None:
             raise SimulationError(
@@ -589,7 +585,7 @@ class System:
             self.cstates.note_busy(core)
         wake += local.gate_wake_latency(loop.iclass, now + wake)
         local.note_execute(loop.iclass, now)
-        thread.activity = _Activity(loop, now, self.rdtsc(), wake, resume)
+        thread.activity = _Activity(loop, now, self.rdtsc(), wake, process)
         self._batching = True
         try:
             self.pmu.set_core_active(core, True)
@@ -635,7 +631,7 @@ class System:
         self._recompute_core(core)
         self._record_label(core)
         self._record_cdyn(core)
-        activity.resume(result)
+        self._advance(activity.process, result)
 
     def _recompute_core(self, core: int) -> None:
         """Split every in-flight loop on ``core`` at now and re-rate it.
@@ -744,9 +740,11 @@ class System:
     def _complete(self, thread: _HWThread, activity: _Activity) -> None:
         if thread.activity is not activity:
             return  # stale completion after the activity already finished
+        # A fired handle is never kept: its args point back at the
+        # activity, and the cycle would leave the loop to the cyclic GC.
+        activity.completion = None
         self._update_progress(thread, self.engine.now)
         if activity.remaining > 1e-6:
-            activity.completion = None  # fired: reschedule, never keep it
             self._reschedule_completion(thread)
             return
         self._finish_execute(thread)

@@ -1,6 +1,7 @@
 """Voltage regulator models: spec validation, commands, histories."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError, SimulationError
 from repro.pdn import VRKind, VRSpec, VoltageRegulator
@@ -148,3 +149,126 @@ class TestVoltageRegulator:
     def test_rejects_nonpositive_initial_voltage(self):
         with pytest.raises(ConfigError):
             VoltageRegulator(make_spec(), 0.0)
+
+
+class _SegmentOracle:
+    """Reference rail history: a plain list of (t0, t1, v0, v1) segments.
+
+    Mirrors :meth:`VoltageRegulator.command` and ``force_level`` with an
+    object-per-segment store.  A query time matched by several segment
+    starts goes to the last appended one; a time before the history
+    reads the first segment's start voltage.
+    """
+
+    def __init__(self, spec, level):
+        self.spec = spec
+        self.segments = [(0.0, 0.0, level, level)]
+        self.busy_until = 0.0
+
+    def voltage_at(self, t_ns):
+        match = None
+        for segment in self.segments:
+            if segment[0] <= t_ns:
+                match = segment
+        if match is None:
+            return self.segments[0][2]
+        t0, t1, v0, v1 = match
+        if t1 <= t0:
+            return v1
+        frac = (t_ns - t0) / (t1 - t0)
+        if not frac > 0.0:
+            frac = 0.0
+        elif not frac < 1.0:
+            frac = 1.0
+        return v0 + frac * (v1 - v0)
+
+    def command(self, now_ns, target_vcc):
+        spec = self.spec
+        target = min(spec.quantize_vid(target_vcc), spec.vcc_max)
+        v_now = self.voltage_at(now_ns)
+        if abs(target - v_now) < 1e-12:
+            self.busy_until = now_ns
+            return
+        start = now_ns + spec.command_latency_ns
+        end = start + abs(target - v_now) / spec._slew_v_per_us * 1_000.0
+        self.segments.append((now_ns, start, v_now, v_now))
+        self.segments.append((start, end, v_now, target))
+        self.busy_until = end
+
+    def force_level(self, vcc):
+        if len(self.segments) > 1 or self.busy_until > 0.0:
+            return False
+        level = min(self.spec.quantize_vid(vcc), self.spec.vcc_max)
+        self.segments = [(0.0, 0.0, level, level)]
+        return True
+
+    def history(self):
+        points = []
+        for t0, t1, v0, v1 in self.segments:
+            points.append((t0, v0))
+            points.append((t1, v1))
+        return points
+
+    def breakpoints(self):
+        times, volts = [], []
+        for t, v in self.history():
+            if times and t == times[-1] and v == volts[-1]:
+                continue
+            times.append(t)
+            volts.append(v)
+        return times, volts
+
+
+# Repeated grid values make no-op commands likely; arbitrary floats give
+# off-grid initial levels and targets.
+_volts = st.one_of(
+    st.sampled_from([0.7, 0.75, 0.8, 0.8025, 0.85, 0.9, 1.0, 1.3]),
+    st.floats(min_value=0.6, max_value=1.3),
+)
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("command"),
+                  st.one_of(st.just(0.0),
+                            st.floats(min_value=0.0, max_value=50_000.0)),
+                  _volts),
+        st.tuples(st.just("force"), st.just(0.0), _volts),
+    ),
+    max_size=12,
+)
+
+
+class TestColumnHistoryProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ops=_ops,
+        v_initial=_volts,
+        slew=st.sampled_from([1.25, 2.0, 100.0]),
+        latency=st.sampled_from([0.0, 50.0, 1500.0]),
+        step=st.sampled_from([2.5, 5.0]),
+        probes=st.lists(st.floats(min_value=-1_000.0, max_value=1e6),
+                        max_size=20),
+    )
+    def test_matches_segment_list_oracle(self, ops, v_initial, slew,
+                                         latency, step, probes):
+        spec = make_spec(slew_mv_per_us=slew, command_latency_ns=latency,
+                         vid_step_mv=step, vcc_max=1.2)
+        vr = VoltageRegulator(spec, v_initial)
+        oracle = _SegmentOracle(spec, v_initial)
+        for kind, gap, vcc in ops:
+            if kind == "force":
+                if oracle.force_level(vcc):
+                    vr.force_level(vcc)
+                else:
+                    with pytest.raises(SimulationError):
+                        vr.force_level(vcc)
+            else:
+                now = vr.busy_until + gap
+                vr.command(now, vcc)
+                oracle.command(now, vcc)
+        assert vr.history() == oracle.history()
+        assert vr.settled_voltage() == oracle.segments[-1][3]
+        # Every breakpoint (where start ties sit) plus random times.
+        for t in [t for t, _ in oracle.history()] + probes:
+            assert vr.voltage_at(t) == oracle.voltage_at(t)
+        times, volts = vr.breakpoints()
+        assert (times.tolist(), volts.tolist()) == oracle.breakpoints()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.isa import IClass
+from repro.obs import tracing
 from repro.pdn import GuardbandModel, LoadLine, VoltageRegulator
 from repro.pmu import CentralPMU, LimitPolicy, PMUConfig
 from repro.pmu.dvfs import pstate_ladder
@@ -127,6 +128,17 @@ class TestSerialization:
         pmu2.request_up(1, IClass.HEAVY_256)
         engine2.run()
         assert engine2.now > t_single * 1.5
+
+    def test_queue_depth_counts_transitions_ahead(self):
+        # 0 on an idle rail; 1 behind another core's in-flight transition.
+        with tracing() as tr:
+            engine, pmu = build_pmu()
+            pmu.request_up(0, IClass.HEAVY_256)
+            pmu.request_up(1, IClass.HEAVY_256)
+            engine.run()
+        depths = [(e.args["core"], e.args["queue_depth"])
+                  for e in tr.events if e.name == "pmu.queue_up"]
+        assert depths == [(0, 0), (1, 1)]
 
     def test_per_core_rails_do_not_serialise(self):
         engine, pmu = build_pmu(per_core_vr=True)

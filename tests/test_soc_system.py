@@ -1,14 +1,19 @@
 """System-level behaviour: the three throttling side effects and more."""
 
+import gc
+
 import pytest
 
 from repro import IClass, Loop, System, SystemOptions
+from repro.core import IccThreadCovert
 from repro.errors import ConfigError, SimulationError
 from repro.soc.config import (
     cannon_lake_i3_8121u,
     coffee_lake_i7_9700k,
     haswell_i7_4770k,
 )
+from repro.soc.engine import EventHandle
+from repro.soc.system import _Activity
 from repro.units import us_to_ns
 
 
@@ -490,3 +495,29 @@ class TestGovernorIntegration:
             system = System(config, governor=gov)
             result = run_single_loop(system, 0, Loop(IClass.HEAVY_256, 60))
             assert result.throttled_ns > us_to_ns(1.0), gov.kind
+
+
+class TestMemory:
+    def test_finished_loops_leave_no_cyclic_garbage(self):
+        # Each finished loop must be freed by reference counting: an
+        # _Activity or EventHandle that only the cyclic GC can reclaim
+        # shows up in gc.garbage under DEBUG_SAVEALL.
+        was_enabled = gc.isenabled()
+        debug = gc.get_debug()
+        gc.collect()
+        gc.disable()
+        try:
+            system = System(cannon_lake_i3_8121u())
+            report = IccThreadCovert(system).transfer(b"\x5a\xc3\x0f\x3c")
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            cyclic = [type(obj).__name__ for obj in gc.garbage
+                      if isinstance(obj, (_Activity, EventHandle))]
+            assert report.ber == 0.0
+            assert system.engine.events_run > 0  # keep system alive
+            assert cyclic == []
+        finally:
+            gc.set_debug(debug)
+            gc.garbage.clear()
+            if was_enabled:
+                gc.enable()
