@@ -7,6 +7,8 @@ in the tens-of-milliseconds range of host time.
 """
 
 import gc
+import statistics
+import time
 
 from repro import System, cannon_lake_i3_8121u
 from repro.core import IccThreadCovert
@@ -23,6 +25,16 @@ def test_bench_simperf(benchmark):
     simulated_s = system.now / 1e9
     benchmark.extra_info["simulated_ms"] = round(system.now / 1e6, 1)
     benchmark.extra_info["events"] = system.engine.events_run
+    # Host cost of building one system (informational, no gate): every
+    # system of a preset shares its operating-point table.
+    config = cannon_lake_i3_8121u()
+    build_us = []
+    for _ in range(51):
+        start = time.perf_counter()
+        System(config)
+        build_us.append((time.perf_counter() - start) * 1e6)
+    benchmark.extra_info["system_build_us"] = round(
+        statistics.median(build_us), 1)
     # The collector's cadence: objects left to the cyclic GC drive it.
     # Informational only; the count differs between Python versions.
     gen0 = gc.get_stats()[0]["collections"]

@@ -188,8 +188,7 @@ class Fig7Result:
 def _operating_point(config: ProcessorConfig, freq: float, n_cores: int,
                      iclass: IClass, label: str) -> Fig7OperatingPoint:
     system = System(config, governor_freq_ghz=freq)
-    classes = [iclass] * n_cores
-    verdict = system.limits.evaluate(freq, classes)
+    verdict = system.pmu.table.verdict(freq, (iclass,) * n_cores)
     sink: List = []
     loop = uniform_loop(iclass, duration_us=300.0, freq_ghz=freq)
     for core in range(n_cores):

@@ -266,11 +266,9 @@ class CovertChannel(abc.ABC):
     # are sized from the system's electrical model, never below the
     # configured minimums.
 
-    def _operating_point(self) -> "tuple[float, float]":
-        """(frequency GHz, baseline Vcc) of the current governor target."""
-        freq = self.system.pmu.requested_freq_ghz
-        vcc = self.system.pmu.curve.vcc_for(freq)
-        return freq, vcc
+    def _freq_ghz(self) -> float:
+        """Frequency of the current governor target."""
+        return self.system.pmu.requested_freq_ghz
 
     def _tp_estimate_ns(self, delta_v: float) -> float:
         """Pessimistic transition time for a guardband step of ``delta_v``."""
@@ -281,19 +279,18 @@ class CovertChannel(abc.ABC):
 
     def _iterations_for_wall(self, iclass: IClass, wall_ns: float) -> int:
         """Iterations of ``iclass`` spanning ``wall_ns`` at quarter rate."""
-        freq, _ = self._operating_point()
+        freq = self._freq_ghz()
         throttled_rate = iclass.ipc * freq / 4.0  # instructions per ns
         instructions = wall_ns * throttled_rate
         return max(1, int(instructions / self.config.block_instructions) + 1)
 
     def _min_wall_ns(self, configured_iterations: int) -> float:
         """Wall-time floor an iteration-count minimum implies (at IPC 1)."""
-        freq, _ = self._operating_point()
+        freq = self._freq_ghz()
         return configured_iterations * self.config.block_instructions * 4.0 / freq
 
     def _sender_dv(self, iclass: IClass) -> float:
-        freq, vcc = self._operating_point()
-        return self.system.guardband.delta_v(iclass, vcc, freq)
+        return self.system.pmu.table.class_step_v(iclass, self._freq_ghz())
 
     def sender_loop(self, symbol: int) -> Loop:
         """The PHI loop encoding two-bit ``symbol``.
@@ -362,7 +359,7 @@ class CovertChannel(abc.ABC):
         """
         if not self.config.adaptive_slot:
             return us_to_ns(self.config.slot_us)
-        freq, _ = self._operating_point()
+        freq = self._freq_ghz()
         cached = self._slot_ns_cache.get(freq)
         if cached is not None:
             return cached

@@ -42,33 +42,16 @@ class GuardbandModel:
     loadline: LoadLine
     reference: IClass = IClass.SCALAR_64
 
-    def __post_init__(self) -> None:
-        # Equation-1 evaluations sit on the recompute hot path; the model
-        # is immutable, so both the per-class step and the summed rail
-        # target are memoized.  Keys include every input, and the cached
-        # values are the very floats the cold path produced, so the memo
-        # cannot change a single bit of any trace.
-        object.__setattr__(self, "_dv_cache", {})
-        object.__setattr__(self, "_target_cache", {})
-
     def delta_v(self, iclass: IClass, vcc: float, freq_ghz: float) -> float:
         """Guardband step one core running ``iclass`` adds (Equation 1)."""
-        key = (iclass, vcc, freq_ghz)
-        cached = self._dv_cache.get(key)
-        if cached is not None:
-            return cached
         if vcc <= 0:
             raise ConfigError(f"vcc must be positive, got {vcc}")
         if freq_ghz <= 0:
             raise ConfigError(f"frequency must be positive, got {freq_ghz}")
         cdyn_delta = iclass.cdyn_nf - self.reference.cdyn_nf
         if cdyn_delta <= 0.0:
-            result = 0.0
-        else:
-            delta_icc = cdyn_delta * vcc * freq_ghz
-            result = self.loadline.droop(delta_icc)
-        self._dv_cache[key] = result
-        return result
+            return 0.0
+        return self.loadline.droop(cdyn_delta * vcc * freq_ghz)
 
     def target_vcc(self, baseline_vcc: float,
                    active_classes: Iterable[IClass],
@@ -80,15 +63,9 @@ class GuardbandModel:
         because each additional core raises the worst-case current the
         rail must absorb (Figure 6a).
         """
-        classes = tuple(active_classes)
-        key = (baseline_vcc, classes, freq_ghz)
-        cached = self._target_cache.get(key)
-        if cached is not None:
-            return cached
         total = baseline_vcc
-        for iclass in classes:
+        for iclass in active_classes:
             total += self.delta_v(iclass, baseline_vcc, freq_ghz)
-        self._target_cache[key] = total
         return total
 
     def worst_case_vcc(self, baseline_vcc: float, n_cores: int,

@@ -26,16 +26,13 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Set
+from typing import Callable, Deque, List, Optional, Sequence, Set
 
 from repro.errors import ConfigError, SimulationError
 from repro.isa.instructions import IClass
 from repro.obs.tracer import current as _obs
-from repro.pdn.guardband import GuardbandModel
 from repro.pdn.regulator import VoltageRegulator
-from repro.pmu.dvfs import PState, VFCurve
-from repro.pmu.limits import LimitPolicy
-from repro.pmu.turbo import TurboLicenseTable
+from repro.pmu.optable import OperatingPointTable
 from repro.soc.engine import Engine
 
 
@@ -97,8 +94,9 @@ class CentralPMU:
         per-core-VR mitigation passes one rail per core.
     rail_of_core:
         Maps core index to rail index.
-    guardband / curve / limits / ladder / licenses:
-        Electrical models (see the respective modules).
+    table:
+        The processor's operating points (V/F baseline, guardbands,
+        limits, P-states and turbo licenses).
     requested_freq_ghz:
         The governor's requested package frequency.
     config:
@@ -106,9 +104,7 @@ class CentralPMU:
     """
 
     def __init__(self, engine: Engine, rails: Sequence[VoltageRegulator],
-                 rail_of_core: Sequence[int], guardband: GuardbandModel,
-                 curve: VFCurve, limits: LimitPolicy,
-                 ladder: Sequence[PState], licenses: TurboLicenseTable,
+                 rail_of_core: Sequence[int], table: OperatingPointTable,
                  requested_freq_ghz: float,
                  config: PMUConfig = PMUConfig()) -> None:
         if not rails:
@@ -118,13 +114,13 @@ class CentralPMU:
         self.engine = engine
         self.rails = list(rails)
         self.rail_of_core = list(rail_of_core)
-        self.guardband = guardband
-        self.curve = curve
-        self.limits = limits
-        self.ladder = list(ladder)
-        self.licenses = licenses
+        self.table = table
         self.config = config
         self.n_cores = len(rail_of_core)
+        self._virus = (IClass.HEAVY_512,) * self.n_cores
+        # The license limit licenses every core at the virus class, so
+        # guardband traffic never moves the ceiling (None: active classes).
+        self._licensed = self._virus if config.turbo_license_limit else None
         #: The cores each rail powers, in core order.
         self._rail_cores: List[List[int]] = [
             [core for core, r in enumerate(self.rail_of_core) if r == rail]
@@ -135,9 +131,6 @@ class CentralPMU:
         self.freq_ghz = requested_freq_ghz
         self.granted: List[IClass] = [IClass.SCALAR_64] * self.n_cores
         self.active_cores: Set[int] = set()
-        # Sorted tuple of ``active_cores``, kept current by
-        # set_core_active for the _allowed_freq memo key.
-        self._active_key: tuple = ()
 
         self._queues: List[Deque[_Request]] = [deque() for _ in rails]
         self._inflight: List[Optional[_Request]] = [None] * len(rails)
@@ -152,15 +145,6 @@ class CentralPMU:
         #: Fired after any throttle/frequency state change; the system
         #: hooks this to recompute execution rates and record traces.
         self.on_state_change: Optional[Callable[[], None]] = None
-        # _allowed_freq memo: the electrical models and ladder are fixed
-        # for the PMU's lifetime, so the answer depends only on the
-        # requested frequency, the candidate coverage, the active-core
-        # set and the current grants — all captured in the key.
-        self._allowed_cache: Dict[tuple, float] = {}
-        # _command_rail memo: the V/F baseline and the guardband depend
-        # only on the package frequency and the classes of the rail's
-        # cores, so those two are the key.
-        self._rail_targets: Dict[tuple, float] = {}
         #: Count of voltage transitions issued, per rail (for reports).
         self.transitions_issued: List[int] = [0] * len(rails)
 
@@ -279,7 +263,6 @@ class CentralPMU:
             self.active_cores.add(core)
         else:
             self.active_cores.discard(core)
-        self._active_key = tuple(sorted(self.active_cores))
         self._reconcile_frequency()
 
     # -- internals --------------------------------------------------------------
@@ -318,33 +301,17 @@ class CentralPMU:
         turbo license; idle cores are clock-gated.  A core that is in
         ``classes`` above its grant is being woken, so it always counts.
         """
-        key = (self.requested_freq_ghz, tuple(classes),
-               self._active_key, tuple(self.granted))
-        cached = self._allowed_cache.get(key)
-        if cached is not None:
-            return cached
-        active = [
-            iclass
-            for core, iclass in enumerate(classes)
-            if core in self.active_cores or iclass > self.granted[core]
-        ]
-        if not active:
-            active = [IClass.SCALAR_64]
-        if self.config.turbo_license_limit:
-            # License every core at the power-virus class regardless of
-            # what actually runs: the ceiling becomes grant-independent,
-            # so guardband traffic never triggers a frequency change.
-            license_classes: Sequence[IClass] = (
-                [IClass.HEAVY_512] * self.n_cores)
-        else:
-            license_classes = active
-        ceiling = min(
-            self.requested_freq_ghz,
-            self.licenses.package_ceiling(license_classes),
-        )
-        allowed = self.limits.max_allowed(ceiling, active, self.ladder).freq_ghz
-        self._allowed_cache[key] = allowed
-        return allowed
+        granted = self.granted
+        active_cores = self.active_cores
+        active: List[IClass] = []
+        core = 0  # a plain counter: enumerate costs more on this hot path
+        for iclass in classes:
+            if core in active_cores or iclass > granted[core]:
+                active.append(iclass)
+            core += 1
+        return self.table.allowed_freq(
+            self.requested_freq_ghz, tuple(active) or (IClass.SCALAR_64,),
+            self._licensed)
 
     def _is_live(self, req: _Request) -> bool:
         """Whether ``req`` still changes its core's grant."""
@@ -367,26 +334,20 @@ class CentralPMU:
     def _begin_transition(self, rail: int, req: _Request) -> None:
         self._rail_active[rail] = True
         self._inflight[rail] = req
-        classes = self._classes_with(req)
-        allowed = self._allowed_freq(classes)
-        if abs(allowed - self.freq_ghz) > 1e-9 and req.up:
+        # Only a raised guardband can make the current frequency illegal.
+        allowed = (self._allowed_freq(self._classes_with(req)) if req.up
+                   else self.freq_ghz)
+        if abs(allowed - self.freq_ghz) > 1e-9:
             self._begin_freq_change(allowed, lambda: self._command_rail(rail, req))
         else:
             self._command_rail(rail, req)
 
     def _command_rail(self, rail: int, req: _Request) -> None:
         """Command ``rail`` to its cores' guardband with ``req`` granted."""
-        freq = self.freq_ghz
         granted = self.granted
-        classes: List[IClass] = []
-        for core in self._rail_cores[rail]:
-            classes.append(req.target if core == req.core else granted[core])
-        key = (freq, tuple(classes))
-        target = self._rail_targets.get(key)
-        if target is None:
-            target = self.guardband.target_vcc(
-                self.curve.vcc_for(freq), classes, freq)
-            self._rail_targets[key] = target
+        classes = tuple([req.target if core == req.core else granted[core]
+                         for core in self._rail_cores[rail]])
+        target = self.table.rail_target(self.freq_ghz, classes)
         now = self.engine.now
         settle_ns = self.rails[rail].command(now, target)
         self.transitions_issued[rail] += 1
@@ -412,7 +373,8 @@ class CentralPMU:
         cores' — release is collective, not per-request.
         """
         if self._rail_active[rail] or self._queues[rail]:
-            return
+            raise SimulationError(
+                f"rail {rail} released with a transition in flight or queued")
         if self._throttled[rail]:
             released = len(self._throttled[rail])
             self._throttled[rail].clear()
@@ -434,10 +396,7 @@ class CentralPMU:
 
     def _secure_allowed_freq(self) -> float:
         """Fastest frequency whose all-core worst case fits the limits."""
-        classes = [IClass.HEAVY_512] * self.n_cores
-        ceiling = min(self.requested_freq_ghz,
-                      self.licenses.package_ceiling(classes))
-        return self.limits.max_allowed(ceiling, classes, self.ladder).freq_ghz
+        return self.table.allowed_freq(self.requested_freq_ghz, self._virus)
 
     def _reconcile_frequency(self) -> None:
         """Move toward the fastest legal frequency for current grants."""
@@ -496,13 +455,13 @@ class CentralPMU:
         Rails with queued work will pick the new baseline up in their
         next transition anyway.
         """
-        baseline = self.curve.vcc_for(self.freq_ghz)
         for rail_idx, regulator in enumerate(self.rails):
             if self._rail_active[rail_idx] or self._queues[rail_idx]:
                 self._kick(rail_idx)
                 continue
-            classes = [self.granted[core] for core in self._rail_cores[rail_idx]]
-            target = self.guardband.target_vcc(baseline, classes, self.freq_ghz)
+            classes = tuple([self.granted[core]
+                             for core in self._rail_cores[rail_idx]])
+            target = self.table.rail_target(self.freq_ghz, classes)
             if abs(regulator.settled_voltage() - regulator.spec.quantize_vid(target)) > 1e-9:
                 self._rail_active[rail_idx] = True
                 settle_ns = regulator.command(self.engine.now, target)
@@ -523,11 +482,10 @@ class CentralPMU:
 
     def _pin_secure_mode(self) -> None:
         """Pin grants and rails at the worst-case power-virus level."""
-        self.granted = [IClass.HEAVY_512] * self.n_cores
-        baseline = self.curve.vcc_for(self.freq_ghz)
+        self.granted = list(self._virus)
         for rail_idx, regulator in enumerate(self.rails):
-            classes = [IClass.HEAVY_512] * len(self._rail_cores[rail_idx])
-            target = self.guardband.target_vcc(baseline, classes, self.freq_ghz)
+            classes = (IClass.HEAVY_512,) * len(self._rail_cores[rail_idx])
+            target = self.table.rail_target(self.freq_ghz, classes)
             regulator.force_level(min(target, regulator.spec.vcc_max))
 
     def secure_mode_power_overhead(self, typical_class: IClass) -> float:
@@ -537,9 +495,7 @@ class CentralPMU:
         guardband instead of the guardband of ``typical_class`` costs
         ``(V_secure^2 - V_typical^2) / V_typical^2``.
         """
-        baseline = self.curve.vcc_for(self.freq_ghz)
-        classes_typical = [typical_class] * self.n_cores
-        classes_secure = [IClass.HEAVY_512] * self.n_cores
-        v_typical = self.guardband.target_vcc(baseline, classes_typical, self.freq_ghz)
-        v_secure = self.guardband.target_vcc(baseline, classes_secure, self.freq_ghz)
+        v_typical = self.table.rail_target(
+            self.freq_ghz, (typical_class,) * self.n_cores)
+        v_secure = self.table.rail_target(self.freq_ghz, self._virus)
         return (v_secure ** 2 - v_typical ** 2) / (v_typical ** 2)

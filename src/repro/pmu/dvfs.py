@@ -12,6 +12,7 @@ All cores in the client parts the paper studies share one clock domain
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -36,19 +37,13 @@ class VFCurve:
         freqs = [f for f, _ in self.points]
         if any(b <= a for a, b in zip(freqs, freqs[1:])):
             raise ConfigError(f"V/F curve frequencies must increase: {freqs}")
+        if not all(math.isfinite(x) for point in self.points for x in point):
+            raise ConfigError(f"V/F curve points must be finite: {self.points}")
         if any(v <= 0 for _, v in self.points):
             raise ConfigError("V/F curve voltages must be positive")
-        # Memo table for vcc_for: the simulator queries a handful of
-        # distinct frequencies (the P-state bins) millions of times.  The
-        # curve is immutable, so caching returns the exact same floats
-        # the cold path computes.
-        object.__setattr__(self, "_vcc_cache", {})
 
     def vcc_for(self, freq_ghz: float) -> float:
         """Baseline voltage for scalar code at ``freq_ghz``."""
-        cached = self._vcc_cache.get(freq_ghz)
-        if cached is not None:
-            return cached
         if freq_ghz <= 0:
             raise ConfigError(f"frequency must be positive, got {freq_ghz}")
         pts = self.points
@@ -64,9 +59,7 @@ class VFCurve:
                     break
         slope = (hi[1] - lo[1]) / (hi[0] - lo[0])
         vcc = lo[1] + slope * (freq_ghz - lo[0])
-        result = max(vcc, self.vcc_floor)
-        self._vcc_cache[freq_ghz] = result
-        return result
+        return max(vcc, self.vcc_floor)
 
 
 @dataclass(frozen=True)

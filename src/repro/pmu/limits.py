@@ -51,11 +51,6 @@ class LimitPolicy:
     def __post_init__(self) -> None:
         if self.vcc_max <= 0 or self.icc_max <= 0:
             raise ConfigError("vcc_max and icc_max must be positive")
-        # Limit projections are pure in (frequency, class coverage) and
-        # re-evaluated on every guardband request and ladder walk; the
-        # verdict dataclass is frozen, so handing the same instance back
-        # is safe and bit-identical.
-        object.__setattr__(self, "_verdict_cache", {})
 
     def evaluate(self, freq_ghz: float,
                  per_core_classes: Sequence[IClass]) -> LimitVerdict:
@@ -64,25 +59,20 @@ class LimitPolicy:
         ``per_core_classes`` lists, for each *active* core, the most
         intense class the rail must currently cover.
         """
-        key = (freq_ghz, tuple(per_core_classes))
-        cached = self._verdict_cache.get(key)
-        if cached is not None:
-            return cached
         baseline = self.curve.vcc_for(freq_ghz)
-        vcc_target = self.guardband.target_vcc(baseline, key[1], freq_ghz)
+        vcc_target = self.guardband.target_vcc(
+            baseline, per_core_classes, freq_ghz)
         icc = sum(
             dynamic_current(iclass.cdyn_nf, vcc_target, freq_ghz)
-            for iclass in key[1]
+            for iclass in per_core_classes
         )
-        verdict = LimitVerdict(
+        return LimitVerdict(
             freq_ghz=freq_ghz,
             vcc_target=vcc_target,
             icc_projected=icc,
             vcc_violation=vcc_target > self.vcc_max + 1e-9,
             icc_violation=icc > self.icc_max + 1e-9,
         )
-        self._verdict_cache[key] = verdict
-        return verdict
 
     def max_allowed(self, requested_ghz: float,
                     per_core_classes: Sequence[IClass],

@@ -72,10 +72,6 @@ class TurboLicenseTable:
             row = self.ceilings[license_level]
             if not row or any(f <= 0 for f in row):
                 raise ConfigError(f"bad turbo ceiling row for {license_level}: {row}")
-        # package_ceiling is pure in the class coverage and queried per
-        # frequency reconciliation; the table never changes after
-        # construction, so the memo hands back the exact ceiling floats.
-        object.__setattr__(self, "_ceiling_cache", {})
 
     def max_freq(self, license_level: TurboLicense, active_cores: int) -> float:
         """Frequency ceiling for the given license and core count."""
@@ -90,13 +86,7 @@ class TurboLicenseTable:
         The package license is the most restrictive (highest) per-core
         license, evaluated at the total active-core count.
         """
-        key = tuple(per_core_classes)
-        cached = self._ceiling_cache.get(key)
-        if cached is not None:
-            return cached
-        if not key:
+        if not per_core_classes:
             raise ConfigError("at least one active core is required")
-        worst = max(_LICENSE_OF[c] for c in key)
-        ceiling = self.max_freq(worst, len(key))
-        self._ceiling_cache[key] = ceiling
-        return ceiling
+        worst = max(_LICENSE_OF[c] for c in per_core_classes)
+        return self.max_freq(worst, len(per_core_classes))

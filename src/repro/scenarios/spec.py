@@ -489,16 +489,14 @@ class ScenarioSpec:
                 raise ConfigError(
                     f"override {key!r} is not allowed; overridable fields: "
                     f"{', '.join(OVERRIDABLE_FIELDS)}")
-        base = preset(self.preset)
-        override_map = dict(self.overrides)
-        n_cores = int(override_map.get("n_cores", base.n_cores))
-        if n_cores > base.n_cores:
-            raise ConfigError(
-                f"n_cores override {n_cores} exceeds the {self.preset!r} "
-                f"preset's {base.n_cores} cores (its turbo-ceiling rows "
-                f"bound the core count); pick a bigger preset such as "
-                f"'skylake_sp'")
         config = self.processor_config()  # ProcessorConfig re-validates
+        base = preset(self.preset)
+        if config.n_cores > base.n_cores:
+            raise ConfigError(
+                f"n_cores override {config.n_cores} exceeds the "
+                f"{self.preset!r} preset's {base.n_cores} cores (its "
+                f"turbo-ceiling rows bound the core count); pick a bigger "
+                f"preset such as 'skylake_sp'")
         valid_protocol = tuple(f.name for f in fields(ChannelConfig))
         for key, _ in self.protocol:
             if key not in valid_protocol:

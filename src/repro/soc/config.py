@@ -20,14 +20,20 @@ measurements:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Dict, Tuple
 
 from repro.errors import ConfigError
 from repro.pdn.regulator import VRKind, VRSpec
 from repro.pmu.dvfs import VFCurve
+from repro.pmu.optable import OperatingPointTable
 from repro.pmu.thermal import ThermalSpec
 from repro.pmu.turbo import TurboLicense, TurboLicenseTable
+from repro.units import mohm_to_ohm
+
+#: One turbo-ceiling row per license level, sorted: a hashable key.
+CeilingRows = Tuple[Tuple[int, Tuple[float, ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -69,6 +75,16 @@ class ProcessorConfig:
     per_core_rails: bool = False
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            values = ([x for point in value for x in point]
+                      if f.name == "vf_points" else [value])
+            if any(isinstance(x, float) and not math.isfinite(x)
+                   for x in values):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+        if self.droop_margin_mv < 0:
+            raise ConfigError(
+                f"droop_margin_mv must be >= 0, got {self.droop_margin_mv}")
         if self.n_cores < 1:
             raise ConfigError(f"n_cores must be >= 1, got {self.n_cores}")
         if self.smt_per_core not in (1, 2):
@@ -94,13 +110,8 @@ class ProcessorConfig:
         return self.smt_per_core > 1
 
     def vf_curve(self) -> VFCurve:
-        """The part's V/F curve.
-
-        Curves are interned per point set: :class:`VFCurve` is immutable,
-        so every system built from the same preset shares one instance —
-        and with it the curve's ``vcc_for`` memo table, which a figure
-        sweep constructing dozens of systems would otherwise re-fill.
-        """
+        """The part's V/F curve, interned per point set (the
+        operating-point tables of such parts are built on it)."""
         return _interned_curve(self.vf_points)
 
     def vr_spec(self) -> VRSpec:
@@ -115,17 +126,25 @@ class ProcessorConfig:
         )
 
     def license_table(self) -> TurboLicenseTable:
-        """The part's turbo-license frequency ceilings.
+        """The part's turbo-license frequency ceilings, interned per
+        ceiling set like :meth:`vf_curve`."""
+        return _interned_license_table(self._ceiling_rows())
 
-        Tables are interned per ceiling set (same rationale as
-        :meth:`vf_curve`): nothing mutates a constructed table, so
-        sharing one instance across systems also shares its
-        ``package_ceiling`` memo.
+    def operating_points(self) -> OperatingPointTable:
+        """The part's operating-point table.
+
+        Interned on the fields it reads, so every system built from equal
+        configurations shares one table and the entries it has filled.
         """
-        key = tuple(sorted(
+        return _interned_operating_points(
+            self.vf_points, self._ceiling_rows(), mohm_to_ohm(self.r_ll_mohm),
+            self.vcc_max, self.icc_max, self.min_freq_ghz,
+            self.max_turbo_ghz, self.pstate_step_ghz)
+
+    def _ceiling_rows(self) -> CeilingRows:
+        return tuple(sorted(
             (level.value, row) for level, row in self.turbo_ceilings.items()
         ))
-        return _interned_license_table(key)
 
     def with_overrides(self, **kwargs) -> "ProcessorConfig":
         """A copy with selected fields replaced (for ablations)."""
@@ -138,11 +157,18 @@ def _interned_curve(vf_points: Tuple[Tuple[float, float], ...]) -> VFCurve:
 
 
 @functools.lru_cache(maxsize=None)
-def _interned_license_table(
-        key: Tuple[Tuple[int, Tuple[float, ...]], ...]) -> TurboLicenseTable:
+def _interned_license_table(key: CeilingRows) -> TurboLicenseTable:
     return TurboLicenseTable(
         {TurboLicense(value): row for value, row in key}
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _interned_operating_points(
+        vf_points: Tuple[Tuple[float, float], ...], ceiling_rows: CeilingRows,
+        *physics: float) -> OperatingPointTable:
+    return OperatingPointTable(_interned_curve(vf_points),
+                               _interned_license_table(ceiling_rows), *physics)
 
 
 def haswell_i7_4770k() -> ProcessorConfig:

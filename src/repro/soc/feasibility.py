@@ -23,10 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.core.levels import ChannelLocation, narrow_symbol_classes
-from repro.pdn.guardband import GuardbandModel
-from repro.pdn.loadline import LoadLine
 from repro.soc.config import ProcessorConfig
-from repro.units import mohm_to_ohm
 
 
 @dataclass(frozen=True)
@@ -59,13 +56,6 @@ class FeasibilityReport:
         return any(channel.feasible for channel in self.channels)
 
 
-def _quantize(vcc: float, step_mv: float) -> float:
-    step = step_mv / 1000.0
-    import math
-
-    return math.ceil(vcc / step - 1e-9) * step
-
-
 def analyze(config: ProcessorConfig, freq_ghz: float = None,
             usable_gap_tsc: float = 2000.0) -> FeasibilityReport:
     """Predict channel feasibility for ``config`` at ``freq_ghz``.
@@ -75,19 +65,16 @@ def analyze(config: ProcessorConfig, freq_ghz: float = None,
     (the paper measures >2 K-cycle gaps on working configurations).
     """
     freq = freq_ghz if freq_ghz is not None else config.base_freq_ghz
-    curve = config.vf_curve()
-    baseline = curve.vcc_for(freq)
-    guardband = GuardbandModel(LoadLine(mohm_to_ohm(config.r_ll_mohm)))
+    table = config.operating_points()
+    baseline = table.vcc(freq)
     spec = config.vr_spec()
     tsc_ghz = config.base_freq_ghz
 
     # Rail target per sender level, quantised the way the PMU commands it.
     ladder = narrow_symbol_classes(config.max_vector_bits)
-    rail_base = _quantize(baseline, config.vid_step_mv)
+    rail_base = spec.quantize_vid(baseline)
     targets = {
-        symbol: _quantize(
-            baseline + guardband.delta_v(iclass, baseline, freq),
-            config.vid_step_mv)
+        symbol: spec.quantize_vid(baseline + table.class_step_v(iclass, freq))
         for symbol, iclass in ladder.items()
     }
     # TP per level: command latency + ramp from the baseline rail.

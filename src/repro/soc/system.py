@@ -47,15 +47,11 @@ from repro.measure.sampler import PiecewiseConstantSignal, PiecewiseLinearSignal
 from repro.measure.trace import StepTrace
 from repro.microarch.tsc import TimestampCounter
 from repro.pdn.droop import DroopModel, DroopSpec
-from repro.pdn.guardband import GuardbandModel
-from repro.pdn.loadline import LoadLine
 from repro.pdn.powergate import PowerGate, PowerGateSpec
 from repro.pdn.regulator import VoltageRegulator, ldo_spec
 from repro.pmu.central import CentralPMU, PMUConfig
 from repro.pmu.cstates import CStateSpec, CStateTracker
-from repro.pmu.dvfs import pstate_ladder
 from repro.pmu.governors import Governor
-from repro.pmu.limits import LimitPolicy
 from repro.pmu.local import LocalPMU
 from repro.pmu.thermal import ThermalModel
 from repro.soc.config import ProcessorConfig
@@ -231,22 +227,17 @@ class System:
                 f"[{config.min_freq_ghz}, {config.max_turbo_ghz}]"
             )
 
-        loadline = LoadLine(mohm_to_ohm(config.r_ll_mohm))
-        self.guardband = GuardbandModel(loadline)
-        self.droop = DroopModel(DroopSpec(), loadline.r_ll_ohm)
+        self.droop = DroopModel(DroopSpec(), mohm_to_ohm(config.r_ll_mohm))
         #: (time_ns, core, load_voltage, vcc_min) of each di/dt violation;
         #: empty unless throttling is ablated (the mechanism's whole point).
         self.voltage_emergencies: List[tuple] = []
-        curve = config.vf_curve()
-        self.limits = LimitPolicy(curve, self.guardband, config.vcc_max, config.icc_max)
-        ladder = pstate_ladder(curve, config.min_freq_ghz, config.max_turbo_ghz,
-                               config.pstate_step_ghz)
+        table = config.operating_points()
 
         vr_spec = config.vr_spec()
         if options.ldo_rails:
             vr_spec = ldo_spec(config.vcc_max, config.icc_max,
                                vid_step_mv=config.vid_step_mv)
-        v0 = vr_spec.quantize_vid(curve.vcc_for(requested))
+        v0 = vr_spec.quantize_vid(table.vcc(requested))
         if options.per_core_vr or config.per_core_rails:
             rails = [
                 VoltageRegulator(vr_spec, v0, name=f"vr_core{i}")
@@ -261,11 +252,7 @@ class System:
             engine=self.engine,
             rails=rails,
             rail_of_core=rail_of_core,
-            guardband=self.guardband,
-            curve=curve,
-            limits=self.limits,
-            ladder=ladder,
-            licenses=config.license_table(),
+            table=table,
             requested_freq_ghz=requested,
             config=PMUConfig(
                 pll_relock_ns=config.pll_relock_ns,
@@ -777,7 +764,7 @@ class System:
         factor = 0.25 if activity.rate_throttled else 1.0
         icc_before = granted.cdyn_nf * vcc_rail * freq
         icc_after = icc_before + cdyn_step * vcc_rail * freq * factor
-        vcc_min = self.pmu.curve.vcc_for(freq) - self.config.droop_margin_mv / 1000.0
+        vcc_min = self.pmu.table.vcc(freq) - self.config.droop_margin_mv / 1000.0
         load_min = self.droop.load_voltage_min(vcc_rail, icc_before, icc_after)
         if load_min < vcc_min:
             self.voltage_emergencies.append((now, core, load_min, vcc_min))

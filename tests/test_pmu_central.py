@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.isa import IClass
 from repro.obs import tracing
-from repro.pdn import GuardbandModel, LoadLine, VoltageRegulator
-from repro.pmu import CentralPMU, LimitPolicy, PMUConfig
-from repro.pmu.dvfs import pstate_ladder
+from repro.pdn import VoltageRegulator
+from repro.pmu import CentralPMU, PMUConfig
+from repro.pmu.central import _Request
 from repro.soc.config import cannon_lake_i3_8121u
 from repro.soc.engine import Engine
 
@@ -15,20 +15,17 @@ from repro.soc.engine import Engine
 def build_pmu(n_cores=2, per_core_vr=False, secure=False, freq=2.2):
     config = cannon_lake_i3_8121u()
     engine = Engine()
-    curve = config.vf_curve()
-    guardband = GuardbandModel(LoadLine(config.r_ll_mohm / 1000.0))
-    limits = LimitPolicy(curve, guardband, config.vcc_max, config.icc_max)
-    ladder = pstate_ladder(curve, config.min_freq_ghz, config.max_turbo_ghz)
+    table = config.operating_points()
     spec = config.vr_spec()
-    v0 = spec.quantize_vid(curve.vcc_for(freq))
+    v0 = spec.quantize_vid(table.vcc(freq))
     if per_core_vr:
         rails = [VoltageRegulator(spec, v0, name=f"vr{i}") for i in range(n_cores)]
         rail_of_core = list(range(n_cores))
     else:
         rails = [VoltageRegulator(spec, v0, name="vr")]
         rail_of_core = [0] * n_cores
-    pmu = CentralPMU(engine, rails, rail_of_core, guardband, curve, limits,
-                     ladder, config.license_table(), requested_freq_ghz=freq,
+    pmu = CentralPMU(engine, rails, rail_of_core, table,
+                     requested_freq_ghz=freq,
                      config=PMUConfig(secure_mode=secure))
     return engine, pmu
 
@@ -162,7 +159,7 @@ class TestRailTarget:
     @pytest.mark.parametrize("per_core_vr", [False, True])
     def test_same_classes_at_two_frequencies_get_each_cold_target(
             self, per_core_vr):
-        """The rail-target memo keys on the frequency as well as the classes.
+        """The table keys rail targets on the frequency as well as the classes.
 
         The same grant change is commanded at 2.2 GHz, then again after
         the governor moved the package to 1.6 GHz; each command must
@@ -181,22 +178,40 @@ class TestRailTarget:
             return command(now_ns, target_vcc)
 
         regulator.command = spy
-        classes = ([IClass.HEAVY_256] if per_core_vr
-                   else [IClass.HEAVY_256, IClass.HEAVY_128])
+        classes = ((IClass.HEAVY_256,) if per_core_vr
+                   else (IClass.HEAVY_256, IClass.HEAVY_128))
+        table = pmu.table
         cold = {}
         for freq in (2.2, 1.6):
             pmu.set_requested_freq(freq)
             engine.run()
             assert pmu.freq_ghz == freq
-            cold[freq] = pmu.guardband.target_vcc(
-                pmu.curve.vcc_for(freq), classes, freq)
+            cold[freq] = table.guardband.target_vcc(
+                table.curve.vcc_for(freq), classes, freq)
             del commanded[:]
             pmu.request_up(0, IClass.HEAVY_256)
             engine.run()
             assert commanded == [(freq, cold[freq])]
+            assert table.rail_target(freq, classes) == cold[freq]
             pmu.request_down(0, IClass.SCALAR_64)
             engine.run()
         assert cold[2.2] != cold[1.6]
+
+
+class TestReleaseInvariant:
+    """Release happens only on an idle rail with an empty queue."""
+
+    def test_release_with_a_queued_request_raises(self):
+        _, pmu = build_pmu()
+        pmu._queues[0].append(_Request(0, IClass.HEAVY_256, up=True))
+        with pytest.raises(SimulationError, match="rail 0"):
+            pmu._release_if_settled(0)
+
+    def test_release_with_a_transition_in_flight_raises(self):
+        _, pmu = build_pmu()
+        pmu.request_up(0, IClass.HEAVY_256)
+        with pytest.raises(SimulationError, match="rail 0"):
+            pmu._release_if_settled(0)
 
 
 class TestRequestDown:
@@ -281,17 +296,17 @@ class TestSecureMode:
         _, pmu = build_pmu(secure=True)
         # The rail carries the full worst-case guardband above the
         # baseline of the (possibly clamped) secure frequency.
-        baseline = pmu.curve.vcc_for(pmu.freq_ghz)
-        worst = pmu.guardband.worst_case_vcc(baseline, pmu.n_cores,
-                                             pmu.freq_ghz)
+        baseline = pmu.table.vcc(pmu.freq_ghz)
+        worst = pmu.table.guardband.worst_case_vcc(baseline, pmu.n_cores,
+                                                   pmu.freq_ghz)
         assert pmu.core_voltage(0, 0.0) >= worst - 0.005  # VID clamping
 
     def test_secure_frequency_fits_worst_case_envelope(self):
         # Running everything at the power-virus guardband can force a
         # lower fixed frequency — a real cost of secure mode.
         _, pmu = build_pmu(secure=True, freq=3.1)
-        verdict = pmu.limits.evaluate(pmu.freq_ghz,
-                                      [IClass.HEAVY_512] * pmu.n_cores)
+        verdict = pmu.table.limits.evaluate(pmu.freq_ghz,
+                                            [IClass.HEAVY_512] * pmu.n_cores)
         assert verdict.ok
         assert pmu.freq_ghz < 3.1
 

@@ -50,6 +50,12 @@ class TestVFCurve:
         with pytest.raises(ConfigError):
             curve.vcc_for(0.0)
 
+    @pytest.mark.parametrize("point", [(float("nan"), 0.8), (2.0, float("nan")),
+                                       (2.0, float("inf"))])
+    def test_non_finite_point_rejected(self, point):
+        with pytest.raises(ConfigError, match="finite"):
+            VFCurve(((1.0, 0.6), point, (3.0, 1.0)))
+
 
 class TestPState:
     def test_rejects_invalid(self):

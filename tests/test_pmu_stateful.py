@@ -5,9 +5,8 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from hypothesis import settings
 
 from repro.isa import IClass
-from repro.pdn import GuardbandModel, LoadLine, VoltageRegulator
-from repro.pmu import CentralPMU, LimitPolicy, PMUConfig
-from repro.pmu.dvfs import pstate_ladder
+from repro.pdn import VoltageRegulator
+from repro.pmu import CentralPMU, PMUConfig
 from repro.soc.config import cannon_lake_i3_8121u
 from repro.soc.engine import Engine
 
@@ -17,16 +16,12 @@ N_CORES = 2
 def build_pmu():
     config = cannon_lake_i3_8121u()
     engine = Engine()
-    curve = config.vf_curve()
-    guardband = GuardbandModel(LoadLine(config.r_ll_mohm / 1000.0))
-    limits = LimitPolicy(curve, guardband, config.vcc_max, config.icc_max)
-    ladder = pstate_ladder(curve, config.min_freq_ghz, config.max_turbo_ghz)
+    table = config.operating_points()
     spec = config.vr_spec()
-    v0 = spec.quantize_vid(curve.vcc_for(2.2))
+    v0 = spec.quantize_vid(table.vcc(2.2))
     rails = [VoltageRegulator(spec, v0, name="vr")]
-    pmu = CentralPMU(engine, rails, [0] * N_CORES, guardband, curve, limits,
-                     ladder, config.license_table(), requested_freq_ghz=2.2,
-                     config=PMUConfig())
+    pmu = CentralPMU(engine, rails, [0] * N_CORES, table,
+                     requested_freq_ghz=2.2, config=PMUConfig())
     return config, engine, pmu
 
 

@@ -1,9 +1,12 @@
 """Processor presets."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigError
 from repro.pdn.regulator import VRKind
+from repro.scenarios import OVERRIDABLE_FIELDS, ScenarioSpec
 from repro.soc import (
     PRESETS,
     cannon_lake_i3_8121u,
@@ -108,3 +111,24 @@ class TestValidationAndOverrides:
         spec = config.vr_spec()
         assert spec.vcc_max == config.vcc_max
         assert spec.slew_mv_per_us == config.vr_slew_mv_per_us
+
+
+class TestNonFiniteFields:
+    """Non-finite physics fails at the config boundary, naming its field."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", OVERRIDABLE_FIELDS)
+    def test_scenario_override_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ScenarioSpec(name="probe", description="non-finite override",
+                         overrides=((field, value),))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_vf_point_rejected(self, value):
+        points = ((1.0, 0.640), (2.2, value), (3.2, 0.950))
+        with pytest.raises(ConfigError, match="vf_points"):
+            cannon_lake_i3_8121u().with_overrides(vf_points=points)
+
+    def test_negative_droop_margin_rejected(self):
+        with pytest.raises(ConfigError, match="droop_margin_mv"):
+            cannon_lake_i3_8121u().with_overrides(droop_margin_mv=-1.0)

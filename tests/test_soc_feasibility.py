@@ -4,14 +4,51 @@ import pytest
 
 from repro.core.levels import ChannelLocation
 from repro.soc.config import (
+    PRESETS,
     amd_zen2_like,
     cannon_lake_i3_8121u,
     coffee_lake_i7_9700k,
     haswell_i7_4770k,
     sandy_bridge_i7_2600k,
+    preset,
     skylake_sp_xeon_8160,
 )
 from repro.soc.feasibility import analyze
+
+#: ``analyze(preset).level_tp_us`` at each preset's base frequency, bit
+#: for bit: the static analysis reads the same operating-point table and
+#: VID quantisation as the simulator, and must not drift from them.
+PINNED_LEVEL_TP_US = {
+    "haswell": {"128b_Light": 3.077777777777719,
+                "128b_Heavy": 4.4666666666667005,
+                "256b_Light": 7.24444444444442,
+                "256b_Heavy": 11.411111111111122},
+    "coffee_lake": {"128b_Light": 5.500000000000092,
+                    "128b_Heavy": 7.50000000000005,
+                    "256b_Light": 13.5000000000001,
+                    "256b_Heavy": 17.500000000000014},
+    "cannon_lake": {"128b_Heavy": 5.5000000000000036,
+                    "256b_Light": 7.499999999999961,
+                    "256b_Heavy": 9.500000000000007,
+                    "512b_Heavy": 17.500000000000014},
+    "sandy_bridge": {"128b_Light": 6.999999999999893,
+                     "128b_Heavy": 12.000000000000009,
+                     "256b_Light": 19.49999999999985,
+                     "256b_Heavy": 26.99999999999991},
+    "skylake_sp": {"128b_Heavy": 3.4999999999999574,
+                   "256b_Light": 5.5000000000000036,
+                   "256b_Heavy": 7.499999999999961,
+                   "512b_Heavy": 11.499999999999964},
+    "amd_zen2": {"128b_Light": 0.09999999999999894,
+                 "128b_Heavy": 0.12500000000000064,
+                 "256b_Light": 0.15000000000000008,
+                 "256b_Heavy": 0.19999999999999904},
+}
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_level_tps_pinned_bit_for_bit(name):
+    assert analyze(preset(name)).level_tp_us == PINNED_LEVEL_TP_US[name]
 
 
 class TestIntelPartsFeasible:

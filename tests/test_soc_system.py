@@ -327,12 +327,12 @@ class TestSecureMode:
 
     def test_rail_starts_at_worst_case(self):
         secure = fresh(options=SystemOptions(secure_mode=True))
-        baseline = secure.pmu.curve.vcc_for(secure.pmu.freq_ghz)
+        baseline = secure.pmu.table.vcc(secure.pmu.freq_ghz)
         assert secure.vcc_at(0.0) > baseline  # guardband pre-applied
 
     def test_secure_mode_clamps_frequency_for_the_envelope(self):
         secure = fresh(options=SystemOptions(secure_mode=True))
-        verdict = secure.limits.evaluate(
+        verdict = secure.pmu.table.limits.evaluate(
             secure.pmu.freq_ghz,
             [IClass.HEAVY_512] * secure.config.n_cores)
         assert verdict.ok

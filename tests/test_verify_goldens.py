@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.pdn.loadline import LoadLine
+from repro.soc.config import _interned_operating_points
 from repro.verify.goldens import (
     check_all,
     check_scenario,
@@ -69,7 +70,16 @@ class TestCommittedGoldens:
 
 
 class TestPerturbationDemo:
-    def test_perturbed_loadline_is_caught(self, monkeypatch):
+    @pytest.fixture
+    def cold_tables(self):
+        """Systems of one preset share one operating-point table for the
+        whole process, so physics patched in-process must start from an
+        empty table and must not leave its entries behind."""
+        _interned_operating_points.cache_clear()
+        yield
+        _interned_operating_points.cache_clear()
+
+    def test_perturbed_loadline_is_caught(self, monkeypatch, cold_tables):
         """The demonstration the harness exists for: nudge one physical
         constant (load-line droop, +10%) and the golden check must fail
         with a diagnosable section-level drift report.
