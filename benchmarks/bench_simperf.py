@@ -9,6 +9,7 @@ in the tens-of-milliseconds range of host time.
 import gc
 import statistics
 import time
+import tracemalloc
 
 from repro import System, cannon_lake_i3_8121u
 from repro.core import IccThreadCovert
@@ -41,6 +42,17 @@ def test_bench_simperf(benchmark):
     one_transfer()
     benchmark.extra_info["gc_gen0_collections"] = (
         gc.get_stats()[0]["collections"] - gen0)
+    # Bytes the System of one finished transfer keeps alive (its traces,
+    # rail history and pending events), by tracemalloc.  Informational.
+    gc.collect()
+    tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    finished = one_transfer()[0]
+    gc.collect()
+    benchmark.extra_info["retained_system_bytes"] = (
+        tracemalloc.get_traced_memory()[0] - before)
+    tracemalloc.stop()
+    del finished
     assert report.ber == 0.0
     # The event count of this transfer is deterministic; more events
     # mean the simulator does more work for the same result.

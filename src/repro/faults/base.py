@@ -67,6 +67,9 @@ class FaultModel(abc.ABC):
 
     #: True when the model perturbs slot schedules (sync seam).
     perturbs_schedule: ClassVar[bool] = False
+    #: Perturbation events applied so far (for reports and tests); the
+    #: first ``+= 1`` makes it an instance attribute.
+    events: int = 0
 
     def __init__(self, intensity: float = 1.0, seed: int = 0) -> None:
         if not 0 <= intensity < math.inf:
@@ -76,8 +79,6 @@ class FaultModel(abc.ABC):
             raise ConfigError(f"fault seed must be >= 0, got {seed}")
         self.intensity = float(intensity)
         self.seed = int(seed)
-        #: Perturbation events applied so far (for reports and tests).
-        self.events = 0
 
     @abc.abstractmethod
     def attach(self, system: "System", injector: "FaultInjector") -> None:

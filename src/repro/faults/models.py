@@ -28,7 +28,7 @@ to an attacker-facing noise source.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, Generator, Optional
+from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from repro.errors import ConfigError
 from repro.faults.base import SEED_SPACE, FaultModel, _salt_int
 from repro.isa.instructions import IClass
 from repro.microarch.tsc import DriftingTimestampCounter
+from repro.pmu.thermal import AmbientRamp, expand_ramps
 from repro.units import ms_to_ns, us_to_ns
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -213,13 +214,15 @@ class ThermalDriftRamp(FaultModel):
     """A slowly warming enclosure drifting the ambient reference.
 
     Ramps the thermal model's ambient offset (through
-    :meth:`~repro.soc.system.System.set_ambient_offset`) at
+    :meth:`~repro.soc.system.System.declare_ambient_ramp`) at
     ``rate_c_per_s * intensity`` until ``max_drift_c`` is reached,
     stepping every ``step_us``.  The junction temperature trace shifts
     accordingly; current-management throttling does **not** (the paper's
     Key Conclusion 2 — the throttles under study are current-driven, not
     thermal), so this model perturbs the observability plane only and
-    lets experiments prove that negative under drift.
+    lets experiments prove that negative under drift.  The ramp is a
+    declaration: it adds no engine event, and :attr:`events` counts the
+    steps due so far.
     """
 
     name = "thermal-drift"
@@ -239,27 +242,28 @@ class ThermalDriftRamp(FaultModel):
         self.rate_c_per_s = float(rate_c_per_s)
         self.max_drift_c = float(max_drift_c)
         self.step_us = float(step_us)
+        self._ramps: List[Tuple["System", AmbientRamp]] = []
 
     def params(self) -> Dict[str, float]:
         """Magnitude knobs (rate, ceiling, step)."""
         return {"rate_c_per_s": self.rate_c_per_s,
                 "max_drift_c": self.max_drift_c, "step_us": self.step_us}
 
-    def _process(self, system: "System") -> Generator:
-        rate = self.rate_c_per_s * self.intensity
-        step_c = rate * self.step_us * 1e-6
-        offset = 0.0
-        while offset < self.max_drift_c:
-            yield system.sleep(us_to_ns(self.step_us))
-            offset = min(self.max_drift_c, offset + step_c)
-            system.set_ambient_offset(offset)
-            self.events += 1
+    @property
+    def events(self) -> int:
+        """Ramp steps taken so far on every system the model drives."""
+        return sum(len(expand_ramps([ramp], system.now))
+                   for system, ramp in self._ramps)
 
     def attach(self, system: "System", injector: "FaultInjector") -> None:
-        """Spawn the ramp process (self-terminates at ``max_drift_c``)."""
+        """Declare the ramp on ``system`` (it ends at ``max_drift_c``)."""
         if self.intensity <= 0 or self.rate_c_per_s <= 0 or self.max_drift_c <= 0:
             return
-        system.spawn(self._process(system), name="fault_thermal_drift")
+        rate = self.rate_c_per_s * self.intensity
+        ramp = system.declare_ambient_ramp(
+            us_to_ns(self.step_us), rate * self.step_us * 1e-6,
+            self.max_drift_c)
+        self._ramps.append((system, ramp))
 
 
 class ReceiverClockSkew(FaultModel):

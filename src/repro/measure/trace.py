@@ -12,8 +12,10 @@ Two shapes cover everything the simulator records:
 from __future__ import annotations
 
 import bisect
+import math
+from array import array
 from dataclasses import dataclass, field
-from typing import Generic, List, Sequence, Tuple, TypeVar
+from typing import Any, Generic, List, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -23,6 +25,10 @@ from repro.measure.sampler import PiecewiseConstantSignal
 T = TypeVar("T")
 
 
+class _Unset:
+    """A trace's type, and last value, before its first record."""
+
+
 @dataclass
 class StepTrace(Generic[T]):
     """A piecewise-constant signal recorded as breakpoints.
@@ -30,11 +36,24 @@ class StepTrace(Generic[T]):
     ``record`` may be called with non-decreasing timestamps; recording a
     new value at an existing timestamp overwrites the breakpoint (last
     writer wins, which matches how state settles within one event).
+
+    Breakpoints live in flat typed columns: times in an ``array('d')``,
+    values in an ``array('d')`` when the first recorded value is a
+    ``float``, an ``array('q')`` when it is an ``int``, and a list for
+    anything else (activity labels).  The first value fixes the type;
+    a later value of another type is rejected.
     """
 
     name: str = "signal"
-    _times: List[float] = field(default_factory=list)
-    _values: List[T] = field(default_factory=list)
+    _times: "array[float]" = field(default_factory=lambda: array("d"),
+                                   init=False)
+    _values: Any = field(default_factory=list, init=False)
+    #: Type of the first recorded value; every later value must be one.
+    _type: type = field(default=_Unset, init=False, repr=False)
+    #: The last breakpoint, so that ``record`` reads nothing back from
+    #: the columns (an ``array`` boxes every item it returns).
+    _last: Any = field(default=_Unset, init=False, repr=False)
+    _last_t: float = field(default=-math.inf, init=False, repr=False)
 
     def record(self, t_ns: float, value: T) -> bool:
         """Set the signal to ``value`` from ``t_ns`` onward.
@@ -44,22 +63,35 @@ class StepTrace(Generic[T]):
         the last value is the common case and returns before any other
         check, keeping the trace compact.
         """
-        values = self._values
-        if values and values[-1] == value:
+        if self._last == value:
             return False
-        times = self._times
-        if times:
-            last = times[-1]
-            if t_ns < last - 1e-9:
-                raise MeasurementError(
-                    f"{self.name}: record at t={t_ns} before last t={last}"
-                )
-            if abs(t_ns - last) <= 1e-9:
-                values[-1] = value
-                return True
-        times.append(t_ns)
-        values.append(value)
+        if not isinstance(value, self._type):
+            self._start(value)
+        last = self._last_t
+        if t_ns < last - 1e-9:
+            raise MeasurementError(
+                f"{self.name}: record at t={t_ns} before last t={last}"
+            )
+        if abs(t_ns - last) <= 1e-9:
+            self._values[-1] = value
+        else:
+            self._times.append(t_ns)
+            self._values.append(value)
+            self._last_t = t_ns
+        self._last = value
         return True
+
+    def _start(self, value: Any) -> None:
+        """Pick the value column from the first value's type, or reject
+        a later value of another type."""
+        if self._type is not _Unset:
+            raise MeasurementError(
+                f"{self.name}: cannot record {type(value).__name__} "
+                f"{value!r} in a {self._type.__name__} trace"
+            )
+        kind = self._type = type(value)
+        if kind is float or kind is int:
+            self._values = array("d" if kind is float else "q")
 
     def value_at(self, t_ns: float, default: T = None) -> T:  # type: ignore[assignment]
         """Value in force at ``t_ns`` (``default`` before the first record)."""
@@ -88,9 +120,11 @@ class StepTrace(Generic[T]):
                 np.asarray([0.0]), np.asarray([default], dtype=float),
                 initial=default, name=self.name,
             )
+        # np.array copies: a view would pin the columns' buffers, and an
+        # array that exports its buffer cannot grow.
         return PiecewiseConstantSignal(
-            np.asarray(self._times, dtype=float),
-            np.asarray(self._values, dtype=float),
+            np.array(self._times, dtype=float),
+            np.array(self._values, dtype=float),
             initial=default, name=self.name,
         )
 

@@ -11,12 +11,17 @@ drops after PHIs are current-limit protection, not thermal management).
 Nothing in the simulation loop steps the model: only Fig. 7 reads the
 temperature, so :attr:`repro.soc.system.System.temp_trace` replays a
 fresh model through the recorded power breakpoints when it is read.
+Ambient drift is declared the same way: an :class:`AmbientRamp` is
+expanded into its steps on read and schedules no engine event.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Iterator, List, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.units import ns_to_s
@@ -74,7 +79,7 @@ class ThermalModel:
         # ambient".  Epsilon-compared — bare float equality on physical
         # quantities is banned by repro.staticcheck (rule float-eq).
         if abs(self.temperature_c) < 1e-12:
-            self.temperature_c = self.spec.t_ambient_c
+            self.temperature_c = float(self.spec.t_ambient_c)
 
     def advance(self, now_ns: float, power_w: float) -> float:
         """Integrate up to ``now_ns``; then apply ``power_w`` onward.
@@ -119,3 +124,68 @@ class ThermalModel:
     def headroom_c(self, now_ns: float) -> float:
         """Degrees of margin below ``Tj_max``."""
         return self.spec.tj_max_c - self.read(now_ns)
+
+
+@dataclass(frozen=True)
+class AmbientRamp:
+    """A declared drift of the ambient reference.
+
+    From ``start_ns``, every ``step_ns`` the ambient offset rises by
+    ``step_c`` until it reaches ``ceiling_c``.  The steps are the float
+    recurrences of a process that sleeps ``step_ns``, then sets
+    ``offset = min(ceiling_c, offset + step_c)``, so expanding the ramp
+    gives what such a process would have recorded, bit for bit.
+    """
+
+    start_ns: float
+    step_ns: float
+    step_c: float
+    ceiling_c: float
+
+    def __post_init__(self) -> None:
+        # A step that does not advance time would expand forever.
+        if not 0 < self.step_ns < math.inf:
+            raise ConfigError(
+                f"ramp step must be finite and positive, got {self.step_ns} ns")
+
+    def steps(self) -> Iterator[Tuple[float, float]]:
+        """Every ``(time_ns, offset_c)`` step of the ramp, in order."""
+        t = self.start_ns
+        offset = 0.0
+        while offset < self.ceiling_c:
+            t += self.step_ns
+            offset = min(self.ceiling_c, offset + self.step_c)
+            yield t, offset
+
+
+def expand_ramps(ramps: Sequence[AmbientRamp],
+                until_ns: float) -> List[Tuple[float, float]]:
+    """Every step of ``ramps`` due at or before ``until_ns``, merged.
+
+    Steps are ordered as the event engine would run the ramps' stepping
+    processes: by time, and at equal times in the order each step was
+    scheduled, which is when the ramp's previous step (or its start)
+    ran.  A ramp starts before any step due at its start instant runs;
+    ramps that start together start in the order given.
+    """
+    out: List[Tuple[float, float]] = []
+    seq = itertools.count()
+    heap: list = []
+    starts = sorted(ramps, key=lambda ramp: ramp.start_ns)
+    started = 0
+    while True:
+        while started < len(starts) and (
+                not heap or starts[started].start_ns <= heap[0][0]):
+            ramp = starts[started]
+            heapq.heappush(heap, (ramp.start_ns, next(seq), None, ramp.steps()))
+            started += 1
+        if not heap:
+            return out
+        t, _, offset, steps = heapq.heappop(heap)
+        if t > until_ns:
+            return out
+        if offset is not None:
+            out.append((t, offset))
+        step = next(steps, None)
+        if step is not None:
+            heapq.heappush(heap, (step[0], next(seq), step[1], steps))

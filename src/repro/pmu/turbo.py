@@ -16,6 +16,7 @@ slow license-induced frequency changes this module models.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
@@ -70,8 +71,12 @@ class TurboLicenseTable:
             if license_level not in self.ceilings:
                 raise ConfigError(f"missing turbo ceiling row for {license_level}")
             row = self.ceilings[license_level]
-            if not row or any(f <= 0 for f in row):
-                raise ConfigError(f"bad turbo ceiling row for {license_level}: {row}")
+            # The negated comparison also rejects NaN, which would make
+            # the package ceiling NaN and min() drop it silently.
+            if not row or not all(0 < f < math.inf for f in row):
+                raise ConfigError(
+                    f"turbo ceiling row for {license_level.name} must hold "
+                    f"finite positive frequencies, got {row}")
 
     def max_freq(self, license_level: TurboLicense, active_cores: int) -> float:
         """Frequency ceiling for the given license and core count."""

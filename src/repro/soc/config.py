@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Dict, Tuple
 
@@ -85,8 +86,11 @@ class ProcessorConfig:
         if self.droop_margin_mv < 0:
             raise ConfigError(
                 f"droop_margin_mv must be >= 0, got {self.droop_margin_mv}")
-        if self.n_cores < 1:
-            raise ConfigError(f"n_cores must be >= 1, got {self.n_cores}")
+        if (not isinstance(self.n_cores, numbers.Integral)
+                or isinstance(self.n_cores, bool)
+                or self.n_cores < 1):
+            raise ConfigError(
+                f"n_cores must be an integer >= 1, got {self.n_cores!r}")
         if self.smt_per_core not in (1, 2):
             raise ConfigError(f"smt_per_core must be 1 or 2, got {self.smt_per_core}")
         if not self.min_freq_ghz <= self.base_freq_ghz <= self.max_turbo_ghz:
@@ -98,6 +102,7 @@ class ProcessorConfig:
             raise ConfigError(
                 f"max_vector_bits must be 256 or 512, got {self.max_vector_bits}"
             )
+        self.license_table()  # rejects a bad ceiling row, naming its level
 
     @property
     def n_threads(self) -> int:

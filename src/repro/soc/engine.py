@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -135,10 +136,14 @@ class Engine:
         The clock ends exactly at ``time_ns`` even if the queue drains
         earlier, so traces sampled afterwards cover the full span.  Due
         events are popped in one bounded loop: each heap entry — live or
-        cancelled — is inspected exactly once.
+        cancelled — is inspected exactly once.  The negated comparison
+        also rejects NaN, which would run every pending event and leave
+        ``now`` NaN; an infinite target is rejected too.
         """
-        if time_ns < self.now:
-            raise SimulationError(f"cannot run backwards to {time_ns} from {self.now}")
+        if not self.now <= time_ns < math.inf:
+            raise SimulationError(
+                f"cannot run to t={time_ns} from now={self.now}: the target "
+                f"must be finite and not in the past")
         heap = self._heap
         while heap:
             entry_time, _, handle = heap[0]

@@ -53,7 +53,7 @@ from repro.pmu.central import CentralPMU, PMUConfig
 from repro.pmu.cstates import CStateSpec, CStateTracker
 from repro.pmu.governors import Governor
 from repro.pmu.local import LocalPMU
-from repro.pmu.thermal import ThermalModel
+from repro.pmu.thermal import AmbientRamp, ThermalModel, expand_ramps
 from repro.soc.config import ProcessorConfig
 from repro.soc.engine import Engine, EventHandle
 from repro.units import mohm_to_ohm, us_to_ns
@@ -226,6 +226,7 @@ class System:
                 f"requested frequency {requested} GHz outside "
                 f"[{config.min_freq_ghz}, {config.max_turbo_ghz}]"
             )
+        requested = float(requested)  # fixes freq_trace as a float trace
 
         self.droop = DroopModel(DroopSpec(), mohm_to_ohm(config.r_ll_mohm))
         #: (time_ns, core, load_voltage, vcc_min) of each di/dt violation;
@@ -273,9 +274,9 @@ class System:
             )
             for i in range(config.n_cores)
         ]
-        #: (time_ns, offset_c) of every shift of the thermal model's
-        #: ambient reference (see :meth:`set_ambient_offset`).
-        self.ambient_steps: List[Tuple[float, float]] = []
+        #: Ambient drifts of the thermal model (see
+        #: :meth:`declare_ambient_ramp`), expanded only when read.
+        self._ambient_ramps: List[AmbientRamp] = []
         self.cstates: Optional[CStateTracker] = (
             CStateTracker(CStateSpec(), config.n_cores)
             if config.cstates_enabled else None
@@ -421,9 +422,25 @@ class System:
             trace.record(t, model.advance(t, power))
         return trace
 
-    def set_ambient_offset(self, offset_c: float) -> None:
-        """Shift the thermal model's ambient reference from now on (degC)."""
-        self.ambient_steps.append((self.engine.now, float(offset_c)))
+    @property
+    def ambient_steps(self) -> List[Tuple[float, float]]:
+        """(time_ns, offset_c) of every ambient step taken so far.
+
+        Expanded from the declared ramps up to the current time.
+        """
+        return expand_ramps(self._ambient_ramps, self.engine.now)
+
+    def declare_ambient_ramp(self, step_ns: float, step_c: float,
+                             ceiling_c: float) -> AmbientRamp:
+        """Raise the ambient offset by ``step_c`` every ``step_ns`` from now.
+
+        The offset stops at ``ceiling_c``.  Nothing is scheduled: only the
+        junction temperature reads the ambient, and it expands the ramp
+        when read (see :attr:`ambient_steps`).
+        """
+        ramp = AmbientRamp(self.engine.now, step_ns, step_c, ceiling_c)
+        self._ambient_ramps.append(ramp)
+        return ramp
 
     def thread_on(self, core: int, smt_slot: int = 0) -> int:
         """Thread id of SMT slot ``smt_slot`` on ``core``."""

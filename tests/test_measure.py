@@ -68,6 +68,43 @@ class TestStepTrace:
         with pytest.raises(MeasurementError):
             trace.time_weighted_mean(10.0, 10.0)
 
+    def test_value_types_follow_the_first_record(self):
+        ints, floats, labels = StepTrace("i"), StepTrace("f"), StepTrace("l")
+        for t, (i, f, label) in enumerate([(0, 0.5, "idle"), (1, 1.5, "avx")]):
+            ints.record(float(t), i)
+            floats.record(float(t), f)
+            labels.record(float(t), label)
+        assert type(ints.value_at(1.0)) is int
+        assert type(floats.value_at(1.0)) is float
+        assert type(labels.value_at(1.0)) is str
+        assert [type(t) for t, _ in ints.breakpoints()] == [float, float]
+
+    @pytest.mark.parametrize("first, later", [
+        (1, 2.5), (1.0, 2), (1.0, "avx"), ("idle", 2.0),
+    ])
+    def test_later_value_of_another_type_rejected(self, first, later):
+        trace = StepTrace("mixed")
+        trace.record(0.0, first)
+        with pytest.raises(MeasurementError, match="mixed"):
+            trace.record(10.0, later)
+        with pytest.raises(MeasurementError, match="mixed"):
+            trace.record(0.0, later)  # a same-time overwrite too
+        assert trace.breakpoints() == [(0.0, first)]
+
+    def test_typed_views_unchanged(self):
+        trace = StepTrace("f")
+        for t, v in [(0.0, 1), (10.0, 2), (10.0, 3), (20.0, 3), (30.0, 0)]:
+            trace.record(t, v)
+        assert trace.breakpoints() == [(0.0, 1), (10.0, 3), (30.0, 0)]
+        assert trace.changes_in(5.0, 30.0) == [(10.0, 3)]
+        signal = trace.signal(default=-1.0)
+        assert list(signal.times_ns) == [0.0, 10.0, 30.0]
+        assert list(signal.sample(np.array([-1.0, 0.0, 15.0, 40.0]))) == [
+            -1.0, 1.0, 3.0, 0.0]
+        # The signal is a snapshot: the trace still grows afterwards.
+        trace.record(40.0, 5)
+        assert len(signal.times_ns) == 3 and len(trace) == 4
+
     def test_merge_step_traces(self):
         a = StepTrace("a")
         a.record(0.0, 1)

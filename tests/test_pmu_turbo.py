@@ -1,10 +1,13 @@
 """Turbo licenses."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigError
 from repro.isa import IClass
 from repro.pmu import TurboLicense, TurboLicenseTable, license_for_class
+from repro.soc.config import cannon_lake_i3_8121u
 
 
 @pytest.fixture
@@ -56,6 +59,15 @@ class TestTable:
                 TurboLicense.LVL1: (3.0,),
                 TurboLicense.LVL2: (2.8,),
             })
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_ceiling_rejected_through_config(self, value):
+        # A NaN ceiling made min(requested, nan) drop the license limit.
+        config = cannon_lake_i3_8121u()
+        ceilings = dict(config.turbo_ceilings)
+        ceilings[TurboLicense.LVL2] = (value, 2.6)
+        with pytest.raises(ConfigError, match="LVL2"):
+            config.with_overrides(turbo_ceilings=ceilings)
 
 
 class TestPackageCeiling:

@@ -164,6 +164,12 @@ class TestRejection:
             ScenarioSpec(name="x", description="d", preset="cannon_lake",
                          overrides=(("n_cores", 16),))
 
+    def test_non_integral_n_cores_fails_at_build_time(self):
+        # Used to construct, then die with TypeError inside System().
+        with pytest.raises(ConfigError, match="n_cores"):
+            ScenarioSpec(name="x", description="d", preset="cannon_lake",
+                         overrides=(("n_cores", 1.5),))
+
     def test_smt_tenant_on_no_smt_part(self):
         with pytest.raises(ConfigError, match="smt_per_core=1"):
             ScenarioSpec(name="x", description="d", preset="coffee_lake",

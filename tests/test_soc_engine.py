@@ -1,5 +1,7 @@
 """Discrete-event engine."""
 
+import math
+
 import pytest
 
 from repro.errors import SimulationError
@@ -159,6 +161,15 @@ class TestRunUntil:
         engine.run_until(100.0)
         with pytest.raises(SimulationError):
             engine.run_until(50.0)
+
+    @pytest.mark.parametrize("target", [math.nan, math.inf])
+    def test_run_until_non_finite_rejected(self, target):
+        engine = Engine()
+        fired = []
+        engine.schedule(10.0, fired.append, 1)
+        with pytest.raises(SimulationError, match="finite"):
+            engine.run_until(target)
+        assert fired == [] and engine.now == 0.0
 
     def test_clock_ends_at_horizon_even_if_queue_empty(self):
         engine = Engine()

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import IClass, Loop, System, SystemOptions
 from repro.core import IccThreadCovert
-from repro.faults import FaultInjector, SlotScheduleJitter, parse_fault_spec
+from repro.faults import FaultInjector, SlotScheduleJitter, ThermalDriftRamp
 from repro.isa.instructions import CDYN_NF, IPC, LABEL
 from repro.measure.trace import StepTrace
 from repro.pmu.thermal import ThermalModel, ThermalSpec
@@ -162,8 +162,8 @@ def check_hysteresis_pending(system):
                 f"with no hysteresis check pending")
 
 
-def _hex(trace):
-    return [(t.hex(), float(v).hex()) for t, v in trace.breakpoints()]
+def _hex(pairs):
+    return [(t.hex(), float(v).hex()) for t, v in pairs]
 
 
 class _Oracle:
@@ -176,7 +176,9 @@ class _Oracle:
     thermal model stepped where each power input changed, as the
     simulator once did: at every Cdyn or frequency change under Cdyn x
     V^2 x f, with the rail voltage at that instant, and at every
-    ambient step.
+    ambient step.  Ambient steps come from :meth:`run_stepped_ramp`,
+    the ramp process the simulator once ran, and the system's declared
+    ``ambient_steps`` must equal the ones it took.
     """
 
     def __init__(self, make_system):
@@ -187,6 +189,7 @@ class _Oracle:
         self.fired = 0
         self.eager_model = None
         self.eager_trace = StepTrace("tj_c")
+        self.stepped_ambient = []
 
     def _advance_eager(self, system):
         if self.eager_model is None:
@@ -203,7 +206,6 @@ class _Oracle:
         hysteresis_check = System._hysteresis_check
         record_cdyn = System._record_cdyn
         record_pmu_state = System._record_pmu_state
-        set_ambient_offset = System.set_ambient_offset
 
         def checked_dispatch(engine, time_ns, handle):
             dispatch(engine, time_ns, handle)
@@ -245,17 +247,12 @@ class _Oracle:
             if (len(trace), trace.value_at(owner.engine.now)) != before:
                 self._advance_eager(owner)
 
-        def eager_ambient(owner, offset_c):
-            set_ambient_offset(owner, offset_c)
-            self.eager_model.set_ambient_offset(owner.engine.now, offset_c)
-
         self._patches = [
             mock.patch.object(Engine, "_dispatch", checked_dispatch),
             mock.patch.object(System, "_recompute_core", noted_recompute),
             mock.patch.object(System, "_hysteresis_check", checked_fire),
             mock.patch.object(System, "_record_cdyn", eager_cdyn),
             mock.patch.object(System, "_record_pmu_state", eager_pmu_state),
-            mock.patch.object(System, "set_ambient_offset", eager_ambient),
         ]
         for patch in self._patches:
             patch.start()
@@ -266,6 +263,22 @@ class _Oracle:
             raise
         return self
 
+    def run_stepped_ramp(self, model):
+        """Step ``model``'s ambient ramp with a process, as the simulator
+        once did, into the eager thermal model and ``stepped_ambient``."""
+        system = self.system
+        step_c = model.rate_c_per_s * model.intensity * model.step_us * 1e-6
+
+        def ramp():
+            offset = 0.0
+            while offset < model.max_drift_c:
+                yield system.sleep(us_to_ns(model.step_us))
+                offset = min(model.max_drift_c, offset + step_c)
+                self.stepped_ambient.append((system.now, offset))
+                self.eager_model.set_ambient_offset(system.now, offset)
+
+        system.spawn(ramp(), name="stepped_thermal_drift")
+
     def _stop(self):
         for patch in reversed(self._patches):
             patch.stop()
@@ -273,7 +286,11 @@ class _Oracle:
     def __exit__(self, exc_type, *exc):
         self._stop()
         if exc_type is None:
-            assert _hex(self.system.temp_trace) == _hex(self.eager_trace), (
+            assert (_hex(self.system.ambient_steps)
+                    == _hex(self.stepped_ambient)), (
+                "declared ambient steps differ from the stepped ramp's")
+            assert (_hex(self.system.temp_trace.breakpoints())
+                    == _hex(self.eager_trace.breakpoints())), (
                 "derived temp_trace differs from the eager thermal replay")
         return False
 
@@ -331,15 +348,46 @@ class TestTracesFollowLiveState:
         assert report.sent == b"\xc3\x0f"
         assert oracle.checked > 100
 
-    def test_thermal_drift_transfer(self):
-        """The derived temperature follows every ambient step."""
+    @staticmethod
+    def _drift_transfer(*ramps):
+        """Transfer under declared ramps, each also run as a process."""
         with _Oracle(lambda: System(cannon_lake_i3_8121u())) as oracle:
-            parse_fault_spec("thermal-drift:rate_c_per_s=50,step_us=100"
-                             ).attach(oracle.system)
+            FaultInjector(ramps).attach(oracle.system)
+            for ramp in ramps:
+                oracle.run_stepped_ramp(ramp)
             report = IccThreadCovert(oracle.system).transfer(b"\x5a")
         assert report.received == b"\x5a"
+        assert (sum(ramp.events for ramp in ramps)
+                == len(oracle.stepped_ambient))
+        return oracle
+
+    def test_thermal_drift_transfer(self):
+        """The derived temperature follows every ambient step."""
+        oracle = self._drift_transfer(
+            ThermalDriftRamp(rate_c_per_s=50, step_us=100))
         assert len(oracle.system.ambient_steps) > 10
         assert len(oracle.eager_trace) > 10
+
+    def test_thermal_drift_reaches_its_ceiling(self):
+        # 0.1 degC steps sum to 0.9999999999999999 after ten; the
+        # eleventh is capped at the ceiling and ends the ramp.
+        oracle = self._drift_transfer(ThermalDriftRamp(
+            rate_c_per_s=1000, max_drift_c=1.0, step_us=100))
+        steps = oracle.system.ambient_steps
+        assert [offset for _, offset in steps[-2:]] == [
+            0.9999999999999999, 1.0]
+        assert steps[-1][0] < oracle.system.now - us_to_ns(100.0)
+
+    def test_two_thermal_drifts_interleave_like_processes(self):
+        # Every 200 us both ramps step at once.  The slower ramp's step
+        # was scheduled first and runs first, so the faster ramp's
+        # offset is the one left in force.
+        oracle = self._drift_transfer(
+            ThermalDriftRamp(rate_c_per_s=50, step_us=100),
+            ThermalDriftRamp(rate_c_per_s=20, step_us=200))
+        steps = oracle.system.ambient_steps
+        assert steps[1:4] == [(200_000.0, 0.004), (200_000.0, 0.01),
+                              (300_000.0, 0.015)]
 
 
 # Random schedules: thread, class, iterations, start offset; plus

@@ -7,6 +7,7 @@ import pytest
 from repro import IClass, Loop, System, SystemOptions
 from repro.core import IccThreadCovert
 from repro.errors import ConfigError, SimulationError
+from repro.pmu.thermal import ThermalSpec
 from repro.soc.config import (
     cannon_lake_i3_8121u,
     coffee_lake_i7_9700k,
@@ -416,6 +417,19 @@ class TestTraces:
         t = us_to_ns(20.0)
         assert system.power_at(t) == pytest.approx(
             system.icc_at(t) * system.vcc_at(t))
+
+    def test_int_inputs_keep_numeric_traces_float(self):
+        # A trace's first value fixes its type, so an int frequency or
+        # ambient temperature must not start an int trace that the
+        # later float values would then be rejected from.
+        config = cannon_lake_i3_8121u().with_overrides(
+            thermal=ThermalSpec(t_ambient_c=45))
+        system = fresh(governor=3, config=config)
+        run_single_loop(system, 0, Loop(IClass.HEAVY_512, 60))
+        freqs = [v for _, v in system.freq_trace.breakpoints()]
+        temps = [v for _, v in system.temp_trace.breakpoints()]
+        assert len(freqs) > 1 and len(temps) > 1
+        assert {type(v) for v in freqs + temps} == {float}
 
     def test_temperature_stays_far_below_tjmax(self):
         # Validates the 'not thermal' conclusion at this time scale.
