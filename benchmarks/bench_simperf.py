@@ -7,12 +7,33 @@ in the tens-of-milliseconds range of host time.
 """
 
 import gc
+import os
 import statistics
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 from repro import System, cannon_lake_i3_8121u
 from repro.core import IccThreadCovert
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def cold_import_seconds(runs=5):
+    """Median wall time of fresh interpreters importing repro.core."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(
+                   p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    seconds = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        subprocess.run([sys.executable, "-c", "import repro, repro.core"],
+                       env=env, check=True)
+        seconds.append(time.perf_counter() - start)
+    return statistics.median(seconds)
 
 
 def one_transfer():
@@ -53,6 +74,9 @@ def test_bench_simperf(benchmark):
         tracemalloc.get_traced_memory()[0] - before)
     tracemalloc.stop()
     del finished
+    # Start-up of a fresh interpreter that writes no bytecode, as the
+    # CLI and the e2e set-up probes run.  Informational.
+    benchmark.extra_info["cold_import_s"] = round(cold_import_seconds(), 4)
     assert report.ber == 0.0
     # The event count of this transfer is deterministic; more events
     # mean the simulator does more work for the same result.

@@ -27,24 +27,26 @@ from repro.core.channel import ChannelConfig, CovertChannel, TransferReport
 from repro.core.thread_channel import IccThreadCovert
 from repro.core.smt_channel import IccSMTcovert
 from repro.core.cores_channel import IccCoresCovert
-from repro.core.session import (
-    AdaptiveConfig,
-    CovertSession,
-    FecScheme,
-    SessionConfig,
-    SessionReport,
-)
-from repro.core.capacity import (
-    binary_symmetric_capacity,
-    effective_throughput_bps,
-    symbol_channel_capacity_bps,
-)
-from repro.core.ecc import CRC8, Hamming74, RepetitionCode
-from repro.core.side_channel import (
-    InstructionClassSpy,
-    KeyDependentVictim,
-    SpyReport,
-)
+from repro import lazy_exports
+
+#: Exports off the covert-transfer path: name -> defining submodule.
+_LAZY = {
+    "AdaptiveConfig": "session",
+    "CovertSession": "session",
+    "FecScheme": "session",
+    "SessionConfig": "session",
+    "SessionReport": "session",
+    "binary_symmetric_capacity": "capacity",
+    "effective_throughput_bps": "capacity",
+    "symbol_channel_capacity_bps": "capacity",
+    "CRC8": "ecc",
+    "Hamming74": "ecc",
+    "RepetitionCode": "ecc",
+    "InstructionClassSpy": "side_channel",
+    "KeyDependentVictim": "side_channel",
+    "SpyReport": "side_channel",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)
 
 __all__ = [
     "AdaptiveConfig",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import abc
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import ClassVar, List, Optional, Sequence
 
@@ -100,8 +101,13 @@ class ChannelConfig:
         if self.jitter_seed < 0:
             raise ProtocolError(
                 f"jitter_seed must be >= 0, got {self.jitter_seed}")
-        if self.sender_iterations < 1 or self.probe_iterations < 1:
-            raise ProtocolError("loop iterations must be >= 1")
+        for name in ("sender_iterations", "probe_iterations",
+                     "training_rounds"):
+            value = getattr(self, name)
+            if (not isinstance(value, numbers.Integral)
+                    or isinstance(value, bool) or value < 1):
+                raise ProtocolError(
+                    f"{name} must be an integer >= 1, got {value!r}")
         if not self.block_instructions >= 1:
             raise ProtocolError(
                 f"block_instructions must be >= 1, got "
@@ -111,8 +117,6 @@ class ChannelConfig:
             if not 0 <= value < math.inf:
                 raise ProtocolError(
                     f"{name} must be finite and >= 0, got {value}")
-        if self.training_rounds < 1:
-            raise ProtocolError("training needs at least one round per symbol")
 
 
 @dataclass

@@ -38,6 +38,7 @@ The state machine lives in :meth:`CovertSession.send` and is documented
 from __future__ import annotations
 
 import enum
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, List, Optional, Tuple
@@ -134,8 +135,12 @@ class SessionConfig:
             raise ProtocolError(
                 f"frame payload must be 1..250 bytes, got {self.frame_bytes}"
             )
-        if self.max_retries < 0:
-            raise ProtocolError("retry budget must be >= 0")
+        if (not isinstance(self.max_retries, numbers.Integral)
+                or isinstance(self.max_retries, bool)
+                or self.max_retries < 0):
+            raise ProtocolError(
+                f"max_retries must be an integer >= 0, got "
+                f"{self.max_retries!r}")
         if self.quiet_patience < 1:
             raise ProtocolError("quiet patience must be >= 1")
 

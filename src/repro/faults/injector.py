@@ -115,8 +115,11 @@ class FaultInjector:
         return ";".join(model.describe() for model in self.models)
 
     def event_counts(self) -> Dict[str, int]:
-        """Perturbation events applied so far, per model name."""
-        return {model.name: model.events for model in self.models}
+        """Perturbation events applied so far, summed per model name."""
+        counts: Dict[str, int] = {}
+        for model in self.models:
+            counts[model.name] = counts.get(model.name, 0) + model.events
+        return counts
 
     def __repr__(self) -> str:
         """Debug form listing the attached models."""

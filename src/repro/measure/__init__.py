@@ -7,24 +7,26 @@ Figures 6, 7 and 9.
 """
 
 from repro.measure.trace import SampleSeries, StepTrace
-from repro.measure.daq import DAQCard, DAQSpec, sample_grid
-from repro.measure.sampler import (
-    PiecewiseConstantSignal,
-    PiecewiseLinearSignal,
-    TraceSampler,
-)
-from repro.measure.probe import (
-    IterationTimings,
-    ThrottleDetector,
-    expected_iteration_tsc,
-    measured_iterations,
-)
-from repro.measure.stats import (
-    distribution_summary,
-    histogram,
-    level_separation,
-    DistributionSummary,
-)
+from repro import lazy_exports
+
+#: Exports off the covert-transfer path: name -> defining submodule.
+_LAZY = {
+    "DAQCard": "daq",
+    "DAQSpec": "daq",
+    "sample_grid": "daq",
+    "PiecewiseConstantSignal": "sampler",
+    "PiecewiseLinearSignal": "sampler",
+    "TraceSampler": "sampler",
+    "IterationTimings": "probe",
+    "ThrottleDetector": "probe",
+    "expected_iteration_tsc": "probe",
+    "measured_iterations": "probe",
+    "distribution_summary": "stats",
+    "histogram": "stats",
+    "level_separation": "stats",
+    "DistributionSummary": "stats",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)
 
 __all__ = [
     "SampleSeries",

@@ -15,12 +15,14 @@ import bisect
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import Any, Generic, List, Sequence, Tuple, TypeVar
+from typing import TYPE_CHECKING, Any, Generic, List, Sequence, Tuple, TypeVar
 
 import numpy as np
 
 from repro.errors import MeasurementError
-from repro.measure.sampler import PiecewiseConstantSignal
+
+if TYPE_CHECKING:
+    from repro.measure.sampler import PiecewiseConstantSignal
 
 T = TypeVar("T")
 
@@ -115,6 +117,8 @@ class StepTrace(Generic[T]):
         made afterwards are not reflected.  ``default`` is the value
         reported before the first breakpoint.
         """
+        from repro.measure.sampler import PiecewiseConstantSignal
+
         if not self._times:
             return PiecewiseConstantSignal(
                 np.asarray([0.0]), np.asarray([default], dtype=float),

@@ -7,9 +7,19 @@ blocked during three of every four cycles *for the whole core*, which is
 why both SMT threads stall together (Key Conclusion 5).
 """
 
-from repro.microarch.counters import CounterBank, PMC, normalized_undelivered
-from repro.microarch.pipeline import CorePipeline, PipelineConfig, ThreadState
 from repro.microarch.tsc import TimestampCounter
+from repro import lazy_exports
+
+#: Exports off the covert-transfer path: name -> defining submodule.
+_LAZY = {
+    "CounterBank": "counters",
+    "PMC": "counters",
+    "normalized_undelivered": "counters",
+    "CorePipeline": "pipeline",
+    "PipelineConfig": "pipeline",
+    "ThreadState": "pipeline",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)
 
 __all__ = [
     "CounterBank",

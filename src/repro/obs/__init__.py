@@ -29,15 +29,6 @@ or from the command line: ``python -m repro --trace trace.json
 --metrics metrics.json``.  See ``docs/OBSERVABILITY.md``.
 """
 
-from repro.obs.export import (
-    chrome_trace_dict,
-    chrome_trace_events,
-    metrics_dict,
-    metrics_fingerprint,
-    validate_chrome_trace,
-    write_chrome_trace,
-    write_metrics_json,
-)
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.obs.tracer import (
     NullTracer,
@@ -47,6 +38,19 @@ from repro.obs.tracer import (
     install,
     tracing,
 )
+from repro import lazy_exports
+
+#: Exports off the covert-transfer path: name -> defining submodule.
+_LAZY = {
+    "chrome_trace_dict": "export",
+    "chrome_trace_events": "export",
+    "metrics_dict": "export",
+    "metrics_fingerprint": "export",
+    "validate_chrome_trace": "export",
+    "write_chrome_trace": "export",
+    "write_metrics_json": "export",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)
 
 __all__ = [
     "Counter",

@@ -13,10 +13,19 @@ from repro.pmu.dvfs import PState, VFCurve
 from repro.pmu.turbo import TurboLicense, license_for_class, TurboLicenseTable
 from repro.pmu.limits import LimitPolicy, LimitVerdict
 from repro.pmu.thermal import ThermalModel, ThermalSpec
-from repro.pmu.governors import Governor, GovernorKind
 from repro.pmu.central import CentralPMU, PMUConfig
-from repro.pmu.cstates import CState, CStateSpec, CStateTracker
 from repro.pmu.local import LocalPMU
+from repro import lazy_exports
+
+#: Exports off the covert-transfer path: name -> defining submodule.
+_LAZY = {
+    "Governor": "governors",
+    "GovernorKind": "governors",
+    "CState": "cstates",
+    "CStateSpec": "cstates",
+    "CStateTracker": "cstates",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)
 
 __all__ = [
     "PState",

@@ -18,9 +18,18 @@ from repro.soc.config import (
     sandy_bridge_i7_2600k,
     skylake_sp_xeon_8160,
 )
-from repro.soc.feasibility import ChannelFeasibility, FeasibilityReport, analyze as analyze_feasibility
 from repro.soc.system import ExecResult, System
-from repro.soc.noise import NoiseConfig, attach_system_noise
+from repro import lazy_exports
+
+#: Exports off the covert-transfer path: name -> defining submodule.
+_LAZY = {
+    "ChannelFeasibility": "feasibility",
+    "FeasibilityReport": "feasibility",
+    "analyze_feasibility": "feasibility.analyze",
+    "NoiseConfig": "noise",
+    "attach_system_noise": "noise",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)
 
 __all__ = [
     "Engine",

@@ -36,27 +36,32 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Generator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Generator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigError, SimulationError
 from repro.isa.instructions import CDYN_NF, IPC, LABEL, IClass
 from repro.isa.workload import Loop, PhaseTrace, uniform_loop
-from repro.measure.sampler import PiecewiseConstantSignal, PiecewiseLinearSignal
 from repro.measure.trace import StepTrace
 from repro.microarch.tsc import TimestampCounter
 from repro.pdn.droop import DroopModel, DroopSpec
 from repro.pdn.powergate import PowerGate, PowerGateSpec
 from repro.pdn.regulator import VoltageRegulator, ldo_spec
 from repro.pmu.central import CentralPMU, PMUConfig
-from repro.pmu.cstates import CStateSpec, CStateTracker
-from repro.pmu.governors import Governor
 from repro.pmu.local import LocalPMU
 from repro.pmu.thermal import AmbientRamp, ThermalModel, expand_ramps
 from repro.soc.config import ProcessorConfig
 from repro.soc.engine import Engine, EventHandle
 from repro.units import mohm_to_ohm, us_to_ns
+
+if TYPE_CHECKING:
+    from repro.measure.sampler import (
+        PiecewiseConstantSignal,
+        PiecewiseLinearSignal,
+    )
+    from repro.pmu.cstates import CStateTracker
+    from repro.pmu.governors import Governor
 
 #: Throttle divides the delivery rate by this factor (1 open cycle in 4).
 THROTTLE_FACTOR = 4.0
@@ -277,10 +282,10 @@ class System:
         #: Ambient drifts of the thermal model (see
         #: :meth:`declare_ambient_ramp`), expanded only when read.
         self._ambient_ramps: List[AmbientRamp] = []
-        self.cstates: Optional[CStateTracker] = (
-            CStateTracker(CStateSpec(), config.n_cores)
-            if config.cstates_enabled else None
-        )
+        self.cstates: Optional[CStateTracker] = None
+        if config.cstates_enabled:
+            from repro.pmu.cstates import CStateSpec, CStateTracker
+            self.cstates = CStateTracker(CStateSpec(), config.n_cores)
 
         self.threads = [
             _HWThread(thread_id=core * config.smt_per_core + slot,
@@ -359,6 +364,8 @@ class System:
         of one history lookup per sample.  Snapshot semantics: commands
         issued after the call are not reflected.
         """
+        from repro.measure.sampler import PiecewiseLinearSignal
+
         times, volts = self.pmu.rail_of(core).breakpoints()
         return PiecewiseLinearSignal(times, volts, name=f"vcc_core{core}")
 
@@ -376,6 +383,8 @@ class System:
         breakpoint times (left value first), which ``np.interp``
         resolves right-continuously — matching :meth:`icc_at` exactly.
         """
+        from repro.measure.sampler import PiecewiseLinearSignal
+
         vcc_times, vcc_volts = self.pmu.rail_of(0).breakpoints()
         cdyn = self.cdyn_trace.signal(default=0.0)
         freq = self.freq_trace.signal(default=self.pmu.freq_ghz)

@@ -41,6 +41,13 @@ class TestSessionConfig:
         with pytest.raises(ProtocolError):
             SessionConfig(max_retries=-1)
 
+    @pytest.mark.parametrize("max_retries", [
+        1.5, float("nan"), float("inf"), True, -1],
+        ids=["1.5", "nan", "inf", "bool", "negative"])
+    def test_non_integral_max_retries_rejected(self, max_retries):
+        with pytest.raises(ProtocolError, match="max_retries"):
+            SessionConfig(max_retries=max_retries)
+
 
 class TestCleanTransport:
     @pytest.mark.parametrize("fec", list(FecScheme))

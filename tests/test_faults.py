@@ -418,6 +418,15 @@ class TestEndToEnd:
         assert counts["thermal-drift"] > 0
         assert system.ambient_steps[-1][1] > 0.0
 
+    def test_event_counts_sum_models_of_one_kind(self):
+        system = fresh_system()
+        fast = ThermalDriftRamp(rate_c_per_s=50, step_us=100)
+        slow = ThermalDriftRamp(rate_c_per_s=20, step_us=200)
+        injector = FaultInjector([fast, slow]).attach(system)
+        IccThreadCovert(system).transfer(b"Z")
+        assert (fast.events, slow.events) == (150, 75)
+        assert injector.event_counts() == {"thermal-drift": 150 + 75}
+
 
 class TestStateFlush:
     """The temporal-partitioning (state flush) defender fault."""

@@ -271,6 +271,17 @@ class TestRejection:
             ScenarioSpec(name="x", description="d",
                          protocol=(("slot_us", -5.0),))
 
+    @pytest.mark.parametrize("field", [
+        "training_rounds", "sender_iterations", "probe_iterations"])
+    @pytest.mark.parametrize("value", [
+        1.5, 2.5, float("nan"), float("inf"), True, 0, -2],
+        ids=["1.5", "2.5", "nan", "inf", "bool", "zero", "negative"])
+    def test_non_integral_protocol_count_fails_at_build_time(self, field,
+                                                              value):
+        with pytest.raises(ProtocolError, match=field):
+            ScenarioSpec(name="x", description="x",
+                         protocol=((field, value),))
+
     def test_uppercase_name_rejected(self):
         with pytest.raises(ConfigError, match="lowercase identifier"):
             ScenarioSpec(name="Baseline", description="d")
