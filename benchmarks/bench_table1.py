@@ -17,39 +17,38 @@ from conftest import banner
 
 from repro.analysis.experiments import table1_mitigations
 from repro.analysis.figures import format_table
-from repro.mitigations import Mitigation
+from repro.mitigations import TABLE1_DEFENDERS
+from repro.mitigations.matrix.defenders import get_defender
 
 
 def test_bench_table1(benchmark):
     report = benchmark.pedantic(table1_mitigations, rounds=1, iterations=1)
 
     banner("Table 1: mitigation effectiveness (measured on Cannon Lake)")
-    mitigations = [Mitigation.PER_CORE_VR, Mitigation.IMPROVED_THROTTLING,
-                   Mitigation.SECURE_MODE]
     channels = ["IccThreadCovert", "IccSMTcovert", "IccCoresCovert"]
     rows = []
-    for mitigation in mitigations:
-        row = [mitigation.value]
+    for defender in TABLE1_DEFENDERS:
+        row = [defender]
         for channel in channels:
-            row.append(report.verdict(channel, mitigation))
-        row.append(report.overhead_notes[mitigation])
+            row.append(report.verdict(channel, defender))
+        row.append(get_defender(defender).overhead_note)
         rows.append(row)
-    print(format_table(["mitigation"] + channels + ["overhead"], rows))
+    print(format_table(["defender"] + channels + ["overhead"], rows))
     print(f"\nsecure-mode power overhead (measured): "
           f"{report.secure_mode_power_overhead * 100:.1f}% (paper: 4-11%)")
 
     benchmark.extra_info["secure_mode_power_pct"] = round(
         report.secure_mode_power_overhead * 100, 1)
     # The paper's exact matrix.
-    assert report.verdict("IccThreadCovert", Mitigation.PER_CORE_VR) == "PARTIAL"
-    assert report.verdict("IccSMTcovert", Mitigation.PER_CORE_VR) == "PARTIAL"
-    assert report.verdict("IccCoresCovert", Mitigation.PER_CORE_VR) == "MITIGATED"
+    assert report.verdict("IccThreadCovert", "per_core_ldo") == "PARTIAL"
+    assert report.verdict("IccSMTcovert", "per_core_ldo") == "PARTIAL"
+    assert report.verdict("IccCoresCovert", "per_core_ldo") == "MITIGATED"
     assert report.verdict("IccThreadCovert",
-                          Mitigation.IMPROVED_THROTTLING) == "OPEN"
+                          "improved_throttling") == "OPEN"
     assert report.verdict("IccSMTcovert",
-                          Mitigation.IMPROVED_THROTTLING) == "MITIGATED"
+                          "improved_throttling") == "MITIGATED"
     assert report.verdict("IccCoresCovert",
-                          Mitigation.IMPROVED_THROTTLING) == "OPEN"
+                          "improved_throttling") == "OPEN"
     for channel in channels:
-        assert report.verdict(channel, Mitigation.SECURE_MODE) == "MITIGATED"
+        assert report.verdict(channel, "secure_mode") == "MITIGATED"
     assert 0.04 <= report.secure_mode_power_overhead <= 0.11

@@ -15,7 +15,8 @@ Run::
 
 import _pathfix  # noqa: F401  (sys.path setup for uninstalled runs)
 
-from repro.mitigations import Mitigation, evaluate_all
+from repro.mitigations import TABLE1_DEFENDERS, evaluate_all
+from repro.mitigations.matrix.defenders import get_defender
 from repro.soc.config import cannon_lake_i3_8121u
 
 VERDICT_TEXT = {
@@ -28,18 +29,16 @@ VERDICT_TEXT = {
 def main() -> None:
     config = cannon_lake_i3_8121u()
     print(f"evaluating mitigations on {config.codename} ({config.name})\n")
-    report = evaluate_all(config)
+    report = evaluate_all()
 
-    mitigations = [Mitigation.PER_CORE_VR, Mitigation.IMPROVED_THROTTLING,
-                   Mitigation.SECURE_MODE]
     channels = ["IccThreadCovert", "IccSMTcovert", "IccCoresCovert"]
-    for mitigation in mitigations:
-        print(f"--- {mitigation.value} "
-              f"(overhead: {report.overhead_notes[mitigation]}) ---")
+    for defender in TABLE1_DEFENDERS:
+        print(f"--- {defender} "
+              f"(overhead: {get_defender(defender).overhead_note}) ---")
         for channel in channels:
             outcome = next(o for o in report.outcomes
                            if o.channel == channel
-                           and o.mitigation == mitigation)
+                           and o.defender == defender)
             print(f"  {channel:16s} {outcome.verdict:10s} "
                   f"BER={outcome.ber:.2f}  level separation="
                   f"{outcome.min_separation_tsc:6.0f} cycles   "

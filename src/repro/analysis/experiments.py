@@ -715,7 +715,7 @@ def fig14_noise_sensitivity(
 
 def table1_mitigations() -> MitigationReport:
     """Mitigation effectiveness matrix on Cannon Lake (Table 1)."""
-    return evaluate_all(cannon_lake_i3_8121u())
+    return evaluate_all()
 
 
 @dataclass

@@ -44,6 +44,18 @@ from repro.soc.system import System
 from repro.units import bits_per_second, us_to_ns
 
 
+def require_int(name: str, value: object, low: int) -> None:
+    """Raise ProtocolError naming ``name`` unless ``value`` is an int >= ``low``.
+
+    Booleans are rejected: ``True`` is an ``int`` to Python, never a
+    count or a seed to a protocol.
+    """
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or value < low):
+        raise ProtocolError(
+            f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ChannelConfig:
     """Protocol parameters of one covert channel instance.
@@ -98,20 +110,10 @@ class ChannelConfig:
             raise ProtocolError(
                 f"slot jitter must be finite and >= 0, got "
                 f"{self.slot_jitter_us}")
-        if self.jitter_seed < 0:
-            raise ProtocolError(
-                f"jitter_seed must be >= 0, got {self.jitter_seed}")
         for name in ("sender_iterations", "probe_iterations",
-                     "training_rounds"):
-            value = getattr(self, name)
-            if (not isinstance(value, numbers.Integral)
-                    or isinstance(value, bool) or value < 1):
-                raise ProtocolError(
-                    f"{name} must be an integer >= 1, got {value!r}")
-        if not self.block_instructions >= 1:
-            raise ProtocolError(
-                f"block_instructions must be >= 1, got "
-                f"{self.block_instructions}")
+                     "block_instructions", "training_rounds"):
+            require_int(name, getattr(self, name), 1)
+        require_int("jitter_seed", self.jitter_seed, 0)
         for name in ("cross_core_delay_ns", "min_level_gap_tsc"):
             value = getattr(self, name)
             if not 0 <= value < math.inf:

@@ -38,12 +38,12 @@ The state machine lives in :meth:`CovertSession.send` and is documented
 from __future__ import annotations
 
 import enum
-import numbers
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, List, Optional, Tuple
 
-from repro.core.channel import CovertChannel
+from repro.core.channel import CovertChannel, require_int
 from repro.core.ecc import CRC8, Hamming74, RepetitionCode, deinterleave, interleave
 from repro.core.encoding import bits_to_bytes, bytes_to_bits
 from repro.core.levels import ROBUST_SYMBOLS
@@ -93,14 +93,16 @@ class AdaptiveConfig:
     degraded_fec: "FecScheme" = FecScheme.REPETITION3
 
     def __post_init__(self) -> None:
-        if self.ber_window < 1:
-            raise ProtocolError("BER window must be >= 1")
+        require_int("ber_window", self.ber_window, 1)
         if not 0.0 < self.ber_bound < 1.0:
             raise ProtocolError(f"BER bound must be in (0, 1), got {self.ber_bound}")
-        if self.recalibration_budget < 0:
-            raise ProtocolError("recalibration budget must be >= 0")
-        if self.backoff_base_us < 0 or self.backoff_max_us < self.backoff_base_us:
-            raise ProtocolError("backoff must satisfy 0 <= base <= max")
+        require_int("recalibration_budget", self.recalibration_budget, 0)
+        # Negated so NaN fails it too.
+        if not (0 <= self.backoff_base_us <= self.backoff_max_us < math.inf):
+            raise ProtocolError(
+                f"backoff must satisfy 0 <= backoff_base_us <= "
+                f"backoff_max_us < inf, got {self.backoff_base_us!r} / "
+                f"{self.backoff_max_us!r}")
 
 
 @dataclass(frozen=True)
@@ -131,18 +133,13 @@ class SessionConfig:
     adaptive: Optional[AdaptiveConfig] = None
 
     def __post_init__(self) -> None:
-        if not 1 <= self.frame_bytes <= 250:
+        require_int("frame_bytes", self.frame_bytes, 1)
+        if self.frame_bytes > 250:
             raise ProtocolError(
                 f"frame payload must be 1..250 bytes, got {self.frame_bytes}"
             )
-        if (not isinstance(self.max_retries, numbers.Integral)
-                or isinstance(self.max_retries, bool)
-                or self.max_retries < 0):
-            raise ProtocolError(
-                f"max_retries must be an integer >= 0, got "
-                f"{self.max_retries!r}")
-        if self.quiet_patience < 1:
-            raise ProtocolError("quiet patience must be >= 1")
+        require_int("max_retries", self.max_retries, 0)
+        require_int("quiet_patience", self.quiet_patience, 1)
 
     @property
     def code_rate(self) -> float:

@@ -1,7 +1,8 @@
 """The paper's mitigations (Section 7, Table 1).
 
 Three defences, each a :class:`~repro.soc.system.SystemOptions` recipe
-plus evaluation tooling:
+named once in the defender registry
+(:mod:`~repro.mitigations.matrix.defenders`), plus evaluation tooling:
 
 * **Per-core voltage regulators** (LDO/IVR) — eliminates the cross-core
   serialisation (IccCoresCovert) and, with fast LDO ramps, shrinks the
@@ -32,17 +33,11 @@ from repro.mitigations.matrix import (
     smoke_matrix,
 )
 
-from repro.mitigations.recipes import (
-    Mitigation,
-    improved_throttling_options,
-    options_for,
-    per_core_vr_options,
-    secure_mode_options,
-)
 from repro.mitigations.detector import DetectionReport, ThrottleAnomalyDetector
 from repro.mitigations.report import (
     MitigationOutcome,
     MitigationReport,
+    TABLE1_DEFENDERS,
     evaluate_mitigation,
     evaluate_all,
 )
@@ -57,15 +52,11 @@ __all__ = [
     "MatrixCell",
     "MitigationMatrixReport",
     "ThrottleAnomalyDetector",
-    "Mitigation",
     "run_matrix",
     "smoke_matrix",
-    "improved_throttling_options",
-    "options_for",
-    "per_core_vr_options",
-    "secure_mode_options",
     "MitigationOutcome",
     "MitigationReport",
+    "TABLE1_DEFENDERS",
     "evaluate_mitigation",
     "evaluate_all",
 ]

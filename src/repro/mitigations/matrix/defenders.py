@@ -10,7 +10,7 @@ Seven defenders, in two groups:
   current-management side channels.
 
 Each :class:`Defender` is a frozen bundle of the scenario knobs that
-realise the defence: a :class:`~repro.scenarios.spec.OptionsSpec`
+realise the defence: a :class:`~repro.soc.system.SystemOptions`
 (system-level switches), a fault-suite string (defender-controlled
 perturbation processes), and preset overrides.  The three literature
 recipes source their knobs from the registered
@@ -26,7 +26,7 @@ from typing import Dict, List, Tuple
 
 from repro.errors import ConfigError
 from repro.scenarios.registry import get_spec
-from repro.scenarios.spec import OptionsSpec
+from repro.soc.system import SystemOptions
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class Defender:
 
     name: str
     description: str
-    options: OptionsSpec = field(default_factory=OptionsSpec)
+    options: SystemOptions = field(default_factory=SystemOptions)
     faults: str = ""
     overrides: Tuple[Tuple[str, float], ...] = ()
     scenario: str = ""
@@ -101,7 +101,7 @@ def _build_registry() -> Dict[str, Defender]:
             description=(
                 "Per-core LDO/IVR rails: no shared-rail serialisation "
                 "exists for cross-core channels (paper Section 7)"),
-            options=OptionsSpec(per_core_vr=True, ldo_rails=True),
+            options=SystemOptions(per_core_vr=True, ldo_rails=True),
             overhead_note="roughly 11-13% core area for the LDO network",
         ),
         Defender(
@@ -109,7 +109,7 @@ def _build_registry() -> Dict[str, Defender]:
             description=(
                 "Grant-before-throttle: the PMU raises guardbands "
                 "without the blocking throttle window (paper Section 7)"),
-            options=OptionsSpec(improved_throttling=True),
+            options=SystemOptions(improved_throttling=True),
             overhead_note="design effort only; removes the SMT observable",
         ),
         Defender(
@@ -117,7 +117,7 @@ def _build_registry() -> Dict[str, Defender]:
             description=(
                 "Guardbands pinned at the power-virus worst case: "
                 "nothing transitions, nothing throttles (paper Section 7)"),
-            options=OptionsSpec(secure_mode=True),
+            options=SystemOptions(secure_mode=True),
             overhead_note="roughly 4-11% standing power at typical load",
         ),
     )

@@ -1,9 +1,12 @@
 """Mitigation evaluation harness (regenerates Table 1).
 
-For each (channel, mitigation) pair the harness builds a fresh system
-with the mitigation's options, calibrates the channel with *no* minimum
-separation requirement (so even a barely-alive channel gets its best
-shot), transfers a test payload, and classifies the outcome:
+Table 1's rows are the three paper defenders of the matrix registry
+(:data:`TABLE1_DEFENDERS`).  For each (channel, defender) pair the
+harness builds the matrix cell's scenario
+(:func:`~repro.mitigations.matrix.cells.cell_spec`), calibrates the
+channel with *no* minimum separation requirement (so even a
+barely-alive channel gets its best shot), transfers a test payload,
+and classifies the outcome:
 
 * ``MITIGATED`` — the level clusters collapse (or BER >= 0.25): the
   channel cannot carry data.
@@ -17,31 +20,34 @@ shot), transfers a test payload, and classifies the outcome:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Type
+from typing import List, Tuple
 
-from repro.core.channel import ChannelConfig, CovertChannel
-from repro.core.cores_channel import IccCoresCovert
-from repro.core.smt_channel import IccSMTcovert
-from repro.core.thread_channel import IccThreadCovert
 from repro.errors import CalibrationError, ConfigError
-from repro.mitigations.recipes import Mitigation, OVERHEAD_NOTES, options_for
-from repro.soc.config import ProcessorConfig
-from repro.soc.system import System
+from repro.isa.instructions import IClass
+from repro.mitigations.matrix.cells import cell_spec
+from repro.mitigations.matrix.defenders import get_defender
+from repro.scenarios.build import build_system
+from repro.scenarios.run import make_channel
+from repro.scenarios.spec import CHANNEL_KINDS
+
+#: Table 1's rows: the paper's Section-7 defences, by defender name.
+TABLE1_DEFENDERS: Tuple[str, ...] = (
+    "per_core_ldo", "improved_throttling", "secure_mode")
 
 
 @dataclass(frozen=True)
 class MitigationOutcome:
-    """Result of testing one channel under one mitigation."""
+    """Result of testing one channel under one defender."""
 
-    channel: str
-    mitigation: Mitigation
+    channel: str  # the channel class name, e.g. "IccThreadCovert"
+    defender: str
     verdict: str  # MITIGATED / PARTIAL / OPEN
     ber: float
     min_separation_tsc: float
 
     @property
     def blocked(self) -> bool:
-        """True when the channel is unusable under the mitigation."""
+        """True when the channel is unusable under the defender."""
         return self.verdict == "MITIGATED"
 
 
@@ -51,85 +57,51 @@ class MitigationReport:
 
     outcomes: List[MitigationOutcome]
     secure_mode_power_overhead: float
-    overhead_notes: Dict[Mitigation, str]
 
-    def verdict(self, channel: str, mitigation: Mitigation) -> str:
-        """Verdict string for a (channel, mitigation) cell."""
+    def verdict(self, channel: str, defender: str) -> str:
+        """Verdict string for a (channel, defender) cell."""
         for outcome in self.outcomes:
-            if outcome.channel == channel and outcome.mitigation == mitigation:
+            if outcome.channel == channel and outcome.defender == defender:
                 return outcome.verdict
-        raise ConfigError(f"no outcome recorded for {channel} / {mitigation}")
+        raise ConfigError(f"no outcome recorded for {channel} / {defender}")
 
-
-_CHANNELS: Dict[str, Type[CovertChannel]] = {
-    "IccThreadCovert": IccThreadCovert,
-    "IccSMTcovert": IccSMTcovert,
-    "IccCoresCovert": IccCoresCovert,
-}
 
 _TEST_PAYLOAD = b"\x1b\x2d\x4e\x87"
 
 
-def evaluate_mitigation(config: ProcessorConfig, channel_name: str,
-                        mitigation: Mitigation,
-                        channel_config: ChannelConfig = ChannelConfig(),
-                        payload: bytes = _TEST_PAYLOAD) -> MitigationOutcome:
-    """Test one channel against one mitigation on a fresh system."""
-    channel_cls = _CHANNELS.get(channel_name)
-    if channel_cls is None:
-        raise ConfigError(
-            f"unknown channel {channel_name!r}; choose from {sorted(_CHANNELS)}"
-        )
-    gap_required = channel_config.min_level_gap_tsc
-    permissive = replace(channel_config, min_level_gap_tsc=0.0)
-    system = System(config, options=options_for(mitigation))
-    channel = channel_cls(system, permissive)
+def evaluate_mitigation(kind: str, defender: str) -> MitigationOutcome:
+    """Test the ``kind`` channel against one registry defender."""
+    spec = cell_spec(kind, get_defender(defender))
+    gap_required = spec.channel_config().min_level_gap_tsc
+    spec = replace(spec, protocol=tuple(
+        {**dict(spec.protocol), "min_level_gap_tsc": 0.0}.items()))
+    system = build_system(spec)
+    channel = make_channel(system, spec.tenants[0], spec)
+    name = type(channel).__name__
     try:
         calibrator = channel.calibrate()
     except CalibrationError:
-        return MitigationOutcome(channel_name, mitigation, "MITIGATED",
+        return MitigationOutcome(name, defender, "MITIGATED",
                                  ber=0.5, min_separation_tsc=0.0)
     min_sep = min((gap for _, _, gap in calibrator.separations()), default=0.0)
-    report = channel.transfer(payload)
+    report = channel.transfer(_TEST_PAYLOAD)
     if report.ber >= 0.25:
         verdict = "MITIGATED"
     elif min_sep >= gap_required and report.ber < 0.05:
         verdict = "OPEN"
     else:
         verdict = "PARTIAL"
-    return MitigationOutcome(channel_name, mitigation, verdict,
+    return MitigationOutcome(name, defender, verdict,
                              ber=report.ber, min_separation_tsc=min_sep)
 
 
-def evaluate_all(config: ProcessorConfig,
-                 channel_config: ChannelConfig = ChannelConfig(),
-                 mitigations: "List[Mitigation]" = (
-                     Mitigation.PER_CORE_VR,
-                     Mitigation.IMPROVED_THROTTLING,
-                     Mitigation.SECURE_MODE,
-                 ),
-                 channel_filter: Callable[[str], bool] = lambda _name: True,
-                 ) -> MitigationReport:
-    """Build the full Table-1 matrix for one processor."""
-    outcomes: List[MitigationOutcome] = []
-    for channel_name in _CHANNELS:
-        if not channel_filter(channel_name):
-            continue
-        if channel_name == "IccSMTcovert" and not config.smt_per_core > 1:
-            continue
-        if channel_name == "IccCoresCovert" and config.n_cores < 2:
-            continue
-        for mitigation in mitigations:
-            outcomes.append(
-                evaluate_mitigation(config, channel_name, mitigation,
-                                    channel_config)
-            )
-    reference = System(config, options=options_for(Mitigation.SECURE_MODE))
-    from repro.isa.instructions import IClass  # local to avoid cycle at import
-
-    overhead = reference.pmu.secure_mode_power_overhead(IClass.SCALAR_64)
+def evaluate_all() -> MitigationReport:
+    """Build the full Table-1 matrix on the channels' Cannon Lake baselines."""
+    outcomes = [evaluate_mitigation(kind, defender)
+                for kind in CHANNEL_KINDS for defender in TABLE1_DEFENDERS]
+    reference = build_system(cell_spec("thread", get_defender("secure_mode")))
     return MitigationReport(
         outcomes=outcomes,
-        secure_mode_power_overhead=overhead,
-        overhead_notes=dict(OVERHEAD_NOTES),
+        secure_mode_power_overhead=reference.pmu.secure_mode_power_overhead(
+            IClass.SCALAR_64),
     )

@@ -38,7 +38,6 @@ from repro.scenarios.spec import (
     CHANNEL_KINDS,
     NoiseSpec,
     OVERRIDABLE_FIELDS,
-    OptionsSpec,
     ScenarioSpec,
     TenantSpec,
     WORKLOAD_KINDS,
@@ -51,7 +50,6 @@ __all__ = [
     "InterferenceSweepResult",
     "NoiseSpec",
     "OVERRIDABLE_FIELDS",
-    "OptionsSpec",
     "ScenarioRun",
     "ScenarioSpec",
     "TenantResult",

@@ -2,7 +2,7 @@
 
 ``build_system`` is the single seam between the declarative layer and
 the :mod:`repro.soc` substrate: it builds the processor from the
-preset + overrides, threads the mitigation options into
+preset + overrides, applies the scenario's
 :class:`~repro.soc.system.SystemOptions`, attaches the fault suite,
 spawns every background workload trace on its pinned hardware thread,
 and arms OS noise on the tenant threads.  Channels themselves are
@@ -38,7 +38,7 @@ def build_system(spec: ScenarioSpec) -> System:
     layer constructs so it can own calibration and slot scheduling.
     """
     config = spec.processor_config()
-    system = System(config, options=spec.system_options())
+    system = System(config, options=spec.options)
     if spec.faults:
         parse_fault_spec(spec.faults).attach(system)
     for workload in spec.background:

@@ -16,7 +16,7 @@ from typing import List
 
 from repro.errors import ConfigError
 from repro.scenarios.registry import all_specs
-from repro.scenarios.spec import ScenarioSpec
+from repro.scenarios.spec import ScenarioSpec, options_to_mapping
 
 #: Markers delimiting the generated block inside docs/SCENARIOS.md.
 BEGIN_MARK = "<!-- scenario-registry:begin (generated; edit the registry, then run `python -m repro.scenarios docs`) -->"
@@ -60,7 +60,7 @@ def _entry_markdown(spec: ScenarioSpec) -> str:
     protocol = (", ".join(f"{k}={v}" for k, v in spec.protocol)
                 if spec.protocol else "—")
     mitigations = [f.replace("_", "-")
-                   for f, enabled in spec.options.to_mapping().items()
+                   for f, enabled in options_to_mapping(spec.options).items()
                    if enabled]
     noise = ("—" if spec.noise is None else
              f"{spec.noise.config().total_event_rate_per_s:g} events/s "

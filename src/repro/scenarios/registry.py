@@ -33,11 +33,11 @@ from typing import Dict, List, Tuple
 from repro.errors import ConfigError
 from repro.scenarios.spec import (
     NoiseSpec,
-    OptionsSpec,
     ScenarioSpec,
     TenantSpec,
     WorkloadSpec,
 )
+from repro.soc.system import SystemOptions
 
 #: The registry: name -> spec, in registration (= documentation) order.
 _REGISTRY: Dict[str, ScenarioSpec] = {}
@@ -164,7 +164,7 @@ register(ScenarioSpec(
         "transitions, nothing throttles — expected infeasible "
         "(paper Section 7)."),
     preset="cannon_lake",
-    options=OptionsSpec(secure_mode=True),
+    options=SystemOptions(secure_mode=True),
     tenants=(TenantSpec("thread", 0, 0),),
 ))
 
@@ -256,7 +256,7 @@ register(ScenarioSpec(
         "still leak (mitigation-matrix defender)."),
     preset="cannon_lake",
     overrides=(("base_freq_ghz", 3.0),),
-    options=OptionsSpec(turbo_license_limit=True),
+    options=SystemOptions(turbo_license_limit=True),
     tenants=(TenantSpec("cores", 0, 1),),
 ))
 

@@ -82,40 +82,43 @@ def _require_keys(mapping: Mapping[str, Any], valid: Iterable[str],
             f"valid fields: {', '.join(valid)}")
 
 
-@dataclass(frozen=True)
-class OptionsSpec:
-    """Mitigation/ablation switches forwarded to ``SystemOptions``.
+#: The switches a scenario's ``options`` mapping may carry, in emission
+#: order.  ``disable_throttling`` is an ablation switch, not part of the
+#: scenario grammar.
+OPTION_KEYS: Tuple[str, ...] = (
+    "per_core_vr", "ldo_rails", "improved_throttling", "secure_mode",
+    "turbo_license_limit",
+)
 
-    Each field mirrors the identically named
-    :class:`~repro.soc.system.SystemOptions` switch.
+
+def options_from_mapping(mapping: Mapping[str, Any]) -> SystemOptions:
+    """Scenario options from a plain dict.
+
+    Unknown keys and non-bool values raise ConfigError naming the key
+    (a JSON ``"false"`` string must not switch a defence on).
     """
+    _require_keys(mapping, OPTION_KEYS, "options")
+    for key, value in mapping.items():
+        if not isinstance(value, bool):
+            raise ConfigError(
+                f"options.{key} must be true or false, got {value!r}")
+    return SystemOptions(**dict(mapping))
 
-    per_core_vr: bool = False
-    ldo_rails: bool = False
-    improved_throttling: bool = False
-    secure_mode: bool = False
-    turbo_license_limit: bool = False
 
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any]) -> "OptionsSpec":
-        """Build from a plain dict; unknown keys raise ConfigError."""
-        names = tuple(f.name for f in fields(cls))
-        _require_keys(mapping, names, "options")
-        return cls(**{name: bool(mapping.get(name, False)) for name in names})
+def options_to_mapping(options: SystemOptions) -> Dict[str, bool]:
+    """Canonical plain-dict form of scenario options.
 
-    def to_mapping(self) -> Dict[str, Any]:
-        """Canonical plain-dict form.
-
-        Every original switch is explicit; ``turbo_license_limit`` is
-        emitted only when set.  Run documents embed this mapping, so an
-        unconditionally emitted new key would silently re-digest every
-        committed golden — absent-means-False keeps pre-existing
-        digests stable while the round-trip stays an identity.
-        """
-        mapping = {f.name: getattr(self, f.name) for f in fields(self)}
-        if not mapping["turbo_license_limit"]:
-            del mapping["turbo_license_limit"]
-        return mapping
+    The four Section-7 switches are always explicit;
+    ``turbo_license_limit`` is emitted only when set.  Run documents
+    embed this mapping, so an unconditionally emitted new key would
+    silently re-digest every committed golden — absent-means-False
+    keeps pre-existing digests stable while the round-trip stays an
+    identity.
+    """
+    mapping = {key: getattr(options, key) for key in OPTION_KEYS}
+    if not mapping["turbo_license_limit"]:
+        del mapping["turbo_license_limit"]
+    return mapping
 
 
 @dataclass(frozen=True)
@@ -433,7 +436,8 @@ class ScenarioSpec:
         Processor: a :data:`repro.soc.config.PRESETS` name plus scalar
         field overrides from :data:`OVERRIDABLE_FIELDS`.
     options:
-        Mitigation switches.
+        Mitigation switches (the :data:`OPTION_KEYS` of
+        :class:`~repro.soc.system.SystemOptions`).
     protocol:
         :class:`~repro.core.channel.ChannelConfig` field overrides
         applied to every tenant's channel (e.g. shorter
@@ -451,7 +455,7 @@ class ScenarioSpec:
     description: str
     preset: str = "cannon_lake"
     overrides: Tuple[Tuple[str, Any], ...] = ()
-    options: OptionsSpec = OptionsSpec()
+    options: SystemOptions = SystemOptions()
     protocol: Tuple[Tuple[str, Any], ...] = ()
     tenants: Tuple[TenantSpec, ...] = (TenantSpec("thread", 0, 0),)
     noise: Optional[NoiseSpec] = None
@@ -480,6 +484,10 @@ class ScenarioSpec:
                 f"([a-z][a-z0-9_]*), got {self.name!r}")
         if not self.description:
             raise ConfigError(f"scenario {self.name!r} needs a description")
+        if self.options.disable_throttling:
+            raise ConfigError(
+                f"options.disable_throttling is an ablation switch, not a "
+                f"scenario option; valid options: {', '.join(OPTION_KEYS)}")
         if self.preset not in PRESETS:
             raise ConfigError(
                 f"unknown preset {self.preset!r}; "
@@ -587,7 +595,7 @@ class ScenarioSpec:
             overrides=tuple(sorted(
                 (str(k), v)
                 for k, v in dict(mapping.get("overrides", {})).items())),
-            options=OptionsSpec.from_mapping(mapping.get("options", {})),
+            options=options_from_mapping(mapping.get("options", {})),
             protocol=tuple(sorted(
                 (str(k), v)
                 for k, v in dict(mapping.get("protocol", {})).items())),
@@ -614,7 +622,7 @@ class ScenarioSpec:
             "description": self.description,
             "preset": self.preset,
             "overrides": dict(self.overrides),
-            "options": self.options.to_mapping(),
+            "options": options_to_mapping(self.options),
             "protocol": dict(self.protocol),
             "tenants": [t.to_mapping() for t in self.tenants],
             "noise": None if self.noise is None else self.noise.to_mapping(),
@@ -628,16 +636,6 @@ class ScenarioSpec:
     def processor_config(self) -> ProcessorConfig:
         """The processor this scenario runs on (preset + overrides)."""
         return preset(self.preset).with_overrides(**dict(self.overrides))
-
-    def system_options(self) -> SystemOptions:
-        """The ``SystemOptions`` this scenario's system is built with."""
-        return SystemOptions(
-            per_core_vr=self.options.per_core_vr,
-            ldo_rails=self.options.ldo_rails,
-            improved_throttling=self.options.improved_throttling,
-            secure_mode=self.options.secure_mode,
-            turbo_license_limit=self.options.turbo_license_limit,
-        )
 
     def channel_config(self) -> ChannelConfig:
         """The protocol configuration every tenant's channel uses."""

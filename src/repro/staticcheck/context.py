@@ -3,16 +3,12 @@
 A :class:`ModuleContext` wraps one parsed source file (path, text, AST)
 with the helpers passes keep reaching for.  A :class:`ProjectContext`
 holds what a single module cannot know: the *signature table* mapping
-function names to their parameter names and inferred unit tags, and
-the dataclass field table the goldenflow pass checks mapping
-round-trips with — both built in a pre-scan over every module of the
-run.
+function names to their parameter names and inferred unit tags, built
+in a pre-scan over every module of the run.
 
 Name collisions are handled conservatively: two functions sharing a name
 with different parameter lists make that name *ambiguous* and call sites
-through it are skipped rather than guessed at; two dataclasses sharing a
-name with different field tuples drop out of the field table the same
-way.
+through it are skipped rather than guessed at.
 """
 
 from __future__ import annotations
@@ -156,8 +152,6 @@ class ProjectContext:
     def __init__(self) -> None:
         self._signatures: Dict[str, FunctionSig] = {}
         self._ambiguous: Set[str] = set()
-        self._dataclass_fields: Dict[str, Tuple[str, ...]] = {}
-        self._ambiguous_dataclasses: Set[str] = set()
 
     @classmethod
     def build(cls, modules: Iterable[ModuleContext]) -> "ProjectContext":
@@ -168,10 +162,6 @@ class ProjectContext:
                 sig = _sig_of(node)
                 if sig is not None:
                     project.add_signature(sig)
-                elif (isinstance(node, ast.ClassDef)
-                      and _is_dataclass_def(node)):
-                    project.add_dataclass(node.name,
-                                          _dataclass_field_names(node))
         return project
 
     def add_signature(self, sig: FunctionSig) -> None:
@@ -193,18 +183,3 @@ class ProjectContext:
     def signature_count(self) -> int:
         """How many unambiguous callables the table holds."""
         return len(self._signatures)
-
-    def add_dataclass(self, name: str, fields_tuple: Tuple[str, ...]) -> None:
-        """Record one dataclass; colliding field sets make it ambiguous."""
-        if name in self._ambiguous_dataclasses:
-            return
-        existing = self._dataclass_fields.get(name)
-        if existing is not None and existing != fields_tuple:
-            del self._dataclass_fields[name]
-            self._ambiguous_dataclasses.add(name)
-            return
-        self._dataclass_fields[name] = fields_tuple
-
-    def dataclass_fields(self, name: str) -> Optional[Tuple[str, ...]]:
-        """Field names of the unambiguous dataclass ``name``, if known."""
-        return self._dataclass_fields.get(name)

@@ -22,13 +22,6 @@ contracts that no unit test states explicitly:
     table are strict by default: conditional emission without a pinned
     contract is flagged, because absent-means-default is a deliberate,
     reviewed exception — never an accident.
-``golden-forward``
-    At a spec-forwarding construction site of ``SystemOptions`` (one
-    passing ``self.<spec>.<field>`` keywords), every ``SystemOptions``
-    field outside :data:`FORWARD_EXEMPT` must be forwarded, and every
-    field of each spec dataclass drawn from must be forwarded too.  A
-    knob that validates, round-trips and digests but never reaches the
-    simulator silently measures the wrong system.
 """
 
 from __future__ import annotations
@@ -50,9 +43,6 @@ from repro.staticcheck.registry import Pass, Rule, register
 #: of the committed golden digests — change them only together with a
 #: deliberate golden regeneration.
 GOLDEN_UNCONDITIONAL: Dict[str, frozenset] = {
-    # turbo_license_limit is the reviewed absent-means-default exception.
-    "OptionsSpec": frozenset({
-        "per_core_vr", "ldo_rails", "improved_throttling", "secure_mode"}),
     "NoiseSpec": frozenset({
         "interrupt_rate_per_s", "interrupt_mean_us", "ctx_switch_rate_per_s",
         "ctx_switch_mean_us", "horizon_ms", "seed"}),
@@ -66,11 +56,6 @@ GOLDEN_UNCONDITIONAL: Dict[str, frozenset] = {
         "protocol", "tenants", "noise", "faults", "background",
         "payload_hex"}),
 }
-
-#: ``SystemOptions`` fields a forwarding site may legitimately omit:
-#: ``disable_throttling`` is ablation-only.
-FORWARD_EXEMPT = frozenset({"disable_throttling"})
-
 
 def _call_tail(func: ast.expr) -> str:
     """The final identifier of a call target ('' if exotic)."""
@@ -172,16 +157,6 @@ def _emission_of(fn: ast.FunctionDef,
     return unconditional, conditional - unconditional
 
 
-def _self_chain(value: ast.expr) -> Optional[Tuple[str, str]]:
-    """Decompose a ``self.<attr>.<field>`` expression, or None."""
-    if (isinstance(value, ast.Attribute)
-            and isinstance(value.value, ast.Attribute)
-            and isinstance(value.value.value, ast.Name)
-            and value.value.value.id == "self"):
-        return value.value.attr, value.attr
-    return None
-
-
 @register
 class GoldenFlowPass:
     """Checks the mapping layer's round-trip and digest contracts."""
@@ -200,17 +175,12 @@ class GoldenFlowPass:
              "emit new fields conditionally (absent-means-default), or "
              "update GOLDEN_UNCONDITIONAL together with a deliberate "
              "golden regeneration"),
-        Rule("golden-forward",
-             "spec knob not forwarded to SystemOptions",
-             Severity.ERROR,
-             "forward every spec field at the SystemOptions "
-             "construction site (or add a reviewed exemption)"),
     )
 
     def run(self, ctx: ModuleContext,
             project: ProjectContext) -> List[Finding]:
-        """Scan mapping classes and SystemOptions forwarding sites."""
-        collector = _Collector(self, ctx, project)
+        """Scan every mapping class of the module."""
+        collector = _Collector(self, ctx)
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.ClassDef):
                 collector.check_class(node)
@@ -221,10 +191,8 @@ class GoldenFlowPass:
 class _Collector:
     """Accumulates goldenflow findings for one module."""
 
-    def __init__(self, owner: GoldenFlowPass, ctx: ModuleContext,
-                 project: ProjectContext) -> None:
+    def __init__(self, owner: GoldenFlowPass, ctx: ModuleContext) -> None:
         self.ctx = ctx
-        self.project = project
         self.findings: List[Finding] = []
         self._rules = {rule.id: rule for rule in owner.rules}
 
@@ -240,7 +208,7 @@ class _Collector:
     # -- per-class checks ----------------------------------------------------
 
     def check_class(self, node: ast.ClassDef) -> None:
-        """Apply the mapping and forwarding rules to one class."""
+        """Apply the mapping rules to one class."""
         methods = {stmt.name: stmt for stmt in node.body
                    if isinstance(stmt, (ast.FunctionDef,
                                         ast.AsyncFunctionDef))}
@@ -255,7 +223,6 @@ class _Collector:
         if to_mapping is not None \
                 and isinstance(to_mapping, ast.FunctionDef):
             self._check_emission(node, to_mapping, local_fields)
-        self._check_forwarding(node, methods)
 
     def _check_roundtrip(self, cls: ast.ClassDef, to_fn: ast.stmt,
                          from_fn: ast.stmt,
@@ -298,59 +265,3 @@ class _Collector:
                       f"pinned golden key '{key}' of {cls.name} is no "
                       f"longer unconditionally emitted; committed "
                       f"digests relying on it would change")
-
-    # -- forwarding ----------------------------------------------------------
-
-    def _check_forwarding(self, cls: ast.ClassDef,
-                          methods: Dict[str, ast.stmt]) -> None:
-        """Check every SystemOptions forwarding site in the class."""
-        attr_types: Dict[str, str] = {}
-        for stmt in cls.body:
-            if (isinstance(stmt, ast.AnnAssign)
-                    and isinstance(stmt.target, ast.Name)):
-                tail = stmt.annotation
-                if isinstance(tail, ast.Name):
-                    attr_types[stmt.target.id] = tail.id
-                elif isinstance(tail, ast.Attribute):
-                    attr_types[stmt.target.id] = tail.attr
-        for fn in methods.values():
-            for node in ast.walk(fn):
-                if isinstance(node, ast.Call) \
-                        and _call_tail(node.func) == "SystemOptions":
-                    self._check_forward_call(node, attr_types)
-
-    def _check_forward_call(self, call: ast.Call,
-                            attr_types: Dict[str, str]) -> None:
-        """One SystemOptions(...) site forwarding spec attributes."""
-        if any(kw.arg is None for kw in call.keywords):
-            return  # **kwargs: opaque, nothing to prove
-        forwarded: Dict[str, Set[str]] = {}
-        for kw in call.keywords:
-            chain = _self_chain(kw.value)
-            if chain is not None:
-                forwarded.setdefault(chain[0], set()).add(chain[1])
-        if not forwarded:
-            return  # not a spec-forwarding site (defaults are fine)
-        passed = {kw.arg for kw in call.keywords}
-        sys_fields = self.project.dataclass_fields("SystemOptions") or ()
-        for field_name in sys_fields:
-            if field_name not in passed and field_name not in FORWARD_EXEMPT:
-                self._add("golden-forward", call,
-                          f"SystemOptions(...) does not forward "
-                          f"'{field_name}'; the spec-configured system "
-                          f"silently falls back to its default")
-        for attr, seen in sorted(forwarded.items()):
-            spec_cls = attr_types.get(attr)
-            if spec_cls is None:
-                continue
-            spec_fields = self.project.dataclass_fields(spec_cls)
-            if spec_fields is None:
-                continue
-            for field_name in spec_fields:
-                if field_name not in seen:
-                    self._add("golden-forward", call,
-                              f"field '{field_name}' of {spec_cls} "
-                              f"(self.{attr}) is never forwarded to "
-                              f"SystemOptions; the knob validates and "
-                              f"digests but never reaches the "
-                              f"simulator")

@@ -201,6 +201,13 @@ class TestChannelConfig:
         with pytest.raises(ProtocolError, match="jitter_seed"):
             ChannelConfig(slot_jitter_us=100.0, jitter_seed=-1)
 
+    @pytest.mark.parametrize("field", ["jitter_seed", "block_instructions"])
+    @pytest.mark.parametrize("value", [1.5, float("nan"), True],
+                             ids=["1.5", "nan", "bool"])
+    def test_non_integral_count_rejected(self, field, value):
+        with pytest.raises(ProtocolError, match=field):
+            ChannelConfig(slot_jitter_us=100.0, **{field: value})
+
     def test_bad_iterations_rejected(self):
         with pytest.raises(ProtocolError):
             ChannelConfig(sender_iterations=0)

@@ -48,6 +48,14 @@ class TestSessionConfig:
         with pytest.raises(ProtocolError, match="max_retries"):
             SessionConfig(max_retries=max_retries)
 
+    @pytest.mark.parametrize("field, value", [
+        ("frame_bytes", 1.5),
+        ("quiet_patience", float("nan")),
+    ])
+    def test_non_integral_counts_rejected(self, field, value):
+        with pytest.raises(ProtocolError, match=field):
+            SessionConfig(**{field: value})
+
 
 class TestCleanTransport:
     @pytest.mark.parametrize("fec", list(FecScheme))
@@ -236,6 +244,16 @@ class TestAdaptiveConfigValidation:
             AdaptiveConfig(recalibration_budget=-1)
         with pytest.raises(ProtocolError):
             AdaptiveConfig(backoff_base_us=100.0, backoff_max_us=50.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("ber_window", float("nan")),
+        ("recalibration_budget", 0.5),
+        ("backoff_base_us", float("nan")),
+        ("backoff_max_us", float("inf")),
+    ])
+    def test_non_integral_or_non_finite_rejected(self, field, value):
+        with pytest.raises(ProtocolError, match=field):
+            AdaptiveConfig(**{field: value})
 
 
 class TestRobustTransfer:

@@ -4,47 +4,47 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.mitigations import (
-    Mitigation,
+    TABLE1_DEFENDERS,
     evaluate_all,
     evaluate_mitigation,
-    improved_throttling_options,
-    options_for,
-    per_core_vr_options,
-    secure_mode_options,
 )
-from repro.soc.config import cannon_lake_i3_8121u
+from repro.mitigations.matrix.defenders import get_defender
+from repro.scenarios import ScenarioSpec, build_system
+from repro.soc.system import SystemOptions
 
 
 class TestRecipes:
     def test_per_core_vr_options(self):
-        options = per_core_vr_options()
+        options = get_defender("per_core_ldo").options
         assert options.per_core_vr and options.ldo_rails
 
     def test_per_core_vr_without_ldo(self):
-        options = per_core_vr_options(fast_ldo=False)
-        assert options.per_core_vr and not options.ldo_rails
+        # Per-core rails alone keep the part's native regulator spec.
+        system = build_system(ScenarioSpec(
+            name="per_core_native", description="d",
+            options=SystemOptions(per_core_vr=True)))
+        assert len(system.pmu.rails) == system.config.n_cores
+        assert all(rail.spec == system.config.vr_spec()
+                   for rail in system.pmu.rails)
 
     def test_improved_throttling_options(self):
-        assert improved_throttling_options().improved_throttling
+        assert get_defender("improved_throttling").options.improved_throttling
 
     def test_secure_mode_options(self):
-        assert secure_mode_options().secure_mode
+        assert get_defender("secure_mode").options.secure_mode
 
-    def test_options_for_none_is_default(self):
-        options = options_for(Mitigation.NONE)
-        assert not (options.per_core_vr or options.improved_throttling
-                    or options.secure_mode)
+    def test_none_defender_options_are_default(self):
+        assert get_defender("none").options == SystemOptions()
 
 
 class TestSingleEvaluations:
     def test_unknown_channel_rejected(self):
         with pytest.raises(ConfigError):
-            evaluate_mitigation(cannon_lake_i3_8121u(), "NoSuchChannel",
-                                Mitigation.SECURE_MODE)
+            evaluate_mitigation("no_such_channel", "secure_mode")
 
     def test_baseline_channel_is_open_without_mitigation(self):
-        outcome = evaluate_mitigation(cannon_lake_i3_8121u(),
-                                      "IccThreadCovert", Mitigation.NONE)
+        outcome = evaluate_mitigation("thread", "none")
+        assert outcome.channel == "IccThreadCovert"
         assert outcome.verdict == "OPEN"
         assert outcome.ber == 0.0
 
@@ -54,62 +54,52 @@ class TestTable1Matrix:
 
     @pytest.fixture(scope="class")
     def report(self):
-        return evaluate_all(cannon_lake_i3_8121u())
+        return evaluate_all()
 
     def test_per_core_vr_row(self, report):
         # Paper: Partially / Partially / mitigated.
-        assert report.verdict("IccThreadCovert", Mitigation.PER_CORE_VR) == "PARTIAL"
-        assert report.verdict("IccSMTcovert", Mitigation.PER_CORE_VR) == "PARTIAL"
-        assert report.verdict("IccCoresCovert", Mitigation.PER_CORE_VR) == "MITIGATED"
+        assert report.verdict("IccThreadCovert", "per_core_ldo") == "PARTIAL"
+        assert report.verdict("IccSMTcovert", "per_core_ldo") == "PARTIAL"
+        assert report.verdict("IccCoresCovert", "per_core_ldo") == "MITIGATED"
 
     def test_improved_throttling_row(self, report):
         # Paper: open / mitigated / open.
         assert report.verdict("IccThreadCovert",
-                              Mitigation.IMPROVED_THROTTLING) == "OPEN"
+                              "improved_throttling") == "OPEN"
         assert report.verdict("IccSMTcovert",
-                              Mitigation.IMPROVED_THROTTLING) == "MITIGATED"
+                              "improved_throttling") == "MITIGATED"
         assert report.verdict("IccCoresCovert",
-                              Mitigation.IMPROVED_THROTTLING) == "OPEN"
+                              "improved_throttling") == "OPEN"
 
     def test_secure_mode_row(self, report):
         # Paper: mitigated / mitigated / mitigated.
         for channel in ("IccThreadCovert", "IccSMTcovert", "IccCoresCovert"):
-            assert report.verdict(channel, Mitigation.SECURE_MODE) == "MITIGATED"
+            assert report.verdict(channel, "secure_mode") == "MITIGATED"
 
     def test_secure_mode_power_overhead_in_paper_range(self, report):
         # Paper: 4 % - 11 % additional power.
         assert 0.04 <= report.secure_mode_power_overhead <= 0.11
 
     def test_overhead_notes_present(self, report):
-        assert "area" in report.overhead_notes[Mitigation.PER_CORE_VR]
-        assert "power" in report.overhead_notes[Mitigation.SECURE_MODE]
+        assert {o.defender for o in report.outcomes} == set(TABLE1_DEFENDERS)
+        assert "area" in get_defender("per_core_ldo").overhead_note
+        assert "power" in get_defender("secure_mode").overhead_note
 
     def test_unknown_cell_rejected(self, report):
         with pytest.raises(ConfigError):
-            report.verdict("IccThreadCovert", Mitigation.NONE)
+            report.verdict("IccThreadCovert", "none")
 
 
 class TestReportEdgeCases:
     """All-cells-defeated shape and the blocked property."""
 
     def test_secure_mode_only_matrix_is_all_defeated(self):
-        report = evaluate_all(cannon_lake_i3_8121u(),
-                              mitigations=[Mitigation.SECURE_MODE])
-        assert report.outcomes, "expected one outcome per channel"
-        assert all(o.verdict == "MITIGATED" for o in report.outcomes)
-        assert all(o.blocked for o in report.outcomes)
+        outcomes = [evaluate_mitigation(kind, "secure_mode")
+                    for kind in ("thread", "smt", "cores")]
+        assert all(o.verdict == "MITIGATED" for o in outcomes)
+        assert all(o.blocked for o in outcomes)
 
     def test_blocked_tracks_the_verdict_string(self):
-        report = evaluate_all(cannon_lake_i3_8121u(),
-                              mitigations=[Mitigation.IMPROVED_THROTTLING])
-        for outcome in report.outcomes:
+        for kind in ("thread", "smt", "cores"):
+            outcome = evaluate_mitigation(kind, "improved_throttling")
             assert outcome.blocked == (outcome.verdict == "MITIGATED")
-
-    def test_channel_filter_prunes_rows(self):
-        report = evaluate_all(
-            cannon_lake_i3_8121u(),
-            mitigations=[Mitigation.SECURE_MODE],
-            channel_filter=lambda name: name == "IccThreadCovert")
-        assert {o.channel for o in report.outcomes} == {"IccThreadCovert"}
-        with pytest.raises(ConfigError):
-            report.verdict("IccSMTcovert", Mitigation.SECURE_MODE)

@@ -332,11 +332,11 @@ class TestTurboLicenseLimit:
         from repro.scenarios.build import build_system
         from repro.scenarios.registry import get_spec
         from repro.scenarios.run import run_scenario
-        from repro.scenarios.spec import OptionsSpec
+        from repro.soc.system import SystemOptions
         spec = dataclasses.replace(
             get_spec("baseline_cores"), name="probe_turbo",
             overrides=(("base_freq_ghz", 3.0),),
-            options=OptionsSpec(turbo_license_limit=limit))
+            options=SystemOptions(turbo_license_limit=limit))
         run = run_scenario(spec)
         return run.document()["system"]
 

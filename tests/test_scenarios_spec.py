@@ -1,5 +1,6 @@
 """Scenario grammar: validation, actionable errors, mapping round-trips."""
 
+import itertools
 import json
 
 import pytest
@@ -8,17 +9,23 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ConfigError, ProtocolError
 from repro.scenarios import (
     NoiseSpec,
-    OptionsSpec,
     ScenarioSpec,
     TenantSpec,
     WorkloadSpec,
+    build_system,
 )
+from repro.scenarios.spec import (
+    OPTION_KEYS,
+    options_from_mapping,
+    options_to_mapping,
+)
+from repro.soc.system import SystemOptions
 from repro.isa.workload import sevenzip_like_trace
 
 # -- strategies --------------------------------------------------------------
 
 options_specs = st.builds(
-    OptionsSpec,
+    SystemOptions,
     per_core_vr=st.booleans(),
     improved_throttling=st.booleans(),
     secure_mode=st.booleans(),
@@ -112,7 +119,7 @@ class TestRoundTrips:
     @settings(max_examples=40, deadline=None)
     @given(options=options_specs, noise=noise_specs)
     def test_component_round_trips(self, options, noise):
-        assert OptionsSpec.from_mapping(options.to_mapping()) == options
+        assert options_from_mapping(options_to_mapping(options)) == options
         assert NoiseSpec.from_mapping(noise.to_mapping()) == noise
 
     @settings(max_examples=40, deadline=None)
@@ -303,23 +310,55 @@ class TestTurboLicenseLimitOption:
     """
 
     def test_round_trip_both_ways(self):
-        on = OptionsSpec(turbo_license_limit=True)
-        off = OptionsSpec()
-        assert OptionsSpec.from_mapping(on.to_mapping()) == on
-        assert OptionsSpec.from_mapping(off.to_mapping()) == off
+        on = SystemOptions(turbo_license_limit=True)
+        off = SystemOptions()
+        assert options_from_mapping(options_to_mapping(on)) == on
+        assert options_from_mapping(options_to_mapping(off)) == off
 
     def test_mapping_key_only_emitted_when_set(self):
-        assert "turbo_license_limit" not in OptionsSpec().to_mapping()
-        assert OptionsSpec(
-            turbo_license_limit=True).to_mapping()["turbo_license_limit"]
+        assert "turbo_license_limit" not in options_to_mapping(
+            SystemOptions())
+        assert options_to_mapping(
+            SystemOptions(turbo_license_limit=True))["turbo_license_limit"]
 
     def test_reaches_system_options(self):
         spec = ScenarioSpec(
             name="turbo_probe", description="d", preset="cannon_lake",
-            options=OptionsSpec(turbo_license_limit=True),
+            options=SystemOptions(turbo_license_limit=True),
             tenants=(TenantSpec("cores", 0, 1),))
-        assert spec.system_options().turbo_license_limit
-        assert not ScenarioSpec(
+        assert build_system(spec).options.turbo_license_limit
+        assert not build_system(ScenarioSpec(
             name="plain_probe", description="d", preset="cannon_lake",
-            tenants=(TenantSpec("cores", 0, 1),)).system_options(
-        ).turbo_license_limit
+            tenants=(TenantSpec("cores", 0, 1),))).options.turbo_license_limit
+
+
+class TestOptionsMapping:
+    """The scenario grammar's options mapping and its digest contract."""
+
+    @pytest.mark.parametrize("values", list(
+        itertools.product((False, True), repeat=len(OPTION_KEYS))),
+        ids=lambda values: "".join("1" if v else "0" for v in values))
+    def test_every_combination_round_trips_with_the_pinned_keys(self,
+                                                                values):
+        options = SystemOptions(**dict(zip(OPTION_KEYS, values)))
+        mapping = options_to_mapping(options)
+        fixed = {"per_core_vr", "ldo_rails", "improved_throttling",
+                 "secure_mode"}
+        expected = (fixed | {"turbo_license_limit"}
+                    if options.turbo_license_limit else fixed)
+        assert set(mapping) == expected
+        assert options_from_mapping(mapping) == options
+
+    @pytest.mark.parametrize("value", ["false", 1, None])
+    def test_non_bool_value_rejected_naming_the_key(self, value):
+        with pytest.raises(ConfigError, match="options.secure_mode"):
+            ScenarioSpec.from_mapping({
+                "name": "x", "description": "d",
+                "options": {"secure_mode": value}})
+
+    def test_ablation_switch_is_not_a_scenario_option(self):
+        with pytest.raises(ConfigError, match="disable_throttling"):
+            options_from_mapping({"disable_throttling": True})
+        with pytest.raises(ConfigError, match="disable_throttling"):
+            ScenarioSpec(name="x", description="d",
+                         options=SystemOptions(disable_throttling=True))

@@ -150,29 +150,27 @@ class TestGoldenEmit:
 
 
             @dataclass(frozen=True)
-            class OptionsSpec:
-                per_core_vr: bool = False
-                ldo_rails: bool = False
-                improved_throttling: bool = False
-                secure_mode: bool = False
-                turbo_license_limit: bool = False
-                new_switch: bool = False
+            class NoiseSpec:
+                interrupt_rate_per_s: float = 500.0
+                interrupt_mean_us: float = 3.0
+                ctx_switch_rate_per_s: float = 100.0
+                ctx_switch_mean_us: float = 25.0
+                horizon_ms: float = 50.0
+                seed: int = 1
+                new_knob: float = 0.0
 
                 @classmethod
                 def from_mapping(cls, mapping):
                     names = tuple(f.name for f in fields(cls))
-                    return cls(**{n: bool(mapping.get(n, False))
-                                  for n in names})
+                    return cls(**{n: mapping[n] for n in names
+                                  if n in mapping})
 
                 def to_mapping(self) -> Dict[str, Any]:
-                    mapping = {f.name: getattr(self, f.name)
-                               for f in fields(self)}
-                    if not mapping["turbo_license_limit"]:
-                        del mapping["turbo_license_limit"]
-                    return mapping
+                    return {f.name: getattr(self, f.name)
+                            for f in fields(self)}
         """)
         assert rules_of(findings) == {"golden-emit"}
-        assert any("'new_switch'" in f.message for f in findings)
+        assert any("'new_knob'" in f.message for f in findings)
 
     def test_pinned_key_made_conditional_flagged(self):
         findings = golden_findings("""
@@ -209,93 +207,6 @@ class TestGoldenEmit:
         assert any("'offset_fraction'" in f.message
                    and "no longer unconditionally" in f.message
                    for f in findings)
-
-
-FORWARD_PRELUDE = textwrap.dedent("""
-    from dataclasses import dataclass
-
-
-    @dataclass(frozen=True)
-    class SystemOptions:
-        per_core_vr: bool = False
-        secure_mode: bool = False
-        disable_throttling: bool = False
-
-
-    @dataclass(frozen=True)
-    class KnobSpec:
-        per_core_vr: bool = False
-        secure_mode: bool = False
-""")
-
-
-class TestGoldenForward:
-    def test_complete_forwarding_clean(self):
-        findings = golden_findings(FORWARD_PRELUDE + textwrap.dedent("""
-
-            @dataclass(frozen=True)
-            class Scenario:
-                options: KnobSpec = KnobSpec()
-
-                def system_options(self) -> SystemOptions:
-                    return SystemOptions(
-                        per_core_vr=self.options.per_core_vr,
-                        secure_mode=self.options.secure_mode)
-        """))
-        assert findings == []
-
-    def test_missing_system_options_keyword_flagged(self):
-        findings = golden_findings(FORWARD_PRELUDE + textwrap.dedent("""
-
-            @dataclass(frozen=True)
-            class Scenario:
-                options: KnobSpec = KnobSpec()
-
-                def system_options(self) -> SystemOptions:
-                    return SystemOptions(
-                        per_core_vr=self.options.per_core_vr)
-        """))
-        assert rules_of(findings) == {"golden-forward"}
-        assert any("'secure_mode'" in f.message for f in findings)
-
-    def test_spec_field_never_forwarded_flagged(self):
-        findings = golden_findings(FORWARD_PRELUDE + textwrap.dedent("""
-
-            @dataclass(frozen=True)
-            class Scenario:
-                options: KnobSpec = KnobSpec()
-
-                def system_options(self) -> SystemOptions:
-                    return SystemOptions(
-                        per_core_vr=self.options.per_core_vr,
-                        secure_mode=True)
-        """))
-        assert rules_of(findings) == {"golden-forward"}
-        assert any("KnobSpec" in f.message and "'secure_mode'" in f.message
-                   for f in findings)
-
-    def test_default_construction_elsewhere_clean(self):
-        findings = golden_findings(FORWARD_PRELUDE + textwrap.dedent("""
-
-            def default_options() -> SystemOptions:
-                return SystemOptions(per_core_vr=True)
-        """))
-        assert findings == []
-
-    def test_exempt_fields_may_be_omitted(self):
-        # disable_throttling is deliberately not forwarded.
-        findings = golden_findings(FORWARD_PRELUDE + textwrap.dedent("""
-
-            @dataclass(frozen=True)
-            class Scenario:
-                options: KnobSpec = KnobSpec()
-
-                def system_options(self) -> SystemOptions:
-                    return SystemOptions(
-                        per_core_vr=self.options.per_core_vr,
-                        secure_mode=self.options.secure_mode)
-        """))
-        assert findings == []
 
 
 class TestRealTreeIsClean:

@@ -90,30 +90,10 @@ def flow_findings(source, path):
 FLOW_CASES = [
     pytest.param(
         "scenarios/spec.py",
-        '        mapping = {f.name: getattr(self, f.name) '
-        'for f in fields(self)}\n'
-        '        if not mapping["turbo_license_limit"]:\n'
-        '            del mapping["turbo_license_limit"]\n'
-        '        return mapping',
-        '        mapping = {f.name: getattr(self, f.name) '
-        'for f in fields(self)}\n'
-        '        return mapping',
-        "golden-emit",
-        id="optionsspec-unconditional-turbo-key",
-    ),
-    pytest.param(
-        "scenarios/spec.py",
         '            "offset_fraction": self.offset_fraction,\n',
         '',
         "golden-roundtrip",
         id="tenantspec-dropped-mapping-key",
-    ),
-    pytest.param(
-        "scenarios/spec.py",
-        "            turbo_license_limit=self.options.turbo_license_limit,\n",
-        "",
-        "golden-forward",
-        id="scenariospec-dropped-forwarding-kwarg",
     ),
 ]
 
@@ -122,9 +102,8 @@ class TestFlowMutations:
     """Golden-flow rules catch the bugs they exist for.
 
     Same discipline as the dimensional cases: the *committed* modules
-    analyse clean, and reintroducing the exact regression each rule
-    guards against (an unconditionally emitted mapping key, a dropped
-    round-trip key, a silently dropped forwarding kwarg) is flagged.
+    analyse clean, and reintroducing the exact regression the rules
+    guard against (a dropped round-trip key) is flagged.
     """
 
     @pytest.mark.parametrize("rel, before, after, expected_rule", FLOW_CASES)
