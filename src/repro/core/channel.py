@@ -114,6 +114,10 @@ class ChannelConfig:
                      "block_instructions", "training_rounds"):
             require_int(name, getattr(self, name), 1)
         require_int("jitter_seed", self.jitter_seed, 0)
+        if not isinstance(self.adaptive_slot, bool):
+            raise ProtocolError(
+                f"adaptive_slot must be true or false, got "
+                f"{self.adaptive_slot!r}")
         for name in ("cross_core_delay_ns", "min_level_gap_tsc"):
             value = getattr(self, name)
             if not 0 <= value < math.inf:

@@ -8,7 +8,9 @@ background workloads surround them, and what payload the tenants
 transfer.  Everything is plain data with a dict/TOML-friendly
 :meth:`ScenarioSpec.from_mapping` / :meth:`ScenarioSpec.to_mapping`
 round-trip, so scenarios can live in files and be digested by
-:mod:`repro.verify` without touching code.
+:mod:`repro.verify` without touching code.  Both directions are built
+from the dataclass fields and their declared types: a mapping value of
+the wrong type is rejected, never coerced.
 
 Validation is front-loaded and actionable: unknown fields, impossible
 topologies (a tenant on a core the preset does not have, two tenants
@@ -20,12 +22,16 @@ valid alternatives at construction time, never mid-run.
 See docs/SCENARIOS.md for the full grammar and worked examples.
 """
 
-from __future__ import annotations
+# No ``from __future__ import annotations``: the mapping codec reads
+# each field's declared type straight from ``dataclasses.fields()``.
 
 import math
 import re
-from dataclasses import dataclass, fields
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from typing import (
+    Any, Dict, Iterable, Mapping, Optional, Tuple, Type, TypeVar, Union,
+    get_args, get_origin,
+)
 
 from repro.core.channel import ChannelConfig
 from repro.errors import ConfigError
@@ -121,8 +127,118 @@ def options_to_mapping(options: SystemOptions) -> Dict[str, bool]:
     return mapping
 
 
+# -- the mapping codec --------------------------------------------------------
+
+#: A mapping field (``overrides``, ``protocol``): stored as sorted
+#: ``(key, value)`` pairs so a frozen spec stays hashable, emitted as a
+#: dict.  Its values are checked by the config they override.
+Pairs = Tuple[Tuple[str, Any], ...]
+
+#: What a scalar field of each declared type accepts, and its name in
+#: error messages.  ``bool`` is an ``int`` to Python but never a count.
+_SCALARS: Dict[type, Tuple[Tuple[type, ...], str]] = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+}
+
+_Spec = TypeVar("_Spec", bound="_MappingCodec")
+
+
+def _as_mapping(value: Any, path: str) -> Mapping[str, Any]:
+    """``value`` itself if it is a mapping; else ConfigError naming ``path``."""
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{path} must be a mapping, got {value!r}")
+    return value
+
+
+def _decode(kind: Any, value: Any, path: str) -> Any:
+    """``value`` checked against the declared type ``kind``.
+
+    Raises ConfigError naming ``path`` (e.g. ``tenants[0].sender_core``)
+    on a value of the wrong type; a ``float`` field stores a float.
+    """
+    if kind is Any:
+        return value
+    if kind is SystemOptions:
+        return options_from_mapping(_as_mapping(value, path))
+    if is_dataclass(kind):
+        return _decode_spec(kind, value, path)
+    if kind is Pairs:
+        return tuple(_as_mapping(value, path).items())
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is Union:  # Optional[X]
+        return None if value is None else _decode(args[0], value, path)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{path} must be a list, got {value!r}")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ConfigError(
+                f"{path} must have {len(args)} items, got {value!r}")
+        return tuple(_decode(arg, item, f"{path}[{index}]")
+                     for index, (arg, item) in enumerate(zip(args, value)))
+    accepted, noun = _SCALARS[kind]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{path} must be {noun}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+def _decode_spec(cls: Type[_Spec], value: Any, path: str) -> _Spec:
+    """Build ``cls`` from a mapping, decoding each field by its type."""
+    label = path or cls.__name__[:-len("Spec")].lower()
+    mapping = _as_mapping(value, label)
+    spec_fields = fields(cls)
+    _require_keys(mapping, [f.name for f in spec_fields], label)
+    kwargs: Dict[str, Any] = {}
+    for f in spec_fields:
+        if f.name in mapping:
+            kwargs[f.name] = _decode(f.type, mapping[f.name],
+                                     f"{path}.{f.name}" if path else f.name)
+        elif f.default is MISSING:
+            raise ConfigError(f"{label} mapping needs a {f.name!r} field")
+    return cls(**kwargs)
+
+
+def _encode(value: Any) -> Any:
+    """Plain JSON-typed form of a stored value (specs as dicts)."""
+    if isinstance(value, SystemOptions):
+        return options_to_mapping(value)
+    if is_dataclass(value):
+        return {f.name: (dict(getattr(value, f.name)) if f.type is Pairs
+                         else _encode(getattr(value, f.name)))
+                for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_encode(item) for item in value]
+    return value
+
+
+class _MappingCodec:
+    """The mapping round-trip of a spec, built from its dataclass fields."""
+
+    @classmethod
+    def from_mapping(cls: Type[_Spec], mapping: Mapping[str, Any]) -> _Spec:
+        """Build a validated spec from a plain (TOML/JSON-shaped) dict.
+
+        Unknown keys, missing required keys and values of the wrong
+        type raise :class:`~repro.errors.ConfigError` naming the field
+        (``tenants[0].sender_core``); values are never coerced.
+        """
+        return _decode_spec(cls, mapping, "")
+
+    def to_mapping(self) -> Dict[str, Any]:
+        """The canonical plain-dict form: every field, in declaration order.
+
+        Stored values are emitted as-is (defaults included), so the
+        output is stable input for digests, goldens, docs generation
+        and :meth:`from_mapping`.
+        """
+        return _encode(self)
+
+
 @dataclass(frozen=True)
-class NoiseSpec:
+class NoiseSpec(_MappingCodec):
     """OS-noise profile applied to every tenant hardware thread.
 
     The first four fields mirror :class:`~repro.soc.noise.NoiseConfig`;
@@ -152,22 +268,6 @@ class NoiseSpec:
                     f"noise.{name} must be finite and positive, "
                     f"got {value}")
 
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any]) -> "NoiseSpec":
-        """Build from a plain dict; unknown keys raise ConfigError."""
-        names = tuple(f.name for f in fields(cls))
-        _require_keys(mapping, names, "noise")
-        kwargs: Dict[str, Any] = {}
-        for name in names:
-            if name in mapping:
-                kwargs[name] = (int(mapping[name]) if name == "seed"
-                                else float(mapping[name]))
-        return cls(**kwargs)
-
-    def to_mapping(self) -> Dict[str, Any]:
-        """Canonical plain-dict form (every field explicit)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
     def config(self) -> NoiseConfig:
         """The :class:`~repro.soc.noise.NoiseConfig` this spec describes."""
         return NoiseConfig(
@@ -179,7 +279,7 @@ class NoiseSpec:
 
 
 @dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(_MappingCodec):
     """One background workload pinned to a hardware thread.
 
     Parameters
@@ -263,39 +363,6 @@ class WorkloadSpec:
         return cls(kind="replay", core=core, smt_slot=smt_slot,
                    duration_ms=duration_ms, phases=phases)
 
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any]) -> "WorkloadSpec":
-        """Build from a plain dict; unknown keys raise ConfigError."""
-        names = tuple(f.name for f in fields(cls))
-        _require_keys(mapping, names, "workload")
-        if "kind" not in mapping:
-            raise ConfigError(
-                f"a workload mapping needs a 'kind' "
-                f"(one of: {', '.join(WORKLOAD_KINDS)})")
-        kwargs: Dict[str, Any] = {"kind": str(mapping["kind"])}
-        for name, convert in (("core", int), ("smt_slot", int),
-                              ("duration_ms", float), ("seed", int),
-                              ("rate_per_s", float)):
-            if name in mapping:
-                kwargs[name] = convert(mapping[name])
-        if "phases" in mapping:
-            kwargs["phases"] = tuple(
-                (str(name), float(duration))
-                for name, duration in mapping["phases"])
-        return cls(**kwargs)
-
-    def to_mapping(self) -> Dict[str, Any]:
-        """Canonical plain-dict form (every field explicit)."""
-        return {
-            "kind": self.kind,
-            "core": self.core,
-            "smt_slot": self.smt_slot,
-            "duration_ms": self.duration_ms,
-            "seed": self.seed,
-            "rate_per_s": self.rate_per_s,
-            "phases": [[name, duration] for name, duration in self.phases],
-        }
-
     def build_trace(self, max_vector_bits: int = 512) -> PhaseTrace:
         """Materialise the workload as a phase trace.
 
@@ -331,7 +398,7 @@ class WorkloadSpec:
 
 
 @dataclass(frozen=True)
-class TenantSpec:
+class TenantSpec(_MappingCodec):
     """One covert sender/receiver pair (a tenant) and its placement.
 
     Parameters
@@ -381,31 +448,6 @@ class TenantSpec:
                 f"offset_fraction must be in [0, 1), "
                 f"got {self.offset_fraction}")
 
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any]) -> "TenantSpec":
-        """Build from a plain dict; unknown keys raise ConfigError."""
-        names = tuple(f.name for f in fields(cls))
-        _require_keys(mapping, names, "tenant")
-        if "channel" not in mapping:
-            raise ConfigError(
-                f"a tenant mapping needs a 'channel' "
-                f"(one of: {', '.join(CHANNEL_KINDS)})")
-        kwargs: Dict[str, Any] = {"channel": str(mapping["channel"])}
-        for name, convert in (("sender_core", int), ("receiver_core", int),
-                              ("offset_fraction", float)):
-            if name in mapping:
-                kwargs[name] = convert(mapping[name])
-        return cls(**kwargs)
-
-    def to_mapping(self) -> Dict[str, Any]:
-        """Canonical plain-dict form (every field explicit)."""
-        return {
-            "channel": self.channel,
-            "sender_core": self.sender_core,
-            "receiver_core": self.receiver_core,
-            "offset_fraction": self.offset_fraction,
-        }
-
     def hardware_threads(self) -> Tuple[Tuple[int, int], ...]:
         """``(core, smt_slot)`` pairs this tenant occupies exclusively."""
         if self.channel == "thread":
@@ -415,16 +457,8 @@ class TenantSpec:
         return ((self.sender_core, 0), (self.receiver_core, 0))
 
 
-#: Keys a scenario mapping may carry (the spec grammar's top level).
-_SPEC_KEYS: Tuple[str, ...] = (
-    "name", "description", "preset", "overrides", "options",
-    "protocol", "tenants", "noise", "faults", "background",
-    "payload_hex",
-)
-
-
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(_MappingCodec):
     """A complete declarative scenario (see the module docstring).
 
     Parameters
@@ -454,9 +488,9 @@ class ScenarioSpec:
     name: str
     description: str
     preset: str = "cannon_lake"
-    overrides: Tuple[Tuple[str, Any], ...] = ()
+    overrides: Pairs = ()
     options: SystemOptions = SystemOptions()
-    protocol: Tuple[Tuple[str, Any], ...] = ()
+    protocol: Pairs = ()
     tenants: Tuple[TenantSpec, ...] = (TenantSpec("thread", 0, 0),)
     noise: Optional[NoiseSpec] = None
     faults: str = ""
@@ -572,64 +606,6 @@ class ScenarioSpec:
                     f"smt_slot {slot}; every party needs its own "
                     f"hardware thread")
             occupied[thread] = label
-
-    # -- mapping round-trip ---------------------------------------------------
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any]) -> "ScenarioSpec":
-        """Build a validated spec from a plain (TOML/JSON-shaped) dict.
-
-        Unknown keys anywhere in the mapping raise
-        :class:`~repro.errors.ConfigError` listing the valid fields.
-        """
-        _require_keys(mapping, _SPEC_KEYS, "scenario")
-        for required in ("name", "description"):
-            if required not in mapping:
-                raise ConfigError(
-                    f"a scenario mapping needs a {required!r} field")
-        noise_mapping = mapping.get("noise")
-        return cls(
-            name=str(mapping["name"]),
-            description=str(mapping["description"]),
-            preset=str(mapping.get("preset", "cannon_lake")),
-            overrides=tuple(sorted(
-                (str(k), v)
-                for k, v in dict(mapping.get("overrides", {})).items())),
-            options=options_from_mapping(mapping.get("options", {})),
-            protocol=tuple(sorted(
-                (str(k), v)
-                for k, v in dict(mapping.get("protocol", {})).items())),
-            tenants=tuple(TenantSpec.from_mapping(t)
-                          for t in mapping.get("tenants", ())),
-            noise=(None if noise_mapping is None
-                   else NoiseSpec.from_mapping(noise_mapping)),
-            faults=str(mapping.get("faults", "")),
-            background=tuple(WorkloadSpec.from_mapping(w)
-                             for w in mapping.get("background", ())),
-            payload_hex=str(mapping.get("payload_hex", "4943")),
-        )
-
-    def to_mapping(self) -> Dict[str, Any]:
-        """The canonical plain-dict form of this spec.
-
-        Every field is explicit (defaults included), keys are sorted
-        inside the override/protocol sub-dicts, and all values are
-        plain JSON types — so ``to_mapping`` output is stable input for
-        digests, goldens, docs generation and ``from_mapping``.
-        """
-        return {
-            "name": self.name,
-            "description": self.description,
-            "preset": self.preset,
-            "overrides": dict(self.overrides),
-            "options": options_to_mapping(self.options),
-            "protocol": dict(self.protocol),
-            "tenants": [t.to_mapping() for t in self.tenants],
-            "noise": None if self.noise is None else self.noise.to_mapping(),
-            "faults": self.faults,
-            "background": [w.to_mapping() for w in self.background],
-            "payload_hex": self.payload_hex,
-        }
 
     # -- materialisation helpers ---------------------------------------------
 

@@ -78,6 +78,13 @@ class ProcessorConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
+            # Annotations are strings here (postponed evaluation); int
+            # and float lead the tuple so plain numbers skip the ABC check.
+            if f.type in ("int", "float") and (
+                    isinstance(value, bool)
+                    or not isinstance(value, (int, float, numbers.Real))):
+                raise ConfigError(
+                    f"{f.name} must be a number, got {value!r}")
             values = ([x for point in value for x in point]
                       if f.name == "vf_points" else [value])
             if any(isinstance(x, float) and not math.isfinite(x)

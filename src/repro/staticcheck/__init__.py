@@ -5,8 +5,8 @@ before comparison with ``now_ns``, that every heap entry needs a
 monotone tiebreak, or that a ``SweepRunner`` task must be a picklable
 module-level function.  This package encodes those project invariants
 as *passes* over per-module ASTs plus a lightweight intra-function
-dataflow layer, behind one driver with waivers, a ratchet baseline, and
-text/JSON/SARIF reporters:
+dataflow layer, behind one driver with waivers and text/JSON/SARIF
+reporters:
 
 * :mod:`repro.staticcheck.passes.dimensional` — unit-tag dataflow
   (mixing ns with us, passing us where ns is expected, time/frequency
@@ -16,24 +16,17 @@ text/JSON/SARIF reporters:
   unordered-set iteration);
 * :mod:`repro.staticcheck.passes.poolsafety` — process-pool safety
   (unpicklable callables, worker-side global mutation);
-* :mod:`repro.staticcheck.passes.goldenflow` — mapping-layer golden
-  contracts (round-trip completeness, digest-stable emission,
-  SystemOptions forwarding coverage);
 * :mod:`repro.staticcheck.passes.hygiene` — API hygiene (float
   equality on physics, mutable defaults, hints/docstrings).
 
 Run it with ``python -m repro.staticcheck [paths] [--format text|json|
-sarif] [--rule ID] [--baseline FILE]``.  The ``repro.verify`` lint
-stage calls :func:`analyze_paths` with the determinism and hygiene
-rules its golden digests depend on.
+sarif] [--rule ID]``.  Deliberate exceptions live in one waiver file,
+``tests/lint_waivers.txt``; a waiver that matches nothing fails the run,
+so the file can only shrink.  The ``repro.verify`` lint stage calls
+:func:`analyze_paths` with the determinism and hygiene rules its golden
+digests depend on.
 """
 
-from repro.staticcheck.baseline import (  # noqa: F401
-    describe_stale_entry,
-    load_baseline,
-    refresh_command,
-    save_baseline,
-)
 from repro.staticcheck.context import (  # noqa: F401
     FunctionSig,
     ModuleContext,
@@ -78,9 +71,8 @@ __all__ = [
     "Finding", "FunctionSig", "ModuleContext", "Pass", "PassTiming",
     "ProjectContext", "Report", "Rule", "Severity", "UnitTag", "Waiver",
     "all_passes", "all_rules", "analyze_paths", "analyze_source",
-    "default_root", "default_waivers_path", "describe_stale_entry",
-    "expand_selection", "get_pass", "load_baseline", "load_waivers",
-    "parse_waivers", "refresh_command", "register", "render",
-    "rule_ids", "rule_owners", "save_baseline", "scan_function",
+    "default_root", "default_waivers_path", "expand_selection",
+    "get_pass", "load_waivers", "parse_waivers", "register", "render",
+    "rule_ids", "rule_owners", "scan_function",
     "tag_of_identifier", "to_json", "to_sarif",
 ]

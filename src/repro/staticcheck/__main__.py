@@ -1,9 +1,9 @@
 """Command-line front end: ``python -m repro.staticcheck``.
 
-Exit status is 0 when the tree is clean (waived and baselined findings
-allowed, every baseline entry used), 1 when live findings or stale
-baseline entries remain, 2 on configuration errors (unknown rules,
-unreadable baseline, unparsable sources).
+Exit status is 0 when the tree is clean (waived findings allowed,
+every waiver used), 1 when live findings or unused waivers remain, 2 on
+configuration errors (unknown rules, malformed waivers, unparsable
+sources).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.errors import ConfigError
-from repro.staticcheck.baseline import save_baseline
 from repro.staticcheck.registry import all_rules, expand_selection
 from repro.staticcheck.reporters import render
 from repro.staticcheck.runner import analyze_paths, default_root
@@ -25,8 +24,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.staticcheck",
         description="Project-invariant static analysis "
-                    "(dimensional, determinism, pool-safety, golden-flow, "
-                    "hygiene).")
+                    "(dimensional, determinism, pool-safety, hygiene).")
     parser.add_argument(
         "paths", nargs="*", type=Path,
         help="files or directories to analyse "
@@ -38,12 +36,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--rule", action="append", default=None, metavar="ID",
         help="restrict to one rule id or pass name (repeatable; a pass "
              "name selects every rule it owns)")
-    parser.add_argument(
-        "--baseline", type=Path, default=None, metavar="FILE",
-        help="baseline JSON of accepted findings; new findings still fail")
-    parser.add_argument(
-        "--write-baseline", type=Path, default=None, metavar="FILE",
-        help="write the current unwaived findings as a baseline and exit 0")
     parser.add_argument(
         "--waivers", type=Path, default=None, metavar="FILE",
         help="waiver file (default: tests/lint_waivers.txt when present)")
@@ -88,15 +80,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         waivers_path = default_waivers_path()
 
     report = analyze_paths(paths=paths, rules=rules, waivers=waivers,
-                           waivers_path=waivers_path,
-                           baseline_path=args.baseline)
-
-    if args.write_baseline is not None:
-        count = save_baseline(report.findings + report.baselined,
-                              args.write_baseline)
-        print(f"wrote {count} baseline entr"
-              f"{'y' if count == 1 else 'ies'} to {args.write_baseline}")
-        return 0
+                           waivers_path=waivers_path)
 
     text = render(report, args.fmt, verbose=args.verbose)
     if args.output is not None:

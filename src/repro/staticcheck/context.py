@@ -122,30 +122,6 @@ class ModuleContext:
         return names
 
 
-def _is_dataclass_def(node: ast.ClassDef) -> bool:
-    """Whether a class def carries a ``@dataclass`` decorator."""
-    for deco in node.decorator_list:
-        target = deco.func if isinstance(deco, ast.Call) else deco
-        if isinstance(target, ast.Name) and target.id == "dataclass":
-            return True
-        if isinstance(target, ast.Attribute) and target.attr == "dataclass":
-            return True
-    return False
-
-
-def _dataclass_field_names(node: ast.ClassDef) -> Tuple[str, ...]:
-    """The annotated field names of a dataclass body, in order."""
-    names: List[str] = []
-    for stmt in node.body:
-        if (isinstance(stmt, ast.AnnAssign)
-                and isinstance(stmt.target, ast.Name)):
-            annotation = ast.unparse(stmt.annotation)
-            if "ClassVar" in annotation:
-                continue
-            names.append(stmt.target.id)
-    return tuple(names)
-
-
 class ProjectContext:
     """Cross-module knowledge shared by every pass of one run."""
 

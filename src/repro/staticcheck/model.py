@@ -17,7 +17,7 @@ import enum
 import fnmatch
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 
 @enum.unique
@@ -49,8 +49,8 @@ class Finding:
     """One diagnostic: a rule violated at a source location.
 
     ``path`` is repo-relative posix, ``line`` 1-based and ``source``
-    the stripped source line; waivers and baseline entries match on
-    rule, path and source, so findings survive unrelated line shifts.
+    the stripped source line; waivers match on rule, path and source,
+    so findings survive unrelated line shifts.
     """
 
     rule: str
@@ -90,13 +90,15 @@ class Waiver:
     path_glob: str
     substring: Optional[str] = None
 
+    def matches_path(self, path: str) -> bool:
+        """Whether this waiver's glob covers the module at ``path``."""
+        path = path.replace(os.sep, "/")
+        return (fnmatch.fnmatch(path, self.path_glob)
+                or path.endswith(self.path_glob))
+
     def matches(self, finding: Finding) -> bool:
         """Whether this waiver covers ``finding``."""
-        if self.rule != finding.rule:
-            return False
-        path = finding.path.replace(os.sep, "/")
-        if not (fnmatch.fnmatch(path, self.path_glob)
-                or path.endswith(self.path_glob)):
+        if self.rule != finding.rule or not self.matches_path(finding.path):
             return False
         if self.substring is not None and self.substring not in finding.source:
             return False
@@ -126,31 +128,23 @@ class PassTiming:
 class Report:
     """Outcome of one analysis run, split by suppression status.
 
-    ``findings`` are live (unsuppressed) diagnostics; ``waived`` and
-    ``baselined`` were matched by a waiver or a baseline entry;
-    ``unused_waivers`` / ``unused_baseline`` are suppressions that
-    matched nothing and should be deleted before they rot.
+    ``findings`` are live (unwaived) diagnostics; ``waived`` were
+    matched by a waiver; ``unused_waivers`` matched nothing and must be
+    deleted, so the waiver file can only shrink.
     """
 
     findings: List[Finding] = field(default_factory=list)
     waived: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
     unused_waivers: List[Waiver] = field(default_factory=list)
-    #: Stale baseline entries as ``{"rule", "path", "source"}`` dicts.
-    unused_baseline: List[Dict[str, str]] = field(default_factory=list)
     #: How many files the run analysed (for the summary line).
     files_analyzed: int = 0
     #: Per-pass wall-clock timings, sorted by pass name.
     timings: List[PassTiming] = field(default_factory=list)
-    #: The baseline file this run applied, for the stale-entry hint.
-    baseline_path: Optional[str] = None
-    #: The analysed root paths as given, for the stale-entry hint.
-    roots: Tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
-        """True when no live findings and no stale baseline entries remain."""
-        return not self.findings and not self.unused_baseline
+        """True when no live findings and no unused waivers remain."""
+        return not self.findings and not self.unused_waivers
 
     def counts_by_rule(self) -> "dict[str, int]":
         """Live finding count per rule id, sorted by rule."""

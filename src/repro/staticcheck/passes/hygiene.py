@@ -12,8 +12,7 @@ committed waivers in ``tests/lint_waivers.txt`` name them):
     Mutable default arguments (``def f(x=[])``) — shared state across
     calls is both a bug magnet and a determinism leak.
 
-Two advisory rules new to the framework (severity *note*: reported,
-never gating, and baselined for the existing tree):
+Two advisory rules (severity *note*):
 
 ``missing-hints``
     A public function or method with unannotated parameters or return.

@@ -118,8 +118,8 @@ def validate_rules(selected: Iterable[str]) -> Tuple[str, ...]:
 def expand_selection(selected: Iterable[str]) -> Tuple[str, ...]:
     """Resolve a mixed rule-id / pass-name selection to rule ids.
 
-    ``--rule goldenflow`` selects every rule the goldenflow pass owns;
-    ``--rule golden-emit`` selects exactly that rule.  A name
+    ``--rule determinism`` selects every rule the determinism pass owns;
+    ``--rule heap-tiebreak`` selects exactly that rule.  A name
     that is neither raises :class:`~repro.errors.ConfigError` listing
     both namespaces.
     """

@@ -4,10 +4,10 @@ Orchestration order:
 
 1. collect every ``*.py`` under the requested paths and parse each
    module exactly once;
-2. build the :class:`ProjectContext` (signature table, dataclass
-   fields) from the parsed modules;
+2. build the :class:`ProjectContext` (signature table) from the parsed
+   modules;
 3. run the selected passes over every module, timing each pass;
-4. filter to the selected rules, sort, then apply waivers and baseline.
+4. filter to the selected rules, sort, then apply waivers.
 
 ``analyze_source`` is the single-snippet entry the fixture tests use;
 ``analyze_paths`` is the full-tree entry behind the CLI, the CI gate
@@ -20,7 +20,6 @@ import time
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.staticcheck.baseline import apply_baseline, load_baseline
 from repro.staticcheck.context import ModuleContext, ProjectContext
 from repro.staticcheck.model import Finding, PassTiming, Report, Waiver
 from repro.staticcheck.registry import expand_selection, passes_for
@@ -104,9 +103,8 @@ def analyze_source(source: str, path: str = "<string>",
 def analyze_paths(paths: Optional[Sequence[Path]] = None,
                   rules: Optional[Iterable[str]] = None,
                   waivers: Optional[Iterable[Waiver]] = None,
-                  waivers_path: Optional[Path] = None,
-                  baseline_path: Optional[Path] = None) -> Report:
-    """Full analysis of source trees with waivers and baseline applied.
+                  waivers_path: Optional[Path] = None) -> Report:
+    """Full analysis of source trees with waivers applied.
 
     ``paths`` defaults to the installed ``repro`` package sources.
     ``waivers`` wins over ``waivers_path``; with neither given the repo
@@ -119,22 +117,20 @@ def analyze_paths(paths: Optional[Sequence[Path]] = None,
     if selected is not None:
         selected = expand_selection(selected)
 
-    report = Report(files_analyzed=len(modules),
-                    baseline_path=(str(baseline_path)
-                                   if baseline_path is not None else None),
-                    roots=tuple(str(p) for p in roots))
+    report = Report(files_analyzed=len(modules))
     findings = run_passes(modules, selected, timings=report.timings)
 
     if waivers is not None:
         waiver_list = list(waivers)
     else:
         waiver_list = load_waivers(waivers_path)
-    if selected is not None:
-        wanted = set(selected)
-        waiver_list = [w for w in waiver_list if w.rule in wanted]
+    # A waiver counts only where it can apply: a selected rule over an
+    # analysed module.  Any such waiver that matches nothing is unused.
+    waiver_list = [w for w in waiver_list
+                   if (selected is None or w.rule in selected)
+                   and any(w.matches_path(m.path) for m in modules)]
 
     used: Dict[int, bool] = {}
-    unwaived: List[Finding] = []
     for finding in findings:
         matched = False
         for index, waiver in enumerate(waiver_list):
@@ -142,15 +138,9 @@ def analyze_paths(paths: Optional[Sequence[Path]] = None,
                 used[index] = True
                 matched = True
                 break
-        (report.waived if matched else unwaived).append(finding)
+        (report.waived if matched else report.findings).append(finding)
     report.unused_waivers = [
         waiver for index, waiver in enumerate(waiver_list)
         if index not in used
     ]
-
-    entries = load_baseline(baseline_path)
-    new, covered, unused = apply_baseline(unwaived, entries)
-    report.findings = new
-    report.baselined = covered
-    report.unused_baseline = unused
     return report

@@ -5,8 +5,8 @@ The waiver file records *reviewed, deliberate* exceptions — one
 CLI and the ``repro.verify`` lint stage both read the default file,
 ``tests/lint_waivers.txt``; any registered rule id may be waived.
 
-Waivers that match nothing are reported by the driver so the file
-cannot rot.
+A waiver that matches nothing fails the run (``Report.ok`` is false),
+so the file can only shrink.
 """
 
 from __future__ import annotations

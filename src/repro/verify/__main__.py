@@ -77,10 +77,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _render_lint(report: Report) -> str:
-    """The lint stage's indented findings and unused-waiver warnings."""
+    """The lint stage's indented findings and unused-waiver errors."""
     lines = [finding.render() for finding in report.findings]
     for waiver in report.unused_waivers:
-        lines.append(f"warning: unused waiver '{waiver.render()}'")
+        lines.append(f"error: unused waiver '{waiver.render()}' "
+                     f"matches nothing; delete it")
     if not lines:
         return "  lint clean"
     return "\n".join(f"  {line}" for line in lines)
@@ -115,7 +116,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(_render_lint(report))
         print(f"  ({len(report.waived)} waived)")
         if not report.ok:
-            failures.append(f"lint: {len(report.findings)} violation(s)")
+            failures.append(
+                f"lint: {len(report.findings)} violation(s), "
+                f"{len(report.unused_waivers)} unused waiver(s)")
 
     if not args.skip_differential:
         print("== differential ==")

@@ -208,6 +208,12 @@ class TestChannelConfig:
         with pytest.raises(ProtocolError, match=field):
             ChannelConfig(slot_jitter_us=100.0, **{field: value})
 
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_non_bool_adaptive_slot_rejected(self, value):
+        # A truthy "false" string must not switch the adaptive slot on.
+        with pytest.raises(ProtocolError, match="adaptive_slot"):
+            ChannelConfig(adaptive_slot=value)
+
     def test_bad_iterations_rejected(self):
         with pytest.raises(ProtocolError):
             ChannelConfig(sender_iterations=0)

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,34 +24,51 @@ from repro.soc.system import SystemOptions
 from repro.isa.workload import sevenzip_like_trace
 
 # -- strategies --------------------------------------------------------------
+#
+# Every field of every mapping dataclass is drawn away from its default
+# somewhere below, so a field the codec drops in either direction fails
+# a round-trip.
 
 options_specs = st.builds(
     SystemOptions,
     per_core_vr=st.booleans(),
+    ldo_rails=st.booleans(),
     improved_throttling=st.booleans(),
     secure_mode=st.booleans(),
+    turbo_license_limit=st.booleans(),
 )
 
 noise_specs = st.builds(
     NoiseSpec,
     interrupt_rate_per_s=st.floats(min_value=1.0, max_value=5000.0),
     interrupt_mean_us=st.floats(min_value=0.5, max_value=20.0),
+    ctx_switch_rate_per_s=st.floats(min_value=0.0, max_value=2000.0),
+    ctx_switch_mean_us=st.floats(min_value=1.0, max_value=200.0),
     horizon_ms=st.floats(min_value=1.0, max_value=100.0),
     seed=st.integers(min_value=0, max_value=2**31),
 )
 
+_cores = st.integers(min_value=2, max_value=5)
+_smt_slots = st.integers(min_value=0, max_value=1)
+_rates = st.floats(min_value=0.0, max_value=1000.0)
+
 workload_specs = st.one_of(
     st.builds(
         WorkloadSpec,
-        kind=st.sampled_from(("browser", "sevenzip", "ml_inference")),
-        core=st.integers(min_value=2, max_value=5),
+        kind=st.sampled_from(("browser", "sevenzip", "ml_inference",
+                              "phi_schedule")),
+        core=_cores,
+        smt_slot=_smt_slots,
         duration_ms=st.floats(min_value=1.0, max_value=50.0),
         seed=st.integers(min_value=0, max_value=999),
+        rate_per_s=_rates,
     ),
     st.builds(
         WorkloadSpec,
         kind=st.just("replay"),
-        core=st.integers(min_value=2, max_value=5),
+        core=_cores,
+        smt_slot=_smt_slots,
+        rate_per_s=_rates,
         phases=st.lists(
             st.tuples(st.sampled_from(("SCALAR_64", "HEAVY_256")),
                       st.floats(min_value=100.0, max_value=1e6)),
@@ -60,25 +78,39 @@ workload_specs = st.one_of(
 
 
 @st.composite
+def tenant_specs(draw, index, smt):
+    """Tenant ``index`` of a scenario: owns cores ``2*index`` (and +1)."""
+    channel = draw(st.sampled_from(
+        ("thread", "smt", "cores") if smt else ("thread", "cores")))
+    core = 2 * index
+    return TenantSpec(channel, core, core + 1 if channel == "cores" else core,
+                      offset_fraction=draw(st.floats(min_value=0.0,
+                                                     max_value=0.99)))
+
+
+@st.composite
 def scenario_specs(draw):
-    """Valid scenarios on coffee_lake: disjoint pairs + optional extras."""
+    """Valid scenarios: disjoint tenants + optional extras.
+
+    ``coffee_lake`` has no SMT; ``skylake_sp`` has SMT and cores to spare.
+    """
+    preset = draw(st.sampled_from(("coffee_lake", "skylake_sp")))
+    smt = preset == "skylake_sp"
     n_pairs = draw(st.integers(min_value=1, max_value=2))
-    tenants = tuple(
-        TenantSpec("cores", 2 * i, 2 * i + 1,
-                   offset_fraction=draw(st.floats(min_value=0.0,
-                                                  max_value=0.99)))
-        for i in range(n_pairs))
+    tenants = tuple(draw(tenant_specs(i, smt)) for i in range(n_pairs))
     background = draw(st.one_of(st.just(()),
                                 st.tuples(workload_specs)))
     # Background cores 2..5 stay on-die even under the n_cores=6
-    # override; pair 1 uses cores 2/3 — drop colliding workloads.
+    # override; pair 1 uses cores 2/3 — drop colliding workloads, and
+    # second-slot workloads on the part without SMT.
     taken = {t for tenant in tenants for t in tenant.hardware_threads()}
     background = tuple(w for w in background
-                      if (w.core, w.smt_slot) not in taken)
+                      if (w.core, w.smt_slot) not in taken
+                      and (smt or w.smt_slot == 0))
     return ScenarioSpec(
         name=draw(st.sampled_from(("prop_a", "prop_b", "prop_c"))),
         description="property-generated scenario",
-        preset="coffee_lake",
+        preset=preset,
         overrides=draw(st.one_of(
             st.just(()),
             st.just((("vid_step_mv", 10.0),)),
@@ -90,6 +122,8 @@ def scenario_specs(draw):
             st.just((("slot_us", 900.0), ("training_rounds", 2))))),
         tenants=tenants,
         noise=draw(st.one_of(st.none(), noise_specs)),
+        faults=draw(st.sampled_from(
+            ("", "thermal-drift", "default:intensity=0.5,seed=3"))),
         background=background,
         payload_hex=draw(st.sampled_from(("43", "4943", "deadbeef"))),
     )
@@ -134,6 +168,38 @@ class TestRoundTrips:
         assert rebuilt.duration_ns == trace.duration_ns
         assert [(p.iclass, p.duration_ns) for p in rebuilt] == \
                [(p.iclass, p.duration_ns) for p in trace]
+
+
+# -- the digest contract: emitted keys ----------------------------------------
+
+class TestEmittedKeys:
+    """Each class's emitted key set and order, pinned.
+
+    Run documents embed these mappings and every committed golden
+    hashes them, so a key added, dropped, renamed or reordered here
+    re-digests the goldens.
+    """
+
+    @pytest.mark.parametrize("mapping, keys", [
+        (NoiseSpec().to_mapping(),
+         ["interrupt_rate_per_s", "interrupt_mean_us",
+          "ctx_switch_rate_per_s", "ctx_switch_mean_us", "horizon_ms",
+          "seed"]),
+        (WorkloadSpec("browser").to_mapping(),
+         ["kind", "core", "smt_slot", "duration_ms", "seed", "rate_per_s",
+          "phases"]),
+        (TenantSpec("cores").to_mapping(),
+         ["channel", "sender_core", "receiver_core", "offset_fraction"]),
+        (options_to_mapping(SystemOptions()),
+         ["per_core_vr", "ldo_rails", "improved_throttling",
+          "secure_mode"]),
+        (ScenarioSpec(name="x", description="d").to_mapping(),
+         ["name", "description", "preset", "overrides", "options",
+          "protocol", "tenants", "noise", "faults", "background",
+          "payload_hex"]),
+    ], ids=["noise", "workload", "tenant", "options", "scenario"])
+    def test_default_instance_emits_the_pinned_keys(self, mapping, keys):
+        assert list(mapping) == keys
 
 
 # -- rejection: every error names the offending field and the fix ------------
@@ -288,6 +354,36 @@ class TestRejection:
         with pytest.raises(ProtocolError, match=field):
             ScenarioSpec(name="x", description="x",
                          protocol=((field, value),))
+
+    @pytest.mark.parametrize("extra, error, field", [
+        ({"tenants": [{"channel": "cores", "sender_core": 0.9}]},
+         ConfigError, "tenants[0].sender_core"),
+        ({"tenants": [{"channel": "cores", "receiver_core": "1"}]},
+         ConfigError, "tenants[0].receiver_core"),
+        ({"noise": {"seed": 2.7}}, ConfigError, "noise.seed"),
+        ({"payload_hex": 17}, ConfigError, "payload_hex"),
+        ({"background": [{"kind": "browser", "core": 1.2,
+                          "smt_slot": True}]},
+         ConfigError, "background[0].core"),
+        ({"background": [{"kind": "browser", "core": 1, "smt_slot": True}]},
+         ConfigError, "background[0].smt_slot"),
+        ({"overrides": {"vid_step_mv": "5"}}, ConfigError, "vid_step_mv"),
+        # Protocol values are checked by ChannelConfig, like every
+        # other protocol override (test_bad_protocol_value_propagates).
+        ({"protocol": {"adaptive_slot": "false"}},
+         ProtocolError, "adaptive_slot"),
+    ], ids=["sender-core-float", "receiver-core-str", "noise-seed-float",
+            "payload-int", "background-core-float", "background-slot-bool",
+            "override-str", "adaptive-slot-str"])
+    def test_wrong_type_is_rejected_not_coerced(self, extra, error, field):
+        with pytest.raises(error, match=re.escape(field)):
+            ScenarioSpec.from_mapping(
+                {"name": "x", "description": "d", **extra})
+
+    def test_float_field_takes_an_int_and_stores_a_float(self):
+        noise = NoiseSpec.from_mapping({"horizon_ms": 20})
+        assert noise.horizon_ms == 20.0
+        assert isinstance(noise.horizon_ms, float)
 
     def test_uppercase_name_rejected(self):
         with pytest.raises(ConfigError, match="lowercase identifier"):

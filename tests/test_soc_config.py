@@ -132,3 +132,18 @@ class TestNonFiniteFields:
     def test_negative_droop_margin_rejected(self):
         with pytest.raises(ConfigError, match="droop_margin_mv"):
             cannon_lake_i3_8121u().with_overrides(droop_margin_mv=-1.0)
+
+
+class TestNonNumericFields:
+    """A str or bool in a numeric field fails at the config boundary."""
+
+    @pytest.mark.parametrize("value", ["5", True], ids=["str", "bool"])
+    @pytest.mark.parametrize("field", OVERRIDABLE_FIELDS)
+    def test_scenario_override_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ScenarioSpec(name="probe", description="non-numeric override",
+                         overrides=((field, value),))
+
+    def test_with_overrides_rejects_bool(self):
+        with pytest.raises(ConfigError, match="r_ll_mohm"):
+            cannon_lake_i3_8121u().with_overrides(r_ll_mohm=True)

@@ -1,4 +1,4 @@
-"""Framework mechanics: registry, waivers, baseline, reporters, CLI."""
+"""Framework mechanics: registry, waivers, reporters, CLI."""
 
 import json
 import textwrap
@@ -15,9 +15,7 @@ from repro.staticcheck import (
     analyze_source,
     parse_waivers,
     rule_ids,
-    save_baseline,
 )
-from repro.staticcheck.baseline import apply_baseline, load_baseline
 from repro.staticcheck.__main__ import main
 from repro.staticcheck.context import ModuleContext
 from repro.staticcheck.registry import passes_for, validate_rules
@@ -52,7 +50,7 @@ class TestRegistry:
     def test_builtin_passes_registered(self):
         names = {p.name for p in all_passes()}
         assert names == {"dimensional", "determinism", "poolsafety",
-                         "hygiene", "goldenflow"}
+                         "hygiene"}
 
     def test_every_rule_has_unique_owner(self):
         ids = rule_ids()
@@ -188,57 +186,6 @@ class TestWaiverGrammarEdgeCases:
         assert parse_waivers(rendered) == first
 
 
-class TestBaseline:
-    def _findings(self):
-        return analyze_source(BAD_MODULE, "repro/core/example_mod.py")
-
-    def test_round_trip_suppresses_known_findings(self, tmp_path):
-        findings = self._findings()
-        assert findings  # the fixture must actually trip rules
-        path = tmp_path / "baseline.json"
-        count = save_baseline(findings, path)
-        assert count == len(load_baseline(path))
-        new, covered, unused = apply_baseline(findings, load_baseline(path))
-        assert new == [] and unused == []
-        assert len(covered) == len(findings)
-
-    def test_baseline_matching_is_line_number_independent(self, tmp_path):
-        findings = self._findings()
-        path = tmp_path / "baseline.json"
-        save_baseline(findings, path)
-        shifted = [
-            Finding(rule=f.rule, path=f.path, line=f.line + 40,
-                    message=f.message, source=f.source,
-                    severity=f.severity, fix_hint=f.fix_hint)
-            for f in findings
-        ]
-        new, covered, unused = apply_baseline(shifted, load_baseline(path))
-        assert new == [] and unused == []
-
-    def test_stale_entries_are_reported(self, tmp_path):
-        findings = self._findings()
-        path = tmp_path / "baseline.json"
-        save_baseline(findings, path)
-        new, covered, unused = apply_baseline([], load_baseline(path))
-        assert len(unused) == len(findings)
-
-    def test_malformed_baseline_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text("[1, 2, 3]", encoding="utf-8")
-        with pytest.raises(ConfigError, match="entries"):
-            load_baseline(path)
-
-    def test_committed_baseline_has_no_stale_entries(self, tmp_path):
-        """The repo tree must use every committed baseline entry."""
-        from repro.staticcheck.runner import default_root
-
-        repo_baseline = (default_root().parent.parent
-                         / "tests" / "staticcheck_baseline.json")
-        report = analyze_paths(baseline_path=repo_baseline)
-        assert report.unused_baseline == [], report.unused_baseline
-        assert report.ok, render_text(report)
-
-
 class TestReporters:
     def test_text_summary_counts_by_rule(self):
         findings = analyze_source(BAD_MODULE, "repro/core/example_mod.py")
@@ -280,23 +227,6 @@ class TestCli:
         assert main([str(src), "--no-waivers", "--rule", "unit-mix"]) == 1
         out = capsys.readouterr().out
         assert "[unit-mix]" in out and "heap-tiebreak" not in out
-
-    def test_baseline_flow_end_to_end(self, tmp_path, capsys):
-        src = tmp_path / "bad_mod.py"
-        src.write_text(BAD_MODULE, encoding="utf-8")
-        baseline = tmp_path / "baseline.json"
-        assert main([str(src), "--no-waivers",
-                     "--write-baseline", str(baseline)]) == 0
-        capsys.readouterr()
-        # With the baseline applied the same tree is green...
-        assert main([str(src), "--no-waivers",
-                     "--baseline", str(baseline)]) == 0
-        capsys.readouterr()
-        # ...and once the file is fixed, the stale entries fail the run.
-        src.write_text('"""Clean now."""\n', encoding="utf-8")
-        assert main([str(src), "--no-waivers",
-                     "--baseline", str(baseline)]) == 1
-        assert "stale baseline entry" in capsys.readouterr().out
 
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0

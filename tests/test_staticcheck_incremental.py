@@ -1,4 +1,4 @@
-"""Rule/pass selection and the CLI's stale-baseline hint and JSON timings."""
+"""Rule/pass selection and the CLI's stale-waiver exit and JSON timings."""
 
 import json
 import textwrap
@@ -25,13 +25,13 @@ CLEAN_MODULE = '"""Clean module."""\n\n\nVALUE = 3\n'
 
 class TestSelectionExpansion:
     def test_pass_name_expands_to_its_rules(self):
-        rules = expand_selection(["goldenflow"])
-        assert "golden-roundtrip" in rules
-        assert "golden-emit" in rules
+        rules = expand_selection(["determinism"])
+        assert "heap-tiebreak" in rules
+        assert "wall-clock" in rules
 
     def test_mixed_selection_dedupes(self):
-        rules = expand_selection(["goldenflow", "golden-emit"])
-        assert rules.count("golden-emit") == 1
+        rules = expand_selection(["determinism", "heap-tiebreak"])
+        assert rules.count("heap-tiebreak") == 1
 
     def test_unknown_name_lists_both_namespaces(self):
         with pytest.raises(ConfigError, match="valid passes"):
@@ -39,21 +39,29 @@ class TestSelectionExpansion:
 
 
 class TestCliIncrementalFlags:
-    def test_stale_baseline_message_names_rule_path_and_command(
-            self, tmp_path, capsys):
+    def test_stale_waiver_exits_one(self, tmp_path, capsys):
+        """A waiver that no longer matches fails the run, naming itself."""
         src = tmp_path / "bad_mod.py"
         src.write_text(BAD_MODULE, encoding="utf-8")
-        baseline = tmp_path / "baseline.json"
-        assert main([str(src), "--no-waivers",
-                     "--write-baseline", str(baseline)]) == 0
+        waivers = tmp_path / "waivers.txt"
+        waivers.write_text("unit-mix bad_mod.py\n", encoding="utf-8")
+        argv = [str(src), "--rule", "unit-mix", "--waivers", str(waivers)]
+        assert main(argv) == 0
         capsys.readouterr()
         src.write_text(CLEAN_MODULE, encoding="utf-8")
-        assert main([str(src), "--no-waivers",
-                     "--baseline", str(baseline)]) == 1
+        assert main(argv) == 1
         out = capsys.readouterr().out
-        assert "stale baseline entry" in out
-        assert "unit-mix" in out and "bad_mod.py" in out
-        assert f"--write-baseline {baseline}" in out
+        assert "unused waiver 'unit-mix bad_mod.py'" in out
+        assert "0 finding(s)" in out
+
+    def test_waiver_for_a_module_not_analysed_is_not_stale(self, tmp_path,
+                                                           capsys):
+        src = tmp_path / "clean_mod.py"
+        src.write_text(CLEAN_MODULE, encoding="utf-8")
+        waivers = tmp_path / "waivers.txt"
+        waivers.write_text("unit-mix other_mod.py\n", encoding="utf-8")
+        assert main([str(src), "--waivers", str(waivers)]) == 0
+        assert "unused waiver" not in capsys.readouterr().out
 
     def test_json_report_carries_timings(self, tmp_path, capsys):
         src = tmp_path / "bad_mod.py"

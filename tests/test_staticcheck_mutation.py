@@ -81,48 +81,3 @@ class TestSeededMutations:
                     path.read_text(encoding="utf-8"), rel)
                 assert findings == [], [f.render() for f in findings]
 
-
-def flow_findings(source, path):
-    """Golden-flow findings for one source text."""
-    return analyze_source(source, path, rules=["goldenflow"])
-
-
-FLOW_CASES = [
-    pytest.param(
-        "scenarios/spec.py",
-        '            "offset_fraction": self.offset_fraction,\n',
-        '',
-        "golden-roundtrip",
-        id="tenantspec-dropped-mapping-key",
-    ),
-]
-
-
-class TestFlowMutations:
-    """Golden-flow rules catch the bugs they exist for.
-
-    Same discipline as the dimensional cases: the *committed* modules
-    analyse clean, and reintroducing the exact regression the rules
-    guard against (a dropped round-trip key) is flagged.
-    """
-
-    @pytest.mark.parametrize("rel, before, after, expected_rule", FLOW_CASES)
-    def test_original_is_clean(self, rel, before, after, expected_rule):
-        findings = flow_findings(real_source(rel), f"repro/{rel}")
-        assert findings == [], [f.render() for f in findings]
-
-    @pytest.mark.parametrize("rel, before, after, expected_rule", FLOW_CASES)
-    def test_mutant_is_caught(self, rel, before, after, expected_rule):
-        mutant = mutate(real_source(rel), before, after)
-        findings = flow_findings(mutant, f"repro/{rel}")
-        assert expected_rule in {f.rule for f in findings}, \
-            [f.render() for f in findings]
-
-    def test_tenantspec_dropped_key_also_breaks_the_pinned_contract(self):
-        """The dropped TenantSpec key trips the digest-stability rule too."""
-        mutant = mutate(
-            real_source("scenarios/spec.py"),
-            '            "offset_fraction": self.offset_fraction,\n',
-            '')
-        rules = {f.rule for f in flow_findings(mutant, "repro/scenarios/spec.py")}
-        assert "golden-emit" in rules

@@ -208,8 +208,8 @@ class TestSarifInvocationAndTiming:
         properties = run["properties"]
         assert properties["filesAnalyzed"] == 1
         timing_passes = {t["pass"] for t in properties["timings"]}
-        assert {"dimensional", "determinism",
-                "goldenflow"} <= timing_passes
+        assert {"dimensional", "determinism", "hygiene",
+                "poolsafety"} <= timing_passes
         for timing in properties["timings"]:
             assert timing["wallMs"] >= 0.0
             assert timing["modules"] == 1
