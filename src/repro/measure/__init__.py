@@ -1,4 +1,4 @@
-"""Measurement infrastructure: traces, simulated NI-DAQ, statistics.
+"""Measurement infrastructure: traces and the simulated NI-DAQ.
 
 Stands in for the paper's National Instruments PCIe-6376 acquisition card
 (Section 5.1): the simulated DAQ samples the rail voltage and the derived
@@ -17,14 +17,6 @@ _LAZY = {
     "PiecewiseConstantSignal": "sampler",
     "PiecewiseLinearSignal": "sampler",
     "TraceSampler": "sampler",
-    "IterationTimings": "probe",
-    "ThrottleDetector": "probe",
-    "expected_iteration_tsc": "probe",
-    "measured_iterations": "probe",
-    "distribution_summary": "stats",
-    "histogram": "stats",
-    "level_separation": "stats",
-    "DistributionSummary": "stats",
 }
 __getattr__, __dir__ = lazy_exports(__name__, _LAZY)
 
@@ -37,12 +29,4 @@ __all__ = [
     "PiecewiseConstantSignal",
     "PiecewiseLinearSignal",
     "TraceSampler",
-    "IterationTimings",
-    "ThrottleDetector",
-    "expected_iteration_tsc",
-    "measured_iterations",
-    "distribution_summary",
-    "histogram",
-    "level_separation",
-    "DistributionSummary",
 ]

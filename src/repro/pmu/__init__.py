@@ -15,17 +15,6 @@ from repro.pmu.limits import LimitPolicy, LimitVerdict
 from repro.pmu.thermal import ThermalModel, ThermalSpec
 from repro.pmu.central import CentralPMU, PMUConfig
 from repro.pmu.local import LocalPMU
-from repro import lazy_exports
-
-#: Exports off the covert-transfer path: name -> defining submodule.
-_LAZY = {
-    "Governor": "governors",
-    "GovernorKind": "governors",
-    "CState": "cstates",
-    "CStateSpec": "cstates",
-    "CStateTracker": "cstates",
-}
-__getattr__, __dir__ = lazy_exports(__name__, _LAZY)
 
 __all__ = [
     "PState",
@@ -37,12 +26,7 @@ __all__ = [
     "LimitVerdict",
     "ThermalModel",
     "ThermalSpec",
-    "Governor",
-    "GovernorKind",
     "CentralPMU",
     "PMUConfig",
-    "CState",
-    "CStateSpec",
-    "CStateTracker",
     "LocalPMU",
 ]

@@ -235,7 +235,7 @@ class CentralPMU:
         self._kick(rail)
 
     def set_requested_freq(self, freq_ghz: float) -> None:
-        """Governor request for a new package frequency.
+        """Software (cpufreq governor) request for a new package frequency.
 
         The negated comparison also rejects NaN, which would otherwise
         become the requested frequency.

@@ -67,9 +67,6 @@ class ProcessorConfig:
     #: Margin below the V/F-curve baseline that defines Vcc_min at the
     #: current frequency; di/dt dips beyond it are voltage emergencies.
     droop_margin_mv: float = 25.0
-    #: Model core idle states (C1/C6) with their wake latencies; off by
-    #: default because the paper's experiments run busy loops throughout.
-    cstates_enabled: bool = False
     #: Parts whose PDN natively gives every core its own regulator
     #: (AMD Zen's LDOs, POWER8's microregulators).  The paper confirms
     #: that naively porting IChannels to such parts fails (Section 7).

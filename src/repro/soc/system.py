@@ -60,8 +60,6 @@ if TYPE_CHECKING:
         PiecewiseConstantSignal,
         PiecewiseLinearSignal,
     )
-    from repro.pmu.cstates import CStateTracker
-    from repro.pmu.governors import Governor
 
 #: Throttle divides the delivery rate by this factor (1 open cycle in 4).
 THROTTLE_FACTOR = 4.0
@@ -203,8 +201,7 @@ class System:
 
     def __init__(self, config: ProcessorConfig,
                  options: Optional[SystemOptions] = None,
-                 governor_freq_ghz: Optional[float] = None,
-                 governor: Optional["Governor"] = None) -> None:
+                 governor_freq_ghz: Optional[float] = None) -> None:
         if options is None:
             options = SystemOptions()
         self.config = config
@@ -216,16 +213,8 @@ class System:
         #: fault subsystem (channels, schedules) consult it duck-typed.
         self.faults: Optional[object] = None
 
-        if governor is not None and governor_freq_ghz is not None:
-            raise ConfigError(
-                "pass either governor or governor_freq_ghz, not both"
-            )
-        if governor is not None:
-            requested = governor.requested_freq_ghz()
-        elif governor_freq_ghz is not None:
-            requested = governor_freq_ghz
-        else:
-            requested = config.base_freq_ghz
+        requested = (config.base_freq_ghz if governor_freq_ghz is None
+                     else governor_freq_ghz)
         if not config.min_freq_ghz <= requested <= config.max_turbo_ghz:
             raise ConfigError(
                 f"requested frequency {requested} GHz outside "
@@ -282,10 +271,6 @@ class System:
         #: Ambient drifts of the thermal model (see
         #: :meth:`declare_ambient_ramp`), expanded only when read.
         self._ambient_ramps: List[AmbientRamp] = []
-        self.cstates: Optional[CStateTracker] = None
-        if config.cstates_enabled:
-            from repro.pmu.cstates import CStateSpec, CStateTracker
-            self.cstates = CStateTracker(CStateSpec(), config.n_cores)
 
         self.threads = [
             _HWThread(thread_id=core * config.smt_per_core + slot,
@@ -318,8 +303,8 @@ class System:
             StepTrace(f"core{i}_class") for i in range(config.n_cores)
         ]
         #: Each core's share of the package Cdyn, re-derived per core.
-        self._cdyn_nf: List[float] = [0.0] * config.n_cores
-        self._record_cdyn()
+        self._cdyn_nf: List[float] = [IDLE_CDYN_NF] * config.n_cores
+        self.cdyn_trace.record(self.engine.now, sum(self._cdyn_nf))
         for core in range(config.n_cores):
             self._record_label(core)
         self._record_pmu_state()
@@ -501,21 +486,6 @@ class System:
         """Run until every scheduled event (and program) has finished."""
         self.engine.run(max_events)
 
-    def apply_governor(self, governor: Governor) -> None:
-        """Apply a software frequency policy at runtime (Section 5.7).
-
-        The governor only picks the *requested* frequency; hardware
-        current management (licenses, limits, throttling) still applies
-        on top and cannot be disabled from software.
-        """
-        requested = governor.requested_freq_ghz()
-        if not self.config.min_freq_ghz <= requested <= self.config.max_turbo_ghz:
-            raise ConfigError(
-                f"governor requested {requested} GHz outside "
-                f"[{self.config.min_freq_ghz}, {self.config.max_turbo_ghz}]"
-            )
-        self.pmu.set_requested_freq(requested)
-
     # -- noise hooks ------------------------------------------------------------
 
     def suspend_thread(self, thread_id: int) -> None:
@@ -590,13 +560,7 @@ class System:
         now = self.engine.now
         core = thread.core_id
         local = self.local_pmus[core]
-        wake = 0.0
-        if self.cstates is not None:
-            # Waking a clock/power-gated core pays the C-state exit
-            # latency before anything else runs.
-            wake += self.cstates.wake_latency_ns(core, now)
-            self.cstates.note_busy(core)
-        wake += local.gate_wake_latency(loop.iclass, now + wake)
+        wake = local.gate_wake_latency(loop.iclass, now)
         local.note_execute(loop.iclass, now)
         thread.activity = _Activity(loop, now, self.rdtsc(), wake, process)
         self._batching = True
@@ -632,8 +596,6 @@ class System:
             if sibling.activity is not None:
                 core_busy = True
                 break
-        if self.cstates is not None and not core_busy:
-            self.cstates.note_idle(core, now)
         self._batching = True
         try:
             self.pmu.set_core_active(core, core_busy)
@@ -861,18 +823,14 @@ class System:
     # -- tracing --------------------------------------------------------------------------
 
     def _core_cdyn(self, core: int) -> float:
-        """Cdyn of ``core``'s heaviest runnable loop, or its idle Cdyn."""
+        """Cdyn of ``core``'s heaviest runnable loop, or ``IDLE_CDYN_NF``."""
         top: Optional[float] = None
         for thread in self._core_threads[core]:
             if thread.activity is not None and thread.suspensions == 0:
                 cdyn = CDYN_NF[thread.activity.loop.iclass]
                 if top is None or cdyn > top:
                     top = cdyn
-        if top is not None:
-            return top
-        if self.cstates is not None:
-            return self.cstates.idle_cdyn_nf(core, self.engine.now)
-        return IDLE_CDYN_NF
+        return IDLE_CDYN_NF if top is None else top
 
     def _record_label(self, core: int) -> None:
         """Write ``core``'s activity label (its heaviest in-flight class)."""
@@ -886,18 +844,10 @@ class System:
             self.engine.now, LABEL[top] if top is not None else "idle",
         )
 
-    def _record_cdyn(self, core: Optional[int] = None) -> None:
-        """Write the package Cdyn.
-
-        Re-derives ``core``'s share only, or every core's when ``core``
-        is None or C-states make idle Cdyn depend on time.
-        """
+    def _record_cdyn(self, core: int) -> None:
+        """Write the package Cdyn after re-deriving ``core``'s share."""
         shares = self._cdyn_nf
-        if core is None or self.cstates is not None:
-            for other in range(self.config.n_cores):
-                shares[other] = self._core_cdyn(other)
-        else:
-            shares[core] = self._core_cdyn(core)
+        shares[core] = self._core_cdyn(core)
         self.cdyn_trace.record(self.engine.now, sum(shares))
 
     def _record_pmu_state(self) -> None:
@@ -906,8 +856,4 @@ class System:
         pmu = self.pmu
         for core, trace in enumerate(self.throttle_traces):
             trace.record(now, 1 if pmu.is_core_throttled(core) else 0)
-        if self.cstates is not None:
-            # C-state idle Cdyn deepens with time, not at an event of its
-            # own, so it is sampled at every PMU state record as well.
-            self._record_cdyn()
         self.freq_trace.record(now, pmu.freq_ghz)

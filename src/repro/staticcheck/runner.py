@@ -40,21 +40,22 @@ def _sort_key(finding: Finding):
 def _collect_modules(paths: Sequence[Path]) -> List[ModuleContext]:
     """Parse every ``*.py`` reachable from ``paths``, once each.
 
-    Module paths are reported relative to each argument's parent for
-    directories (so ``src/repro`` reports ``repro/...``) and to the
-    file's own parent directory for single files.
+    Module paths are reported relative to the argument's parent, walked
+    up while it is a package, so ``src/repro``, ``src/repro/measure``
+    and ``src/repro/measure/sampler.py`` all report ``repro/...`` paths
+    and the waiver file matches a run over any part of the tree.
     """
     modules: List[ModuleContext] = []
     for base in paths:
-        base = Path(base)
-        if base.is_dir():
-            files = [(path, path.relative_to(base.parent).as_posix())
-                     for path in sorted(base.rglob("*.py"))]
-        else:
-            files = [(base, base.name)]
-        for path, rel in files:
+        base = Path(base).resolve()
+        files = sorted(base.rglob("*.py")) if base.is_dir() else [base]
+        root = base.parent
+        while (root / "__init__.py").is_file():
+            root = root.parent
+        for path in files:
             modules.append(ModuleContext.from_source(
-                path.read_text(encoding="utf-8"), rel))
+                path.read_text(encoding="utf-8"),
+                path.relative_to(root).as_posix()))
     return modules
 
 

@@ -118,8 +118,7 @@ class TestExports:
 OFF_TRANSFER_PATH = (
     "repro.core.session", "repro.core.ecc", "repro.core.side_channel",
     "repro.soc.feasibility", "repro.soc.noise", "repro.measure.daq",
-    "repro.microarch.pipeline", "repro.obs.export", "repro.pmu.governors",
-    "repro.pmu.cstates",
+    "repro.microarch.pipeline", "repro.obs.export",
 )
 
 

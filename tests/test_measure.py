@@ -1,4 +1,4 @@
-"""Traces, the simulated DAQ card, and statistics."""
+"""Traces and the simulated DAQ card."""
 
 import numpy as np
 import pytest
@@ -9,11 +9,7 @@ from repro.measure import (
     DAQSpec,
     SampleSeries,
     StepTrace,
-    distribution_summary,
-    histogram,
-    level_separation,
 )
-from repro.measure.stats import bit_error_rate
 from repro.measure.trace import merge_step_traces
 
 
@@ -173,39 +169,3 @@ class TestDAQ:
         series = daq.sample(lambda t: 1.0, 0.0, 1e5, sample_rate_hz=1e6)
         assert float(np.std(series.values)) > 0.01
 
-
-class TestStats:
-    def test_distribution_summary(self):
-        summary = distribution_summary([1.0, 2.0, 3.0, 4.0, 5.0])
-        assert summary.median == 3.0
-        assert summary.count == 5
-        assert summary.minimum == 1.0 and summary.maximum == 5.0
-
-    def test_summary_rejects_empty(self):
-        with pytest.raises(MeasurementError):
-            distribution_summary([])
-
-    def test_histogram_counts_sum_to_n(self):
-        rows = histogram([1.0, 2.0, 2.5, 9.0], bins=4)
-        assert sum(count for _, _, count in rows) == 4
-
-    def test_level_separation_positive_for_disjoint_clusters(self):
-        gaps = level_separation({0: [1.0, 2.0], 1: [5.0, 6.0]})
-        assert gaps == [(0, 1, 3.0)]
-
-    def test_level_separation_negative_for_overlap(self):
-        gaps = level_separation({0: [1.0, 5.0], 1: [4.0, 6.0]})
-        assert gaps[0][2] < 0
-
-    def test_level_separation_needs_two_levels(self):
-        with pytest.raises(MeasurementError):
-            level_separation({0: [1.0]})
-
-    def test_bit_error_rate_counts_bits(self):
-        # Symbol 0b00 vs 0b11 is two wrong bits.
-        assert bit_error_rate([0b00], [0b11]) == 1.0
-        assert bit_error_rate([0b00, 0b01], [0b00, 0b00]) == 0.25
-
-    def test_bit_error_rate_length_mismatch(self):
-        with pytest.raises(MeasurementError):
-            bit_error_rate([0], [0, 1])

@@ -29,12 +29,8 @@ from repro.soc.system import IDLE_CDYN_NF, THROTTLE_FACTOR
 from repro.units import us_to_ns
 
 
-def snapshot(system, sampled_at_ns):
-    """Every traced value, re-derived from live state.
-
-    C-state idle Cdyn depends on time rather than on an event, so it is
-    sampled at recomputes: ``sampled_at_ns`` is the latest one.
-    """
+def snapshot(system):
+    """Every traced value, re-derived from live state."""
     pmu = system.pmu
     total_cdyn = 0.0
     labels = []
@@ -44,8 +40,6 @@ def snapshot(system, sampled_at_ns):
                    if t.activity is not None and t.suspensions == 0]
         if running:
             total_cdyn += max(CDYN_NF[c] for c in running)
-        elif system.cstates is not None:
-            total_cdyn += system.cstates.idle_cdyn_nf(core, sampled_at_ns)
         else:
             total_cdyn += IDLE_CDYN_NF
         classes = [t.activity.loop.iclass for t in threads
@@ -184,7 +178,6 @@ class _Oracle:
     def __init__(self, make_system):
         self.make_system = make_system
         self.system = None
-        self.sampled_at_ns = 0.0
         self.checked = 0
         self.fired = 0
         self.eager_model = None
@@ -202,7 +195,6 @@ class _Oracle:
 
     def __enter__(self):
         dispatch = Engine._dispatch
-        recompute = System._recompute_core
         hysteresis_check = System._hysteresis_check
         record_cdyn = System._record_cdyn
         record_pmu_state = System._record_pmu_state
@@ -212,18 +204,12 @@ class _Oracle:
             system = self.system
             if system is not None and engine is system.engine:
                 now = engine.now
-                assert (recorded(system, now)
-                        == snapshot(system, self.sampled_at_ns)), (
+                assert recorded(system, now) == snapshot(system), (
                     f"traces drift from live state after "
                     f"{handle.callback!r} at t={now}")
                 check_activities(system)
                 check_hysteresis_pending(system)
                 self.checked += 1
-
-        def noted_recompute(owner, core):
-            recompute(owner, core)
-            if owner is self.system:
-                self.sampled_at_ns = owner.engine.now
 
         def checked_fire(owner, core, armed):
             if owner is self.system:
@@ -233,7 +219,7 @@ class _Oracle:
 
         # The eager reference: the system under test is the only one
         # built inside this context, so every call here is its own.
-        def eager_cdyn(owner, core=None):
+        def eager_cdyn(owner, core):
             trace = owner.cdyn_trace
             before = (len(trace), trace.value_at(owner.engine.now))
             record_cdyn(owner, core)
@@ -249,7 +235,6 @@ class _Oracle:
 
         self._patches = [
             mock.patch.object(Engine, "_dispatch", checked_dispatch),
-            mock.patch.object(System, "_recompute_core", noted_recompute),
             mock.patch.object(System, "_hysteresis_check", checked_fire),
             mock.patch.object(System, "_record_cdyn", eager_cdyn),
             mock.patch.object(System, "_record_pmu_state", eager_pmu_state),
@@ -299,7 +284,7 @@ class TestTracesFollowLiveState:
     def test_fresh_system(self):
         with _Oracle(lambda: System(cannon_lake_i3_8121u())) as oracle:
             system = oracle.system
-            assert recorded(system, 0.0) == snapshot(system, 0.0)
+            assert recorded(system, 0.0) == snapshot(system)
             check_hysteresis_pending(system)
 
     def test_pll_relock(self):
@@ -391,8 +376,7 @@ class TestTracesFollowLiveState:
 
 
 # Random schedules: thread, class, iterations, start offset; plus
-# suspensions of a thread (start, duration) and an optional C-state
-# configuration whose idle Cdyn deepens with time, under the default,
+# suspensions of a thread (start, duration), under the default,
 # improved-throttling, throttling-ablated or per-core-rail options.
 _SETTINGS = dict(max_examples=15, deadline=None)
 schedules = st.lists(
@@ -422,12 +406,11 @@ options = st.sampled_from([
 
 class TestRecordingProperties:
     @settings(**_SETTINGS)
-    @given(schedules, suspensions, st.booleans(), options)
+    @given(schedules, suspensions, options)
     def test_random_schedules_match_live_state(self, schedule, suspend,
-                                               cstates, opts):
+                                               opts):
         deduped = list({item[0]: item for item in schedule}.values())
-        config = cannon_lake_i3_8121u().with_overrides(
-            cstates_enabled=cstates)
+        config = cannon_lake_i3_8121u()
         results = []
         with _Oracle(lambda: System(config, options=opts)) as oracle:
             system = oracle.system

@@ -462,53 +462,14 @@ class TestTraceProgram:
 
 
 class TestGovernorIntegration:
-    def test_system_accepts_governor_object(self):
-        from repro.pmu import Governor, GovernorKind
-
-        config = cannon_lake_i3_8121u()
-        gov = Governor(GovernorKind.POWERSAVE, config.min_freq_ghz,
-                       config.max_turbo_ghz)
-        system = System(config, governor=gov)
-        assert system.pmu.requested_freq_ghz == pytest.approx(
-            config.min_freq_ghz)
-
-    def test_governor_and_freq_are_mutually_exclusive(self):
-        from repro.pmu import Governor, GovernorKind
-
-        config = cannon_lake_i3_8121u()
-        gov = Governor(GovernorKind.PERFORMANCE, config.min_freq_ghz,
-                       config.max_turbo_ghz)
-        with pytest.raises(ConfigError):
-            System(config, governor=gov, governor_freq_ghz=2.2)
-
-    def test_apply_governor_at_runtime(self):
-        from repro.pmu import Governor, GovernorKind
-
-        config = cannon_lake_i3_8121u()
-        system = fresh()
-        gov = Governor(GovernorKind.PERFORMANCE, config.min_freq_ghz,
-                       config.max_turbo_ghz)
-        system.apply_governor(gov)
-        system.run_until(us_to_ns(20.0))
-        assert system.pmu.freq_ghz == pytest.approx(config.max_turbo_ghz)
-
     def test_throttling_mechanism_survives_every_governor(self):
-        # Section 5.7: no software policy disables the hardware throttle.
-        from repro.pmu import Governor, GovernorKind
-
+        # Section 5.7: no software frequency policy disables the hardware
+        # throttle, from the lowest request to the highest.
         config = cannon_lake_i3_8121u()
-        governors = [
-            Governor(GovernorKind.PERFORMANCE, config.min_freq_ghz,
-                     config.max_turbo_ghz),
-            Governor(GovernorKind.POWERSAVE, config.min_freq_ghz,
-                     config.max_turbo_ghz),
-            Governor(GovernorKind.USERSPACE, config.min_freq_ghz,
-                     config.max_turbo_ghz, userspace_ghz=2.2),
-        ]
-        for gov in governors:
-            system = System(config, governor=gov)
+        for freq in (config.min_freq_ghz, 2.2, config.max_turbo_ghz):
+            system = System(config, governor_freq_ghz=freq)
             result = run_single_loop(system, 0, Loop(IClass.HEAVY_256, 60))
-            assert result.throttled_ns > us_to_ns(1.0), gov.kind
+            assert result.throttled_ns > us_to_ns(1.0), freq
 
 
 class TestMemory:

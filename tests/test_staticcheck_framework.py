@@ -19,6 +19,7 @@ from repro.staticcheck import (
 from repro.staticcheck.__main__ import main
 from repro.staticcheck.context import ModuleContext
 from repro.staticcheck.registry import passes_for, validate_rules
+from repro.staticcheck.runner import default_root
 from repro.staticcheck.reporters import render_text, to_json
 
 BAD_MODULE = textwrap.dedent("""
@@ -243,3 +244,16 @@ class TestCli:
                      "--output", str(out_file)]) == 0
         assert "0 finding(s)" in out_file.read_text(encoding="utf-8")
 
+
+    @pytest.mark.parametrize("parts, waived", [
+        (("measure",), 1),
+        (("measure/sampler.py",), 1),
+        (("pdn", "measure"), 3),
+    ], ids=["package", "module", "two-packages"])
+    def test_partial_tree_run_applies_the_repo_waivers(self, parts, waived,
+                                                       capsys):
+        """Any part of the tree reports ``repro/...`` paths, as waived."""
+        root = default_root()
+        assert main([str(root / part) for part in parts]) == 0
+        out = capsys.readouterr().out
+        assert "0 finding(s)" in out and f"({waived} waived)" in out, out

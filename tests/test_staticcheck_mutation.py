@@ -49,13 +49,6 @@ CASES = [
         "unit-mix",
         id="thermal-dt-s-from-ns",
     ),
-    pytest.param(
-        "pmu/cstates.py",
-        "if idle_ns >= us_to_ns(self.spec.c6_entry_us):",
-        "if idle_ns >= self.spec.c6_entry_us:",
-        "unit-compare",
-        id="cstates-c6-entry-us-vs-ns",
-    ),
 ]
 
 
