@@ -77,7 +77,7 @@ class ThermalModel:
     def __post_init__(self) -> None:
         # Unset sentinel: an exact-zero start temperature means "begin at
         # ambient".  Epsilon-compared — bare float equality on physical
-        # quantities is banned by repro.staticcheck (rule float-eq).
+        # quantities is banned by the verify lint (rule float-eq).
         if abs(self.temperature_c) < 1e-12:
             self.temperature_c = float(self.spec.t_ambient_c)
 

@@ -9,8 +9,8 @@ transfer.  Everything is plain data with a dict/TOML-friendly
 :meth:`ScenarioSpec.from_mapping` / :meth:`ScenarioSpec.to_mapping`
 round-trip, so scenarios can live in files and be digested by
 :mod:`repro.verify` without touching code.  Both directions are built
-from the dataclass fields and their declared types: a mapping value of
-the wrong type is rejected, never coerced.
+from the dataclass fields and their declared types: a mapping value or
+constructor argument of the wrong type is rejected, never coerced.
 
 Validation is front-loaded and actionable: unknown fields, impossible
 topologies (a tenant on a core the preset does not have, two tenants
@@ -152,23 +152,33 @@ def _as_mapping(value: Any, path: str) -> Mapping[str, Any]:
     return value
 
 
-def _decode(kind: Any, value: Any, path: str) -> Any:
+def _decode(kind: Any, value: Any, path: str, built: bool = False) -> Any:
     """``value`` checked against the declared type ``kind``.
 
     Raises ConfigError naming ``path`` (e.g. ``tenants[0].sender_core``)
     on a value of the wrong type; a ``float`` field stores a float.
+    ``built`` checks a constructor argument instead of a mapping value:
+    a nested spec or ``SystemOptions`` must already be one, and a
+    mapping field is taken as ``(key, value)`` pairs.
     """
     if kind is Any:
+        return value
+    if built and (kind is SystemOptions or is_dataclass(kind)):
+        if not isinstance(value, kind):
+            raise ConfigError(
+                f"{path} must be a {kind.__name__}, got {value!r}")
         return value
     if kind is SystemOptions:
         return options_from_mapping(_as_mapping(value, path))
     if is_dataclass(kind):
         return _decode_spec(kind, value, path)
     if kind is Pairs:
-        return tuple(_as_mapping(value, path).items())
+        pairs = value if built else _as_mapping(value, path).items()
+        return tuple(sorted((str(key), item) for key, item in pairs))
     origin, args = get_origin(kind), get_args(kind)
     if origin is Union:  # Optional[X]
-        return None if value is None else _decode(args[0], value, path)
+        return None if value is None else _decode(args[0], value, path,
+                                                  built)
     if origin is tuple:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{path} must be a list, got {value!r}")
@@ -177,7 +187,7 @@ def _decode(kind: Any, value: Any, path: str) -> Any:
         elif len(value) != len(args):
             raise ConfigError(
                 f"{path} must have {len(args)} items, got {value!r}")
-        return tuple(_decode(arg, item, f"{path}[{index}]")
+        return tuple(_decode(arg, item, f"{path}[{index}]", built)
                      for index, (arg, item) in enumerate(zip(args, value)))
     accepted, noun = _SCALARS[kind]
     if isinstance(value, bool) or not isinstance(value, accepted):
@@ -215,7 +225,24 @@ def _encode(value: Any) -> Any:
 
 
 class _MappingCodec:
-    """The mapping round-trip of a spec, built from its dataclass fields."""
+    """The mapping round-trip of a spec, built from its dataclass fields.
+
+    Construction runs the codec's field-type rule too, so a spec built
+    in code holds exactly what :meth:`from_mapping` would accept, and
+    equal specs compare equal however they were spelt (lists become
+    tuples, mapping fields sorted pairs, ints in float fields floats).
+    """
+
+    def __post_init__(self) -> None:
+        label = type(self).__name__[:-len("Spec")].lower()
+        for f in fields(self):
+            object.__setattr__(self, f.name, _decode(
+                f.type, getattr(self, f.name), f"{label}.{f.name}",
+                built=True))
+        self._validate()
+
+    def _validate(self) -> None:
+        """Value checks beyond the declared field types."""
 
     @classmethod
     def from_mapping(cls: Type[_Spec], mapping: Mapping[str, Any]) -> _Spec:
@@ -254,7 +281,8 @@ class NoiseSpec(_MappingCodec):
     horizon_ms: float = 50.0
     seed: int = 1
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
+        """Rates finite and >= 0; means and horizon finite and positive."""
         for name in ("interrupt_rate_per_s", "ctx_switch_rate_per_s"):
             value = getattr(self, name)
             if not 0 <= value < math.inf:
@@ -313,9 +341,8 @@ class WorkloadSpec(_MappingCodec):
     rate_per_s: float = 200.0
     phases: Tuple[Tuple[str, float], ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "phases", tuple(
-            (str(name), float(duration)) for name, duration in self.phases))
+    def _validate(self) -> None:
+        """Known kind, placement, finite numbers, well-formed phases."""
         if self.kind not in WORKLOAD_KINDS:
             raise ConfigError(
                 f"unknown workload kind {self.kind!r}; "
@@ -424,7 +451,8 @@ class TenantSpec(_MappingCodec):
     receiver_core: int = 1
     offset_fraction: float = 0.0
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
+        """Known channel, a placement it allows, an offset in [0, 1)."""
         if self.channel not in CHANNEL_KINDS:
             raise ConfigError(
                 f"unknown tenant channel {self.channel!r}; "
@@ -496,19 +524,6 @@ class ScenarioSpec(_MappingCodec):
     faults: str = ""
     background: Tuple[WorkloadSpec, ...] = ()
     payload_hex: str = "4943"
-
-    def __post_init__(self) -> None:
-        # Normalise the collection fields so equal scenarios compare
-        # equal regardless of construction spelling (lists vs tuples,
-        # override ordering) — required for the mapping round-trip to
-        # be an identity.
-        object.__setattr__(self, "overrides", tuple(
-            sorted((str(k), v) for k, v in self.overrides)))
-        object.__setattr__(self, "protocol", tuple(
-            sorted((str(k), v) for k, v in self.protocol)))
-        object.__setattr__(self, "tenants", tuple(self.tenants))
-        object.__setattr__(self, "background", tuple(self.background))
-        self._validate()
 
     def _validate(self) -> None:
         """Front-loaded validation; every failure names its field."""

@@ -17,10 +17,10 @@ not a tolerance judgement call.  This package implements that gate:
 * :mod:`repro.verify.differential` — fast-path vs reference-path
   equivalence checks;
 * :mod:`repro.verify.bench_gate` — benchmark regression gate over
-  pytest-benchmark artifacts.
+  pytest-benchmark artifacts;
+* :mod:`repro.verify.lint` — the determinism lint of the sources.
 
-Its lint stage runs :mod:`repro.staticcheck` with the determinism
-rules.  Run the whole gate with ``python -m repro.verify``; see
+Run the whole gate with ``python -m repro.verify``; see
 ``docs/VERIFICATION.md``.
 """
 

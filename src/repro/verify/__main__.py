@@ -2,7 +2,7 @@
 
 Default run order (each stage but the report independently skippable)::
 
-    lint          AST lint of src/repro against the determinism rules
+    lint          AST lint of src/repro (repro.verify.lint)
     differential  fast path vs reference equivalence checks
     goldens       canonical scenarios vs committed golden digests
     report        a fresh paper report vs the committed REPORT.md
@@ -24,17 +24,12 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.staticcheck import Report, analyze_paths
 from repro.verify.audit import audit_all
 from repro.verify.differential import run_all as run_differential
 from repro.verify.goldens import check_all, update_goldens
+from repro.verify.lint import Report, lint_tree
 from repro.verify.report import check_report
 from repro.verify.scenarios import SCENARIOS, compute_digest, scenario_names
-
-#: The staticcheck rules the lint stage enforces: the source-level
-#: determinism and hygiene rules the golden digests depend on.
-LINT_RULES = ("unseeded-rng", "global-rng", "wall-clock", "float-eq",
-              "mutable-default")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -112,7 +107,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if not args.skip_lint:
         print("== lint ==")
-        report = analyze_paths(rules=LINT_RULES, waivers_path=args.waivers)
+        report = lint_tree(waivers_path=args.waivers)
         print(_render_lint(report))
         print(f"  ({len(report.waived)} waived)")
         if not report.ok:

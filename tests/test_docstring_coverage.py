@@ -1,16 +1,21 @@
-"""Docstring coverage floor, enforced without external tools.
+"""The docstring gate, enforced with ``ast`` alone.
 
-CI's docs job runs ``interrogate``/``pydocstyle`` (configured in
-pyproject.toml), but those aren't runtime dependencies, so this module
-re-implements the coverage floor with ``ast`` alone: every module,
-every public class, and every public function/method under
-``src/repro`` must carry a docstring, and overall coverage (counting
-private defs too, which the API-quality gate skips) must stay at or
-above the same ``fail-under = 98`` floor CI enforces.
+Every module, every public class, and every public function, method and
+property under ``src/repro`` must carry a docstring.  Only the public
+surface is counted: a def whose name, or whose enclosing class's name,
+starts with ``_`` is skipped, as are magic methods and closures.
+
+CI's docs job also runs ``interrogate`` (configured in pyproject.toml),
+which is not a runtime dependency.  Its settings count single-underscore
+defs too (``ignore-semiprivate = false``), so its ``fail-under = 98``
+floor is measured over a larger surface than this module's, and the two
+coverage figures differ.
 """
 
 import ast
 import os
+
+import pytest
 
 SRC_ROOT = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -19,15 +24,15 @@ SRC_ROOT = os.path.join(
 FAIL_UNDER = 98.0  # keep in sync with [tool.interrogate] in pyproject.toml
 
 
-def iter_source_files():
-    """Every ``.py`` file under ``src/repro``, repo-relative."""
-    for dirpath, _, filenames in os.walk(SRC_ROOT):
+def iter_source_files(root=SRC_ROOT):
+    """Every ``.py`` file under ``root`` (default ``src/repro``)."""
+    for dirpath, _, filenames in os.walk(root):
         for name in sorted(filenames):
             if name.endswith(".py"):
                 yield os.path.join(dirpath, name)
 
 
-def iter_definitions(path):
+def iter_definitions(path, root=SRC_ROOT):
     """(qualname, node, is_public, is_overload) for docstring targets.
 
     Targets are the module itself, classes, and functions/methods —
@@ -35,7 +40,7 @@ def iter_definitions(path):
     matching ``ignore-nested-functions`` in the interrogate config.
     """
     tree = ast.parse(open(path, encoding="utf-8").read(), filename=path)
-    rel = os.path.relpath(path, SRC_ROOT)
+    rel = os.path.relpath(path, root)
     yield rel, tree, True
 
     def walk(node, prefix, parent_public):
@@ -58,19 +63,17 @@ def has_docstring(node):
     return ast.get_docstring(node) is not None
 
 
-def collect():
-    """(total, documented, missing) over the counted (public) surface.
+def collect(root=SRC_ROOT):
+    """(total, documented, missing) over the public surface under ``root``.
 
-    Mirrors the interrogate config: private defs (and anything nested
-    under a private parent), magic methods and ``__init__`` are not
-    counted, exactly as ``ignore-private`` / ``ignore-magic`` /
-    ``ignore-init-method`` exclude them in CI.
+    ``_``-prefixed defs (and anything nested under one), magic methods
+    and ``__init__`` are not counted.
     """
     total = 0
     documented = 0
     missing = []
-    for path in iter_source_files():
-        for qualname, node, public in iter_definitions(path):
+    for path in iter_source_files(root):
+        for qualname, node, public in iter_definitions(path, root):
             last = qualname.rsplit(".", 1)[-1]
             if not public or (last.startswith("__") and last.endswith("__")):
                 continue
@@ -97,3 +100,60 @@ def test_coverage_meets_configured_floor():
     assert coverage >= FAIL_UNDER, (
         f"docstring coverage {coverage:.1f}% < {FAIL_UNDER}%; "
         f"missing: {missing[:20]}")
+
+
+UNDOCUMENTED = {
+    "module": ("mod.py", '''
+class Widget:
+    """Documented."""
+'''),
+    "class": ("mod.py.Widget", '''"""Module."""
+class Widget:
+    pass
+'''),
+    "function": ("mod.py.spin", '''"""Module."""
+def spin():
+    pass
+'''),
+    "method": ("mod.py.Widget.spin", '''"""Module."""
+class Widget:
+    """Documented."""
+    def spin(self):
+        pass
+'''),
+    "property": ("mod.py.Widget.size", '''"""Module."""
+class Widget:
+    """Documented."""
+    @property
+    def size(self):
+        return 1
+'''),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNDOCUMENTED))
+def test_each_kind_of_undocumented_definition_is_reported(kind, tmp_path):
+    """A module, class, function, method or property without a docstring."""
+    qualname, source = UNDOCUMENTED[kind]
+    (tmp_path / "mod.py").write_text(source, encoding="utf-8")
+    _, _, missing = collect(str(tmp_path))
+    assert missing == [qualname]
+
+
+def test_private_magic_and_nested_definitions_are_not_counted(tmp_path):
+    (tmp_path / "mod.py").write_text('''"""Module."""
+def _helper():
+    pass
+class _Private:
+    def method(self):
+        pass
+class Widget:
+    """Documented."""
+    def __len__(self):
+        return 0
+    def spin(self):
+        """Documented."""
+        def inner():
+            pass
+''', encoding="utf-8")
+    assert collect(str(tmp_path)) == (3, 3, [])

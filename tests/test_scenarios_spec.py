@@ -385,6 +385,38 @@ class TestRejection:
         assert noise.horizon_ms == 20.0
         assert isinstance(noise.horizon_ms, float)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: TenantSpec("cores", 0.5, 1),
+         "tenant.sender_core must be an integer, got 0.5"),
+        (lambda: WorkloadSpec("replay", phases=(("SCALAR_64", "100"),)),
+         "workload.phases[0][1] must be a number, got '100'"),
+        (lambda: NoiseSpec(seed=True), "noise.seed must be an integer"),
+        (lambda: ScenarioSpec(name="x", description="d", payload_hex=17),
+         "scenario.payload_hex must be a string, got 17"),
+        (lambda: ScenarioSpec(name="x", description="d",
+                              tenants=({"channel": "thread"},)),
+         "scenario.tenants[0] must be a TenantSpec"),
+    ], ids=["tenant-core-float", "replay-duration-str", "noise-seed-bool",
+            "payload-int", "tenant-mapping"])
+    def test_constructor_applies_the_codec_type_rule(self, build, message):
+        """A spec built in code is checked like one read from a mapping."""
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            build()
+
+    def test_built_spec_stores_what_its_codec_reads_back(self):
+        """Ints in float fields and list spellings are normalised."""
+        spec = ScenarioSpec(
+            name="x", description="d",
+            tenants=[TenantSpec("cores", 0, 1, offset_fraction=0)],
+            background=[WorkloadSpec("replay", core=0, smt_slot=1,
+                                     phases=[["SCALAR_64", 100]])],
+            noise=NoiseSpec(horizon_ms=20))
+        assert spec.tenants[0].offset_fraction == 0.0
+        assert isinstance(spec.tenants[0].offset_fraction, float)
+        assert spec.background[0].phases == (("SCALAR_64", 100.0),)
+        assert repr(ScenarioSpec.from_mapping(spec.to_mapping())) \
+            == repr(spec)
+
     def test_uppercase_name_rejected(self):
         with pytest.raises(ConfigError, match="lowercase identifier"):
             ScenarioSpec(name="Baseline", description="d")
