@@ -7,19 +7,18 @@ RANGE_Lx`` ladder; Figure 13 shows the four level clusters with
 training symbols first; :class:`Calibrator` does the same — it takes
 (symbol, measurement) training pairs, fits per-symbol clusters, and
 places decision thresholds at the midpoints between adjacent cluster
-means.
+medians.
 
 The calibrator is agnostic to the *direction* of the mapping: on the
 same-thread channel a higher sender level yields a *shorter* probe time,
-across SMT/cores a *longer* one.  Sorting clusters by mean handles both.
+across SMT/cores a *longer* one.  Sorting clusters by median handles both.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
 
 from repro.errors import CalibrationError
 
@@ -56,26 +55,38 @@ class Calibrator:
             Labelled training measurements; every symbol that should be
             decodable must appear at least once.
         min_gap:
-            Minimum required distance between adjacent cluster means;
-            a smaller separation raises :class:`CalibrationError`
+            Minimum required distance between adjacent cluster medians
+            (finite); a smaller separation raises :class:`CalibrationError`
             (channel unusable, e.g. under a mitigation).
         """
         if not training:
             raise CalibrationError("no training measurements")
+        if not math.isfinite(min_gap):
+            raise CalibrationError(f"min_gap must be finite, got {min_gap}")
         by_symbol: Dict[int, List[float]] = {}
         for symbol, value in training:
-            by_symbol.setdefault(symbol, []).append(float(value))
+            value = float(value)
+            if not math.isfinite(value):
+                raise CalibrationError(
+                    f"symbol {symbol}: non-finite training measurement {value}")
+            by_symbol.setdefault(symbol, []).append(value)
         self._stats: Dict[int, LevelStats] = {}
         for symbol, values in by_symbol.items():
-            arr = np.asarray(values)
+            # Plain Python: the median, minimum and maximum equal numpy's
+            # exactly; so do the mean and std below 8 values, where numpy
+            # also sums in order rather than pairwise.
+            ordered, n = sorted(values), len(values)
+            mid = n // 2
+            mean = sum(values) / n
             self._stats[symbol] = LevelStats(
                 symbol=symbol,
-                count=len(arr),
-                mean=float(np.mean(arr)),
-                center=float(np.median(arr)),
-                std=float(np.std(arr)),
-                minimum=float(np.min(arr)),
-                maximum=float(np.max(arr)),
+                count=n,
+                mean=mean,
+                center=ordered[mid] if n % 2 else
+                (ordered[mid - 1] + ordered[mid]) / 2,
+                std=math.sqrt(sum((v - mean) * (v - mean) for v in values) / n),
+                minimum=ordered[0],
+                maximum=ordered[-1],
             )
         # Order clusters by center; thresholds are midpoints of neighbours.
         self._ordered = sorted(self._stats.values(), key=lambda s: s.center)
@@ -97,13 +108,13 @@ class Calibrator:
 
     @property
     def thresholds(self) -> List[float]:
-        """Decision thresholds between mean-ordered clusters."""
+        """Decision thresholds between median-ordered clusters."""
         return list(self._thresholds)
 
     def separations(self) -> List[Tuple[int, int, float]]:
         """(symbol_a, symbol_b, gap) between adjacent cluster extremes.
 
-        The gap is ``min(b) - max(a)`` for mean-adjacent clusters;
+        The gap is ``min(b) - max(a)`` for median-adjacent clusters;
         positive everywhere means the training clusters never overlap —
         the Figure 13 condition for a near-zero error rate.
         """
@@ -150,8 +161,8 @@ class Calibrator:
              for other in self._stats.values() if other.symbol != symbol),
             default=float("inf"),
         )
-        if abs(measurement - stats.center) > neighbour_gap:
-            return  # outlier: do not let one interrupt drag the cluster
+        if not abs(measurement - stats.center) <= neighbour_gap:
+            return  # outlier or NaN: do not let one interrupt drag the cluster
         new_center = (1.0 - alpha) * stats.center + alpha * measurement
         self._stats[symbol] = LevelStats(
             symbol=stats.symbol,

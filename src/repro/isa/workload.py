@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence
 
-import numpy as np
-
 from repro.errors import ConfigError
 from repro.isa.instructions import IClass
 from repro.units import ms_to_ns, us_to_ns
@@ -149,6 +147,7 @@ def calculix_like_trace(total_ms: float = 2000.0, avx_fraction: float = 0.45,
     """
     if not 0.0 < avx_fraction < 1.0:
         raise ConfigError(f"avx_fraction must be in (0, 1), got {avx_fraction}")
+    import numpy as np
     rng = np.random.default_rng(seed)
     trace = PhaseTrace(name="calculix_like")
     remaining = ms_to_ns(total_ms)
@@ -178,6 +177,7 @@ def sevenzip_like_trace(total_ms: float = 1000.0, seed: int = 7,
     """
     if mean_scalar_us <= 0 or mean_burst_us <= 0:
         raise ConfigError("phase means must be positive")
+    import numpy as np
     rng = np.random.default_rng(seed)
     trace = PhaseTrace(name="sevenzip_like")
     remaining = ms_to_ns(total_ms)
@@ -217,6 +217,7 @@ def browser_like_trace(total_ms: float = 1000.0, seed: int = 80) -> PhaseTrace:
     vectors, so they shift the rail rarely and weakly — a benign
     neighbour for the covert channels.
     """
+    import numpy as np
     rng = np.random.default_rng(seed)
     trace = PhaseTrace(name="browser_like")
     remaining = ms_to_ns(total_ms)
@@ -246,6 +247,7 @@ def ml_inference_like_trace(total_ms: float = 1000.0, period_ms: float = 12.0,
     if period_ms <= burst_ms:
         raise ConfigError("the inference period must exceed the burst")
     iclass = IClass.HEAVY_512 if width_bits >= 512 else IClass.HEAVY_256
+    import numpy as np
     rng = np.random.default_rng(seed)
     trace = PhaseTrace(name="ml_inference_like")
     remaining = ms_to_ns(total_ms)
@@ -274,6 +276,7 @@ def video_codec_like_trace(total_ms: float = 1000.0, fps: float = 30.0,
     if not 0.0 < encode_share < 1.0:
         raise ConfigError(f"encode share must be in (0, 1), got {encode_share}")
     frame_ms = 1000.0 / fps
+    import numpy as np
     rng = np.random.default_rng(seed)
     trace = PhaseTrace(name="video_codec_like")
     remaining = ms_to_ns(total_ms)
@@ -303,6 +306,7 @@ def random_phi_schedule(total_ms: float, events_per_second: float,
     """
     if events_per_second < 0:
         raise ConfigError(f"event rate must be >= 0, got {events_per_second}")
+    import numpy as np
     rng = np.random.default_rng(seed)
     trace = PhaseTrace(name=f"app_phi_{events_per_second:g}")
     total_ns = ms_to_ns(total_ms)

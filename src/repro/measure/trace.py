@@ -17,11 +17,11 @@ from array import array
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Generic, List, Sequence, Tuple, TypeVar
 
-import numpy as np
-
 from repro.errors import MeasurementError
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from repro.measure.sampler import PiecewiseConstantSignal
 
 T = TypeVar("T")
@@ -117,6 +117,8 @@ class StepTrace(Generic[T]):
         made afterwards are not reflected.  ``default`` is the value
         reported before the first breakpoint.
         """
+        import numpy as np
+
         from repro.measure.sampler import PiecewiseConstantSignal
 
         if not self._times:
@@ -190,13 +192,13 @@ class SampleSeries:
         """Arithmetic mean of the samples."""
         if len(self.values) == 0:
             raise MeasurementError(f"{self.name}: no samples")
-        return float(np.mean(self.values))
+        return float(self.values.mean())
 
     def minmax(self) -> Tuple[float, float]:
         """(min, max) of the samples."""
         if len(self.values) == 0:
             raise MeasurementError(f"{self.name}: no samples")
-        return float(np.min(self.values)), float(np.max(self.values))
+        return float(self.values.min()), float(self.values.max())
 
     def delta_from_start(self) -> "SampleSeries":
         """Series re-based to its first sample (Figure 6 plots Vcc delta)."""
@@ -221,6 +223,8 @@ class SampleSeries:
         fields make a mismatch humanly readable.
         """
         import hashlib
+
+        import numpy as np
 
         def _sha(arr: np.ndarray) -> str:
             return hashlib.sha256(

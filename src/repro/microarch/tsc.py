@@ -29,14 +29,6 @@ class TimestampCounter:
             raise ConfigError(f"time must be >= 0, got {now_ns}")
         return int(now_ns * self.tsc_ghz)
 
-    def cycles(self, elapsed_ns: float) -> float:
-        """TSC ticks spanned by an interval of ``elapsed_ns``."""
-        return elapsed_ns * self.tsc_ghz
-
-    def ns(self, cycles: float) -> float:
-        """Wall nanoseconds spanned by ``cycles`` TSC ticks."""
-        return cycles / self.tsc_ghz
-
 
 @dataclass(frozen=True)
 class DriftingTimestampCounter(TimestampCounter):
@@ -47,8 +39,8 @@ class DriftingTimestampCounter(TimestampCounter):
     virtualised TSCs can be scaled outright.  ``read`` applies a fixed
     fractional offset (``skew``) plus a linearly growing one
     (``drift_per_s``), so intervals measured in ticks stretch over time
-    while the *nominal* conversions (:meth:`TimestampCounter.cycles`,
-    :meth:`TimestampCounter.ns`) — what software believes — stay put.
+    while the *nominal* rate ``tsc_ghz`` — what software believes —
+    stays put.
     That gap is exactly what makes calibrated decode thresholds go stale
     (the ``clock-skew`` fault model of :mod:`repro.faults`).
     """

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import ConfigError
 
 
@@ -46,17 +44,6 @@ class LoadLine:
         if icc < 0:
             raise ConfigError(f"current must be >= 0, got {icc}")
         return self.r_ll_ohm * icc
-
-    def vcc_load_array(self, vccs: np.ndarray, iccs: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`vcc_load` over paired sample arrays.
-
-        One fused multiply-subtract per lane — each float64 lane equals
-        the scalar ``vcc - r_ll * icc`` bit for bit.
-        """
-        iccs = np.asarray(iccs, dtype=float)
-        if iccs.size and float(iccs.min()) < 0:
-            raise ConfigError(f"current must be >= 0, got {float(iccs.min())}")
-        return np.asarray(vccs, dtype=float) - self.r_ll_ohm * iccs
 
     def required_vcc(self, vcc_min: float, icc_worst: float) -> float:
         """VR voltage needed so the load stays above ``vcc_min``.

@@ -26,13 +26,14 @@ import enum
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import List, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Tuple
 
 from repro.errors import ConfigError, SimulationError
 from repro.obs.tracer import current as _obs
 from repro.units import mv_to_v
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @enum.unique
@@ -284,6 +285,8 @@ class VoltageRegulator:
         span) reproduces :meth:`voltage_at` exactly — the rail output is
         continuous, so no jump encoding is needed.
         """
+        import numpy as np
+
         times = np.column_stack((self._t_start, self._t_end)).ravel()
         volts = np.column_stack((self._v_start, self._v_end)).ravel()
         # A point equal to its raw predecessor equals the last kept one

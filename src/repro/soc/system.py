@@ -38,8 +38,6 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Generator, List, Optional, Tuple
 
-import numpy as np
-
 from repro.errors import ConfigError, SimulationError
 from repro.isa.instructions import CDYN_NF, IPC, LABEL, IClass
 from repro.isa.workload import Loop, PhaseTrace, uniform_loop
@@ -368,6 +366,8 @@ class System:
         breakpoint times (left value first), which ``np.interp``
         resolves right-continuously — matching :meth:`icc_at` exactly.
         """
+        import numpy as np
+
         from repro.measure.sampler import PiecewiseLinearSignal
 
         vcc_times, vcc_volts = self.pmu.rail_of(0).breakpoints()

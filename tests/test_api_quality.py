@@ -53,8 +53,8 @@ class TestExports:
         assert repro.__version__ == "1.0.0"
 
 
-#: Modules a covert transfer never runs; importing the package must not
-#: load them.
+#: Modules a covert transfer never runs; importing the package and
+#: running a transfer must not load them.
 OFF_TRANSFER_PATH = (
     "repro.core.session", "repro.core.ecc", "repro.core.side_channel",
     "repro.soc.feasibility", "repro.soc.noise", "repro.measure.daq",
@@ -63,11 +63,17 @@ OFF_TRANSFER_PATH = (
 
 
 class TestImportSet:
-    """``import repro, repro.core`` loads only the covert-transfer path."""
+    """A transfer loads only the covert-transfer path, and no numpy."""
 
     def test_fresh_interpreter_loads_the_transfer_path_only(self):
-        program = ("import sys, repro, repro.core\n"
-                   "print('\\n'.join(sorted(sys.modules)))")
+        # One 2-byte transfer per channel, then the loaded module names.
+        program = (
+            "import sys, repro, repro.core\n"
+            "for channel in (repro.core.IccThreadCovert, "
+            "repro.core.IccSMTcovert, repro.core.IccCoresCovert):\n"
+            "    system = repro.System(repro.cannon_lake_i3_8121u())\n"
+            "    assert channel(system).transfer(b'ok').received == b'ok'\n"
+            "print('\\n'.join(sorted(sys.modules)))")
         src = os.path.join(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))), "src")
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
@@ -79,3 +85,4 @@ class TestImportSet:
                   if m == "repro" or m.startswith("repro.")]
         assert len(loaded) <= 40, loaded
         assert not set(OFF_TRANSFER_PATH) & set(loaded)
+        assert "numpy" not in out.stdout.split()

@@ -1,7 +1,10 @@
 """Calibrator and slot synchronisation."""
 
+import math
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -69,6 +72,58 @@ class TestCalibrator:
         assert stats.count == 2
         assert stats.mean == pytest.approx(11.0)
         assert stats.center == pytest.approx(11.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_training_value_rejected(self, bad):
+        # A NaN center would make thresholds [nan, 7.5] and decode 4.0,
+        # 6.0 and 11.0 all as symbol 0.
+        with pytest.raises(CalibrationError, match="symbol 0"):
+            Calibrator([(0, bad), (1, 5.0), (2, 10.0)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_min_gap_rejected(self, bad):
+        # ``gap < nan`` is always False, which would silently disable
+        # the channel-unusable separation check.
+        with pytest.raises(CalibrationError, match="min_gap"):
+            Calibrator(training({0: [10.0], 1: [10.5]}), min_gap=bad)
+
+
+#: Probe times are TSC cycle counts; the range keeps sums and squares of
+#: up to 64 values far from float overflow.
+_cluster = st.lists(st.floats(min_value=-1e12, max_value=1e12,
+                              allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=64)
+
+
+class TestClusterStatistics:
+    """The plain-Python cluster statistics against numpy's."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(clusters=st.lists(_cluster, min_size=1, max_size=4))
+    # Cancellation: numpy's pairwise sum loses the 1e-5 that ours keeps.
+    @example(clusters=[[1e12, -1e12] + [0.0] * 6 + [1e-5] + [0.0] * 7])
+    def test_matches_numpy(self, clusters):
+        cal = Calibrator([(symbol, v) for symbol, values in enumerate(clusters)
+                          for v in values])
+        for symbol, values in enumerate(clusters):
+            stats, arr = cal.stats[symbol], np.asarray(values)
+            assert stats.count == len(values)
+            # What thresholds and separations read: exactly numpy's.
+            assert stats.center == float(np.median(arr))
+            assert stats.minimum == float(np.min(arr))
+            assert stats.maximum == float(np.max(arr))
+            # numpy sums pairwise from 8 values up, so only there may the
+            # last bits differ; the floor scales with the values because a
+            # spread below their rounding has no relative precision to keep.
+            mean, std = float(np.mean(arr)), float(np.std(arr))
+            if len(values) < 8:
+                assert (stats.mean, stats.std) == (mean, std)
+            floor = 1e-12 * float(np.max(np.abs(arr)))
+            assert stats.mean == pytest.approx(mean, rel=1e-12, abs=floor)
+            assert stats.std == pytest.approx(std, rel=1e-12, abs=floor)
+        centers = sorted(float(np.median(v)) for v in clusters)
+        assert cal.thresholds == [(a + b) / 2.0
+                                  for a, b in zip(centers, centers[1:])]
 
 
 class TestSlotSchedule:
@@ -203,6 +258,12 @@ class TestDecisionDirectedTracking:
         cal = Calibrator([(0, 100.0), (1, 200.0)])
         cal.track(0, 5_000.0, alpha=0.5)  # an interrupt-inflated reading
         assert cal.stats[0].center == pytest.approx(100.0)
+
+    def test_nan_reading_is_ignored_like_an_outlier(self):
+        cal = Calibrator([(0, 100.0), (1, 200.0)])
+        cal.track(0, math.nan, alpha=0.5)
+        assert cal.stats[0].center == 100.0
+        assert cal.thresholds == [150.0]
 
     def test_track_validation(self):
         cal = Calibrator([(0, 100.0), (1, 200.0)])

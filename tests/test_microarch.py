@@ -164,10 +164,6 @@ class TestTSC:
         tsc = TimestampCounter(2.2)
         assert tsc.read(2000.0) > tsc.read(1000.0)
 
-    def test_cycles_ns_roundtrip(self):
-        tsc = TimestampCounter(3.6)
-        assert tsc.ns(tsc.cycles(123.0)) == pytest.approx(123.0)
-
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ConfigError):
             TimestampCounter(0.0)

@@ -99,28 +99,3 @@ class TestVoltageEmergencies:
     def test_emergency_recorded_once_per_burst(self):
         system, _ = run_phi(SystemOptions(disable_throttling=True))
         assert len(system.voltage_emergencies) == 1
-
-
-class TestLoadVoltageMinArray:
-    def test_bitwise_equal_to_scalar_across_filter_branch(self):
-        import numpy as np
-
-        model = DroopModel(DroopSpec(transient_impedance_mohm=2.5,
-                                     filter_step_a=1.0), r_ll_ohm=0.0018)
-        rail = np.full(64, 0.85)
-        before = np.linspace(0.0, 20.0, 64)
-        # Steps straddle the decap filter threshold in both directions.
-        after = before + np.linspace(-2.0, 4.0, 64).clip(min=-before)
-        lanes = model.load_voltage_min_array(rail, before, after)
-        scalar = [model.load_voltage_min(0.85, float(b), float(a))
-                  for b, a in zip(before, after)]
-        assert [float(v) for v in lanes] == scalar
-
-    def test_rejects_negative_currents(self):
-        import numpy as np
-
-        model = DroopModel(DroopSpec(), r_ll_ohm=0.0018)
-        with pytest.raises(ConfigError):
-            model.load_voltage_min_array(np.asarray([0.85]),
-                                         np.asarray([-1.0]),
-                                         np.asarray([2.0]))

@@ -61,21 +61,3 @@ class TestLoadLine:
         # dIcc = (6.0 - 3.0) nF * 0.788 V * 2 GHz = 4.73 A -> ~8.5 mV.
         d_icc = (6.0 - 3.0) * 0.788 * 2.0
         assert loadline.droop(d_icc) * 1000 == pytest.approx(8.5, abs=0.2)
-
-
-class TestVccLoadArray:
-    def test_bitwise_equal_to_scalar(self, loadline):
-        import numpy as np
-
-        vccs = np.linspace(0.7, 1.1, 257)
-        iccs = np.linspace(0.0, 45.0, 257)
-        lanes = loadline.vcc_load_array(vccs, iccs)
-        scalar = [loadline.vcc_load(float(v), float(i))
-                  for v, i in zip(vccs, iccs)]
-        assert [float(v) for v in lanes] == scalar
-
-    def test_rejects_negative_currents(self, loadline):
-        import numpy as np
-
-        with pytest.raises(ConfigError):
-            loadline.vcc_load_array(np.asarray([1.0]), np.asarray([-0.1]))
