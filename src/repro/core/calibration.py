@@ -73,18 +73,25 @@ class Calibrator:
         self._stats: Dict[int, LevelStats] = {}
         for symbol, values in by_symbol.items():
             # Plain Python: the median, minimum and maximum equal numpy's
-            # exactly; so do the mean and std below 8 values, where numpy
-            # also sums in order rather than pairwise.
+            # exactly.  The sums run left to right in explicit loops (the
+            # builtin sum() compensates its rounding from Python 3.12), so
+            # the mean and std also equal numpy's below 8 values, where
+            # numpy sums in order rather than pairwise.
             ordered, n = sorted(values), len(values)
             mid = n // 2
-            mean = sum(values) / n
+            total = squares = 0.0
+            for v in values:
+                total += v
+            mean = total / n
+            for v in values:
+                squares += (v - mean) * (v - mean)
             self._stats[symbol] = LevelStats(
                 symbol=symbol,
                 count=n,
                 mean=mean,
                 center=ordered[mid] if n % 2 else
                 (ordered[mid - 1] + ordered[mid]) / 2,
-                std=math.sqrt(sum((v - mean) * (v - mean) for v in values) / n),
+                std=math.sqrt(squares / n),
                 minimum=ordered[0],
                 maximum=ordered[-1],
             )
