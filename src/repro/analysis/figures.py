@@ -7,7 +7,7 @@ dependency.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.errors import MeasurementError
 
@@ -89,15 +89,3 @@ def histogram_text(samples: Sequence[float], bins: int = 12,
         bar = "#" * int(round(width * count / top)) if top else ""
         lines.append(f"{b_lo:10.3g}{unit} | {bar} {count}")
     return "\n".join(lines)
-
-
-def level_markers(stats: Dict[int, "object"]) -> List[str]:
-    """One summary line per calibrated level (Figure 13 style)."""
-    lines = []
-    for symbol in sorted(stats):
-        s = stats[symbol]
-        lines.append(
-            f"L{symbol + 1} (bits {symbol >> 1}{symbol & 1}): "
-            f"mean={s.mean:.0f} cycles  range=[{s.minimum:.0f}, {s.maximum:.0f}]"
-        )
-    return lines

@@ -35,9 +35,7 @@ class LevelStats:
 
     symbol: int
     count: int
-    mean: float
     center: float
-    std: float
     minimum: float
     maximum: float
 
@@ -72,26 +70,14 @@ class Calibrator:
             by_symbol.setdefault(symbol, []).append(value)
         self._stats: Dict[int, LevelStats] = {}
         for symbol, values in by_symbol.items():
-            # Plain Python: the median, minimum and maximum equal numpy's
-            # exactly.  The sums run left to right in explicit loops (the
-            # builtin sum() compensates its rounding from Python 3.12), so
-            # the mean and std also equal numpy's below 8 values, where
-            # numpy sums in order rather than pairwise.
+            # Plain Python: the median and extremes equal numpy's exactly.
             ordered, n = sorted(values), len(values)
             mid = n // 2
-            total = squares = 0.0
-            for v in values:
-                total += v
-            mean = total / n
-            for v in values:
-                squares += (v - mean) * (v - mean)
             self._stats[symbol] = LevelStats(
                 symbol=symbol,
                 count=n,
-                mean=mean,
                 center=ordered[mid] if n % 2 else
                 (ordered[mid - 1] + ordered[mid]) / 2,
-                std=math.sqrt(squares / n),
                 minimum=ordered[0],
                 maximum=ordered[-1],
             )
@@ -174,9 +160,7 @@ class Calibrator:
         self._stats[symbol] = LevelStats(
             symbol=stats.symbol,
             count=stats.count + 1,
-            mean=stats.mean,
             center=new_center,
-            std=stats.std,
             minimum=min(stats.minimum, measurement),
             maximum=max(stats.maximum, measurement),
         )

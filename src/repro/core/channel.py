@@ -14,8 +14,6 @@ else — framing, calibration, decoding, reporting — lives here.
 from __future__ import annotations
 
 import abc
-import math
-import numbers
 from dataclasses import dataclass, field
 from typing import ClassVar, List, Optional, Sequence
 
@@ -36,24 +34,12 @@ from repro.core.levels import (
     robust_symbol_for_bit,
 )
 from repro.core.sync import JitteredSchedule, SlotSchedule
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, bounded, check_fields
 from repro.obs.tracer import current as _obs
 from repro.isa.instructions import IClass
 from repro.isa.workload import Loop
 from repro.soc.system import System
 from repro.units import bits_per_second, us_to_ns
-
-
-def require_int(name: str, value: object, low: int) -> None:
-    """Raise ProtocolError naming ``name`` unless ``value`` is an int >= ``low``.
-
-    Booleans are rejected: ``True`` is an ``int`` to Python, never a
-    count or a seed to a protocol.
-    """
-    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
-            or value < low):
-        raise ProtocolError(
-            f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -90,39 +76,19 @@ class ChannelConfig:
         transaction.
     """
 
-    slot_us: float = 750.0
-    sender_iterations: int = 30
-    probe_iterations: int = 60
-    block_instructions: int = 300
-    cross_core_delay_ns: float = 200.0
-    training_rounds: int = 3
-    min_level_gap_tsc: float = 500.0
+    slot_us: float = bounded(750.0, gt=0)
+    sender_iterations: int = bounded(30, ge=1)
+    probe_iterations: int = bounded(60, ge=1)
+    block_instructions: int = bounded(300, ge=1)
+    cross_core_delay_ns: float = bounded(200.0, ge=0)
+    training_rounds: int = bounded(3, ge=1)
+    min_level_gap_tsc: float = bounded(500.0, ge=0)
     adaptive_slot: bool = True
-    slot_jitter_us: float = 0.0
-    jitter_seed: int = 7
+    slot_jitter_us: float = bounded(0.0, ge=0)
+    jitter_seed: int = bounded(7, ge=0)
 
     def __post_init__(self) -> None:
-        # Negated comparisons so NaN fails them too.
-        if not 0 < self.slot_us < math.inf:
-            raise ProtocolError(
-                f"slot must be positive and finite, got {self.slot_us}")
-        if not 0 <= self.slot_jitter_us < math.inf:
-            raise ProtocolError(
-                f"slot jitter must be finite and >= 0, got "
-                f"{self.slot_jitter_us}")
-        for name in ("sender_iterations", "probe_iterations",
-                     "block_instructions", "training_rounds"):
-            require_int(name, getattr(self, name), 1)
-        require_int("jitter_seed", self.jitter_seed, 0)
-        if not isinstance(self.adaptive_slot, bool):
-            raise ProtocolError(
-                f"adaptive_slot must be true or false, got "
-                f"{self.adaptive_slot!r}")
-        for name in ("cross_core_delay_ns", "min_level_gap_tsc"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                raise ProtocolError(
-                    f"{name} must be finite and >= 0, got {value}")
+        check_fields(self, ProtocolError)
 
 
 @dataclass
@@ -511,48 +477,7 @@ class CovertChannel(abc.ABC):
 
     def transfer(self, payload: bytes) -> TransferReport:
         """Send ``payload`` and decode it; calibrates first if needed."""
-        if not payload:
-            raise ProtocolError("payload is empty")
-        retrained = False
-        full_ladder = tuple(sorted(self.symbol_classes))
-        if self._calibrator is None or self._calibrated_symbols != full_ladder:
-            self.calibrate()
-            retrained = True
-        assert self._calibrator is not None
-        symbols = bytes_to_symbols(payload)
-        start = self.system.now
-        readings = self.run_symbols(symbols)
-        decoded = self._calibrator.decode_all(readings)
-        if len(decoded) != len(symbols):
-            raise ProtocolError(
-                f"receiver decoded {len(decoded)} symbols for "
-                f"{len(symbols)} sent; the slot streams diverged"
-            )
-        report = TransferReport(
-            sent=payload,
-            received=symbols_to_bytes(decoded),
-            symbols_sent=symbols,
-            symbols_received=decoded,
-            measurements_tsc=readings,
-            start_ns=start,
-            end_ns=self.system.now,
-            location=self.location,
-            retraining=retrained,
-        )
-        tracer = _obs()
-        if tracer.enabled:
-            tracer.metrics.counter("channel.transfers").inc()
-            tracer.metrics.histogram("channel.transfer_ber").observe(report.ber)
-            tracer.complete(
-                "channel.transfer", "channel", start, report.elapsed_ns,
-                track="channel",
-                args={"bytes": len(payload), "bits": report.bits,
-                      "bit_errors": report.bit_errors,
-                      "ber": round(report.ber, 6),
-                      "location": self.location.name,
-                      "retrained": retrained},
-            )
-        return report
+        return self._send(payload, robust=False)
 
     def transfer_robust(self, payload: bytes) -> TransferReport:
         """Send ``payload`` with degraded two-level signalling.
@@ -564,16 +489,25 @@ class CovertChannel(abc.ABC):
         degradation when the four-level SNR collapses under faults.
         Calibrates (on the two robust levels only) when needed.
         """
+        return self._send(payload, robust=True)
+
+    def _send(self, payload: bytes, robust: bool) -> TransferReport:
+        """One transfer on the full ladder or, ``robust``, on two levels."""
         if not payload:
             raise ProtocolError("payload is empty")
-        retrained = False
-        if (self._calibrator is None
-                or self._calibrated_symbols != ROBUST_SYMBOLS):
-            self.calibrate(symbols=ROBUST_SYMBOLS)
-            retrained = True
+        if robust:
+            ladder, bits_per_symbol = ROBUST_SYMBOLS, 1
+            symbols = [robust_symbol_for_bit(bit)
+                       for bit in bytes_to_bits(payload)]
+        else:
+            ladder, bits_per_symbol = (tuple(sorted(self.symbol_classes)),
+                                       SYMBOL_BITS)
+            symbols = bytes_to_symbols(payload)
+        retrained = (self._calibrator is None
+                     or self._calibrated_symbols != ladder)
+        if retrained:
+            self.calibrate(symbols=ladder)
         assert self._calibrator is not None
-        symbols = [robust_symbol_for_bit(bit)
-                   for bit in bytes_to_bits(payload)]
         start = self.system.now
         readings = self.run_symbols(symbols)
         decoded = self._calibrator.decode_all(readings)
@@ -582,7 +516,11 @@ class CovertChannel(abc.ABC):
                 f"receiver decoded {len(decoded)} symbols for "
                 f"{len(symbols)} sent; the slot streams diverged"
             )
-        received = bits_to_bytes([bit_for_robust_symbol(s) for s in decoded])
+        if robust:
+            received = bits_to_bytes(
+                [bit_for_robust_symbol(s) for s in decoded])
+        else:
+            received = symbols_to_bytes(decoded)
         report = TransferReport(
             sent=payload,
             received=received,
@@ -593,14 +531,17 @@ class CovertChannel(abc.ABC):
             end_ns=self.system.now,
             location=self.location,
             retraining=retrained,
-            bits_per_symbol=1,
+            bits_per_symbol=bits_per_symbol,
         )
         tracer = _obs()
         if tracer.enabled:
-            tracer.metrics.counter("channel.transfers_robust").inc()
+            event, counter = (
+                ("channel.transfer_robust", "channel.transfers_robust")
+                if robust else ("channel.transfer", "channel.transfers"))
+            tracer.metrics.counter(counter).inc()
             tracer.metrics.histogram("channel.transfer_ber").observe(report.ber)
             tracer.complete(
-                "channel.transfer_robust", "channel", start, report.elapsed_ns,
+                event, "channel", start, report.elapsed_ns,
                 track="channel",
                 args={"bytes": len(payload), "bits": report.bits,
                       "bit_errors": report.bit_errors,

@@ -38,16 +38,15 @@ The state machine lives in :meth:`CovertSession.send` and is documented
 from __future__ import annotations
 
 import enum
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, List, Optional, Tuple
 
-from repro.core.channel import CovertChannel, require_int
+from repro.core.channel import CovertChannel
 from repro.core.ecc import CRC8, Hamming74, RepetitionCode, deinterleave, interleave
 from repro.core.encoding import bits_to_bytes, bytes_to_bits
 from repro.core.levels import ROBUST_SYMBOLS
-from repro.errors import CalibrationError, ProtocolError
+from repro.errors import CalibrationError, ProtocolError, bounded, check_fields
 from repro.obs.tracer import current as _obs
 from repro.units import bits_per_second, us_to_ns
 
@@ -85,24 +84,19 @@ class AdaptiveConfig:
         rate-1/3 repetition code trades more rate for margin).
     """
 
-    ber_window: int = 6
-    ber_bound: float = 0.08
-    recalibration_budget: int = 2
-    backoff_base_us: float = 1500.0
+    ber_window: int = bounded(6, ge=1)
+    ber_bound: float = bounded(0.08, gt=0, lt=1)
+    recalibration_budget: int = bounded(2, ge=0)
+    backoff_base_us: float = bounded(1500.0, ge=0)
     backoff_max_us: float = 25_000.0
-    degraded_fec: "FecScheme" = FecScheme.REPETITION3
+    degraded_fec: FecScheme = FecScheme.REPETITION3
 
     def __post_init__(self) -> None:
-        require_int("ber_window", self.ber_window, 1)
-        if not 0.0 < self.ber_bound < 1.0:
-            raise ProtocolError(f"BER bound must be in (0, 1), got {self.ber_bound}")
-        require_int("recalibration_budget", self.recalibration_budget, 0)
-        # Negated so NaN fails it too.
-        if not (0 <= self.backoff_base_us <= self.backoff_max_us < math.inf):
+        check_fields(self, ProtocolError)
+        if self.backoff_base_us > self.backoff_max_us:
             raise ProtocolError(
-                f"backoff must satisfy 0 <= backoff_base_us <= "
-                f"backoff_max_us < inf, got {self.backoff_base_us!r} / "
-                f"{self.backoff_max_us!r}")
+                f"backoff_base_us must be <= backoff_max_us, got "
+                f"{self.backoff_base_us!r} / {self.backoff_max_us!r}")
 
 
 @dataclass(frozen=True)
@@ -120,26 +114,20 @@ class SessionConfig:
         Retransmissions allowed per frame before the session fails.
     """
 
-    frame_bytes: int = 8
+    frame_bytes: int = bounded(8, ge=1, le=250)
     fec: FecScheme = FecScheme.HAMMING
-    max_retries: int = 4
+    max_retries: int = bounded(4, ge=0)
     #: Section 6.3's third strategy: sense the channel before each frame
     #: and defer while another application's PHIs are perturbing it.
     wait_for_quiet: bool = False
     #: Sense attempts per frame before transmitting anyway.
-    quiet_patience: int = 8
+    quiet_patience: int = bounded(8, ge=1)
     #: Adaptive behaviour (re-calibration, backoff, degradation); None
     #: keeps the session a plain stop-and-wait transport.
     adaptive: Optional[AdaptiveConfig] = None
 
     def __post_init__(self) -> None:
-        require_int("frame_bytes", self.frame_bytes, 1)
-        if self.frame_bytes > 250:
-            raise ProtocolError(
-                f"frame payload must be 1..250 bytes, got {self.frame_bytes}"
-            )
-        require_int("max_retries", self.max_retries, 0)
-        require_int("quiet_patience", self.quiet_patience, 1)
+        check_fields(self, ProtocolError)
 
     @property
     def code_rate(self) -> float:

@@ -325,6 +325,6 @@ def random_phi_schedule(total_ms: float, events_per_second: float,
         burst = min(us_to_ns(burst_us), total_ns - elapsed)
         if burst <= 0:
             break
-        trace.append(IClass(int(rng.choice(classes))), burst)
+        trace.append(IClass(classes[rng.integers(len(classes))]), burst)
         elapsed += burst
     return trace

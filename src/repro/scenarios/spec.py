@@ -25,7 +25,6 @@ See docs/SCENARIOS.md for the full grammar and worked examples.
 # No ``from __future__ import annotations``: the mapping codec reads
 # each field's declared type straight from ``dataclasses.fields()``.
 
-import math
 import re
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from typing import (
@@ -34,7 +33,7 @@ from typing import (
 )
 
 from repro.core.channel import ChannelConfig
-from repro.errors import ConfigError
+from repro.errors import ConfigError, bounded, check_fields
 from repro.faults import parse_fault_spec
 from repro.isa.instructions import IClass
 from repro.isa.workload import (
@@ -134,15 +133,12 @@ def options_to_mapping(options: SystemOptions) -> Dict[str, bool]:
 #: dict.  Its values are checked by the config they override.
 Pairs = Tuple[Tuple[str, Any], ...]
 
-#: What a scalar field of each declared type accepts, and its name in
-#: error messages.  ``bool`` is an ``int`` to Python but never a count.
-_SCALARS: Dict[type, Tuple[Tuple[type, ...], str]] = {
-    int: ((int,), "an integer"),
-    float: ((int, float), "a number"),
-    str: ((str,), "a string"),
-}
-
 _Spec = TypeVar("_Spec", bound="_MappingCodec")
+
+
+def _label(cls: type) -> str:
+    """How errors name a spec class: ``TenantSpec`` is ``tenant``."""
+    return cls.__name__[:-len("Spec")].lower()
 
 
 def _as_mapping(value: Any, path: str) -> Mapping[str, Any]:
@@ -152,52 +148,32 @@ def _as_mapping(value: Any, path: str) -> Mapping[str, Any]:
     return value
 
 
-def _decode(kind: Any, value: Any, path: str, built: bool = False) -> Any:
-    """``value`` checked against the declared type ``kind``.
+def _decode(kind: Any, value: Any, path: str) -> Any:
+    """A mapping value of declared type ``kind``, given its structure.
 
-    Raises ConfigError naming ``path`` (e.g. ``tenants[0].sender_core``)
-    on a value of the wrong type; a ``float`` field stores a float.
-    ``built`` checks a constructor argument instead of a mapping value:
-    a nested spec or ``SystemOptions`` must already be one, and a
-    mapping field is taken as ``(key, value)`` pairs.
+    A mapping becomes a nested spec, ``SystemOptions`` or ``(key,
+    value)`` pairs, and a list of specs a tuple of them.  Every other
+    value is passed on as read: the spec's constructor checks it.
     """
-    if kind is Any:
-        return value
-    if built and (kind is SystemOptions or is_dataclass(kind)):
-        if not isinstance(value, kind):
-            raise ConfigError(
-                f"{path} must be a {kind.__name__}, got {value!r}")
-        return value
     if kind is SystemOptions:
         return options_from_mapping(_as_mapping(value, path))
     if is_dataclass(kind):
         return _decode_spec(kind, value, path)
     if kind is Pairs:
-        pairs = value if built else _as_mapping(value, path).items()
-        return tuple(sorted((str(key), item) for key, item in pairs))
+        return tuple(_as_mapping(value, path).items())
     origin, args = get_origin(kind), get_args(kind)
-    if origin is Union:  # Optional[X]
-        return None if value is None else _decode(args[0], value, path,
-                                                  built)
-    if origin is tuple:
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{path} must be a list, got {value!r}")
-        if args[-1] is Ellipsis:
-            args = args[:1] * len(value)
-        elif len(value) != len(args):
-            raise ConfigError(
-                f"{path} must have {len(args)} items, got {value!r}")
-        return tuple(_decode(arg, item, f"{path}[{index}]", built)
-                     for index, (arg, item) in enumerate(zip(args, value)))
-    accepted, noun = _SCALARS[kind]
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        raise ConfigError(f"{path} must be {noun}, got {value!r}")
-    return float(value) if kind is float else value
+    if origin is Union and value is not None:  # Optional[X]
+        return _decode(args[0], value, path)
+    if (origin is tuple and args[-1] is Ellipsis
+            and isinstance(value, (list, tuple))):
+        return tuple(_decode(args[0], item, f"{path}[{index}]")
+                     for index, item in enumerate(value))
+    return value
 
 
 def _decode_spec(cls: Type[_Spec], value: Any, path: str) -> _Spec:
-    """Build ``cls`` from a mapping, decoding each field by its type."""
-    label = path or cls.__name__[:-len("Spec")].lower()
+    """Build ``cls`` from a mapping; errors name the field's ``path``."""
+    label = path or _label(cls)
     mapping = _as_mapping(value, label)
     spec_fields = fields(cls)
     _require_keys(mapping, [f.name for f in spec_fields], label)
@@ -208,7 +184,15 @@ def _decode_spec(cls: Type[_Spec], value: Any, path: str) -> _Spec:
                                      f"{path}.{f.name}" if path else f.name)
         elif f.default is MISSING:
             raise ConfigError(f"{label} mapping needs a {f.name!r} field")
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ConfigError as exc:
+        # A nested spec's field error names the spec by its class
+        # (``tenant.sender_core``); name it by its place in the document.
+        own = _label(cls) + "."
+        if not path or not str(exc).startswith(own):
+            raise
+        raise ConfigError(f"{path}.{str(exc)[len(own):]}") from None
 
 
 def _encode(value: Any) -> Any:
@@ -227,22 +211,19 @@ def _encode(value: Any) -> Any:
 class _MappingCodec:
     """The mapping round-trip of a spec, built from its dataclass fields.
 
-    Construction runs the codec's field-type rule too, so a spec built
-    in code holds exactly what :meth:`from_mapping` would accept, and
-    equal specs compare equal however they were spelt (lists become
-    tuples, mapping fields sorted pairs, ints in float fields floats).
+    Construction checks every field with
+    :func:`~repro.errors.check_fields`, so a spec built in code holds
+    exactly what :meth:`from_mapping` would accept, and equal specs
+    compare equal however they were spelt (lists become tuples, ints in
+    float fields floats, mapping fields sorted pairs).
     """
 
     def __post_init__(self) -> None:
-        label = type(self).__name__[:-len("Spec")].lower()
-        for f in fields(self):
-            object.__setattr__(self, f.name, _decode(
-                f.type, getattr(self, f.name), f"{label}.{f.name}",
-                built=True))
+        check_fields(self, label=_label(type(self)))
         self._validate()
 
     def _validate(self) -> None:
-        """Value checks beyond the declared field types."""
+        """Value checks beyond the declared field types and bounds."""
 
     @classmethod
     def from_mapping(cls: Type[_Spec], mapping: Mapping[str, Any]) -> _Spec:
@@ -278,23 +259,15 @@ class NoiseSpec(_MappingCodec):
     interrupt_mean_us: float = 3.0
     ctx_switch_rate_per_s: float = 100.0
     ctx_switch_mean_us: float = 25.0
-    horizon_ms: float = 50.0
+    horizon_ms: float = bounded(50.0, gt=0)
     seed: int = 1
 
     def _validate(self) -> None:
-        """Rates finite and >= 0; means and horizon finite and positive."""
-        for name in ("interrupt_rate_per_s", "ctx_switch_rate_per_s"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                raise ConfigError(
-                    f"noise.{name} must be finite and >= 0, got {value}")
-        for name in ("interrupt_mean_us", "ctx_switch_mean_us",
-                     "horizon_ms"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ConfigError(
-                    f"noise.{name} must be finite and positive, "
-                    f"got {value}")
+        """The four noise fields are bounded by :class:`NoiseConfig`."""
+        try:
+            self.config()
+        except ConfigError as exc:
+            raise ConfigError(f"noise.{exc}") from None
 
     def config(self) -> NoiseConfig:
         """The :class:`~repro.soc.noise.NoiseConfig` this spec describes."""
@@ -334,32 +307,19 @@ class WorkloadSpec(_MappingCodec):
     """
 
     kind: str
-    core: int = 1
-    smt_slot: int = 0
-    duration_ms: float = 20.0
+    core: int = bounded(1, ge=0)
+    smt_slot: int = bounded(0, ge=0, le=1)
+    duration_ms: float = bounded(20.0, gt=0)
     seed: int = 7
-    rate_per_s: float = 200.0
+    rate_per_s: float = bounded(200.0, ge=0)
     phases: Tuple[Tuple[str, float], ...] = ()
 
     def _validate(self) -> None:
-        """Known kind, placement, finite numbers, well-formed phases."""
+        """Known kind and well-formed phases."""
         if self.kind not in WORKLOAD_KINDS:
             raise ConfigError(
                 f"unknown workload kind {self.kind!r}; "
                 f"valid kinds: {', '.join(WORKLOAD_KINDS)}")
-        if self.core < 0:
-            raise ConfigError(f"workload core must be >= 0, got {self.core}")
-        if self.smt_slot not in (0, 1):
-            raise ConfigError(
-                f"workload smt_slot must be 0 or 1, got {self.smt_slot}")
-        if not 0 < self.duration_ms < math.inf:
-            raise ConfigError(
-                f"workload duration_ms must be finite and positive, "
-                f"got {self.duration_ms}")
-        if not 0 <= self.rate_per_s < math.inf:
-            raise ConfigError(
-                f"workload rate_per_s must be finite and >= 0, "
-                f"got {self.rate_per_s}")
         if self.kind == "replay":
             if not self.phases:
                 raise ConfigError(
@@ -371,10 +331,10 @@ class WorkloadSpec(_MappingCodec):
                         f"unknown instruction class {name!r} in replay "
                         f"phases; valid classes: "
                         f"{', '.join(IClass.__members__)}")
-                if not 0 < duration < math.inf:
+                if duration <= 0:
                     raise ConfigError(
-                        f"replay phase durations must be finite and "
-                        f"positive ns, got {duration} for {name}")
+                        f"replay phase durations must be positive ns, "
+                        f"got {duration} for {name}")
         elif self.phases:
             raise ConfigError(
                 f"'phases' is only valid for kind 'replay', "
@@ -447,20 +407,16 @@ class TenantSpec(_MappingCodec):
     """
 
     channel: str
-    sender_core: int = 0
-    receiver_core: int = 1
-    offset_fraction: float = 0.0
+    sender_core: int = bounded(0, ge=0)
+    receiver_core: int = bounded(1, ge=0)
+    offset_fraction: float = bounded(0.0, ge=0, lt=1)
 
     def _validate(self) -> None:
-        """Known channel, a placement it allows, an offset in [0, 1)."""
+        """Known channel and a placement it allows."""
         if self.channel not in CHANNEL_KINDS:
             raise ConfigError(
                 f"unknown tenant channel {self.channel!r}; "
                 f"valid channels: {', '.join(CHANNEL_KINDS)}")
-        if self.sender_core < 0 or self.receiver_core < 0:
-            raise ConfigError(
-                f"tenant cores must be >= 0, got "
-                f"{self.sender_core}/{self.receiver_core}")
         if self.channel in ("thread", "smt"):
             if self.sender_core != self.receiver_core:
                 raise ConfigError(
@@ -471,10 +427,6 @@ class TenantSpec(_MappingCodec):
             raise ConfigError(
                 f"a 'cores' tenant needs two distinct cores, got both "
                 f"on core {self.sender_core}")
-        if not 0.0 <= self.offset_fraction < 1.0:
-            raise ConfigError(
-                f"offset_fraction must be in [0, 1), "
-                f"got {self.offset_fraction}")
 
     def hardware_threads(self) -> Tuple[Tuple[int, int], ...]:
         """``(core, smt_slot)`` pairs this tenant occupies exclusively."""
@@ -527,6 +479,13 @@ class ScenarioSpec(_MappingCodec):
 
     def _validate(self) -> None:
         """Front-loaded validation; every failure names its field."""
+        for name in ("overrides", "protocol"):
+            pairs = getattr(self, name)
+            keys = [key for key, _ in pairs]
+            for key in keys:
+                if keys.count(key) > 1:
+                    raise ConfigError(f"scenario.{name} sets {key!r} twice")
+            object.__setattr__(self, name, tuple(sorted(pairs)))
         if not _NAME_RE.fullmatch(self.name):
             raise ConfigError(
                 f"scenario name must be a lowercase identifier "

@@ -20,12 +20,10 @@ measurements:
 from __future__ import annotations
 
 import functools
-import math
-import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Tuple
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, bounded, check_fields
 from repro.pdn.regulator import VRKind, VRSpec
 from repro.pmu.dvfs import VFCurve
 from repro.pmu.optable import OperatingPointTable
@@ -43,8 +41,8 @@ class ProcessorConfig:
 
     name: str
     codename: str
-    n_cores: int
-    smt_per_core: int
+    n_cores: int = bounded(ge=1)
+    smt_per_core: int = bounded(ge=1, le=2)
     min_freq_ghz: float
     base_freq_ghz: float
     max_turbo_ghz: float
@@ -66,37 +64,14 @@ class ProcessorConfig:
     pstate_step_ghz: float = 0.1
     #: Margin below the V/F-curve baseline that defines Vcc_min at the
     #: current frequency; di/dt dips beyond it are voltage emergencies.
-    droop_margin_mv: float = 25.0
+    droop_margin_mv: float = bounded(25.0, ge=0)
     #: Parts whose PDN natively gives every core its own regulator
     #: (AMD Zen's LDOs, POWER8's microregulators).  The paper confirms
     #: that naively porting IChannels to such parts fails (Section 7).
     per_core_rails: bool = False
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            # Annotations are strings here (postponed evaluation); int
-            # and float lead the tuple so plain numbers skip the ABC check.
-            if f.type in ("int", "float") and (
-                    isinstance(value, bool)
-                    or not isinstance(value, (int, float, numbers.Real))):
-                raise ConfigError(
-                    f"{f.name} must be a number, got {value!r}")
-            values = ([x for point in value for x in point]
-                      if f.name == "vf_points" else [value])
-            if any(isinstance(x, float) and not math.isfinite(x)
-                   for x in values):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
-        if self.droop_margin_mv < 0:
-            raise ConfigError(
-                f"droop_margin_mv must be >= 0, got {self.droop_margin_mv}")
-        if (not isinstance(self.n_cores, numbers.Integral)
-                or isinstance(self.n_cores, bool)
-                or self.n_cores < 1):
-            raise ConfigError(
-                f"n_cores must be an integer >= 1, got {self.n_cores!r}")
-        if self.smt_per_core not in (1, 2):
-            raise ConfigError(f"smt_per_core must be 1 or 2, got {self.smt_per_core}")
+        check_fields(self)
         if not self.min_freq_ghz <= self.base_freq_ghz <= self.max_turbo_ghz:
             raise ConfigError(
                 f"frequency ladder disordered: {self.min_freq_ghz} <= "

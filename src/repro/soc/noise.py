@@ -23,7 +23,7 @@ from typing import Generator, Sequence
 
 import numpy as np
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, bounded, check_fields
 from repro.isa.workload import PhaseTrace
 from repro.soc.system import System
 from repro.units import us_to_ns
@@ -38,16 +38,13 @@ class NoiseConfig:
     hundreds (noisy) to thousands (highly noisy) of events per second.
     """
 
-    interrupt_rate_per_s: float = 500.0
-    interrupt_mean_us: float = 3.0
-    ctx_switch_rate_per_s: float = 100.0
-    ctx_switch_mean_us: float = 25.0
+    interrupt_rate_per_s: float = bounded(500.0, ge=0)
+    interrupt_mean_us: float = bounded(3.0, gt=0)
+    ctx_switch_rate_per_s: float = bounded(100.0, ge=0)
+    ctx_switch_mean_us: float = bounded(25.0, gt=0)
 
     def __post_init__(self) -> None:
-        if self.interrupt_rate_per_s < 0 or self.ctx_switch_rate_per_s < 0:
-            raise ConfigError("noise rates must be >= 0")
-        if self.interrupt_mean_us <= 0 or self.ctx_switch_mean_us <= 0:
-            raise ConfigError("noise service times must be positive")
+        check_fields(self)
 
     @property
     def total_event_rate_per_s(self) -> float:
@@ -63,6 +60,7 @@ def _preemption_process(system: System, thread_id: int, rate_per_s: float,
         return
         yield  # pragma: no cover - makes this a generator
     mean_gap_ns = 1e9 / rate_per_s
+    log_mean_us = np.log(mean_us)
     while system.now < horizon_ns:
         gap = float(rng.exponential(mean_gap_ns))
         yield system.sleep(gap)
@@ -70,7 +68,7 @@ def _preemption_process(system: System, thread_id: int, rate_per_s: float,
             break
         # Lognormal jitter around the mean service time: occasional long
         # handlers, never negative.
-        service_us = float(rng.lognormal(np.log(mean_us), 0.35))
+        service_us = float(rng.lognormal(log_mean_us, 0.35))
         system.suspend_thread(thread_id)
         yield system.sleep(us_to_ns(service_us))
         system.resume_thread(thread_id)

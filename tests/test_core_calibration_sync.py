@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -70,7 +70,6 @@ class TestCalibrator:
         cal = Calibrator(training({0: [10.0, 12.0]}))
         stats = cal.stats[0]
         assert stats.count == 2
-        assert stats.mean == pytest.approx(11.0)
         assert stats.center == pytest.approx(11.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -88,8 +87,7 @@ class TestCalibrator:
             Calibrator(training({0: [10.0], 1: [10.5]}), min_gap=bad)
 
 
-#: Probe times are TSC cycle counts; the range keeps sums and squares of
-#: up to 64 values far from float overflow.
+#: Probe times are TSC cycle counts.
 _cluster = st.lists(st.floats(min_value=-1e12, max_value=1e12,
                               allow_nan=False, allow_infinity=False),
                     min_size=1, max_size=64)
@@ -100,11 +98,6 @@ class TestClusterStatistics:
 
     @settings(max_examples=200, deadline=None)
     @given(clusters=st.lists(_cluster, min_size=1, max_size=4))
-    # Cancellation: numpy's pairwise sum loses the 1e-5 that ours keeps.
-    @example(clusters=[[1e12, -1e12] + [0.0] * 6 + [1e-5] + [0.0] * 7])
-    # Below 8 values numpy sums in order: 1.0999755859375 here, where a
-    # compensated sum (the builtin sum() from Python 3.12) gives 1.1.
-    @example(clusters=[[1e12, 1.1, -1e12]])
     def test_matches_numpy(self, clusters):
         cal = Calibrator([(symbol, v) for symbol, values in enumerate(clusters)
                           for v in values])
@@ -115,15 +108,6 @@ class TestClusterStatistics:
             assert stats.center == float(np.median(arr))
             assert stats.minimum == float(np.min(arr))
             assert stats.maximum == float(np.max(arr))
-            # numpy sums pairwise from 8 values up, so only there may the
-            # last bits differ; the floor scales with the values because a
-            # spread below their rounding has no relative precision to keep.
-            mean, std = float(np.mean(arr)), float(np.std(arr))
-            if len(values) < 8:
-                assert (stats.mean, stats.std) == (mean, std)
-            floor = 1e-12 * float(np.max(np.abs(arr)))
-            assert stats.mean == pytest.approx(mean, rel=1e-12, abs=floor)
-            assert stats.std == pytest.approx(std, rel=1e-12, abs=floor)
         centers = sorted(float(np.median(v)) for v in clusters)
         assert cal.thresholds == [(a + b) / 2.0
                                   for a, b in zip(centers, centers[1:])]

@@ -188,13 +188,13 @@ class TestChannelConfig:
 
     @pytest.mark.parametrize("slot_us", [float("nan"), float("inf"), -1.0])
     def test_non_finite_or_negative_slot_rejected(self, slot_us):
-        with pytest.raises(ProtocolError, match="slot must be"):
+        with pytest.raises(ProtocolError, match="slot_us must be"):
             ChannelConfig(slot_us=slot_us)
 
     @pytest.mark.parametrize("slot_jitter_us",
                              [float("nan"), float("inf"), -1.0])
     def test_bad_slot_jitter_rejected(self, slot_jitter_us):
-        with pytest.raises(ProtocolError, match="slot jitter"):
+        with pytest.raises(ProtocolError, match="slot_jitter_us must be"):
             ChannelConfig(slot_jitter_us=slot_jitter_us)
 
     def test_negative_jitter_seed_rejected(self):
@@ -227,6 +227,11 @@ class TestChannelConfig:
         ("min_level_gap_tsc", float("nan")),
         ("min_level_gap_tsc", float("inf")),
         ("min_level_gap_tsc", -1.0),
+        # A bool is not a slot length; a string used to die with a bare
+        # TypeError from the comparison.
+        ("slot_us", True),
+        ("cross_core_delay_ns", True),
+        ("slot_us", "750"),
     ])
     def test_bad_numeric_knob_rejected_at_construction(self, field, value):
         with pytest.raises(ProtocolError, match=field):

@@ -51,6 +51,8 @@ class TestSessionConfig:
     @pytest.mark.parametrize("field, value", [
         ("frame_bytes", 1.5),
         ("quiet_patience", float("nan")),
+        # A truthy "no" must not switch quiet-period sensing on.
+        ("wait_for_quiet", "no"),
     ])
     def test_non_integral_counts_rejected(self, field, value):
         with pytest.raises(ProtocolError, match=field):
@@ -250,6 +252,7 @@ class TestAdaptiveConfigValidation:
         ("recalibration_budget", 0.5),
         ("backoff_base_us", float("nan")),
         ("backoff_max_us", float("inf")),
+        ("backoff_base_us", True),
     ])
     def test_non_integral_or_non_finite_rejected(self, field, value):
         with pytest.raises(ProtocolError, match=field):

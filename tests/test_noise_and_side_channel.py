@@ -26,6 +26,12 @@ class TestNoiseConfig:
         with pytest.raises(ConfigError):
             NoiseConfig(interrupt_mean_us=0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True],
+                             ids=["nan", "inf", "bool"])
+    def test_rejects_non_finite_or_bool_rate(self, value):
+        with pytest.raises(ConfigError, match="interrupt_rate_per_s"):
+            NoiseConfig(interrupt_rate_per_s=value)
+
 
 class TestSystemNoise:
     def test_noise_preempts_threads(self):

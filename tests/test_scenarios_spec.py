@@ -2,10 +2,11 @@
 
 import itertools
 import json
+import math
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from repro.errors import ConfigError, ProtocolError
 from repro.scenarios import (
@@ -129,6 +130,63 @@ def scenario_specs(draw):
     )
 
 
+#: Loosely drawn values: the right kinds over ranges that cross every
+#: bound, ints for float fields and lists for tuple fields, so only
+#: some draws construct.
+_loose_ints = st.integers(min_value=-1, max_value=4)
+_loose_floats = st.one_of(st.integers(min_value=-1, max_value=3),
+                          st.floats(min_value=-1.0, max_value=2.0),
+                          st.floats(min_value=-1.0, max_value=1e9),
+                          st.just(math.nan))
+
+
+@st.composite
+def constructed(draw, cls, **strategies):
+    """A ``cls`` built from drawn keyword values, when it constructs."""
+    kwargs = {name: draw(strategy) for name, strategy in strategies.items()}
+    try:
+        return cls(**kwargs)
+    except (ConfigError, ProtocolError):
+        reject()
+
+
+loose_specs = st.one_of(
+    constructed(NoiseSpec, **{name: _loose_floats for name in (
+        "interrupt_rate_per_s", "interrupt_mean_us", "ctx_switch_rate_per_s",
+        "ctx_switch_mean_us", "horizon_ms")}, seed=_loose_ints),
+    constructed(WorkloadSpec, kind=st.sampled_from(("browser", "replay")),
+                core=_loose_ints,
+                smt_slot=st.integers(min_value=-1, max_value=2),
+                duration_ms=_loose_floats, seed=_loose_ints,
+                rate_per_s=_loose_floats,
+                phases=st.lists(st.tuples(st.just("SCALAR_64"), _loose_floats)
+                                .map(list), max_size=2)),
+    constructed(TenantSpec, channel=st.sampled_from(("thread", "cores")),
+                sender_core=st.integers(min_value=0, max_value=1),
+                receiver_core=st.integers(min_value=0, max_value=1),
+                offset_fraction=st.one_of(
+                    st.integers(min_value=-1, max_value=1),
+                    st.floats(min_value=-0.5, max_value=1.5))),
+    constructed(ScenarioSpec, name=st.just("x"), description=st.just("d"),
+                preset=st.sampled_from(("cannon_lake", "skylake_sp")),
+                overrides=st.one_of(
+                    st.just([]),
+                    st.tuples(st.just("vid_step_mv"), _loose_floats)
+                    .map(lambda pair: [list(pair)]),
+                    st.tuples(st.just("n_cores"), _loose_ints)
+                    .map(lambda pair: [pair])),
+                protocol=st.one_of(
+                    st.just(()),
+                    st.tuples(st.just("slot_us"), _loose_floats)
+                    .map(lambda pair: (pair,)),
+                    st.tuples(st.just("training_rounds"), _loose_ints)
+                    .map(lambda pair: (pair,))),
+                tenants=st.lists(tenant_specs(0, smt=False), min_size=1,
+                                 max_size=1),
+                noise=st.one_of(st.none(), noise_specs)),
+)
+
+
 # -- round-trips -------------------------------------------------------------
 
 class TestRoundTrips:
@@ -160,6 +218,16 @@ class TestRoundTrips:
     @given(workload=workload_specs)
     def test_workload_round_trip(self, workload):
         assert WorkloadSpec.from_mapping(workload.to_mapping()) == workload
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=loose_specs)
+    def test_every_constructed_spec_round_trips(self, spec):
+        """Construction and decoding run the same checks: whatever a
+        constructor accepts (an int in a float field, a list for a
+        tuple) reads back from its JSON mapping unchanged, float type
+        included."""
+        wire = json.loads(json.dumps(spec.to_mapping()))
+        assert repr(type(spec).from_mapping(wire)) == repr(spec)
 
     def test_replay_captures_a_recorded_trace(self):
         trace = sevenzip_like_trace(5.0, seed=7)
@@ -330,14 +398,24 @@ class TestRejection:
     ], ids=["rate-neg", "rate-nan", "rate-inf", "duration-nan",
             "duration-inf"])
     def test_workload_rejects_bad_numbers(self, field, value):
-        with pytest.raises(ConfigError, match=f"workload {field}"):
+        with pytest.raises(ConfigError, match=re.escape(f"workload.{field}")):
             WorkloadSpec("phi_schedule", **{field: value})
 
     @pytest.mark.parametrize("duration", [float("nan"), float("inf")],
                              ids=["nan", "inf"])
     def test_replay_rejects_non_finite_phase(self, duration):
-        with pytest.raises(ConfigError, match="replay phase durations"):
+        with pytest.raises(ConfigError, match=re.escape(
+                "workload.phases[0][1] must be finite")):
             WorkloadSpec("replay", phases=(("SCALAR_64", duration),))
+
+    @pytest.mark.parametrize("field", ["overrides", "protocol"])
+    def test_repeated_pair_key_rejected(self, field):
+        # Sorting the pairs compared the values of a repeated key (a
+        # bare TypeError for 1.0 vs "x"), or kept one value silently.
+        for values in ((1.0, "x"), (2, 1)):
+            with pytest.raises(ConfigError, match=f"{field} sets 'n_cores'"):
+                ScenarioSpec(name="x", description="d", **{field: tuple(
+                    ("n_cores", value) for value in values)})
 
     def test_bad_protocol_value_propagates(self):
         with pytest.raises(ProtocolError):
@@ -372,9 +450,10 @@ class TestRejection:
         # other protocol override (test_bad_protocol_value_propagates).
         ({"protocol": {"adaptive_slot": "false"}},
          ProtocolError, "adaptive_slot"),
+        ({"protocol": {"slot_us": True}}, ProtocolError, "slot_us"),
     ], ids=["sender-core-float", "receiver-core-str", "noise-seed-float",
             "payload-int", "background-core-float", "background-slot-bool",
-            "override-str", "adaptive-slot-str"])
+            "override-str", "adaptive-slot-str", "slot-us-bool"])
     def test_wrong_type_is_rejected_not_coerced(self, extra, error, field):
         with pytest.raises(error, match=re.escape(field)):
             ScenarioSpec.from_mapping(
