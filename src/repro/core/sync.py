@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, bounded, check_fields
 
 #: Relative boundary tolerance of :meth:`SlotSchedule.slot_index_at`, in
 #: units of float64 rounding.  ``(t - epoch) / slot`` accumulates a few
@@ -66,17 +66,11 @@ def _uniform(key: int, counter: int) -> float:
 class SlotSchedule:
     """A shared schedule of fixed-length transaction slots."""
 
-    epoch_ns: float
-    slot_ns: float
+    epoch_ns: float = bounded(ge=0)
+    slot_ns: float = bounded(gt=0)
 
     def __post_init__(self) -> None:
-        # Negated comparisons so NaN fails them too.
-        if not 0 < self.slot_ns < math.inf:
-            raise ProtocolError(
-                f"slot length must be positive and finite, got {self.slot_ns}")
-        if not 0 <= self.epoch_ns < math.inf:
-            raise ProtocolError(
-                f"epoch must be finite and >= 0, got {self.epoch_ns}")
+        check_fields(self, ProtocolError)
 
     def slot_start(self, index: int) -> float:
         """Absolute start time of slot ``index``."""
@@ -119,7 +113,7 @@ class JitteredSchedule(SlotSchedule):
     slack the slot leaves after its send window).
     """
 
-    jitter_ns: float = 0.0
+    jitter_ns: float = bounded(0.0, ge=0)
     seed: int = 0
     _offsets: dict = field(default_factory=dict, compare=False)
     _key: int = field(default=0, init=False, repr=False, compare=False)
@@ -127,8 +121,6 @@ class JitteredSchedule(SlotSchedule):
     def __post_init__(self) -> None:
         super().__post_init__()
         object.__setattr__(self, "_key", _fold_key((self.seed,)))
-        if not self.jitter_ns >= 0:
-            raise ProtocolError(f"jitter must be >= 0, got {self.jitter_ns}")
         if self.jitter_ns >= self.slot_ns:
             raise ProtocolError(
                 f"jitter {self.jitter_ns} must stay below the slot "
@@ -170,8 +162,8 @@ class PerturbedSchedule(SlotSchedule):
     """
 
     base: SlotSchedule = None  # type: ignore[assignment]
-    sigma_ns: float = 0.0
-    cap_ns: float = 0.0
+    sigma_ns: float = bounded(0.0, ge=0)
+    cap_ns: float = bounded(0.0, ge=0)
     salt: tuple = ()
     _delays: dict = field(default_factory=dict, compare=False)
     _key: int = field(default=0, init=False, repr=False, compare=False)
@@ -179,12 +171,6 @@ class PerturbedSchedule(SlotSchedule):
     def __post_init__(self) -> None:
         super().__post_init__()
         object.__setattr__(self, "_key", _fold_key(self.salt))
-        if self.base is None:
-            raise ProtocolError("PerturbedSchedule needs a base schedule")
-        if not (0 <= self.sigma_ns < math.inf and 0 <= self.cap_ns < math.inf):
-            raise ProtocolError(
-                f"delay sigma and cap must be finite and >= 0, got "
-                f"{self.sigma_ns} and {self.cap_ns}")
 
     @classmethod
     def wrap(cls, base: SlotSchedule, sigma_ns: float, cap_ns: float,

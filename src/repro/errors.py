@@ -144,18 +144,18 @@ def _tuple(items: Tuple[_Check, ...], variadic: bool) -> _Check:
 
 def _compile(kind: Any, bounds: Mapping[str, float]) -> Optional[_Check]:
     """The rule for one declared type; None leaves the field unchecked."""
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is Union:  # Optional[X]: the bounds hold X
+        inner = _compile(args[0], bounds)
+        if inner is None:
+            return None
+        return lambda value: None if value is None else inner(value)
     if bounds and kind not in (int, float):
         raise TypeError(f"bounds {dict(bounds)} on a non-numeric {kind}")
     if kind is int or kind is float:
         return _number(kind, bounds)
     if kind is bool or kind is str:
         return _instance(kind, "true or false" if kind is bool else "a string")
-    origin, args = get_origin(kind), get_args(kind)
-    if origin is Union:  # Optional[X]
-        inner = _compile(args[0], {})
-        if inner is None:
-            return None
-        return lambda value: None if value is None else inner(value)
     if origin is tuple:
         variadic = args[-1] is Ellipsis
         items = tuple(_compile(arg, {}) or (lambda value: value)
@@ -185,10 +185,10 @@ def check_fields(obj: Any, error: Type[ReproError] = ConfigError,
     tuple or list (stored as a tuple) and checks its items,
     ``Optional[X]`` takes None or an ``X``, and a field of any other
     class (an enum, a nested spec) an instance of it.  :func:`bounded`
-    metadata bounds a number.  The first violation raises ``error``
-    naming the field, after ``label.`` when given, and the value.
-    Every config and scenario dataclass calls this from
-    ``__post_init__``; cross-field rules stay with the class.
+    metadata bounds a number (or an optional one).  The first violation
+    raises ``error`` naming the field, after ``label.`` when given, and
+    the value.  Every config, spec and fault-model dataclass calls this
+    from ``__post_init__``; cross-field rules stay with the class.
     """
     for name, check in _rules(type(obj)):
         value = getattr(obj, name)

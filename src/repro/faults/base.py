@@ -23,13 +23,13 @@ one dial from "clean" (0.0) through "nominal" (1.0) to "hostile" (>1).
 from __future__ import annotations
 
 import abc
-import math
 import zlib
-from typing import TYPE_CHECKING, ClassVar, Dict, Union
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, ClassVar, Union
 
 import numpy as np
 
-from repro.errors import ConfigError
+from repro.errors import bounded, check_fields
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.faults.injector import FaultInjector
@@ -47,8 +47,13 @@ def _salt_int(value: Union[int, str]) -> int:
     return zlib.crc32(value.encode())
 
 
+@dataclass(eq=False, kw_only=True)
 class FaultModel(abc.ABC):
     """One deterministic perturbation of the simulation.
+
+    A concrete model is a keyword-only dataclass declaring its magnitude
+    knobs as typed fields (with :func:`~repro.errors.bounded` limits);
+    :func:`~repro.errors.check_fields` checks every knob at construction.
 
     Parameters
     ----------
@@ -67,18 +72,16 @@ class FaultModel(abc.ABC):
 
     #: True when the model perturbs slot schedules (sync seam).
     perturbs_schedule: ClassVar[bool] = False
-    #: Perturbation events applied so far (for reports and tests); the
-    #: first ``+= 1`` makes it an instance attribute.
-    events: int = 0
+    #: Perturbation events applied so far (for reports and tests); a
+    #: class attribute, not a field: the first ``+= 1`` makes it an
+    #: instance attribute.
+    events = 0
 
-    def __init__(self, intensity: float = 1.0, seed: int = 0) -> None:
-        if not 0 <= intensity < math.inf:
-            raise ConfigError(
-                f"fault intensity must be finite and >= 0, got {intensity}")
-        if seed < 0:
-            raise ConfigError(f"fault seed must be >= 0, got {seed}")
-        self.intensity = float(intensity)
-        self.seed = int(seed)
+    intensity: float = bounded(1.0, ge=0)
+    seed: int = bounded(0, ge=0)
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
     @abc.abstractmethod
     def attach(self, system: "System", injector: "FaultInjector") -> None:
@@ -89,10 +92,6 @@ class FaultModel(abc.ABC):
         first event here, passive models (measurement/schedule seams)
         only record the handles they need.
         """
-
-    def params(self) -> Dict[str, float]:
-        """The model's magnitude knobs, for specs and ``repr``."""
-        return {}
 
     def rng(self, *salt: Union[int, str]) -> np.random.Generator:
         """A deterministic generator for this model and ``salt``.
@@ -106,14 +105,20 @@ class FaultModel(abc.ABC):
         return np.random.default_rng(parts + tuple(_salt_int(s) for s in salt))
 
     def describe(self) -> str:
-        """Spec-string form of this model (``name:key=value,...``)."""
-        knobs = dict(self.params())
-        knobs["intensity"] = self.intensity
-        knobs["seed"] = self.seed
-        inner = ",".join(f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}"
-                         for k, v in knobs.items())
-        return f"{self.name}:{inner}" if inner else self.name
+        """Spec-string form of this model (``name:key=value,...``).
 
-    def __repr__(self) -> str:
-        """Debug form mirroring the spec string."""
-        return f"<{type(self).__name__} {self.describe()}>"
+        Knobs come in declaration order, then ``intensity`` and ``seed``;
+        an unset (None) knob is left out.  A float prints in ``g`` form
+        when that reads back exactly, else in full.
+        """
+        knobs = [f.name for f in fields(self)
+                 if f.init and f.name not in ("intensity", "seed")]
+        parts = []
+        for key in knobs + ["intensity", "seed"]:
+            value = getattr(self, key)
+            if value is None:
+                continue
+            if isinstance(value, float) and float(f"{value:g}") == value:
+                value = f"{value:g}"
+            parts.append(f"{key}={value}")
+        return f"{self.name}:{','.join(parts)}"

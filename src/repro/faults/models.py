@@ -27,13 +27,13 @@ to an attacker-facing noise source.
 
 from __future__ import annotations
 
-import math
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Generator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.sync import PerturbedSchedule, SlotSchedule
-from repro.errors import ConfigError
+from repro.errors import ConfigError, bounded
 from repro.faults.base import SEED_SPACE, FaultModel, _salt_int
 from repro.isa.instructions import IClass
 from repro.microarch.tsc import DriftingTimestampCounter
@@ -45,6 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.soc.system import System
 
 
+@dataclass(eq=False, kw_only=True)
 class RailVoltageJitter(FaultModel):
     """Extra Gaussian noise on every DAQ-sampled rail series.
 
@@ -58,17 +59,8 @@ class RailVoltageJitter(FaultModel):
     name = "rail-jitter"
     perturbs_measurements = True
 
-    def __init__(self, sigma_mv: float = 2.0,
-                 intensity: float = 1.0, seed: int = 0) -> None:
-        super().__init__(intensity, seed)
-        if not 0 <= sigma_mv < math.inf:
-            raise ConfigError(f"sigma_mv must be finite and >= 0, got {sigma_mv}")
-        self.sigma_mv = float(sigma_mv)
-        self._calls = 0
-
-    def params(self) -> Dict[str, float]:
-        """Magnitude knobs (``sigma_mv``)."""
-        return {"sigma_mv": self.sigma_mv}
+    sigma_mv: float = bounded(2.0, ge=0)
+    _calls: int = field(default=0, init=False, repr=False)
 
     def attach(self, system: "System", injector: "FaultInjector") -> None:
         """No event-driven state; sampling pulls from this model lazily."""
@@ -85,6 +77,7 @@ class RailVoltageJitter(FaultModel):
         return values + rng.normal(0.0, sigma, len(values))
 
 
+@dataclass(eq=False, kw_only=True)
 class SampleDropout(FaultModel):
     """Random DAQ samples replaced by the last good value.
 
@@ -97,17 +90,8 @@ class SampleDropout(FaultModel):
     name = "dropout"
     perturbs_measurements = True
 
-    def __init__(self, probability: float = 0.01,
-                 intensity: float = 1.0, seed: int = 0) -> None:
-        super().__init__(intensity, seed)
-        if not 0.0 <= probability <= 1.0:
-            raise ConfigError(f"probability must be in [0, 1], got {probability}")
-        self.probability = float(probability)
-        self._calls = 0
-
-    def params(self) -> Dict[str, float]:
-        """Magnitude knobs (``probability``)."""
-        return {"probability": self.probability}
+    probability: float = bounded(0.01, ge=0, le=1)
+    _calls: int = field(default=0, init=False, repr=False)
 
     def attach(self, system: "System", injector: "FaultInjector") -> None:
         """No event-driven state; sampling pulls from this model lazily."""
@@ -134,6 +118,7 @@ class SampleDropout(FaultModel):
         return out[idx]
 
 
+@dataclass(eq=False, kw_only=True)
 class GrantQueueInterference(FaultModel):
     """A phantom co-runner issuing competing guardband transitions.
 
@@ -156,31 +141,12 @@ class GrantQueueInterference(FaultModel):
     BURST_CLASSES = (IClass.HEAVY_128, IClass.LIGHT_256,
                      IClass.HEAVY_256, IClass.HEAVY_512)
 
-    def __init__(self, burst_rate_per_s: float = 300.0, hold_us: float = 120.0,
-                 core: Optional[int] = None, horizon_ms: float = 5000.0,
-                 intensity: float = 1.0, seed: int = 0) -> None:
-        super().__init__(intensity, seed)
-        if not 0 <= burst_rate_per_s < math.inf:
-            raise ConfigError(
-                f"burst rate must be finite and >= 0, got {burst_rate_per_s}")
-        if not 0 < hold_us < math.inf:
-            raise ConfigError(
-                f"hold time must be finite and positive, got {hold_us}")
-        if not 0 < horizon_ms < math.inf:
-            raise ConfigError(
-                f"horizon must be finite and positive, got {horizon_ms}")
-        self.burst_rate_per_s = float(burst_rate_per_s)
-        self.hold_us = float(hold_us)
-        self.core = core
-        self.horizon_ms = float(horizon_ms)
-
-    def params(self) -> Dict[str, float]:
-        """Magnitude knobs (rate, hold time, horizon)."""
-        knobs = {"burst_rate_per_s": self.burst_rate_per_s,
-                 "hold_us": self.hold_us, "horizon_ms": self.horizon_ms}
-        if self.core is not None:
-            knobs["core"] = self.core
-        return knobs
+    burst_rate_per_s: float = bounded(300.0, ge=0)
+    hold_us: float = bounded(120.0, gt=0)
+    horizon_ms: float = bounded(5000.0, gt=0)
+    #: Last: ``describe()`` lists knobs in declaration order, and spec
+    #: strings have always named ``core`` after the other knobs.
+    core: Optional[int] = bounded(None, ge=0)
 
     def _process(self, system: "System", core: int) -> Generator:
         rng = self.rng("bursts")
@@ -204,12 +170,13 @@ class GrantQueueInterference(FaultModel):
         if self.intensity <= 0 or self.burst_rate_per_s <= 0:
             return
         core = self.core if self.core is not None else system.config.n_cores - 1
-        if not 0 <= core < system.config.n_cores:
+        if core >= system.config.n_cores:
             raise ConfigError(f"no such core for interference: {core}")
         system.spawn(self._process(system, core),
                      name=f"fault_grant_interference_c{core}")
 
 
+@dataclass(eq=False, kw_only=True)
 class ThermalDriftRamp(FaultModel):
     """A slowly warming enclosure drifting the ambient reference.
 
@@ -227,27 +194,13 @@ class ThermalDriftRamp(FaultModel):
 
     name = "thermal-drift"
 
-    def __init__(self, rate_c_per_s: float = 2.0, max_drift_c: float = 10.0,
-                 step_us: float = 500.0,
-                 intensity: float = 1.0, seed: int = 0) -> None:
-        super().__init__(intensity, seed)
-        if not 0 <= rate_c_per_s < math.inf:
-            raise ConfigError(
-                f"drift rate must be finite and >= 0, got {rate_c_per_s}")
-        if not 0 <= max_drift_c < math.inf:
-            raise ConfigError(
-                f"max drift must be finite and >= 0, got {max_drift_c}")
-        if not 0 < step_us < math.inf:
-            raise ConfigError(f"step must be finite and positive, got {step_us}")
-        self.rate_c_per_s = float(rate_c_per_s)
-        self.max_drift_c = float(max_drift_c)
-        self.step_us = float(step_us)
-        self._ramps: List[Tuple["System", AmbientRamp]] = []
-
-    def params(self) -> Dict[str, float]:
-        """Magnitude knobs (rate, ceiling, step)."""
-        return {"rate_c_per_s": self.rate_c_per_s,
-                "max_drift_c": self.max_drift_c, "step_us": self.step_us}
+    rate_c_per_s: float = bounded(2.0, ge=0)
+    max_drift_c: float = bounded(10.0, ge=0)
+    step_us: float = bounded(500.0, gt=0)
+    #: (system, ramp) of every declared ramp; the system is ``Any``
+    #: because ``System`` is a type-checking-only import here.
+    _ramps: List[Tuple[Any, AmbientRamp]] = field(
+        default_factory=list, init=False, repr=False)
 
     @property
     def events(self) -> int:
@@ -266,6 +219,7 @@ class ThermalDriftRamp(FaultModel):
         self._ramps.append((system, ramp))
 
 
+@dataclass(eq=False, kw_only=True)
 class ReceiverClockSkew(FaultModel):
     """TSC frequency error growing over the run.
 
@@ -279,21 +233,8 @@ class ReceiverClockSkew(FaultModel):
 
     name = "clock-skew"
 
-    def __init__(self, skew_ppm: float = 200.0, drift_ppm_per_s: float = 2000.0,
-                 intensity: float = 1.0, seed: int = 0) -> None:
-        super().__init__(intensity, seed)
-        if not -math.inf < skew_ppm < math.inf:
-            raise ConfigError(f"skew_ppm must be finite, got {skew_ppm}")
-        if not -math.inf < drift_ppm_per_s < math.inf:
-            raise ConfigError(
-                f"drift_ppm_per_s must be finite, got {drift_ppm_per_s}")
-        self.skew_ppm = float(skew_ppm)
-        self.drift_ppm_per_s = float(drift_ppm_per_s)
-
-    def params(self) -> Dict[str, float]:
-        """Magnitude knobs (initial skew, drift rate, both in ppm)."""
-        return {"skew_ppm": self.skew_ppm,
-                "drift_ppm_per_s": self.drift_ppm_per_s}
+    skew_ppm: float = 200.0
+    drift_ppm_per_s: float = 2000.0
 
     def attach(self, system: "System", injector: "FaultInjector") -> None:
         """Swap the system TSC for a drifting one."""
@@ -307,6 +248,7 @@ class ReceiverClockSkew(FaultModel):
         self.events += 1
 
 
+@dataclass(eq=False, kw_only=True)
 class SlotScheduleJitter(FaultModel):
     """OS wake-up latency desynchronising the two parties.
 
@@ -322,19 +264,8 @@ class SlotScheduleJitter(FaultModel):
     name = "slot-jitter"
     perturbs_schedule = True
 
-    def __init__(self, sigma_us: float = 1.5, cap_us: float = 10.0,
-                 intensity: float = 1.0, seed: int = 0) -> None:
-        super().__init__(intensity, seed)
-        if not (0 <= sigma_us < math.inf and 0 <= cap_us < math.inf):
-            raise ConfigError(
-                f"sigma_us and cap_us must be finite and >= 0, "
-                f"got {sigma_us} and {cap_us}")
-        self.sigma_us = float(sigma_us)
-        self.cap_us = float(cap_us)
-
-    def params(self) -> Dict[str, float]:
-        """Magnitude knobs (delay sigma and cap, microseconds)."""
-        return {"sigma_us": self.sigma_us, "cap_us": self.cap_us}
+    sigma_us: float = bounded(1.5, ge=0)
+    cap_us: float = bounded(10.0, ge=0)
 
     def attach(self, system: "System", injector: "FaultInjector") -> None:
         """No event-driven state; channels pull perturbed schedules lazily."""
@@ -357,6 +288,7 @@ class SlotScheduleJitter(FaultModel):
                                       cap_ns=us_to_ns(self.cap_us), salt=salt)
 
 
+@dataclass(eq=False, kw_only=True)
 class StateFlush(FaultModel):
     """Temporal partitioning: periodic worst-case state flushes.
 
@@ -384,27 +316,9 @@ class StateFlush(FaultModel):
 
     name = "state-flush"
 
-    def __init__(self, quantum_us: float = 900.0, hold_us: float = 60.0,
-                 horizon_ms: float = 5000.0,
-                 intensity: float = 1.0, seed: int = 0) -> None:
-        super().__init__(intensity, seed)
-        if not 0 < quantum_us < math.inf:
-            raise ConfigError(
-                f"quantum must be finite and positive, got {quantum_us}")
-        if not 0 < hold_us < math.inf:
-            raise ConfigError(
-                f"hold time must be finite and positive, got {hold_us}")
-        if not 0 < horizon_ms < math.inf:
-            raise ConfigError(
-                f"horizon must be finite and positive, got {horizon_ms}")
-        self.quantum_us = float(quantum_us)
-        self.hold_us = float(hold_us)
-        self.horizon_ms = float(horizon_ms)
-
-    def params(self) -> Dict[str, float]:
-        """Magnitude knobs (quantum, hold time, horizon)."""
-        return {"quantum_us": self.quantum_us, "hold_us": self.hold_us,
-                "horizon_ms": self.horizon_ms}
+    quantum_us: float = bounded(900.0, gt=0)
+    hold_us: float = bounded(60.0, gt=0)
+    horizon_ms: float = bounded(5000.0, gt=0)
 
     def _worst_class(self, system: "System") -> IClass:
         """The heaviest PHI class the part executes (the flush level)."""

@@ -24,7 +24,6 @@ pickle; attached injectors don't), and
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Type
 
 from repro.errors import ConfigError
@@ -74,16 +73,19 @@ def default_fault_suite(intensity: float = 1.0,
 
 
 def _coerce(key: str, raw: str) -> float:
-    """Parse one knob value (int-like keys stay ints for constructors)."""
+    """Parse one knob value: an integer literal as ``int``, else ``float``.
+
+    The model's declared field type then decides what it accepts, so an
+    ``int`` knob (``seed``, ``core``) takes integer literals only.
+    """
     try:
-        value = float(raw)
+        return int(raw)
+    except ValueError:
+        pass
+    try:
+        return float(raw)
     except ValueError:
         raise ConfigError(f"fault knob {key}={raw!r} is not a number") from None
-    if key in ("seed", "core"):
-        if not -math.inf < value < math.inf:
-            raise ConfigError(f"fault knob {key}={raw!r} must be finite")
-        return int(value)
-    return value
 
 
 def parse_fault_spec(spec: str) -> FaultInjector:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, bounded, check_fields
 from repro.isa.instructions import IClass
 from repro.units import ms_to_ns, us_to_ns
 
@@ -33,16 +33,11 @@ class Loop:
     """
 
     iclass: IClass
-    iterations: int
-    block_instructions: int = 300
+    iterations: int = bounded(ge=1)
+    block_instructions: int = bounded(300, ge=1)
 
     def __post_init__(self) -> None:
-        if self.iterations < 1:
-            raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
-        if self.block_instructions < 1:
-            raise ConfigError(
-                f"block_instructions must be >= 1, got {self.block_instructions}"
-            )
+        check_fields(self)
 
     @property
     def total_instructions(self) -> int:

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.errors import MeasurementError
+from repro.errors import MeasurementError, bounded, check_fields
 from repro.measure.sampler import SignalLike, TraceSampler
 from repro.measure.trace import SampleSeries
 from repro.units import NS_PER_S
@@ -62,17 +62,12 @@ class DAQSpec:
         Additive Gaussian noise per sample, in signal units.
     """
 
-    max_sample_rate_hz: float = 3.5e6
-    accuracy: float = 0.9994
-    noise_rms: float = 0.0
+    max_sample_rate_hz: float = bounded(3.5e6, gt=0)
+    accuracy: float = bounded(0.9994, gt=0, le=1)
+    noise_rms: float = bounded(0.0, ge=0)
 
     def __post_init__(self) -> None:
-        if self.max_sample_rate_hz <= 0:
-            raise MeasurementError("sample rate limit must be positive")
-        if not 0.0 < self.accuracy <= 1.0:
-            raise MeasurementError(f"accuracy must be in (0, 1], got {self.accuracy}")
-        if self.noise_rms < 0:
-            raise MeasurementError(f"noise must be >= 0, got {self.noise_rms}")
+        check_fields(self, MeasurementError)
 
 
 class DAQCard:

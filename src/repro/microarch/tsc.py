@@ -10,18 +10,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, bounded, check_fields
 
 
 @dataclass(frozen=True)
 class TimestampCounter:
     """TSC ticking at ``tsc_ghz`` independent of core frequency."""
 
-    tsc_ghz: float
+    tsc_ghz: float = bounded(gt=0)
 
     def __post_init__(self) -> None:
-        if self.tsc_ghz <= 0:
-            raise ConfigError(f"TSC rate must be positive, got {self.tsc_ghz} GHz")
+        check_fields(self)
 
     def read(self, now_ns: float) -> int:
         """``rdtsc`` at simulation time ``now_ns``."""
@@ -45,13 +44,8 @@ class DriftingTimestampCounter(TimestampCounter):
     (the ``clock-skew`` fault model of :mod:`repro.faults`).
     """
 
-    skew: float = 0.0
+    skew: float = bounded(0.0, gt=-1)
     drift_per_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.skew <= -1.0:
-            raise ConfigError(f"skew must be > -1, got {self.skew}")
 
     def rate_at(self, now_ns: float) -> float:
         """Effective tick rate (fraction of nominal) at ``now_ns``."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, bounded, check_fields
 
 
 @dataclass(frozen=True)
@@ -39,14 +39,11 @@ class DroopSpec:
         capacitors and never reach the sense point (footnote 6).
     """
 
-    transient_impedance_mohm: float = 2.5
-    filter_step_a: float = 1.0
+    transient_impedance_mohm: float = bounded(2.5, ge=0)
+    filter_step_a: float = bounded(1.0, ge=0)
 
     def __post_init__(self) -> None:
-        if self.transient_impedance_mohm < 0:
-            raise ConfigError("transient impedance must be >= 0")
-        if self.filter_step_a < 0:
-            raise ConfigError("filter threshold must be >= 0")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -54,11 +51,10 @@ class DroopModel:
     """Evaluates load-voltage dips for current steps."""
 
     spec: DroopSpec
-    r_ll_ohm: float
+    r_ll_ohm: float = bounded(gt=0)
 
     def __post_init__(self) -> None:
-        if self.r_ll_ohm <= 0:
-            raise ConfigError(f"load-line must be positive, got {self.r_ll_ohm}")
+        check_fields(self)
 
     def load_voltage_min(self, rail_v: float, icc_before: float,
                          icc_after: float) -> float:

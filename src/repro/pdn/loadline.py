@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, bounded, check_fields
 
 
 @dataclass(frozen=True)
@@ -27,11 +27,10 @@ class LoadLine:
     per-core AVX2 guardband steps of Figure 6.
     """
 
-    r_ll_ohm: float
+    r_ll_ohm: float = bounded(gt=0)
 
     def __post_init__(self) -> None:
-        if self.r_ll_ohm <= 0:
-            raise ConfigError(f"load-line impedance must be positive, got {self.r_ll_ohm}")
+        check_fields(self)
 
     def vcc_load(self, vcc: float, icc: float) -> float:
         """Voltage at the load for VR output ``vcc`` and current ``icc``."""

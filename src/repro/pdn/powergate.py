@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigError
+from repro.errors import bounded, check_fields
 from repro.units import us_to_ns
 
 
@@ -39,14 +39,11 @@ class PowerGateSpec:
     """
 
     present: bool = True
-    wake_ns: float = 12.0
-    idle_close_us: float = 75.0
+    wake_ns: float = bounded(12.0, ge=0)
+    idle_close_us: float = bounded(75.0, gt=0)
 
     def __post_init__(self) -> None:
-        if self.wake_ns < 0:
-            raise ConfigError(f"wake latency must be >= 0, got {self.wake_ns}")
-        if self.idle_close_us <= 0:
-            raise ConfigError(f"idle close must be positive, got {self.idle_close_us}")
+        check_fields(self)
 
 
 @dataclass

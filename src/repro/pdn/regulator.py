@@ -28,7 +28,7 @@ from array import array
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Tuple
 
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError, SimulationError, bounded, check_fields
 from repro.obs.tracer import current as _obs
 from repro.units import mv_to_v
 
@@ -70,23 +70,14 @@ class VRSpec:
     """
 
     kind: VRKind
-    slew_mv_per_us: float
-    command_latency_ns: float
-    vid_step_mv: float
-    vcc_max: float
-    icc_max: float
+    slew_mv_per_us: float = bounded(gt=0)
+    command_latency_ns: float = bounded(ge=0)
+    vid_step_mv: float = bounded(gt=0)
+    vcc_max: float = bounded(gt=0)
+    icc_max: float = bounded(gt=0)
 
     def __post_init__(self) -> None:
-        if self.slew_mv_per_us <= 0:
-            raise ConfigError(f"slew rate must be positive, got {self.slew_mv_per_us}")
-        if self.command_latency_ns < 0:
-            raise ConfigError(
-                f"command latency must be >= 0, got {self.command_latency_ns}"
-            )
-        if self.vid_step_mv <= 0:
-            raise ConfigError(f"VID step must be positive, got {self.vid_step_mv}")
-        if self.vcc_max <= 0 or self.icc_max <= 0:
-            raise ConfigError("vcc_max and icc_max must be positive")
+        check_fields(self)
         # The VID step and slew in volts, converted once: every command
         # reads both.
         object.__setattr__(self, "_vid_step_v", mv_to_v(self.vid_step_mv))

@@ -28,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, List, Optional, Sequence, Set
 
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError, SimulationError, bounded, check_fields
 from repro.isa.instructions import IClass
 from repro.obs.tracer import current as _obs
 from repro.pdn.regulator import VoltageRegulator
@@ -59,13 +59,12 @@ class PMUConfig:
         frequency cost.
     """
 
-    pll_relock_ns: float = 1_500.0
+    pll_relock_ns: float = bounded(1_500.0, ge=0)
     secure_mode: bool = False
     turbo_license_limit: bool = False
 
     def __post_init__(self) -> None:
-        if self.pll_relock_ns < 0:
-            raise ConfigError(f"PLL relock must be >= 0, got {self.pll_relock_ns}")
+        check_fields(self)
 
 
 @dataclass

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, bounded, check_fields
 
 
 @dataclass(frozen=True)
@@ -66,12 +66,11 @@ class VFCurve:
 class PState:
     """One package performance state."""
 
-    freq_ghz: float
-    vcc: float
+    freq_ghz: float = bounded(gt=0)
+    vcc: float = bounded(gt=0)
 
     def __post_init__(self) -> None:
-        if self.freq_ghz <= 0 or self.vcc <= 0:
-            raise ConfigError(f"invalid P-state: {self.freq_ghz} GHz @ {self.vcc} V")
+        check_fields(self)
 
 
 def pstate_ladder(curve: VFCurve, min_ghz: float, max_ghz: float,

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, bounded, check_fields
 from repro.isa.instructions import IClass
 from repro.pdn.guardband import GuardbandModel
 from repro.pmu.dvfs import PState, VFCurve
@@ -45,12 +45,11 @@ class LimitPolicy:
 
     curve: VFCurve
     guardband: GuardbandModel
-    vcc_max: float
-    icc_max: float
+    vcc_max: float = bounded(gt=0)
+    icc_max: float = bounded(gt=0)
 
     def __post_init__(self) -> None:
-        if self.vcc_max <= 0 or self.icc_max <= 0:
-            raise ConfigError("vcc_max and icc_max must be positive")
+        check_fields(self)
 
     def evaluate(self, freq_ghz: float,
                  per_core_classes: Sequence[IClass]) -> LimitVerdict:

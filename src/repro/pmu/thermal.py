@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, List, Sequence, Tuple
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, bounded, check_fields
 from repro.units import ns_to_s
 
 
@@ -43,14 +43,13 @@ class ThermalSpec:
         Maximum junction temperature before thermal throttling.
     """
 
-    r_th_c_per_w: float = 0.9
-    tau_s: float = 4.0
+    r_th_c_per_w: float = bounded(0.9, gt=0)
+    tau_s: float = bounded(4.0, gt=0)
     t_ambient_c: float = 45.0
     tj_max_c: float = 100.0
 
     def __post_init__(self) -> None:
-        if self.r_th_c_per_w <= 0 or self.tau_s <= 0:
-            raise ConfigError("thermal resistance and time constant must be positive")
+        check_fields(self)
         if self.tj_max_c <= self.t_ambient_c:
             raise ConfigError("Tj_max must exceed ambient")
 
@@ -138,15 +137,13 @@ class AmbientRamp:
     """
 
     start_ns: float
-    step_ns: float
+    #: A step that does not advance time would expand forever.
+    step_ns: float = bounded(gt=0)
     step_c: float
     ceiling_c: float
 
     def __post_init__(self) -> None:
-        # A step that does not advance time would expand forever.
-        if not 0 < self.step_ns < math.inf:
-            raise ConfigError(
-                f"ramp step must be finite and positive, got {self.step_ns} ns")
+        check_fields(self)
 
     def steps(self) -> Iterator[Tuple[float, float]]:
         """Every ``(time_ns, offset_c)`` step of the ramp, in order."""

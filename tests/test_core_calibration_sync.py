@@ -149,7 +149,7 @@ class TestSlotSchedule:
 
     @pytest.mark.parametrize("slot_ns", [float("nan"), float("inf")])
     def test_non_finite_slot_rejected(self, slot_ns):
-        with pytest.raises(ProtocolError, match="slot length"):
+        with pytest.raises(ProtocolError, match="slot_ns must be finite"):
             SlotSchedule(0.0, slot_ns)
 
     @pytest.mark.parametrize("jitter_ns", [float("nan"), -1.0, 10.0])

@@ -7,12 +7,15 @@ experiment relies on: intensity 0 is a perfect no-op, and the default
 suite actually damages the cross-channel transfers.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
+import typing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from repro import System, cannon_lake_i3_8121u
@@ -31,6 +34,7 @@ from repro.faults import (
     fault_model_names,
     parse_fault_spec,
 )
+from repro.faults.spec import FAULT_MODELS
 from repro.microarch.tsc import DriftingTimestampCounter
 from repro.units import us_to_ns
 
@@ -93,6 +97,69 @@ class TestBaseContract:
                                    intensity=1.5, seed=3)
         injector = parse_fault_spec(model.describe())
         assert injector.describe() == model.describe()
+
+    def test_describe_keeps_full_precision(self):
+        model = SlotScheduleJitter(sigma_us=1.2345678)
+        assert model.describe().startswith("slot-jitter:sigma_us=1.2345678,")
+        rebuilt = parse_fault_spec(model.describe()).models[0]
+        assert rebuilt.sigma_us == 1.2345678
+
+    @pytest.mark.parametrize("cls, knob", [
+        (SlotScheduleJitter, "seed"), (StateFlush, "quantum_us"),
+        (RailVoltageJitter, "intensity"), (GrantQueueInterference, "core")])
+    def test_bool_knob_rejected(self, cls, knob):
+        with pytest.raises(ConfigError, match=rf"^{knob} must be"):
+            cls(**{knob: True})
+
+    def test_string_knob_rejected_as_config_error(self):
+        with pytest.raises(ConfigError,
+                           match="sigma_mv must be a number, got '2'"):
+            RailVoltageJitter(sigma_mv="2")
+
+
+def _knob_values(cls):
+    """Hypothesis strategy of in-bound keyword knobs for ``cls``."""
+    hints = typing.get_type_hints(cls)
+    knobs = {}
+    for f in dataclasses.fields(cls):
+        if not f.init:
+            continue
+        kind, bounds = hints[f.name], f.metadata
+        optional = typing.get_origin(kind) is typing.Union
+        if optional:
+            kind = typing.get_args(kind)[0]
+        if kind is int:
+            values = st.integers(min_value=bounds.get("ge", -2**40),
+                                 max_value=2**40)
+        else:
+            low = bounds.get("ge", bounds.get("gt"))
+            high = bounds.get("le", bounds.get("lt"))
+            values = st.floats(min_value=low, max_value=high,
+                               exclude_min="gt" in bounds,
+                               exclude_max="lt" in bounds,
+                               allow_nan=False, allow_infinity=False)
+        knobs[f.name] = st.none() | values if optional else values
+    return st.fixed_dictionaries(knobs)
+
+
+def _init_fields(model):
+    return {f.name: getattr(model, f.name)
+            for f in dataclasses.fields(model) if f.init}
+
+
+class TestDescribeRoundTrip:
+    """Every model's spec string rebuilds the model's knobs exactly."""
+
+    @pytest.mark.parametrize("name", sorted(FAULT_MODELS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_parse_of_describe_rebuilds_equal_fields(self, name, data):
+        cls = FAULT_MODELS[name]
+        model = cls(**data.draw(_knob_values(cls)))
+        rebuilt = parse_fault_spec(model.describe()).models
+        assert len(rebuilt) == 1 and type(rebuilt[0]) is cls
+        assert _init_fields(rebuilt[0]) == _init_fields(model)
+        assert rebuilt[0].describe() == model.describe()
 
 
 class TestRailVoltageJitter:
@@ -348,12 +415,27 @@ class TestSpecParsing:
         assert model.core == 1 and isinstance(model.core, int)
         assert model.seed == 4 and isinstance(model.seed, int)
 
+    @pytest.mark.parametrize("clause, knob", [
+        ("grant-interference:core=1.5,seed=2", "core"),
+        ("grant-interference:core=1,seed=2.7", "seed"),
+        ("default:seed=1e3", "seed")])
+    def test_fractional_int_knob_rejected_not_truncated(self, clause, knob):
+        with pytest.raises(ConfigError, match=rf"^{knob} must be an integer"):
+            parse_fault_spec(clause)
+
+    def test_float_knob_takes_integer_literal(self):
+        model = parse_fault_spec("slot-jitter:sigma_us=2").models[0]
+        assert model.sigma_us == 2.0 and isinstance(model.sigma_us, float)
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("clause", ["default:intensity",
                                         "default:seed",
                                         "grant-interference:core"])
     def test_non_finite_knob_rejected(self, clause, value):
-        with pytest.raises(ConfigError, match="finite"):
+        # A non-finite value is a float, so an int knob rejects its type.
+        message = ("finite" if clause.endswith("intensity")
+                   else "must be an integer")
+        with pytest.raises(ConfigError, match=message):
             parse_fault_spec(f"{clause}={value}")
 
     @pytest.mark.parametrize("name", fault_model_names())
@@ -464,5 +546,8 @@ class TestStateFlush:
 
     def test_flush_params_round_trip(self):
         model = StateFlush(quantum_us=500.0, hold_us=80.0, horizon_ms=5.0)
-        assert model.params() == {"quantum_us": 500.0, "hold_us": 80.0,
-                                  "horizon_ms": 5.0}
+        assert model.describe() == ("state-flush:quantum_us=500,hold_us=80,"
+                                    "horizon_ms=5,intensity=1,seed=0")
+        rebuilt = parse_fault_spec(model.describe()).models[0]
+        assert (rebuilt.quantum_us, rebuilt.hold_us, rebuilt.horizon_ms) == (
+            500.0, 80.0, 5.0)

@@ -1,4 +1,4 @@
-"""Every config and scenario dataclass checks its fields one way.
+"""Every config, spec and fault-model dataclass checks its fields one way.
 
 The guard walks each validated class's declared fields: every ``int``,
 ``float``, ``bool`` and ``str`` field must reject a value of the wrong
@@ -17,7 +17,22 @@ import pytest
 
 from repro.core.channel import ChannelConfig
 from repro.core.session import AdaptiveConfig, SessionConfig
-from repro.errors import ConfigError, ProtocolError, bounded, check_fields
+from repro.core.sync import JitteredSchedule, PerturbedSchedule, SlotSchedule
+from repro.errors import (
+    ConfigError, MeasurementError, ProtocolError, bounded, check_fields,
+)
+from repro.faults.spec import FAULT_MODELS
+from repro.isa.instructions import IClass
+from repro.isa.workload import Loop
+from repro.measure.daq import DAQSpec
+from repro.microarch.tsc import DriftingTimestampCounter, TimestampCounter
+from repro.pdn.droop import DroopModel, DroopSpec
+from repro.pdn.loadline import LoadLine
+from repro.pdn.powergate import PowerGateSpec
+from repro.pdn.regulator import mbvr_spec
+from repro.pmu.central import PMUConfig
+from repro.pmu.dvfs import PState
+from repro.pmu.thermal import AmbientRamp, ThermalSpec
 from repro.scenarios import NoiseSpec, ScenarioSpec, TenantSpec, WorkloadSpec
 from repro.soc.config import cannon_lake_i3_8121u
 from repro.soc.noise import NoiseConfig
@@ -34,6 +49,25 @@ VALIDATED = (
     (TenantSpec("cores", 0, 1), ConfigError),
     (ScenarioSpec(name="x", description="d", noise=NoiseSpec()),
      ConfigError),
+    *((cls(), ConfigError) for cls in FAULT_MODELS.values()),
+    (ThermalSpec(), ConfigError),
+    (DAQSpec(), MeasurementError),
+    (DroopSpec(), ConfigError),
+    (DroopModel(DroopSpec(), 0.0018), ConfigError),
+    (PowerGateSpec(), ConfigError),
+    (LoadLine(0.0018), ConfigError),
+    (mbvr_spec(vcc_max=1.52, icc_max=64.0), ConfigError),
+    (TimestampCounter(2.0), ConfigError),
+    (DriftingTimestampCounter(2.0, skew=1e-4), ConfigError),
+    (PState(2.0, 0.9), ConfigError),
+    (cannon_lake_i3_8121u().operating_points().limits, ConfigError),
+    (AmbientRamp(0.0, 500.0, 0.1, 10.0), ConfigError),
+    (PMUConfig(), ConfigError),
+    (Loop(IClass.HEAVY_256, 60), ConfigError),
+    (SlotSchedule(0.0, 10.0), ProtocolError),
+    (JitteredSchedule(0.0, 10.0, jitter_ns=1.0, seed=3), ProtocolError),
+    (PerturbedSchedule.wrap(SlotSchedule(0.0, 10.0), 1.0, 5.0, salt=(1,)),
+     ProtocolError),
 )
 
 #: Values of the wrong kind for each declared scalar type.
@@ -50,6 +84,8 @@ def _cases():
         cls = type(base)
         hints = typing.get_type_hints(cls)
         for f in dataclasses.fields(cls):
+            if not f.init:  # private state, not a knob
+                continue
             for value in WRONG_KIND.get(hints[f.name], ()):
                 yield pytest.param(base, error, f.name, value,
                                    id=f"{cls.__name__}.{f.name}={value!r}")
@@ -75,6 +111,7 @@ class _Probe:
     level: float = bounded(0.5, gt=0, le=1)
     pairs: Tuple[Tuple[str, float], ...] = ()
     inner: Optional[ChannelConfig] = None
+    slot: Optional[int] = bounded(None, ge=0)
 
     def __post_init__(self):
         check_fields(self, label="probe")
@@ -95,6 +132,8 @@ class TestCheckFields:
         ({"pairs": "ab"}, "probe.pairs must be a list, got 'ab'"),
         ({"inner": {"slot_us": 1.0}},
          "probe.inner must be a ChannelConfig, got {'slot_us': 1.0}"),
+        ({"slot": -1}, "probe.slot must be >= 0, got -1"),
+        ({"slot": 1.0}, "probe.slot must be an integer, got 1.0"),
     ])
     def test_rejections_name_the_path(self, kwargs, message):
         with pytest.raises(ConfigError) as info:
