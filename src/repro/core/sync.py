@@ -13,10 +13,13 @@ attacker's answer to periodicity-based detection
 uncoordinated wake-up delays.
 
 Both draw per slot from a counter-based generator: the salt folds into
-a 64-bit key once per schedule, and slot ``i``'s draw hashes
-``(key, i)`` with splitmix64.  A draw depends only on the salt and the
-slot index — never on query order, process, or ``PYTHONHASHSEED`` — so
-two parties that share the salt share the draws without talking.
+a 64-bit key once per schedule (:func:`fold_key`), and slot ``i``'s
+draw hashes ``(key, i)`` with splitmix64 (:func:`uniform`).  A draw
+depends only on the salt and the slot index — never on query order,
+process, or ``PYTHONHASHSEED`` — so two parties that share the salt
+share the draws without talking.  The fault layer
+(:mod:`repro.faults`) draws its event-driven randomness from the same
+stream.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _fold_key(salt: tuple) -> int:
+def fold_key(salt: tuple) -> int:
     """Fold a tuple of ints (each taken mod 2**64) into a 64-bit key."""
     key = 0
     for part in salt:
@@ -56,7 +59,7 @@ def _fold_key(salt: tuple) -> int:
     return key
 
 
-def _uniform(key: int, counter: int) -> float:
+def uniform(key: int, counter: int) -> float:
     """Output ``counter`` of the splitmix64 stream ``key``, in [0, 1)."""
     word = _mix64((key + (counter + 1) * _GOLDEN64) & _MASK64)
     return (word >> 11) * 2.0**-53
@@ -120,7 +123,7 @@ class JitteredSchedule(SlotSchedule):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        object.__setattr__(self, "_key", _fold_key((self.seed,)))
+        object.__setattr__(self, "_key", fold_key((self.seed,)))
         if self.jitter_ns >= self.slot_ns:
             raise ProtocolError(
                 f"jitter {self.jitter_ns} must stay below the slot "
@@ -130,7 +133,7 @@ class JitteredSchedule(SlotSchedule):
     def _offset(self, index: int) -> float:
         cached = self._offsets.get(index)
         if cached is None:
-            cached = self.jitter_ns * _uniform(self._key, index)
+            cached = self.jitter_ns * uniform(self._key, index)
             self._offsets[index] = cached
         return cached
 
@@ -170,7 +173,7 @@ class PerturbedSchedule(SlotSchedule):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        object.__setattr__(self, "_key", _fold_key(self.salt))
+        object.__setattr__(self, "_key", fold_key(self.salt))
 
     @classmethod
     def wrap(cls, base: SlotSchedule, sigma_ns: float, cap_ns: float,
@@ -184,8 +187,8 @@ class PerturbedSchedule(SlotSchedule):
         cached = self._delays.get(index)
         if cached is None:
             # Box–Muller; 1 - u lies in (0, 1], so the log is finite.
-            u1 = _uniform(self._key, 2 * index)
-            u2 = _uniform(self._key, 2 * index + 1)
+            u1 = uniform(self._key, 2 * index)
+            u2 = uniform(self._key, 2 * index + 1)
             normal = (math.sqrt(-2.0 * math.log(1.0 - u1))
                       * math.cos(2.0 * math.pi * u2))
             cached = min(self.cap_ns, abs(self.sigma_ns * normal))

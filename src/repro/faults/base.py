@@ -7,11 +7,13 @@ Models are *composable*: a :class:`~repro.faults.injector.FaultInjector`
 holds any number of them and attaches the whole suite to a
 :class:`~repro.soc.system.System` in one call.
 
-Determinism contract: every model draws randomness only from generators
-created by :meth:`FaultModel.rng`, which seeds from ``(seed, model name,
-salt)`` — except ``slot-jitter``, whose per-slot delays come from the
-counter hash of :class:`~repro.core.sync.PerturbedSchedule`, keyed on
-the same tuple.  Two runs with the same seeds, the same models and the same
+Determinism contract: every model draws randomness only from streams
+keyed on ``(SEED_SPACE, seed, model name, *salt)``
+(:meth:`FaultModel.seed_parts`).  The two DAQ-seam models draw numpy
+sample arrays from :meth:`FaultModel.rng`; ``grant-interference`` and
+``slot-jitter`` draw from the splitmix64 counter hash of
+:mod:`repro.core.sync`, so a fault-injected session never imports
+numpy.  Two runs with the same seeds, the same models and the same
 workload produce bit-identical simulations — fault injection never makes
 an experiment unrepeatable.
 
@@ -25,13 +27,13 @@ from __future__ import annotations
 import abc
 import zlib
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, ClassVar, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, ClassVar, Tuple, Union
 
 from repro.errors import bounded, check_fields
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    import numpy as np
+
     from repro.faults.injector import FaultInjector
     from repro.soc.system import System
 
@@ -93,23 +95,35 @@ class FaultModel(abc.ABC):
         only record the handles they need.
         """
 
-    def rng(self, *salt: Union[int, str]) -> np.random.Generator:
-        """A deterministic generator for this model and ``salt``.
+    def seed_parts(self, *salt: Union[int, str]) -> Tuple[int, ...]:
+        """The key ``(SEED_SPACE, seed, name, *salt)`` of one stream.
 
-        Seeding from ``(SEED_SPACE, seed, name, *salt)`` keeps each
-        (model, purpose) stream independent: a schedule fault drawing
-        per-slot delays cannot perturb the stream a DAQ fault draws
-        sample noise from, whatever the call order.
+        Keying every (model, purpose) stream on its own tuple keeps the
+        streams independent: a schedule fault drawing per-slot delays
+        cannot perturb the stream a DAQ fault draws sample noise from,
+        whatever the call order.
         """
-        parts = (SEED_SPACE, self.seed, _salt_int(self.name))
-        return np.random.default_rng(parts + tuple(_salt_int(s) for s in salt))
+        return ((SEED_SPACE, self.seed, _salt_int(self.name))
+                + tuple(_salt_int(s) for s in salt))
+
+    def rng(self, *salt: Union[int, str]) -> "np.random.Generator":
+        """A numpy generator seeded from :meth:`seed_parts` of ``salt``.
+
+        Only the DAQ-seam models, which already hold numpy sample
+        arrays, call this; numpy is imported here so that the other
+        models never load it.
+        """
+        import numpy as np
+
+        return np.random.default_rng(self.seed_parts(*salt))
 
     def describe(self) -> str:
         """Spec-string form of this model (``name:key=value,...``).
 
         Knobs come in declaration order, then ``intensity`` and ``seed``;
         an unset (None) knob is left out.  A float prints in ``g`` form
-        when that reads back exactly, else in full.
+        when that reads back exactly, else in full (``repr``); ``-0.0``
+        prints in full, because ``-0`` would read back as the integer 0.
         """
         knobs = [f.name for f in fields(self)
                  if f.init and f.name not in ("intensity", "seed")]
@@ -118,7 +132,9 @@ class FaultModel(abc.ABC):
             value = getattr(self, key)
             if value is None:
                 continue
-            if isinstance(value, float) and float(f"{value:g}") == value:
-                value = f"{value:g}"
+            if isinstance(value, float):
+                text = f"{value:g}"
+                exact = text != "-0" and float(text) == value
+                value = text if exact else repr(value)
             parts.append(f"{key}={value}")
         return f"{self.name}:{','.join(parts)}"

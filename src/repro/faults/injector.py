@@ -25,14 +25,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Iterable, List
 
-import numpy as np
-
 from repro.errors import ConfigError
 from repro.faults.base import FaultModel
 from repro.core.sync import SlotSchedule
 from repro.obs.tracer import current as _obs
 
 if TYPE_CHECKING:  # pragma: no cover - types only
+    import numpy as np
+
     from repro.measure.daq import DAQCard
     from repro.soc.system import System
 

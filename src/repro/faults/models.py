@@ -27,20 +27,23 @@ to an attacker-facing noise source.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Generator, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Generator, Iterator, List, Optional,
+                    Tuple)
 
-import numpy as np
-
-from repro.core.sync import PerturbedSchedule, SlotSchedule
+from repro.core.sync import PerturbedSchedule, SlotSchedule, fold_key, uniform
 from repro.errors import ConfigError, bounded
-from repro.faults.base import SEED_SPACE, FaultModel, _salt_int
+from repro.faults.base import FaultModel
 from repro.isa.instructions import IClass
 from repro.microarch.tsc import DriftingTimestampCounter
 from repro.pmu.thermal import AmbientRamp, expand_ramps
 from repro.units import ms_to_ns, us_to_ns
 
 if TYPE_CHECKING:  # pragma: no cover - types only
+    import numpy as np
+
     from repro.faults.injector import FaultInjector
     from repro.soc.system import System
 
@@ -99,6 +102,8 @@ class SampleDropout(FaultModel):
     def perturb_samples(self, name: str, times: np.ndarray,
                         values: np.ndarray) -> np.ndarray:
         """Drop samples (hold the previous value) at the configured rate."""
+        import numpy as np
+
         p = min(1.0, self.probability * self.intensity)
         if p <= 0 or len(values) < 2:
             return values
@@ -148,18 +153,33 @@ class GrantQueueInterference(FaultModel):
     #: strings have always named ``core`` after the other knobs.
     core: Optional[int] = bounded(None, ge=0)
 
-    def _process(self, system: "System", core: int) -> Generator:
-        rng = self.rng("bursts")
-        rate = self.burst_rate_per_s * self.intensity
+    def bursts(self, max_vector_bits: int) -> Iterator[Tuple[float, IClass]]:
+        """Every burst's lead gap (ns) and PHI class, in arrival order.
+
+        Burst ``k`` reads draws ``2k`` and ``2k + 1`` of the splitmix64
+        counter-hash stream keyed on :meth:`seed_parts` ``("bursts")``:
+        an exponential gap of mean ``1 / (burst_rate_per_s * intensity)``
+        and a class uniform over the :attr:`BURST_CLASSES` no wider than
+        ``max_vector_bits``.  A draw depends only on the seed and ``k``,
+        so the sequence needs no system.
+        """
+        key = fold_key(self.seed_parts("bursts"))
+        mean_gap_ns = 1e9 / (self.burst_rate_per_s * self.intensity)
         classes = [c for c in self.BURST_CLASSES
-                   if c.width_bits <= system.config.max_vector_bits]
+                   if c.width_bits <= max_vector_bits]
+        for k in itertools.count():
+            # 1 - u lies in (0, 1], so the log is finite.
+            gap_ns = -mean_gap_ns * math.log1p(-uniform(key, 2 * k))
+            yield gap_ns, classes[int(uniform(key, 2 * k + 1) * len(classes))]
+
+    def _process(self, system: "System", core: int) -> Generator:
+        bursts = self.bursts(system.config.max_vector_bits)
         horizon = ms_to_ns(self.horizon_ms)
-        mean_gap_ns = 1e9 / rate
         while system.now < horizon:
-            yield system.sleep(float(rng.exponential(mean_gap_ns)))
+            gap_ns, iclass = next(bursts)
+            yield system.sleep(gap_ns)
             if system.now >= horizon:
                 break
-            iclass = classes[int(rng.integers(len(classes)))]
             system.pmu.request_up(core, iclass)
             self.events += 1
             yield system.sleep(us_to_ns(self.hold_us))
@@ -282,8 +302,7 @@ class SlotScheduleJitter(FaultModel):
         if sigma_ns <= 0:
             return schedule
         self.events += 1
-        salt = (SEED_SPACE, self.seed, _salt_int(self.name), _salt_int(party),
-                int(schedule.epoch_ns))
+        salt = self.seed_parts(party, int(schedule.epoch_ns))
         return PerturbedSchedule.wrap(schedule, sigma_ns=sigma_ns,
                                       cap_ns=us_to_ns(self.cap_us), salt=salt)
 

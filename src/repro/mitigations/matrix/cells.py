@@ -32,6 +32,7 @@ from repro.scenarios.registry import get_spec
 from repro.scenarios.run import make_channel, run_scenario
 from repro.scenarios.spec import ScenarioSpec
 from repro.units import bits_per_second
+from repro.verify.digest import content_digest
 
 #: Residual BER at/above which a cell counts as defeated: past the
 #: decode wall even repetition coding cannot recover the stream.
@@ -134,11 +135,6 @@ def _defeated_cell(attacker_name: str, defender_name: str,
 def _run_plain_cell(attacker_name: str, defender_name: str,
                     spec: ScenarioSpec) -> MatrixCell:
     """Score a one-shot (no-session) cell via the scenario runner."""
-    # Imported here, not at module top: repro.verify's package init
-    # pulls in repro.analysis.experiments, which imports
-    # repro.mitigations — a cycle if resolved at import time.
-    from repro.verify.digest import content_digest
-
     attacker = get_attacker(attacker_name)
     run = run_scenario(spec)
     tenant = run.tenants[0]

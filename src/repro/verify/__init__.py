@@ -24,46 +24,48 @@ Run the whole gate with ``python -m repro.verify``; see
 ``docs/VERIFICATION.md``.
 """
 
-from repro.verify.audit import AuditCheck, AuditReport, audit_all, audit_scenario
-from repro.verify.bench_gate import (
-    BenchDelta,
-    GateReport,
-    compare,
-    load_baseline,
-    load_benchmark_medians,
-    write_baseline,
-)
-from repro.verify.differential import (
-    DiffCheck,
-    check_adaptive_plain_equivalence,
-    check_sampler_bitwise,
-)
-from repro.verify.digest import (
-    canonical_json,
-    content_digest,
-    diff_documents,
-    flatten_leaves,
-    section_digests,
-    summarize_array,
-    summarize_breakpoints,
-)
-from repro.verify.goldens import (
-    GoldenCheck,
-    check_all,
-    check_scenario,
-    load_golden,
-    update_goldens,
-    write_golden,
-)
-from repro.verify.report import ReportCheck, check_report
-from repro.verify.scenarios import (
-    SCENARIOS,
-    Scenario,
-    compute_digest,
-    compute_document,
-    get_scenario,
-    scenario_names,
-)
+from repro import lazy_exports
+
+#: Every export resolves on first use: name -> defining submodule.  A
+#: caller that needs one helper (the matrix's ``content_digest``) then
+#: loads one submodule, not the audit, bench gate and analysis stack.
+_LAZY = {
+    "AuditCheck": "audit",
+    "AuditReport": "audit",
+    "audit_all": "audit",
+    "audit_scenario": "audit",
+    "BenchDelta": "bench_gate",
+    "GateReport": "bench_gate",
+    "compare": "bench_gate",
+    "load_baseline": "bench_gate",
+    "load_benchmark_medians": "bench_gate",
+    "write_baseline": "bench_gate",
+    "DiffCheck": "differential",
+    "check_adaptive_plain_equivalence": "differential",
+    "check_sampler_bitwise": "differential",
+    "canonical_json": "digest",
+    "content_digest": "digest",
+    "diff_documents": "digest",
+    "flatten_leaves": "digest",
+    "section_digests": "digest",
+    "summarize_array": "digest",
+    "summarize_breakpoints": "digest",
+    "GoldenCheck": "goldens",
+    "check_all": "goldens",
+    "check_scenario": "goldens",
+    "load_golden": "goldens",
+    "update_goldens": "goldens",
+    "write_golden": "goldens",
+    "ReportCheck": "report",
+    "check_report": "report",
+    "SCENARIOS": "scenarios",
+    "Scenario": "scenarios",
+    "compute_digest": "scenarios",
+    "compute_document": "scenarios",
+    "get_scenario": "scenarios",
+    "scenario_names": "scenarios",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)
 
 __all__ = [
     "AuditCheck",

@@ -62,27 +62,50 @@ OFF_TRANSFER_PATH = (
 )
 
 
+def _fresh_interpreter_modules(program):
+    """Names in ``sys.modules`` after ``program`` runs in a new interpreter."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(
+                   p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    program += "\nprint('\\n'.join(sorted(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", program], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout.split()
+
+
 class TestImportSet:
     """A transfer loads only the covert-transfer path, and no numpy."""
 
     def test_fresh_interpreter_loads_the_transfer_path_only(self):
         # One 2-byte transfer per channel, then the loaded module names.
-        program = (
+        modules = _fresh_interpreter_modules(
             "import sys, repro, repro.core\n"
             "for channel in (repro.core.IccThreadCovert, "
             "repro.core.IccSMTcovert, repro.core.IccCoresCovert):\n"
             "    system = repro.System(repro.cannon_lake_i3_8121u())\n"
-            "    assert channel(system).transfer(b'ok').received == b'ok'\n"
-            "print('\\n'.join(sorted(sys.modules)))")
-        src = os.path.join(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))), "src")
-        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
-                   PYTHONPATH=os.pathsep.join(
-                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        out = subprocess.run([sys.executable, "-c", program], env=env,
-                             capture_output=True, text=True, check=True)
-        loaded = [m for m in out.stdout.split()
+            "    assert channel(system).transfer(b'ok').received == b'ok'")
+        loaded = [m for m in modules
                   if m == "repro" or m.startswith("repro.")]
         assert len(loaded) <= 40, loaded
         assert not set(OFF_TRANSFER_PATH) & set(loaded)
-        assert "numpy" not in out.stdout.split()
+        assert "numpy" not in modules
+
+    def test_fresh_interpreter_runs_a_faulted_session_without_numpy(self):
+        # The default suite (grant-interference bursts included) under
+        # an adaptive session; only the DAQ-seam models would need numpy.
+        modules = _fresh_interpreter_modules(
+            "import sys, repro, repro.core\n"
+            "from repro.core.session import (AdaptiveConfig, CovertSession,\n"
+            "                                SessionConfig)\n"
+            "from repro.faults import parse_fault_spec\n"
+            "system = repro.System(repro.cannon_lake_i3_8121u())\n"
+            "injector = parse_fault_spec('default:seed=11').attach(system)\n"
+            "config = SessionConfig(max_retries=8, adaptive=AdaptiveConfig())\n"
+            "report = CovertSession(repro.core.IccCoresCovert(system),\n"
+            "                       config).send(b'ok')\n"
+            "assert report.total_attempts >= 1\n"
+            "assert injector.event_counts()['grant-interference'] > 0")
+        assert "repro.faults.models" in modules
+        assert "numpy" not in modules

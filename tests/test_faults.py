@@ -8,18 +8,22 @@ suite actually damages the cross-channel transfers.
 """
 
 import dataclasses
+import itertools
+import math
 import os
 import subprocess
 import sys
 import typing
+import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from repro import System, cannon_lake_i3_8121u
 from repro.core import IccCoresCovert, IccThreadCovert, PerturbedSchedule, SlotSchedule
+from repro.core.sync import fold_key, uniform
 from repro.errors import CalibrationError, ConfigError
 from repro.faults import (
     FaultInjector,
@@ -34,7 +38,9 @@ from repro.faults import (
     fault_model_names,
     parse_fault_spec,
 )
+from repro.faults.base import SEED_SPACE
 from repro.faults.spec import FAULT_MODELS
+from repro.isa.instructions import IClass
 from repro.microarch.tsc import DriftingTimestampCounter
 from repro.units import us_to_ns
 
@@ -161,6 +167,19 @@ class TestDescribeRoundTrip:
         assert _init_fields(rebuilt[0]) == _init_fields(model)
         assert rebuilt[0].describe() == model.describe()
 
+    @settings(max_examples=60, deadline=None)
+    @given(skew=st.floats(allow_nan=False, allow_infinity=False),
+           drift=st.floats(allow_nan=False, allow_infinity=False))
+    @example(skew=-0.0, drift=2000.0)
+    @example(skew=200.0, drift=-0.0)
+    def test_signed_zero_knob_keeps_its_sign(self, skew, drift):
+        # "-0" would read back as the integer 0, i.e. +0.0.
+        model = ReceiverClockSkew(skew_ppm=skew, drift_ppm_per_s=drift)
+        rebuilt = parse_fault_spec(model.describe()).models[0]
+        assert rebuilt.describe() == model.describe()
+        assert repr((rebuilt.skew_ppm, rebuilt.drift_ppm_per_s)) == repr(
+            (skew, drift))
+
 
 class TestRailVoltageJitter:
     def test_adds_noise_of_configured_sigma(self):
@@ -213,6 +232,58 @@ class TestSampleDropout:
     def test_probability_validated(self):
         with pytest.raises(ConfigError):
             SampleDropout(probability=1.5)
+
+
+def _bursts(model, count, max_vector_bits=512):
+    """The first ``count`` (gap_ns, class) bursts ``model`` draws."""
+    return list(itertools.islice(model.bursts(max_vector_bits), count))
+
+
+class TestGrantBurstDraws:
+    """grant-interference draws its bursts from the counter-hash stream."""
+
+    def test_burst_k_reads_draws_2k_and_2k_plus_1_of_its_key(self):
+        model = GrantQueueInterference(seed=9)
+        key = fold_key((SEED_SPACE, 9, zlib.crc32(b"grant-interference"),
+                        zlib.crc32(b"bursts")))
+        classes = GrantQueueInterference.BURST_CLASSES
+        for k, (gap_ns, iclass) in enumerate(_bursts(model, 16)):
+            assert gap_ns == -(1e9 / 300.0) * math.log1p(-uniform(key, 2 * k))
+            assert iclass is classes[int(uniform(key, 2 * k + 1) * 4)]
+
+    def test_same_seed_replays_and_another_seed_differs(self):
+        first = _bursts(GrantQueueInterference(seed=4), 64)
+        assert _bursts(GrantQueueInterference(seed=4), 64) == first
+        assert _bursts(GrantQueueInterference(seed=5), 64) != first
+
+    def test_stream_is_disjoint_from_slot_jitter(self):
+        grant = GrantQueueInterference(seed=4)
+        key = fold_key(grant.seed_parts("bursts"))
+        draws = {uniform(key, i) for i in range(4000)}
+        schedule = SlotSchedule(epoch_ns=0.0, slot_ns=1000.0)
+        for party in ("sender", "receiver"):
+            view = SlotScheduleJitter(seed=4).perturb_schedule(schedule, party)
+            jitter_key = fold_key(view.salt)
+            assert jitter_key != key
+            assert draws.isdisjoint(uniform(jitter_key, i)
+                                    for i in range(4000))
+
+    @pytest.mark.parametrize("rate, intensity", [(300.0, 1.0), (2000.0, 0.5)])
+    def test_mean_gap_matches_the_rate(self, rate, intensity):
+        model = GrantQueueInterference(burst_rate_per_s=rate,
+                                       intensity=intensity, seed=2)
+        gaps = [gap for gap, _ in _bursts(model, 20_000)]
+        assert min(gaps) > 0
+        assert sum(gaps) / len(gaps) == pytest.approx(
+            1e9 / (rate * intensity), rel=0.03)
+
+    @pytest.mark.parametrize("bits", [256, 512])
+    def test_every_allowed_class_and_no_wider_one(self, bits):
+        drawn = {iclass for _, iclass in
+                 _bursts(GrantQueueInterference(seed=6), 2000, bits)}
+        assert drawn == {c for c in GrantQueueInterference.BURST_CLASSES
+                         if c.width_bits <= bits}
+        assert (IClass.HEAVY_512 in drawn) == (bits == 512)
 
 
 class TestPerturbedSchedule:

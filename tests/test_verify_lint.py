@@ -324,7 +324,7 @@ class TestMissingHints:
 MUTATIONS = [
     pytest.param(
         "faults/base.py",
-        "np.random.default_rng(parts + tuple(_salt_int(s) for s in salt))",
+        "np.random.default_rng(self.seed_parts(*salt))",
         "np.random.default_rng()",
         "unseeded-rng", id="fault-rng-seed-dropped"),
     pytest.param(
