@@ -21,26 +21,29 @@ BER/capacity verdicts and per-defender runtime/power cost.  Run it
 with ``python -m repro --mitigation-matrix``.
 """
 
-from repro.mitigations.matrix import (
-    ATTACKERS,
-    Attacker,
-    DEFENDERS,
-    Defender,
-    DefenderCost,
-    MatrixCell,
-    MitigationMatrixReport,
-    run_matrix,
-    smoke_matrix,
-)
+from repro import lazy_exports
 
-from repro.mitigations.detector import DetectionReport, ThrottleAnomalyDetector
-from repro.mitigations.report import (
-    MitigationOutcome,
-    MitigationReport,
-    TABLE1_DEFENDERS,
-    evaluate_mitigation,
-    evaluate_all,
-)
+#: Every export resolves on first use: name -> defining submodule.  The
+#: matrix then loads without the Table 1 evaluation and the detector.
+_LAZY = {
+    "ATTACKERS": "matrix",
+    "Attacker": "matrix",
+    "DEFENDERS": "matrix",
+    "Defender": "matrix",
+    "DefenderCost": "matrix",
+    "MatrixCell": "matrix",
+    "MitigationMatrixReport": "matrix",
+    "run_matrix": "matrix",
+    "smoke_matrix": "matrix",
+    "DetectionReport": "detector",
+    "ThrottleAnomalyDetector": "detector",
+    "MitigationOutcome": "report",
+    "MitigationReport": "report",
+    "TABLE1_DEFENDERS": "report",
+    "evaluate_mitigation": "report",
+    "evaluate_all": "report",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)
 
 __all__ = [
     "ATTACKERS",

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-import numpy as np
-
 from repro.errors import ConfigError
 from repro.measure.trace import StepTrace
 from repro.soc.system import System
@@ -84,6 +82,8 @@ class ThrottleAnomalyDetector:
         """Peak normalised autocorrelation of the binned episode train."""
         if len(starts) < 3:
             return 0.0
+        import numpy as np
+
         n_bins = max(8, int((t1_ns - t0_ns) / self.bin_ns) + 1)
         train = np.zeros(n_bins)
         for start in starts:
@@ -120,6 +120,8 @@ class ThrottleAnomalyDetector:
         if len(starts) < self.min_episodes:
             return DetectionReport(core, len(starts), 0.0, float("inf"),
                                    periodicity=0.0, flagged=False)
+        import numpy as np
+
         intervals = np.diff(np.asarray(starts))
         mean = float(np.mean(intervals))
         cv = float(np.std(intervals) / mean) if mean > 0 else float("inf")

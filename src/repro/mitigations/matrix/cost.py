@@ -22,8 +22,6 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, List
 
-import numpy as np
-
 from repro.isa.workload import PhaseTrace, calculix_like_trace, uniform_loop
 from repro.mitigations.matrix.defenders import Defender, get_defender
 from repro.scenarios.build import build_system
@@ -95,6 +93,8 @@ def _timed_program(system: System, thread_id: int, trace: PhaseTrace,
 
 def _completion_and_power(spec: ScenarioSpec) -> Dict[str, float]:
     """Run the fixed victim workload on ``spec``'s system and score it."""
+    import numpy as np
+
     system = build_system(spec)
     trace = calculix_like_trace(total_ms=WORKLOAD_MS, seed=_WORKLOAD_SEED)
     out: List[float] = []

@@ -26,14 +26,13 @@ import json
 import math
 import os
 import pickle
+import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 import threading
-
-import numpy as np
 
 from repro.errors import ConfigError
 from repro.obs.tracer import current as _obs
@@ -95,7 +94,10 @@ def canonicalize(obj: Any) -> Any:
         return float(obj)
     if isinstance(obj, bytes):
         return {"__bytes__": obj.hex()}
-    if isinstance(obj, np.ndarray):
+    # No ndarray can exist before numpy is loaded, so the check leaves
+    # numpy unimported for callers that never use it.
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(obj, np.ndarray):
         return {"__ndarray__": str(obj.dtype),
                 "shape": list(obj.shape),
                 "data": [canonicalize(v) for v in obj.reshape(-1).tolist()]}

@@ -15,7 +15,6 @@ executes nothing.
 
 from __future__ import annotations
 
-import concurrent.futures
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -157,6 +156,8 @@ class SweepRunner:
                             break
                         completed.append(idx)
                 else:
+                    import concurrent.futures
+
                     workers = min(self.jobs, len(pending))
                     with concurrent.futures.ProcessPoolExecutor(
                             max_workers=workers) as pool:

@@ -11,38 +11,39 @@ through ``python -m repro --scenario NAME``, the sweep runner and the
 verify golden gates, and renders its own entry in docs/SCENARIOS.md.
 """
 
-from repro.scenarios.build import build_system, tenant_thread_ids
-from repro.scenarios.docsgen import (
-    check_docs,
-    registry_markdown,
-    render_docs,
-)
-from repro.scenarios.registry import (
-    all_specs,
-    get_spec,
-    interference_spec,
-    register,
-    scenario_names,
-)
-from repro.scenarios.run import (
-    InterferencePoint,
-    InterferenceSweepResult,
-    ScenarioRun,
-    TenantResult,
-    interference_sweep,
-    make_channel,
-    run_document,
-    run_scenario,
-)
-from repro.scenarios.spec import (
-    CHANNEL_KINDS,
-    NoiseSpec,
-    OVERRIDABLE_FIELDS,
-    ScenarioSpec,
-    TenantSpec,
-    WORKLOAD_KINDS,
-    WorkloadSpec,
-)
+from repro import lazy_exports
+
+#: Every export resolves on first use: name -> defining submodule.  A
+#: caller that runs scenarios (the mitigation matrix) then loads no
+#: docs generator.
+_LAZY = {
+    "build_system": "build",
+    "tenant_thread_ids": "build",
+    "check_docs": "docsgen",
+    "registry_markdown": "docsgen",
+    "render_docs": "docsgen",
+    "all_specs": "registry",
+    "get_spec": "registry",
+    "interference_spec": "registry",
+    "register": "registry",
+    "scenario_names": "registry",
+    "InterferencePoint": "run",
+    "InterferenceSweepResult": "run",
+    "ScenarioRun": "run",
+    "TenantResult": "run",
+    "interference_sweep": "run",
+    "make_channel": "run",
+    "run_document": "run",
+    "run_scenario": "run",
+    "CHANNEL_KINDS": "spec",
+    "NoiseSpec": "spec",
+    "OVERRIDABLE_FIELDS": "spec",
+    "ScenarioSpec": "spec",
+    "TenantSpec": "spec",
+    "WORKLOAD_KINDS": "spec",
+    "WorkloadSpec": "spec",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)
 
 __all__ = [
     "CHANNEL_KINDS",

@@ -19,14 +19,15 @@ Section 6.3 of the paper analyses two noise sources:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Generator, Sequence
 
 from repro.errors import ConfigError, bounded, check_fields
 from repro.isa.workload import PhaseTrace
 from repro.soc.system import System
 from repro.units import us_to_ns
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,8 @@ def _preemption_process(system: System, thread_id: int, rate_per_s: float,
     if rate_per_s <= 0:
         return
         yield  # pragma: no cover - makes this a generator
+    import numpy as np
+
     mean_gap_ns = 1e9 / rate_per_s
     log_mean_us = np.log(mean_us)
     while system.now < horizon_ns:
@@ -80,6 +83,8 @@ def attach_system_noise(system: System, thread_ids: Sequence[int],
     """Attach interrupt + context-switch noise to the given threads."""
     if horizon_ns <= 0:
         raise ConfigError(f"horizon must be positive, got {horizon_ns}")
+    import numpy as np
+
     for i, thread_id in enumerate(thread_ids):
         irq_rng = np.random.default_rng((seed, thread_id, 0))
         ctx_rng = np.random.default_rng((seed, thread_id, 1))

@@ -28,8 +28,6 @@ import hashlib
 import json
 from typing import Any, Dict, Iterator, List, Mapping, Sequence, Tuple
 
-import numpy as np
-
 from repro.runner.cache import canonicalize
 
 
@@ -62,6 +60,8 @@ def summarize_array(values: Sequence[float], name: str = "array") -> Dict[str, A
     scalars keep a mismatch humanly readable without storing thousands
     of floats in the golden file.
     """
+    import numpy as np
+
     arr = np.ascontiguousarray(np.asarray(values, dtype=float), dtype="<f8")
     out: Dict[str, Any] = {
         "name": name,
