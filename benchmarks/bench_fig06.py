@@ -1,10 +1,6 @@
 """Figure 6 — supply-voltage steps while cores start/stop AVX2.
 
-Paper claims regenerated here:
-* core 1 starting AVX2 raises the shared rail by ~8 mV; core 0 joining
-  adds ~9 mV more; stopping returns the rail to its start (788 mV);
-* core frequency stays at 2 GHz throughout (no limit binds there);
-* 454.calculix's AVX2 phases move the rail up and down the same way.
+Its claims: the ``fig6.*`` rows of :mod:`repro.analysis.claims`.
 """
 
 from conftest import banner
@@ -34,6 +30,3 @@ def test_bench_fig06(benchmark):
 
     benchmark.extra_info["step_core1_mv"] = round(result.step_core1_mv, 2)
     benchmark.extra_info["step_core0_mv"] = round(result.step_core0_mv, 2)
-    assert 5.0 < result.step_core1_mv < 12.0
-    assert 5.0 < result.step_core0_mv < 12.0
-    assert abs(result.return_mv) < 1.0

@@ -1,11 +1,6 @@
 """Figure 9 — power gate, Vcc, frequency and throttle timelines.
 
-Paper claims regenerated here:
-* case (a), base frequency: the AVX2 loop opens the power gate within
-  nanoseconds, then runs throttled for microseconds while the rail ramps
-  the di/dt guardband — the wake latency is ~0.1 % of the TP;
-* case (c), turbo frequency: the same loop additionally triggers the
-  Icc_max protection, and the package steps its frequency down.
+Its claims: the ``fig9.*`` rows of :mod:`repro.analysis.claims`.
 """
 
 from conftest import banner
@@ -32,7 +27,3 @@ def test_bench_fig09(benchmark):
 
     benchmark.extra_info["wake_ns"] = result.didt_wake_ns
     benchmark.extra_info["tp_us"] = round(result.didt_tp_us, 2)
-    assert result.didt_wake_ns <= 20.0
-    assert result.didt_tp_us > 5.0
-    assert share < 0.005
-    assert min(f for _, f in result.limit_freq) < 3.1

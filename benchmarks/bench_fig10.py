@@ -1,11 +1,6 @@
 """Figure 10 — multi-level throttling sweeps on Cannon Lake.
 
-Paper claims regenerated here:
-* (a) the TP grows with instruction intensity, frequency and the number
-  of cores concurrently executing PHIs; anchor point: 256b_Heavy at
-  1 GHz is ~5 us on one core and ~9 us on two;
-* (b) the TP of a trailing 512b_Heavy loop *decreases* as the preceding
-  loop's intensity increases, forming at least five levels (L1-L5).
+Its claims: the ``fig10.*`` rows of :mod:`repro.analysis.claims`.
 """
 
 from conftest import banner
@@ -42,6 +37,3 @@ def test_bench_fig10(benchmark):
     benchmark.extra_info["256b_heavy_1ghz_1core_us"] = round(one, 2)
     benchmark.extra_info["256b_heavy_1ghz_2core_us"] = round(two, 2)
     benchmark.extra_info["levels"] = len(levels)
-    assert 3.5 <= one <= 7.0   # paper: ~5 us
-    assert 7.0 <= two <= 11.0  # paper: ~9 us
-    assert len(levels) >= 5

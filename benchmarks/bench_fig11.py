@@ -1,10 +1,6 @@
 """Figure 11 — the IDQ undelivered-uop signature of throttling.
 
-Paper claims regenerated here: during throttled iterations the IDQ
-delivers no uops in ~75 % of cycles even though the back-end is not
-stalled; in unthrottled iterations the undelivered fraction is ~0.
-This is Key Conclusion 5 — the throttle blocks the front-end-to-back-end
-interface for 3 of every 4 cycles, for the whole core.
+Its claims: the ``fig11.*`` rows of :mod:`repro.analysis.claims`.
 """
 
 import numpy as np
@@ -29,5 +25,3 @@ def test_bench_fig11(benchmark):
 
     benchmark.extra_info["throttled_mean"] = round(throttled_mean, 4)
     benchmark.extra_info["unthrottled_mean"] = round(unthrottled_mean, 4)
-    assert abs(throttled_mean - 0.75) < 0.03
-    assert unthrottled_mean < 0.05

@@ -1,14 +1,11 @@
 """Figure 12 — throughput of IChannels vs the four baselines.
 
-Paper claims regenerated here (all channels and baselines run on the
-same simulated Cannon Lake, so the ratios are measured, not quoted):
-* IccThreadCovert ~= 2x NetSpectre (two bits per transaction vs one);
-* IccSMTcovert/IccCoresCovert ~= 145x DFScovert, 47x TurboCC and
-  24x POWERT (paper: 2899/20, 2899/61, 2899/122).
+Its claims: the ``fig12.*`` rows of :mod:`repro.analysis.claims`.
 """
 
 from conftest import banner
 
+from repro.analysis.claims import CLAIMS
 from repro.analysis.experiments import fig12_throughput
 from repro.analysis.figures import ascii_bars
 
@@ -21,23 +18,10 @@ def test_bench_fig12(benchmark):
     print(ascii_bars(bars, unit=" bps"))
 
     print("\nRatios (ours / baseline):")
-    rows = [
-        ("IccThreadCovert / NetSpectre",
-         result.ratio("IccThreadCovert", "NetSpectre"), 2.0),
-        ("IccSMTcovert / TurboCC",
-         result.ratio("IccSMTcovert", "TurboCC"), 47.0),
-        ("IccSMTcovert / DFScovert",
-         result.ratio("IccSMTcovert", "DFScovert"), 145.0),
-        ("IccSMTcovert / POWERT",
-         result.ratio("IccSMTcovert", "POWERT"), 24.0),
-    ]
-    for label, measured, paper in rows:
-        print(f"  {label:32s} measured {measured:6.1f}x   paper {paper:5.1f}x")
+    for claim in CLAIMS:
+        if claim.key.startswith("fig12.ratio."):
+            print(f"  {claim.key:24s} measured {claim.measure(result):6.1f}x"
+                  f"   paper {claim.paper}")
 
     for name, bps in result.throughput_bps.items():
         benchmark.extra_info[name] = round(bps, 1)
-    assert abs(result.ratio("IccThreadCovert", "NetSpectre") - 2.0) < 0.6
-    assert result.ratio("IccSMTcovert", "TurboCC") > 30.0
-    assert result.ratio("IccSMTcovert", "DFScovert") > 100.0
-    assert result.ratio("IccSMTcovert", "POWERT") > 20.0
-    assert all(ber == 0.0 for ber in result.ber.values())

@@ -1,8 +1,6 @@
 """Figure 13 — receiver TP distributions per level in a low-noise system.
 
-Paper claims regenerated here: the four level clusters (L1-L4) do not
-overlap, with adjacent clusters separated by more than 2 000 TSC cycles,
-so threshold decoding has a near-zero error rate under low system noise.
+Its claims: the ``fig13.*`` rows of :mod:`repro.analysis.claims`.
 """
 
 from conftest import banner
@@ -30,4 +28,3 @@ def test_bench_fig13(benchmark):
           f"(paper: > 2000 cycles)")
 
     benchmark.extra_info["min_gap_cycles"] = round(result.min_gap_cycles)
-    assert result.min_gap_cycles > 2000.0

@@ -1,14 +1,6 @@
 """Figure 14 — bit error rate under system noise and concurrent PHIs.
 
-Paper claims regenerated here:
-* (a) BER stays low even at thousands of interrupts/context switches per
-  second — the decode window is only microseconds long, so collisions
-  are rare;
-* (c) BER rises with the rate of a concurrent application injecting
-  random-level PHIs, because higher-level App PHIs outrank the channel's
-  own symbols on the shared rail;
-* running a 7-zip-like neighbour (AVX2 bursts, no AVX-512) keeps BER
-  below the paper's 0.07 bound.
+Its claims: the ``fig14.*`` rows of :mod:`repro.analysis.claims`.
 """
 
 from conftest import banner
@@ -42,7 +34,3 @@ def test_bench_fig14(benchmark):
     benchmark.extra_info["phi_10k_ber"] = round(
         result.ber_vs_phi_rate[10000.0], 4)
     benchmark.extra_info["sevenzip_ber"] = round(result.sevenzip_ber, 4)
-    assert max(result.ber_vs_event_rate.values()) < 0.15
-    assert (result.ber_vs_phi_rate[10000.0]
-            >= result.ber_vs_phi_rate[10.0])
-    assert result.sevenzip_ber < 0.07

@@ -6,18 +6,21 @@ receiver clock skew, slot-schedule jitter).  The claim demonstrated:
 
 * with faults off, every stack delivers and the bare channel is the
   fastest — the adaptive machinery costs nothing when unused;
-* at the default suite's nominal intensity (1.0) the plain ARQ session
-  is left with residual BER above 1e-1, while the adaptive session
+* at the default suite's nominal intensity (1.0) the adaptive session
   (windowed-BER re-calibration, exponential backoff, two-level
-  degradation) still delivers the payload intact (residual <= 1e-2);
+  degradation) keeps residual BER <= 1e-2 where plain ARQ exceeds 1e-1
+  -- judged over seeds 1-10 by the ``resilience.*`` claims of
+  :mod:`repro.analysis.claims`, outside the timed sweep;
 * past nominal intensity the adaptive session degrades to two-level
   robust signalling and keeps delivering.
 """
 
 from conftest import banner, runner_from_env
 
+from repro.analysis.claims import CLAIMS
 from repro.analysis.experiments import resilience_sweep
 from repro.analysis.figures import ascii_bars
+from repro.analysis.report import PaperResults
 
 
 def test_bench_resilience(benchmark):
@@ -52,10 +55,13 @@ def test_bench_resilience(benchmark):
     assert clean_adaptive.delivered_fraction == 1.0
     assert clean_adaptive.degraded_fraction == 0.0
     assert clean_adaptive.residual_ber == 0.0
-    # The acceptance criterion: at nominal fault intensity the adaptive
-    # session holds residual BER <= 1e-2 where plain ARQ exceeds 1e-1.
-    assert faulty_arq.residual_ber > 1e-1
-    assert faulty_adaptive.residual_ber <= 1e-2
     # Adaptation actually engaged (re-calibration and/or degradation).
     assert (faulty_adaptive.recalibrations > 0
             or faulty_adaptive.degraded_fraction > 0)
+    # The acceptance criterion, over the seed spread rather than one seed.
+    spread = PaperResults().resilience
+    for claim in CLAIMS:
+        if claim.experiment == "resilience":
+            benchmark.extra_info[claim.key] = claim.measure(spread)
+            problem = claim.violation(spread)
+            assert problem is None, problem

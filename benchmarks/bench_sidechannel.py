@@ -1,11 +1,6 @@
 """Section 6.5 — the side-channel variant, quantified.
 
-The paper states the covert-channel PoCs demonstrate, with minimal
-changes, a synthetic side channel that leaks a victim's instruction
-classes, and leaves extraction of real secrets to future work.  This
-bench measures both halves on the simulator: per-class inference
-accuracy (with the full confusion matrix), and end-to-end key recovery
-from a victim whose code path depends on key bits.
+Its claims: the ``side_channel.*`` rows of :mod:`repro.analysis.claims`.
 """
 
 from conftest import banner
@@ -35,6 +30,3 @@ def test_bench_sidechannel(benchmark):
 
     for location, accuracy in result.accuracy.items():
         benchmark.extra_info[f"accuracy_{location}"] = round(accuracy, 3)
-        assert accuracy >= 0.8, location
-    for location, bits in result.key_bits_recovered.items():
-        assert bits >= result.key_bits_total - 1, location

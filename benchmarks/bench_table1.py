@@ -1,20 +1,11 @@
 """Table 1 — effectiveness and overhead of the three mitigations.
 
-Paper's matrix, regenerated by actually attacking a mitigated system:
-
-=====================  =============  ============  ==============
-Mitigation             IccThread      IccSMT        IccCores
-=====================  =============  ============  ==============
-Per-core VR            Partially      Partially     mitigated
-Improved throttling    open           mitigated     open
-Secure mode            mitigated      mitigated     mitigated
-=====================  =============  ============  ==============
-
-plus the secure-mode power overhead (paper: 4-11 %).
+Its claims: the ``table1.*`` rows of :mod:`repro.analysis.claims`.
 """
 
 from conftest import banner
 
+from repro.analysis.claims import ICC_CHANNELS
 from repro.analysis.experiments import table1_mitigations
 from repro.analysis.figures import format_table
 from repro.mitigations import TABLE1_DEFENDERS
@@ -25,30 +16,12 @@ def test_bench_table1(benchmark):
     report = benchmark.pedantic(table1_mitigations, rounds=1, iterations=1)
 
     banner("Table 1: mitigation effectiveness (measured on Cannon Lake)")
-    channels = ["IccThreadCovert", "IccSMTcovert", "IccCoresCovert"]
-    rows = []
-    for defender in TABLE1_DEFENDERS:
-        row = [defender]
-        for channel in channels:
-            row.append(report.verdict(channel, defender))
-        row.append(get_defender(defender).overhead_note)
-        rows.append(row)
-    print(format_table(["defender"] + channels + ["overhead"], rows))
+    rows = [[defender, *(report.verdict(c, defender) for c in ICC_CHANNELS),
+             get_defender(defender).overhead_note]
+            for defender in TABLE1_DEFENDERS]
+    print(format_table(["defender", *ICC_CHANNELS, "overhead"], rows))
     print(f"\nsecure-mode power overhead (measured): "
           f"{report.secure_mode_power_overhead * 100:.1f}% (paper: 4-11%)")
 
     benchmark.extra_info["secure_mode_power_pct"] = round(
         report.secure_mode_power_overhead * 100, 1)
-    # The paper's exact matrix.
-    assert report.verdict("IccThreadCovert", "per_core_ldo") == "PARTIAL"
-    assert report.verdict("IccSMTcovert", "per_core_ldo") == "PARTIAL"
-    assert report.verdict("IccCoresCovert", "per_core_ldo") == "MITIGATED"
-    assert report.verdict("IccThreadCovert",
-                          "improved_throttling") == "OPEN"
-    assert report.verdict("IccSMTcovert",
-                          "improved_throttling") == "MITIGATED"
-    assert report.verdict("IccCoresCovert",
-                          "improved_throttling") == "OPEN"
-    for channel in channels:
-        assert report.verdict(channel, "secure_mode") == "MITIGATED"
-    assert 0.04 <= report.secure_mode_power_overhead <= 0.11

@@ -1,9 +1,6 @@
 """Table 2 — comparison against state-of-the-art throttling channels.
 
-Regenerates the paper's comparison matrix with *measured* bandwidths:
-NetSpectre reaches the same hardware thread only at ~1.5 kb/s; TurboCC
-crosses cores but needs turbo and manages ~61 b/s; IChannels covers all
-three placements at ~3 kb/s, user-level, turbo-independent.
+Its claims: the ``table2.*`` rows of :mod:`repro.analysis.claims`.
 """
 
 from conftest import banner
@@ -38,7 +35,3 @@ def test_bench_table2(benchmark):
     benchmark.extra_info["ichannels_bw"] = round(by_name["IChannels"].bw_bps)
     benchmark.extra_info["netspectre_bw"] = round(by_name["NetSpectre"].bw_bps)
     benchmark.extra_info["turbocc_bw"] = round(by_name["TurboCC"].bw_bps)
-    assert by_name["IChannels"].bw_bps > 2000.0
-    assert by_name["NetSpectre"].bw_bps > 1000.0
-    assert by_name["TurboCC"].bw_bps < 100.0
-    assert by_name["IChannels"].cross_smt and by_name["IChannels"].cross_core

@@ -187,6 +187,7 @@ class Fig7Result:
 
 def _operating_point(config: ProcessorConfig, freq: float, n_cores: int,
                      iclass: IClass, label: str) -> Fig7OperatingPoint:
+    """Run one Fig. 7 operating point and judge it against the limits."""
     system = System(config, governor_freq_ghz=freq)
     verdict = system.pmu.table.verdict(freq, (iclass,) * n_cores)
     sink: List = []
@@ -734,11 +735,8 @@ class Table2Row:
     effective_mitigations: bool
 
 
-def table2_comparison(fig12: Optional[Fig12Result] = None
-                      ) -> List[Table2Row]:
-    """Comparison matrix with measured bandwidths (Table 2)."""
-    if fig12 is None:
-        fig12 = fig12_throughput()
+def table2_comparison(fig12: Fig12Result) -> List[Table2Row]:
+    """Comparison matrix with Fig. 12's measured bandwidths (Table 2)."""
     ichannels_bw = max(
         fig12.throughput_bps["IccThreadCovert"],
         fig12.throughput_bps["IccSMTcovert"],

@@ -22,6 +22,7 @@ from repro.isa import IClass
 
 
 def _write(path: str, header: "list[str]", rows: "list[list]") -> str:
+    """Write one CSV file and return its path."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)

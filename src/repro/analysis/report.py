@@ -1,8 +1,9 @@
 """Full reproduction report generator.
 
-Runs every experiment (Figures 6-14, Tables 1-2) and renders a single
-markdown report with the measured values next to the paper's.  Usable as
-a library (:func:`generate_report`) or from the command line::
+:func:`run_experiments` runs every experiment (Figures 6-14, Tables 1-2);
+:func:`render_report` renders the measured values next to the paper's,
+read from :data:`repro.analysis.claims.CLAIMS`.  Usable as a library
+(:func:`generate_report`) or from the command line::
 
     python -m repro.analysis.report [-o REPORT.md] [--quick]
 
@@ -13,33 +14,87 @@ from __future__ import annotations
 
 import argparse
 import io
-from typing import Optional
+from functools import cached_property
+from types import SimpleNamespace
+from typing import List, Optional
 
 import numpy as np
 
 from repro.analysis import experiments as ex
+from repro.analysis.claims import CLAIMS, ICC_CHANNELS
 from repro.analysis.figures import format_table
 from repro.isa import IClass
+from repro.mitigations import MitigationReport
 
 
-def _fig6(out: io.StringIO) -> None:
-    result = ex.fig6_voltage_steps()
+class PaperResults(SimpleNamespace):
+    """Every experiment's result, one attribute each (``fig6`` ...).
+
+    :func:`run_experiments` fills in what REPORT.md renders.  §6.5's side
+    channel and the resilience seed spread have no REPORT.md section, so
+    they run on first access; only their claims read them.
+    """
+
+    @property
+    def table2(self) -> List[ex.Table2Row]:
+        """Table 2's rows, with Fig. 12's measured bandwidths."""
+        return ex.table2_comparison(self.fig12)
+
+    @cached_property
+    def side_channel(self) -> ex.SideChannelResult:
+        """§6.5's class inference and key recovery."""
+        return ex.side_channel_inference()
+
+    @cached_property
+    def resilience(self) -> List[ex.ResilienceResult]:
+        """ARQ and adaptive sessions at nominal fault intensity, seeds 1-10."""
+        return [ex.resilience_sweep(intensities=(1.0,), seed=seed,
+                                    mitigations=("arq", "adaptive"))
+                for seed in range(1, 11)]
+
+
+#: The paper text REPORT.md prints for each claim, by claim key.
+PAPER = {claim.key: claim.paper for claim in CLAIMS}
+
+
+def run_experiments(quick: bool = False) -> PaperResults:
+    """Run every experiment REPORT.md renders (fewer trials if ``quick``)."""
+    return PaperResults(
+        fig6=ex.fig6_voltage_steps(),
+        fig7=ex.fig7_limit_protection(),
+        fig8=ex.fig8_throttling(trials=8 if quick else 20),
+        fig9=ex.fig9_timeline(),
+        fig10=ex.fig10_multilevel(),
+        fig11=ex.fig11_idq_signature(),
+        fig12=ex.fig12_throughput(),
+        fig13=ex.fig13_level_distribution(),
+        fig14=ex.fig14_noise_sensitivity(trials=2 if quick else 3),
+        table1=ex.table1_mitigations(),
+    )
+
+
+def _fig6(out: io.StringIO, result: ex.Fig6Result) -> None:
+    """Render Figure 6: the guardband steps."""
     out.write("## Figure 6 — di/dt guardband steps\n\n")
     out.write(format_table(
         ["observation", "paper", "measured"],
         [
-            ["baseline Vcc @ 2 GHz", "788 mV", f"{result.vcc_start_mv:.0f} mV"],
-            ["core 1 starts AVX2", "+8 mV", f"+{result.step_core1_mv:.1f} mV"],
-            ["core 0 joins", "+9 mV", f"+{result.step_core0_mv:.1f} mV"],
-            ["after both stop", "back to start", f"{result.return_mv:+.1f} mV"],
-            ["frequency", "flat at 2 GHz",
+            ["baseline Vcc @ 2 GHz", PAPER["fig6.baseline_mv"],
+             f"{result.vcc_start_mv:.0f} mV"],
+            ["core 1 starts AVX2", PAPER["fig6.step_core1_mv"],
+             f"+{result.step_core1_mv:.1f} mV"],
+            ["core 0 joins", PAPER["fig6.step_core0_mv"],
+             f"+{result.step_core0_mv:.1f} mV"],
+            ["after both stop", PAPER["fig6.return_mv"],
+             f"{result.return_mv:+.1f} mV"],
+            ["frequency", PAPER["fig6.freq_ghz"],
              f"{result.freq_ghz_start:.1f} -> {result.freq_ghz_end:.1f} GHz"],
         ]))
     out.write("\n\n")
 
 
-def _fig7(out: io.StringIO) -> None:
-    result = ex.fig7_limit_protection()
+def _fig7(out: io.StringIO, result: ex.Fig7Result) -> None:
+    """Render Figure 7: each operating point against the limits."""
     out.write("## Figure 7 — Icc/Vcc limit protection\n\n")
     rows = []
     for p in result.points:
@@ -58,44 +113,46 @@ def _fig7(out: io.StringIO) -> None:
         ["system", "requested", "workload", "projected V/I", "verdict",
          "realized"], rows))
     out.write(f"\n\nJunction temperature peaked at {result.temp_max_c:.0f} C "
-              f"(Tj_max {result.tj_max_c:.0f} C) — not thermal.\n\n")
+              f"(Tj_max {result.tj_max_c:.0f} C) — "
+              f"{PAPER['fig7.not_thermal']}.\n\n")
 
 
-def _fig8(out: io.StringIO, trials: int) -> None:
-    result = ex.fig8_throttling(trials=trials)
+def _fig8(out: io.StringIO, result: ex.Fig8Result) -> None:
+    """Render Figure 8: TP per part and the per-iteration wake deltas."""
     out.write("## Figure 8 — throttling periods and power-gate wake\n\n")
     rows = []
-    expectations = {"Haswell": "~9 us", "Coffee Lake": "12-15 us",
-                    "Cannon Lake": "12-15 us"}
     for part, samples in result.tp_us_by_part.items():
-        rows.append([part, expectations[part],
+        key = "fig8.tp_" + part.lower().replace(" ", "_") + "_us"
+        rows.append([part, PAPER[key],
                      f"{float(np.median(samples)):.1f} us "
                      f"[{min(samples):.1f}, {max(samples):.1f}]"])
     out.write(format_table(["part", "paper TP", "measured TP (median [range])"],
                            rows))
-    out.write("\n\nPer-iteration deltas vs steady state (paper: first CFL "
-              "iteration +8-15 ns, Haswell flat):\n\n")
+    out.write(f"\n\nPer-iteration deltas vs steady state (paper: "
+              f"{PAPER['fig8.cfl_first_iteration_ns']}, "
+              f"{PAPER['fig8.haswell_flat_ns']}):\n\n")
     for part, deltas in result.iteration_deltas_ns.items():
         formatted = ", ".join(f"{d:+.1f}" for d in deltas)
         out.write(f"* {part}: [{formatted}] ns\n")
     out.write("\n")
 
 
-def _fig9(out: io.StringIO) -> None:
-    result = ex.fig9_timeline()
+def _fig9(out: io.StringIO, result: ex.Fig9Result) -> None:
+    """Render Figure 9: wake latency against the throttling period."""
     share = result.didt_wake_ns / (result.didt_tp_us * 1000.0)
     out.write("## Figure 9 — wake latency vs throttling period\n\n")
     out.write(f"* power-gate wake: {result.didt_wake_ns:.0f} ns "
-              f"(paper: 8-15 ns)\n")
+              f"(paper: {PAPER['fig9.wake_ns']})\n")
     out.write(f"* throttling period: {result.didt_tp_us:.1f} us\n")
-    out.write(f"* wake share of TP: {share * 100:.2f}% (paper: ~0.1%)\n")
+    out.write(f"* wake share of TP: {share * 100:.2f}% "
+              f"(paper: {PAPER['fig9.wake_share']})\n")
     out.write(f"* limit case frequency floor: "
               f"{min(f for _, f in result.limit_freq):.2f} GHz "
-              f"(from 3.1 GHz)\n\n")
+              f"({PAPER['fig9.limit_floor_ghz']})\n\n")
 
 
-def _fig10(out: io.StringIO) -> None:
-    result = ex.fig10_multilevel()
+def _fig10(out: io.StringIO, result: ex.Fig10Result) -> None:
+    """Render Figure 10: the TP sweep and the levels."""
     out.write("## Figure 10 — multi-level throttling (Cannon Lake)\n\n")
     rows = []
     for iclass in sorted(IClass):
@@ -110,28 +167,25 @@ def _fig10(out: io.StringIO) -> None:
     out.write(format_table(
         ["class", "TP 1GHz/1c (us)", "TP 1GHz/2c", "TP 1.4GHz/1c",
          "512H-after (us)", "level"], rows))
-    out.write("\n\nPaper anchors: 256b_Heavy ~5 us (1 core) / ~9 us "
-              "(2 cores) at 1 GHz; at least five levels L1-L5.\n\n")
+    out.write(f"\n\nPaper anchors: {PAPER['fig10.heavy256_one_core_us']} / "
+              f"{PAPER['fig10.heavy256_two_cores_us']}; "
+              f"{PAPER['fig10.levels']}.\n\n")
 
 
-def _fig11(out: io.StringIO) -> None:
-    result = ex.fig11_idq_signature()
+def _fig11(out: io.StringIO, result: ex.Fig11Result) -> None:
+    """Render Figure 11: the mean undelivered-uop fractions."""
     out.write("## Figure 11 — IDQ undelivered-uop signature\n\n")
     out.write(f"* throttled iterations: {np.mean(result.throttled):.3f} "
-              f"(paper ~0.75)\n")
+              f"(paper {PAPER['fig11.throttled']})\n")
     out.write(f"* unthrottled iterations: {np.mean(result.unthrottled):.3f} "
-              f"(paper ~0)\n\n")
+              f"(paper {PAPER['fig11.unthrottled']})\n\n")
 
 
-def _fig12(out: io.StringIO) -> "ex.Fig12Result":
-    result = ex.fig12_throughput()
+def _fig12(out: io.StringIO, result: ex.Fig12Result) -> None:
+    """Render Figure 12: throughput per channel and the headline ratios."""
     out.write("## Figure 12 — throughput comparison\n\n")
-    paper = {
-        "IccThreadCovert": 2899, "IccSMTcovert": 2899, "IccCoresCovert": 2899,
-        "NetSpectre": 1500, "TurboCC": 61, "DFScovert": 20, "POWERT": 122,
-    }
     rows = [
-        [name, f"{paper[name]} b/s", f"{bps:.0f} b/s",
+        [name, PAPER[f"fig12.bps.{name}"], f"{bps:.0f} b/s",
          f"{result.ber[name]:.2f}"]
         for name, bps in sorted(result.throughput_bps.items(),
                                 key=lambda kv: -kv[1])
@@ -140,17 +194,16 @@ def _fig12(out: io.StringIO) -> "ex.Fig12Result":
     out.write("\n\nRatios: "
               f"IccThread/NetSpectre = "
               f"{result.ratio('IccThreadCovert', 'NetSpectre'):.1f}x "
-              f"(paper 2x); vs TurboCC "
-              f"{result.ratio('IccSMTcovert', 'TurboCC'):.0f}x (47x); "
-              f"vs DFScovert "
-              f"{result.ratio('IccSMTcovert', 'DFScovert'):.0f}x (145x); "
-              f"vs POWERT "
-              f"{result.ratio('IccSMTcovert', 'POWERT'):.0f}x (24x).\n\n")
-    return result
+              f"(paper {PAPER['fig12.ratio.NetSpectre']})")
+    for baseline in ("TurboCC", "DFScovert", "POWERT"):
+        out.write(f"; vs {baseline} "
+                  f"{result.ratio('IccSMTcovert', baseline):.0f}x "
+                  f"({PAPER[f'fig12.ratio.{baseline}']})")
+    out.write(".\n\n")
 
 
-def _fig13(out: io.StringIO) -> None:
-    result = ex.fig13_level_distribution()
+def _fig13(out: io.StringIO, result: ex.Fig13Result) -> None:
+    """Render Figure 13: one cluster row per level."""
     out.write("## Figure 13 — level clusters under low noise\n\n")
     rows = []
     for symbol in sorted(result.samples_by_symbol):
@@ -163,45 +216,43 @@ def _fig13(out: io.StringIO) -> None:
     out.write(format_table(
         ["level", "transactions", "median (cycles)", "range"], rows))
     out.write(f"\n\nMinimum adjacent-cluster gap: "
-              f"{result.min_gap_cycles:.0f} cycles (paper: > 2000).\n\n")
+              f"{result.min_gap_cycles:.0f} cycles "
+              f"(paper: {PAPER['fig13.min_gap_cycles']}).\n\n")
 
 
-def _fig14(out: io.StringIO, trials: int) -> None:
-    result = ex.fig14_noise_sensitivity(trials=trials)
+def _fig14(out: io.StringIO, result: ex.Fig14Result) -> None:
+    """Render Figure 14: BER against each noise source."""
     out.write("## Figure 14 — noise sensitivity\n\n")
     rows = [[f"{int(rate)} events/s", f"{ber:.3f}"]
             for rate, ber in sorted(result.ber_vs_event_rate.items())]
-    out.write("BER vs interrupt/context-switch rate (paper: low even when "
-              "highly noisy):\n\n")
+    out.write(f"BER vs interrupt/context-switch rate (paper: "
+              f"{PAPER['fig14.event_ber_max']}):\n\n")
     out.write(format_table(["system event rate", "BER"], rows))
     rows = [[f"{int(rate)} PHIs/s", f"{ber:.3f}"]
             for rate, ber in sorted(result.ber_vs_phi_rate.items())]
-    out.write("\n\nBER vs concurrent App-PHI rate (paper: grows with "
-              "rate):\n\n")
+    out.write(f"\n\nBER vs concurrent App-PHI rate (paper: "
+              f"{PAPER['fig14.phi_ber_order']}):\n\n")
     out.write(format_table(["App-PHI rate", "BER"], rows))
     out.write(f"\n\n7-zip neighbour BER: {result.sevenzip_ber:.3f} "
-              f"(paper: < 0.07).\n\n")
+              f"(paper: {PAPER['fig14.sevenzip_ber']}).\n\n")
 
 
-def _table1(out: io.StringIO) -> None:
-    report = ex.table1_mitigations()
+def _table1(out: io.StringIO, report: MitigationReport) -> None:
+    """Render Table 1: the measured verdicts beside the paper's overheads."""
     out.write("## Table 1 — mitigations\n\n")
-    channels = ["IccThreadCovert", "IccSMTcovert", "IccCoresCovert"]
-    # The paper's row label and overhead column for each defender.
-    paper = (("per_core_ldo", "per-core-vr", "11%-13% more core area"),
-             ("improved_throttling", "improved-throttling",
-              "some design effort"),
-             ("secure_mode", "secure-mode", "4%-11% additional power"))
-    rows = [[label] + [report.verdict(c, defender) for c in channels]
-            + [overhead] for defender, label, overhead in paper]
-    out.write(format_table(["mitigation"] + channels + ["overhead"], rows))
+    labels = (("per_core_ldo", "per-core-vr"),
+              ("improved_throttling", "improved-throttling"),
+              ("secure_mode", "secure-mode"))
+    rows = [[label] + [report.verdict(c, defender) for c in ICC_CHANNELS]
+            + [PAPER[f"table1.{defender}"]] for defender, label in labels]
+    out.write(format_table(["mitigation", *ICC_CHANNELS, "overhead"], rows))
     out.write(f"\n\nSecure-mode power overhead (measured): "
               f"{report.secure_mode_power_overhead * 100:.1f}% "
-              f"(paper: 4-11%).\n\n")
+              f"(paper: {PAPER['table1.secure_mode_power']}).\n\n")
 
 
-def _table2(out: io.StringIO, fig12: "ex.Fig12Result") -> None:
-    rows = ex.table2_comparison(fig12)
+def _table2(out: io.StringIO, rows: List[ex.Table2Row]) -> None:
+    """Render Table 2: the comparison matrix with measured bandwidths."""
     out.write("## Table 2 — comparison matrix\n\n")
     def mark(flag: bool) -> str:
         return "yes" if flag else "-"
@@ -219,27 +270,30 @@ def _table2(out: io.StringIO, fig12: "ex.Fig12Result") -> None:
     out.write("\n")
 
 
-def generate_report(quick: bool = False) -> str:
-    """Run every experiment and return the markdown report."""
-    trials = 8 if quick else 20
-    noise_trials = 2 if quick else 3
+def render_report(results: PaperResults) -> str:
+    """The markdown report of ``results``, paper cells from the claims."""
     out = io.StringIO()
     out.write("# IChannels reproduction report\n\n")
     out.write("Generated by `python -m repro.analysis.report`; every value "
               "below is measured from the simulator described in "
               "DESIGN.md.\n\n")
-    _fig6(out)
-    _fig7(out)
-    _fig8(out, trials)
-    _fig9(out)
-    _fig10(out)
-    _fig11(out)
-    fig12 = _fig12(out)
-    _fig13(out)
-    _fig14(out, noise_trials)
-    _table1(out)
-    _table2(out, fig12)
+    _fig6(out, results.fig6)
+    _fig7(out, results.fig7)
+    _fig8(out, results.fig8)
+    _fig9(out, results.fig9)
+    _fig10(out, results.fig10)
+    _fig11(out, results.fig11)
+    _fig12(out, results.fig12)
+    _fig13(out, results.fig13)
+    _fig14(out, results.fig14)
+    _table1(out, results.table1)
+    _table2(out, results.table2)
     return out.getvalue()
+
+
+def generate_report(quick: bool = False) -> str:
+    """Run every experiment and return the markdown report."""
+    return render_report(run_experiments(quick))
 
 
 def main(argv: Optional[list] = None) -> int:

@@ -20,18 +20,18 @@ from __future__ import annotations
 
 from typing import Generator, List, Optional, Sequence
 
-from repro.core.baselines.base import BaselineReport
-from repro.core.calibration import Calibrator
+from repro.core.baselines.base import BaselineChannel
 from repro.core.sync import SlotSchedule
-from repro.errors import ProtocolError
 from repro.isa.instructions import IClass
 from repro.isa.workload import Loop
 from repro.soc.system import System
 from repro.units import us_to_ns
 
 
-class NetSpectreGadget:
+class NetSpectreGadget(BaselineChannel):
     """Same-thread, single-level (1 bit/transaction) covert channel."""
+
+    name = "NetSpectre"
 
     def __init__(self, system: System, core: int = 0, slot_us: float = 750.0,
                  send_iterations: int = 30, probe_iterations: int = 40,
@@ -43,10 +43,10 @@ class NetSpectreGadget:
         self.probe_loop = Loop(IClass.HEAVY_256, probe_iterations)
         self.training_rounds = training_rounds
         self.min_gap_tsc = min_gap_tsc
-        self._calibrator: Optional[Calibrator] = None
 
     def _program(self, schedule: SlotSchedule, bits: Sequence[int],
                  measurements: List[Optional[float]]) -> Generator:
+        """Send then probe each bit on the one thread."""
         system = self.system
         for i, bit in enumerate(bits):
             yield system.until(schedule.slot_start(i))
@@ -57,40 +57,8 @@ class NetSpectreGadget:
             measurements[i] = float(result.elapsed_tsc)
         return None
 
-    def _run_bits(self, bits: Sequence[int]) -> List[float]:
-        if not bits:
-            raise ProtocolError("bit stream is empty")
-        if any(bit not in (0, 1) for bit in bits):
-            raise ProtocolError("bits must be 0 or 1")
-        schedule = SlotSchedule(self.system.now + self.slot_ns, self.slot_ns)
-        measurements: List[Optional[float]] = [None] * len(bits)
-        self.system.spawn(self._program(schedule, list(bits), measurements),
+    def _spawn(self, schedule: SlotSchedule, bits: List[int],
+               measurements: List[Optional[float]]) -> None:
+        """Start the gadget, which sends and probes on one thread."""
+        self.system.spawn(self._program(schedule, bits, measurements),
                           name="netspectre_gadget")
-        self.system.run_until(schedule.slot_start(len(bits)) + self.slot_ns)
-        if any(m is None for m in measurements):
-            raise ProtocolError("gadget produced no measurement for some slots")
-        return [float(m) for m in measurements]
-
-    def calibrate(self) -> Calibrator:
-        """Train the two-level (throttled / not throttled) decoder."""
-        training = [0, 1] * self.training_rounds
-        readings = self._run_bits(training)
-        self._calibrator = Calibrator(list(zip(training, readings)),
-                                      min_gap=self.min_gap_tsc)
-        return self._calibrator
-
-    def transfer_bits(self, bits: Sequence[int]) -> BaselineReport:
-        """Send a bit stream through the gadget."""
-        if self._calibrator is None:
-            self.calibrate()
-        assert self._calibrator is not None
-        start = self.system.now
-        readings = self._run_bits(bits)
-        decoded = self._calibrator.decode_all(readings)
-        return BaselineReport(
-            name="NetSpectre",
-            bits_sent=list(bits),
-            bits_received=decoded,
-            start_ns=start,
-            end_ns=self.system.now,
-        )

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 from typing import Generator, List, Optional, Sequence
 
-from repro.core.baselines.base import BaselineReport
-from repro.core.calibration import Calibrator
+from repro.core.baselines.base import BaselineChannel
 from repro.core.sync import SlotSchedule
-from repro.errors import ConfigError, ProtocolError
+from repro.errors import ConfigError
 from repro.isa.instructions import IClass
 from repro.isa.workload import Loop
 from repro.soc.system import System
@@ -66,8 +65,10 @@ class PowerBudgetController:
         return None
 
 
-class PowerT:
+class PowerT(BaselineChannel):
     """Cross-core channel over power-limit frequency throttling."""
+
+    name = "POWERT"
 
     def __init__(self, system: System, sender_core: int = 0,
                  receiver_core: int = 1, bit_period_ms: float = 8.2,
@@ -85,7 +86,6 @@ class PowerT:
         self.probe_loop = Loop(IClass.SCALAR_64, probe_iterations)
         self.training_rounds = training_rounds
         self.min_gap_tsc = min_gap_tsc
-        self._calibrator: Optional[Calibrator] = None
         self._controller_running_until = 0.0
         burst_us = 300.0
         self.burn_loop = Loop(
@@ -94,6 +94,7 @@ class PowerT:
         )
 
     def _ensure_controller(self, horizon_ns: float) -> None:
+        """Run the RAPL controller until at least ``horizon_ns``."""
         if horizon_ns <= self._controller_running_until:
             return
         self.system.spawn(self.controller.process(horizon_ns),
@@ -102,6 +103,7 @@ class PowerT:
 
     def _sender_program(self, schedule: SlotSchedule,
                         bits: Sequence[int]) -> Generator:
+        """Burn power in each slot whose bit is 1."""
         system = self.system
         for i, bit in enumerate(bits):
             yield system.until(schedule.slot_start(i))
@@ -115,6 +117,7 @@ class PowerT:
 
     def _receiver_program(self, schedule: SlotSchedule, n_bits: int,
                           measurements: List[Optional[float]]) -> Generator:
+        """Probe each slot 60% in, once the power cap has acted."""
         system = self.system
         for i in range(n_bits):
             yield system.until(schedule.slot_start(i) + 0.6 * self.slot_ns)
@@ -122,46 +125,13 @@ class PowerT:
             measurements[i] = float(result.elapsed_tsc)
         return None
 
-    def _run_bits(self, bits: Sequence[int]) -> List[float]:
-        if not bits:
-            raise ProtocolError("bit stream is empty")
-        if any(bit not in (0, 1) for bit in bits):
-            raise ProtocolError("bits must be 0 or 1")
-        schedule = SlotSchedule(self.system.now + self.slot_ns, self.slot_ns)
-        end = schedule.slot_start(len(bits)) + self.slot_ns
-        self._ensure_controller(end)
-        measurements: List[Optional[float]] = [None] * len(bits)
-        self.system.spawn(self._sender_program(schedule, list(bits)),
+    def _spawn(self, schedule: SlotSchedule, bits: List[int],
+               measurements: List[Optional[float]]) -> None:
+        """Start the budget controller, the power burner and the receiver."""
+        self._ensure_controller(schedule.slot_start(len(bits)) + self.slot_ns)
+        self.system.spawn(self._sender_program(schedule, bits),
                           name="powert_sender")
         self.system.spawn(
             self._receiver_program(schedule, len(bits), measurements),
             name="powert_receiver",
-        )
-        self.system.run_until(end)
-        if any(m is None for m in measurements):
-            raise ProtocolError("receiver missed some slots")
-        return [float(m) for m in measurements]
-
-    def calibrate(self) -> Calibrator:
-        """Train the budget-throttled/unthrottled decoder."""
-        training = [0, 1] * self.training_rounds
-        readings = self._run_bits(training)
-        self._calibrator = Calibrator(list(zip(training, readings)),
-                                      min_gap=self.min_gap_tsc)
-        return self._calibrator
-
-    def transfer_bits(self, bits: Sequence[int]) -> BaselineReport:
-        """Send a bit stream by modulating the package power budget."""
-        if self._calibrator is None:
-            self.calibrate()
-        assert self._calibrator is not None
-        start = self.system.now
-        readings = self._run_bits(bits)
-        decoded = self._calibrator.decode_all(readings)
-        return BaselineReport(
-            name="POWERT",
-            bits_sent=list(bits),
-            bits_received=decoded,
-            start_ns=start,
-            end_ns=self.system.now,
         )

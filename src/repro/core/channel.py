@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import ClassVar, List, Optional, Sequence
+from typing import ClassVar, Generator, List, Optional, Sequence
 
 from repro.core.calibration import Calibrator
 from repro.core.encoding import (
@@ -266,6 +266,7 @@ class CovertChannel(abc.ABC):
         return configured_iterations * self.config.block_instructions * 4.0 / freq
 
     def _sender_dv(self, iclass: IClass) -> float:
+        """The guardband step of ``iclass`` at the current frequency."""
         return self.system.pmu.table.class_step_v(iclass, self._freq_ghz())
 
     def sender_loop(self, symbol: int) -> Loop:
@@ -556,3 +557,54 @@ class CovertChannel(abc.ABC):
         if symbol not in self.symbol_classes:
             raise ProtocolError(f"symbol must be 0..3, got {symbol}")
         return self.symbol_classes[symbol]
+
+
+class TwoThreadChannel(CovertChannel):
+    """A channel whose sender and receiver run on separate hardware threads.
+
+    A subclass sets ``sender_thread``, ``receiver_thread`` and
+    ``program_name``, the prefix of its two programs' names.
+    """
+
+    program_name: ClassVar[str]
+    sender_thread: int
+    receiver_thread: int
+
+    def _probe_offset_ns(self) -> float:
+        """How long after each slot start the receiver starts its probe."""
+        return 0.0
+
+    def _sender_program(self, schedule: SlotSchedule,
+                        symbols: Sequence[int]) -> Generator:
+        """Run each symbol's PHI loop on the sender thread."""
+        system = self.system
+        for i, symbol in enumerate(symbols):
+            yield system.until(schedule.slot_start(i))
+            yield system.execute(self.sender_thread, self.sender_loop(symbol))
+        return None
+
+    def _receiver_program(self, schedule: SlotSchedule, n_symbols: int,
+                          measurements: List[Optional[float]]) -> Generator:
+        """Probe each slot from the receiver thread."""
+        system = self.system
+        offset = self._probe_offset_ns()
+        for i in range(n_symbols):
+            yield system.until(schedule.slot_start(i) + offset)
+            result = yield system.execute(self.receiver_thread,
+                                          self.probe_loop())
+            measurements[i] = float(result.elapsed_tsc)
+        return None
+
+    def _spawn_transaction_programs(self, schedule: SlotSchedule,
+                                    symbols: Sequence[int],
+                                    measurements: List[Optional[float]]) -> None:
+        """Spawn the sender and receiver programs."""
+        self.system.spawn(
+            self._sender_program(self.party_schedule(schedule, "sender"),
+                                 symbols),
+            name=f"{self.program_name}_sender")
+        self.system.spawn(
+            self._receiver_program(self.party_schedule(schedule, "receiver"),
+                                   len(symbols), measurements),
+            name=f"{self.program_name}_receiver",
+        )

@@ -10,18 +10,16 @@ sender and receiver never share a core.
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Sequence
-
-from repro.core.channel import ChannelConfig, CovertChannel
+from repro.core.channel import ChannelConfig, TwoThreadChannel
 from repro.core.levels import ChannelLocation
-from repro.core.sync import SlotSchedule
 from repro.errors import ConfigError
 from repro.soc.system import System
 
 
-class IccCoresCovert(CovertChannel):
+class IccCoresCovert(TwoThreadChannel):
     """Cross-physical-core covert channel."""
 
+    program_name = "icc_cores"
     location = ChannelLocation.ACROSS_CORES
 
     def __init__(self, system: System, config: ChannelConfig = ChannelConfig(),
@@ -39,35 +37,7 @@ class IccCoresCovert(CovertChannel):
         self.sender_thread = system.thread_on(sender_core, 0)
         self.receiver_thread = system.thread_on(receiver_core, 0)
 
-    def _sender_program(self, schedule: SlotSchedule,
-                        symbols: Sequence[int]) -> Generator:
-        system = self.system
-        for i, symbol in enumerate(symbols):
-            yield system.until(schedule.slot_start(i))
-            yield system.execute(self.sender_thread, self.sender_loop(symbol))
-        return None
-
-    def _receiver_program(self, schedule: SlotSchedule, n_symbols: int,
-                          measurements: List[Optional[float]]) -> Generator:
-        system = self.system
-        delay = self.config.cross_core_delay_ns
-        for i in range(n_symbols):
-            # Start the probe a few hundred cycles after the sender so its
-            # voltage request queues behind the sender's (Section 4.3.1).
-            yield system.until(schedule.slot_start(i) + delay)
-            result = yield system.execute(self.receiver_thread, self.probe_loop())
-            measurements[i] = float(result.elapsed_tsc)
-        return None
-
-    def _spawn_transaction_programs(self, schedule: SlotSchedule,
-                                    symbols: Sequence[int],
-                                    measurements: List[Optional[float]]) -> None:
-        self.system.spawn(
-            self._sender_program(self.party_schedule(schedule, "sender"),
-                                 symbols),
-            name="icc_cores_sender")
-        self.system.spawn(
-            self._receiver_program(self.party_schedule(schedule, "receiver"),
-                                   len(symbols), measurements),
-            name="icc_cores_receiver",
-        )
+    def _probe_offset_ns(self) -> float:
+        """Probe a few hundred cycles after the sender (Section 4.3.1)."""
+        # The receiver's voltage request then queues behind the sender's.
+        return self.config.cross_core_delay_ns

@@ -25,6 +25,7 @@ _HAMMING_PARITY_POSITIONS = (0, 1, 3)   # p1, p2, p4
 
 
 def _check_bits(bits: Sequence[int]) -> List[int]:
+    """The bits as a list; ProtocolError unless each is 0 or 1."""
     if any(bit not in (0, 1) for bit in bits):
         raise ProtocolError("bits must be 0 or 1")
     return list(bits)

@@ -262,6 +262,7 @@ class CovertSession:
     # -- FEC ----------------------------------------------------------------------
 
     def _protect(self, framed: bytes) -> bytes:
+        """Apply the configured FEC to a framed chunk."""
         bits = bytes_to_bits(framed)
         if self._hamming is not None:
             coded = self._hamming.encode(bits)
@@ -274,6 +275,7 @@ class CovertSession:
         return framed
 
     def _unprotect(self, wire: bytes, framed_len: int) -> bytes:
+        """Undo the configured FEC on received wire bytes."""
         bits = bytes_to_bits(wire)
         if self._hamming is not None:
             coded_len = framed_len * 8 * 2
@@ -288,6 +290,7 @@ class CovertSession:
     # -- transport ------------------------------------------------------------------
 
     def _chunks(self, payload: bytes) -> List[bytes]:
+        """Split ``payload`` into frame-sized chunks."""
         size = self.config.frame_bytes
         return [payload[i:i + size] for i in range(0, len(payload), size)]
 

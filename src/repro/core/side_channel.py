@@ -122,11 +122,13 @@ class InstructionClassSpy:
         self._class_by_id: dict = {}
 
     def _observable_classes(self) -> List[IClass]:
+        """The classes this part can execute."""
         limit = self.system.config.max_vector_bits
         return [c for c in IClass if c.width_bits <= limit]
 
     def _victim_program(self, schedule: SlotSchedule,
                         classes: Sequence[IClass]) -> Generator:
+        """Run the victim's classes, one per slot."""
         system = self.system
         for i, iclass in enumerate(classes):
             yield system.until(schedule.slot_start(i))
@@ -137,6 +139,7 @@ class InstructionClassSpy:
 
     def _spy_program(self, schedule: SlotSchedule, n_slots: int,
                      measurements: List[Optional[float]]) -> Generator:
+        """Probe each slot and record its TSC duration."""
         system = self.system
         offset = 200.0 if self.location == ChannelLocation.ACROSS_CORES else 0.0
         for i in range(n_slots):
@@ -148,6 +151,7 @@ class InstructionClassSpy:
         return None
 
     def _observe(self, classes: Sequence[IClass]) -> List[float]:
+        """The spy's measurement for each victim class."""
         schedule = SlotSchedule(self.system.now + self.slot_ns, self.slot_ns)
         measurements: List[Optional[float]] = [None] * len(classes)
         self.system.spawn(self._victim_program(schedule, classes), name="victim")

@@ -10,18 +10,16 @@ the sender's level (Figure 4b).
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Sequence
-
-from repro.core.channel import ChannelConfig, CovertChannel
+from repro.core.channel import ChannelConfig, TwoThreadChannel
 from repro.core.levels import ChannelLocation
-from repro.core.sync import SlotSchedule
 from repro.errors import ConfigError
 from repro.soc.system import System
 
 
-class IccSMTcovert(CovertChannel):
+class IccSMTcovert(TwoThreadChannel):
     """Cross-SMT-thread covert channel."""
 
+    program_name = "icc_smt"
     location = ChannelLocation.ACROSS_SMT
 
     def __init__(self, system: System, config: ChannelConfig = ChannelConfig(),
@@ -36,33 +34,3 @@ class IccSMTcovert(CovertChannel):
             raise ConfigError(f"no such core: {core}")
         self.sender_thread = system.thread_on(core, 0)
         self.receiver_thread = system.thread_on(core, 1)
-
-    def _sender_program(self, schedule: SlotSchedule,
-                        symbols: Sequence[int]) -> Generator:
-        system = self.system
-        for i, symbol in enumerate(symbols):
-            yield system.until(schedule.slot_start(i))
-            yield system.execute(self.sender_thread, self.sender_loop(symbol))
-        return None
-
-    def _receiver_program(self, schedule: SlotSchedule, n_symbols: int,
-                          measurements: List[Optional[float]]) -> Generator:
-        system = self.system
-        for i in range(n_symbols):
-            yield system.until(schedule.slot_start(i))
-            result = yield system.execute(self.receiver_thread, self.probe_loop())
-            measurements[i] = float(result.elapsed_tsc)
-        return None
-
-    def _spawn_transaction_programs(self, schedule: SlotSchedule,
-                                    symbols: Sequence[int],
-                                    measurements: List[Optional[float]]) -> None:
-        self.system.spawn(
-            self._sender_program(self.party_schedule(schedule, "sender"),
-                                 symbols),
-            name="icc_smt_sender")
-        self.system.spawn(
-            self._receiver_program(self.party_schedule(schedule, "receiver"),
-                                   len(symbols), measurements),
-            name="icc_smt_receiver",
-        )

@@ -131,6 +131,7 @@ class JitteredSchedule(SlotSchedule):
             )
 
     def _offset(self, index: int) -> float:
+        """Slot ``index``'s jitter, drawn once from the counter hash."""
         cached = self._offsets.get(index)
         if cached is None:
             cached = self.jitter_ns * uniform(self._key, index)

@@ -34,6 +34,7 @@ class IccThreadCovert(CovertChannel):
 
     def _program(self, schedule: SlotSchedule, symbols: Sequence[int],
                  measurements: List[Optional[float]]) -> Generator:
+        """Send then probe each symbol on the one thread."""
         system = self.system
         for i, symbol in enumerate(symbols):
             yield system.until(schedule.slot_start(i))
@@ -48,6 +49,7 @@ class IccThreadCovert(CovertChannel):
     def _spawn_transaction_programs(self, schedule: SlotSchedule,
                                     symbols: Sequence[int],
                                     measurements: List[Optional[float]]) -> None:
+        """Spawn the single sender-receiver program."""
         # Sender and receiver share the hardware thread, so scheduling
         # faults delay the single program as one party.
         self.system.spawn(

@@ -173,6 +173,7 @@ class GrantQueueInterference(FaultModel):
             yield gap_ns, classes[int(uniform(key, 2 * k + 1) * len(classes))]
 
     def _process(self, system: "System", core: int) -> Generator:
+        """Raise and drop ``core``'s grant in bursts until the horizon."""
         bursts = self.bursts(system.config.max_vector_bits)
         horizon = ms_to_ns(self.horizon_ms)
         while system.now < horizon:
@@ -345,6 +346,7 @@ class StateFlush(FaultModel):
                    if c.width_bits <= system.config.max_vector_bits)
 
     def _process(self, system: "System") -> Generator:
+        """Raise every core to the worst class once per quantum."""
         flush_class = self._worst_class(system)
         cores = range(system.config.n_cores)
         horizon = ms_to_ns(self.horizon_ms)

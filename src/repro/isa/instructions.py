@@ -154,6 +154,7 @@ class Instruction:
 
 
 def _table() -> Dict[str, Instruction]:
+    """Every modelled instruction, keyed by mnemonic."""
     rows = [
         # mnemonic, class, uops, description
         ("MOV64", IClass.SCALAR_64, 1, "64-bit register move"),

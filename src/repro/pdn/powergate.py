@@ -89,6 +89,7 @@ class PowerGate:
             self._last_use_ns = now_ns
 
     def _maybe_close(self, now_ns: float) -> None:
+        """Close the gate once it has idled past the close delay."""
         if self._is_open and (
             now_ns - self._last_use_ns > us_to_ns(self.spec.idle_close_us)
         ):

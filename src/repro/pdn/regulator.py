@@ -153,6 +153,7 @@ class VoltageRegulator:
 
     def _append_segment(self, t_start: float, t_end: float,
                         v_start: float, v_end: float) -> None:
+        """Record one linear voltage segment of the output trace."""
         self._t_start.append(t_start)
         self._t_end.append(t_end)
         self._v_start.append(v_start)

@@ -267,10 +267,12 @@ class CentralPMU:
     # -- internals --------------------------------------------------------------
 
     def _check_core(self, core: int) -> None:
+        """Raise ConfigError unless ``core`` exists."""
         if not 0 <= core < self.n_cores:
             raise ConfigError(f"no such core: {core}")
 
     def _notify(self) -> None:
+        """Tell the listener (the System) that PMU state changed."""
         if self.on_state_change is not None:
             self.on_state_change()
 
@@ -331,6 +333,7 @@ class CentralPMU:
         self._release_if_settled(rail)
 
     def _begin_transition(self, rail: int, req: _Request) -> None:
+        """Serve ``req`` on ``rail``, after a frequency drop if one is due."""
         self._rail_active[rail] = True
         self._inflight[rail] = req
         # Only a raised guardband can make the current frequency illegal.
@@ -353,6 +356,7 @@ class CentralPMU:
         self.engine.schedule(settle_ns - now, self._on_settle, rail, req)
 
     def _on_settle(self, rail: int, req: _Request) -> None:
+        """Grant ``req`` once ``rail`` settles, then serve the rail's queue."""
         self.granted[req.core] = req.target
         self._inflight[rail] = None
         self._rail_active[rail] = False
@@ -416,6 +420,7 @@ class CentralPMU:
 
     def _begin_freq_change(self, new_freq: float,
                            continuation: Optional[Callable[[], None]]) -> None:
+        """Lock the PLL and schedule the relock at ``new_freq``."""
         if self._freq_busy:
             raise SimulationError("frequency change while PLL busy")
         self._freq_busy = True
@@ -428,6 +433,7 @@ class CentralPMU:
 
     def _finish_freq_change(self, new_freq: float,
                             continuation: Optional[Callable[[], None]]) -> None:
+        """Apply ``new_freq`` once the PLL relocks, then continue."""
         tracer = _obs()
         if tracer.enabled and self._pll_since is not None:
             relock = self.engine.now - self._pll_since
@@ -471,6 +477,7 @@ class CentralPMU:
                 )
 
     def _on_retarget_settle(self, rail: int) -> None:
+        """Free ``rail`` after a retarget ramp and serve its queue."""
         self._rail_active[rail] = False
         if self._queues[rail]:
             self._kick(rail)

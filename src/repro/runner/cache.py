@@ -193,6 +193,7 @@ class ResultCache:
         return task_key(fn, kwargs, version=self.version)
 
     def _path(self, key: str) -> Path:
+        """The pickle file holding ``key``'s entry."""
         return self.root / key[:2] / f"{key}.pkl"
 
     def get(self, key: str) -> Tuple[bool, Any]:

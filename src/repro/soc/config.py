@@ -126,6 +126,7 @@ class ProcessorConfig:
             self.max_turbo_ghz, self.pstate_step_ghz)
 
     def _ceiling_rows(self) -> CeilingRows:
+        """The turbo ceilings as a sorted, hashable tuple."""
         return tuple(sorted(
             (level.value, row) for level, row in self.turbo_ceilings.items()
         ))
@@ -137,11 +138,13 @@ class ProcessorConfig:
 
 @functools.lru_cache(maxsize=None)
 def _interned_curve(vf_points: Tuple[Tuple[float, float], ...]) -> VFCurve:
+    """One shared V/F curve per distinct point set."""
     return VFCurve(vf_points)
 
 
 @functools.lru_cache(maxsize=None)
 def _interned_license_table(key: CeilingRows) -> TurboLicenseTable:
+    """One shared turbo-license table per distinct ceiling set."""
     return TurboLicenseTable(
         {TurboLicense(value): row for value, row in key}
     )
@@ -151,6 +154,7 @@ def _interned_license_table(key: CeilingRows) -> TurboLicenseTable:
 def _interned_operating_points(
         vf_points: Tuple[Tuple[float, float], ...], ceiling_rows: CeilingRows,
         *physics: float) -> OperatingPointTable:
+    """One shared operating-point table per distinct physics."""
     return OperatingPointTable(_interned_curve(vf_points),
                                _interned_license_table(ceiling_rows), *physics)
 

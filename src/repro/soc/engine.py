@@ -97,6 +97,7 @@ class Engine:
         return handle
 
     def _drop_cancelled_head(self) -> None:
+        """Pop cancelled events off the top of the heap."""
         while self._heap and self._heap[0][2].cancelled:
             heapq.heappop(self._heap)
 

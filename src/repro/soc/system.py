@@ -132,16 +132,19 @@ class ExecResult:
 
 @dataclass(frozen=True)
 class _SleepReq:
+    """A program's request to sleep ``delay_ns``."""
     delay_ns: float
 
 
 @dataclass(frozen=True)
 class _UntilReq:
+    """A program's request to sleep until ``time_ns``."""
     time_ns: float
 
 
 @dataclass(frozen=True)
 class _ExecReq:
+    """A program's request to run ``loop`` on ``thread_id``."""
     thread_id: int
     loop: Loop
 
@@ -524,11 +527,13 @@ class System:
     # -- internals ---------------------------------------------------------------
 
     def _thread(self, thread_id: int) -> _HWThread:
+        """The hardware thread ``thread_id``; ConfigError if none."""
         if not 0 <= thread_id < len(self.threads):
             raise ConfigError(f"no such hardware thread: {thread_id}")
         return self.threads[thread_id]
 
     def _advance(self, process: _Process, send_value: Any) -> None:
+        """Resume ``process`` with ``send_value``; serve its next request."""
         if process.done:
             raise SimulationError(f"process {process.name} resumed after finish")
         try:
@@ -552,6 +557,7 @@ class System:
 
     def _start_execute(self, thread_id: int, loop: Loop,
                        process: _Process) -> None:
+        """Begin running ``loop`` on a thread for ``process``."""
         thread = self._thread(thread_id)
         if thread.activity is not None:
             raise SimulationError(
@@ -575,6 +581,7 @@ class System:
         self._record_cdyn(core)
 
     def _finish_execute(self, thread: _HWThread) -> None:
+        """Complete a thread's loop and resume its process."""
         activity = thread.activity
         assert activity is not None
         now = self.engine.now
@@ -651,6 +658,7 @@ class System:
             self._reschedule_completion(thread)
 
     def _on_pmu_state_change(self) -> None:
+        """Re-rate every core after a PMU change (deferred while batching)."""
         if self._batching:
             self._pmu_changed = True
             return
@@ -674,6 +682,7 @@ class System:
         self._record_pmu_state()
 
     def _update_progress(self, thread: _HWThread, now: float) -> None:
+        """Advance a thread's running loop to ``now`` at its current rate."""
         activity = thread.activity
         assert activity is not None
         elapsed = now - activity.last_update
@@ -713,6 +722,7 @@ class System:
                 when, self._complete, thread, activity)
 
     def _complete(self, thread: _HWThread, activity: _Activity) -> None:
+        """Finish ``activity`` when its completion event fires."""
         if thread.activity is not activity:
             return  # stale completion after the activity already finished
         # A fired handle is never kept: its args point back at the
@@ -760,6 +770,7 @@ class System:
     # -- hysteresis -------------------------------------------------------------------
 
     def _core_requirement(self, core: int, now: float) -> IClass:
+        """The heaviest class ``core`` needs at ``now``."""
         requirement = self.local_pmus[core].requirement(now)
         for thread in self._core_threads[core]:
             if thread.activity is not None:

@@ -275,6 +275,7 @@ class _Visitor(ast.NodeVisitor):
         self._function_depth = 0
 
     def _add(self, rule: str, node: ast.AST, message: str) -> None:
+        """Record one finding at ``node``'s line."""
         line = getattr(node, "lineno", 0)
         source = self.lines[line - 1].strip() if 0 < line <= len(
             self.lines) else ""
