@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from statistics import fmean, median
 from typing import Any, Callable, Dict, Optional, Tuple
+
+import numpy as np
 
 from repro.isa import IClass
 
@@ -102,6 +103,11 @@ def _avx2(result: Any, system: str, freq_ghz: float) -> Tuple[Any, ...]:
     return point.vcc_violation, point.icc_violation, point.freq_realized_ghz
 
 
+def _median(values: Any) -> float:
+    """The median of ``values``, as REPORT.md computes it."""
+    return float(np.median(values))
+
+
 def _swing(trace: Any) -> float:
     """Highest minus lowest value of a sampled trace."""
     lo, hi = trace.minmax()
@@ -171,13 +177,13 @@ CLAIMS: Tuple[Claim, ...] = (
     Claim("fig7.not_thermal", "Figure 7", "not thermal", "range",
           "(30, inf)", lambda r: r.tj_max_c - r.temp_max_c),
     Claim("fig8.tp_haswell_us", "Figure 8", "~9 us", "range", "[5, 10]",
-          lambda r: median(r.tp_us_by_part["Haswell"])),
+          lambda r: _median(r.tp_us_by_part["Haswell"])),
     Claim("fig8.tp_coffee_lake_us", "Figure 8", "12-15 us", "range",
-          "[10, 16]", lambda r: median(r.tp_us_by_part["Coffee Lake"])),
+          "[10, 16]", lambda r: _median(r.tp_us_by_part["Coffee Lake"])),
     Claim("fig8.tp_cannon_lake_us", "Figure 8", "12-15 us", "range",
-          "[10, 16]", lambda r: median(r.tp_us_by_part["Cannon Lake"])),
+          "[10, 16]", lambda r: _median(r.tp_us_by_part["Cannon Lake"])),
     Claim("fig8.haswell_below_mbvr", "Figure 8", "", "ordering", "<",
-          lambda r: [median(r.tp_us_by_part[p])
+          lambda r: [_median(r.tp_us_by_part[p])
                      for p in ("Haswell", "Coffee Lake")]),
     Claim("fig8.cfl_first_iteration_ns", "Figure 8",
           "first CFL iteration +8-15 ns", "range", "[8, 15]",
@@ -227,9 +233,9 @@ CLAIMS: Tuple[Claim, ...] = (
     Claim("fig10.levels", "Figure 10", "at least five levels L1-L5", "range",
           "[5, inf)", lambda r: len(set(r.levels.values()))),
     Claim("fig11.throttled", "Figure 11", "~0.75", "range", "(0.72, 0.78)",
-          lambda r: fmean(r.throttled)),
+          lambda r: float(np.mean(r.throttled))),
     Claim("fig11.unthrottled", "Figure 11", "~0", "range", "(-inf, 0.05)",
-          lambda r: fmean(r.unthrottled)),
+          lambda r: float(np.mean(r.unthrottled))),
     Claim("fig12.error_free", "Figure 12", "", "equals", 0.0,
           lambda r: max(r.ber.values())),
     *(Claim(f"fig12.bps.{name}", "Figure 12", paper, "range", bound,
