@@ -5,8 +5,7 @@ Its claims: the ``table1.*`` rows of :mod:`repro.analysis.claims`.
 
 from conftest import banner
 
-from repro.analysis.claims import ICC_CHANNELS
-from repro.analysis.experiments import table1_mitigations
+from repro.analysis.experiments import ICC_CHANNELS, table1_mitigations
 from repro.analysis.figures import format_table
 from repro.mitigations import TABLE1_DEFENDERS
 from repro.mitigations.matrix.defenders import get_defender

@@ -14,12 +14,12 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.analysis.experiments import ICC_CHANNELS
 from repro.isa import IClass
 
 KINDS = ("range", "ratio", "ordering", "equals")
 _ORDER = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
           ">=": operator.ge}
-ICC_CHANNELS = ("IccThreadCovert", "IccSMTcovert", "IccCoresCovert")
 
 
 def _interval(text: str) -> Tuple[float, float, bool, bool]:

@@ -735,13 +735,13 @@ class Table2Row:
     effective_mitigations: bool
 
 
+#: The three IChannels covert channels, in the paper's column order.
+ICC_CHANNELS = ("IccThreadCovert", "IccSMTcovert", "IccCoresCovert")
+
+
 def table2_comparison(fig12: Fig12Result) -> List[Table2Row]:
     """Comparison matrix with Fig. 12's measured bandwidths (Table 2)."""
-    ichannels_bw = max(
-        fig12.throughput_bps["IccThreadCovert"],
-        fig12.throughput_bps["IccSMTcovert"],
-        fig12.throughput_bps["IccCoresCovert"],
-    )
+    ichannels_bw = max(fig12.throughput_bps[name] for name in ICC_CHANNELS)
     return [
         Table2Row("NetSpectre", True, False, False,
                   fig12.throughput_bps["NetSpectre"], True,

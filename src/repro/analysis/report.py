@@ -21,7 +21,6 @@ from typing import List, Optional
 import numpy as np
 
 from repro.analysis import experiments as ex
-from repro.analysis.claims import CLAIMS, ICC_CHANNELS
 from repro.analysis.figures import format_table
 from repro.isa import IClass
 from repro.mitigations import MitigationReport
@@ -53,10 +52,6 @@ class PaperResults(SimpleNamespace):
                 for seed in range(1, 11)]
 
 
-#: The paper text REPORT.md prints for each claim, by claim key.
-PAPER = {claim.key: claim.paper for claim in CLAIMS}
-
-
 def run_experiments(quick: bool = False) -> PaperResults:
     """Run every experiment REPORT.md renders (fewer trials if ``quick``)."""
     return PaperResults(
@@ -73,27 +68,27 @@ def run_experiments(quick: bool = False) -> PaperResults:
     )
 
 
-def _fig6(out: io.StringIO, result: ex.Fig6Result) -> None:
+def _fig6(out: io.StringIO, result: ex.Fig6Result, paper: dict) -> None:
     """Render Figure 6: the guardband steps."""
     out.write("## Figure 6 — di/dt guardband steps\n\n")
     out.write(format_table(
         ["observation", "paper", "measured"],
         [
-            ["baseline Vcc @ 2 GHz", PAPER["fig6.baseline_mv"],
+            ["baseline Vcc @ 2 GHz", paper["fig6.baseline_mv"],
              f"{result.vcc_start_mv:.0f} mV"],
-            ["core 1 starts AVX2", PAPER["fig6.step_core1_mv"],
+            ["core 1 starts AVX2", paper["fig6.step_core1_mv"],
              f"+{result.step_core1_mv:.1f} mV"],
-            ["core 0 joins", PAPER["fig6.step_core0_mv"],
+            ["core 0 joins", paper["fig6.step_core0_mv"],
              f"+{result.step_core0_mv:.1f} mV"],
-            ["after both stop", PAPER["fig6.return_mv"],
+            ["after both stop", paper["fig6.return_mv"],
              f"{result.return_mv:+.1f} mV"],
-            ["frequency", PAPER["fig6.freq_ghz"],
+            ["frequency", paper["fig6.freq_ghz"],
              f"{result.freq_ghz_start:.1f} -> {result.freq_ghz_end:.1f} GHz"],
         ]))
     out.write("\n\n")
 
 
-def _fig7(out: io.StringIO, result: ex.Fig7Result) -> None:
+def _fig7(out: io.StringIO, result: ex.Fig7Result, paper: dict) -> None:
     """Render Figure 7: each operating point against the limits."""
     out.write("## Figure 7 — Icc/Vcc limit protection\n\n")
     rows = []
@@ -114,44 +109,44 @@ def _fig7(out: io.StringIO, result: ex.Fig7Result) -> None:
          "realized"], rows))
     out.write(f"\n\nJunction temperature peaked at {result.temp_max_c:.0f} C "
               f"(Tj_max {result.tj_max_c:.0f} C) — "
-              f"{PAPER['fig7.not_thermal']}.\n\n")
+              f"{paper['fig7.not_thermal']}.\n\n")
 
 
-def _fig8(out: io.StringIO, result: ex.Fig8Result) -> None:
+def _fig8(out: io.StringIO, result: ex.Fig8Result, paper: dict) -> None:
     """Render Figure 8: TP per part and the per-iteration wake deltas."""
     out.write("## Figure 8 — throttling periods and power-gate wake\n\n")
     rows = []
     for part, samples in result.tp_us_by_part.items():
         key = "fig8.tp_" + part.lower().replace(" ", "_") + "_us"
-        rows.append([part, PAPER[key],
+        rows.append([part, paper[key],
                      f"{float(np.median(samples)):.1f} us "
                      f"[{min(samples):.1f}, {max(samples):.1f}]"])
     out.write(format_table(["part", "paper TP", "measured TP (median [range])"],
                            rows))
     out.write(f"\n\nPer-iteration deltas vs steady state (paper: "
-              f"{PAPER['fig8.cfl_first_iteration_ns']}, "
-              f"{PAPER['fig8.haswell_flat_ns']}):\n\n")
+              f"{paper['fig8.cfl_first_iteration_ns']}, "
+              f"{paper['fig8.haswell_flat_ns']}):\n\n")
     for part, deltas in result.iteration_deltas_ns.items():
         formatted = ", ".join(f"{d:+.1f}" for d in deltas)
         out.write(f"* {part}: [{formatted}] ns\n")
     out.write("\n")
 
 
-def _fig9(out: io.StringIO, result: ex.Fig9Result) -> None:
+def _fig9(out: io.StringIO, result: ex.Fig9Result, paper: dict) -> None:
     """Render Figure 9: wake latency against the throttling period."""
     share = result.didt_wake_ns / (result.didt_tp_us * 1000.0)
     out.write("## Figure 9 — wake latency vs throttling period\n\n")
     out.write(f"* power-gate wake: {result.didt_wake_ns:.0f} ns "
-              f"(paper: {PAPER['fig9.wake_ns']})\n")
+              f"(paper: {paper['fig9.wake_ns']})\n")
     out.write(f"* throttling period: {result.didt_tp_us:.1f} us\n")
     out.write(f"* wake share of TP: {share * 100:.2f}% "
-              f"(paper: {PAPER['fig9.wake_share']})\n")
+              f"(paper: {paper['fig9.wake_share']})\n")
     out.write(f"* limit case frequency floor: "
               f"{min(f for _, f in result.limit_freq):.2f} GHz "
-              f"({PAPER['fig9.limit_floor_ghz']})\n\n")
+              f"({paper['fig9.limit_floor_ghz']})\n\n")
 
 
-def _fig10(out: io.StringIO, result: ex.Fig10Result) -> None:
+def _fig10(out: io.StringIO, result: ex.Fig10Result, paper: dict) -> None:
     """Render Figure 10: the TP sweep and the levels."""
     out.write("## Figure 10 — multi-level throttling (Cannon Lake)\n\n")
     rows = []
@@ -167,25 +162,25 @@ def _fig10(out: io.StringIO, result: ex.Fig10Result) -> None:
     out.write(format_table(
         ["class", "TP 1GHz/1c (us)", "TP 1GHz/2c", "TP 1.4GHz/1c",
          "512H-after (us)", "level"], rows))
-    out.write(f"\n\nPaper anchors: {PAPER['fig10.heavy256_one_core_us']} / "
-              f"{PAPER['fig10.heavy256_two_cores_us']}; "
-              f"{PAPER['fig10.levels']}.\n\n")
+    out.write(f"\n\nPaper anchors: {paper['fig10.heavy256_one_core_us']} / "
+              f"{paper['fig10.heavy256_two_cores_us']}; "
+              f"{paper['fig10.levels']}.\n\n")
 
 
-def _fig11(out: io.StringIO, result: ex.Fig11Result) -> None:
+def _fig11(out: io.StringIO, result: ex.Fig11Result, paper: dict) -> None:
     """Render Figure 11: the mean undelivered-uop fractions."""
     out.write("## Figure 11 — IDQ undelivered-uop signature\n\n")
     out.write(f"* throttled iterations: {np.mean(result.throttled):.3f} "
-              f"(paper {PAPER['fig11.throttled']})\n")
+              f"(paper {paper['fig11.throttled']})\n")
     out.write(f"* unthrottled iterations: {np.mean(result.unthrottled):.3f} "
-              f"(paper {PAPER['fig11.unthrottled']})\n\n")
+              f"(paper {paper['fig11.unthrottled']})\n\n")
 
 
-def _fig12(out: io.StringIO, result: ex.Fig12Result) -> None:
+def _fig12(out: io.StringIO, result: ex.Fig12Result, paper: dict) -> None:
     """Render Figure 12: throughput per channel and the headline ratios."""
     out.write("## Figure 12 — throughput comparison\n\n")
     rows = [
-        [name, PAPER[f"fig12.bps.{name}"], f"{bps:.0f} b/s",
+        [name, paper[f"fig12.bps.{name}"], f"{bps:.0f} b/s",
          f"{result.ber[name]:.2f}"]
         for name, bps in sorted(result.throughput_bps.items(),
                                 key=lambda kv: -kv[1])
@@ -194,15 +189,15 @@ def _fig12(out: io.StringIO, result: ex.Fig12Result) -> None:
     out.write("\n\nRatios: "
               f"IccThread/NetSpectre = "
               f"{result.ratio('IccThreadCovert', 'NetSpectre'):.1f}x "
-              f"(paper {PAPER['fig12.ratio.NetSpectre']})")
+              f"(paper {paper['fig12.ratio.NetSpectre']})")
     for baseline in ("TurboCC", "DFScovert", "POWERT"):
         out.write(f"; vs {baseline} "
                   f"{result.ratio('IccSMTcovert', baseline):.0f}x "
-                  f"({PAPER[f'fig12.ratio.{baseline}']})")
+                  f"({paper[f'fig12.ratio.{baseline}']})")
     out.write(".\n\n")
 
 
-def _fig13(out: io.StringIO, result: ex.Fig13Result) -> None:
+def _fig13(out: io.StringIO, result: ex.Fig13Result, paper: dict) -> None:
     """Render Figure 13: one cluster row per level."""
     out.write("## Figure 13 — level clusters under low noise\n\n")
     rows = []
@@ -217,38 +212,38 @@ def _fig13(out: io.StringIO, result: ex.Fig13Result) -> None:
         ["level", "transactions", "median (cycles)", "range"], rows))
     out.write(f"\n\nMinimum adjacent-cluster gap: "
               f"{result.min_gap_cycles:.0f} cycles "
-              f"(paper: {PAPER['fig13.min_gap_cycles']}).\n\n")
+              f"(paper: {paper['fig13.min_gap_cycles']}).\n\n")
 
 
-def _fig14(out: io.StringIO, result: ex.Fig14Result) -> None:
+def _fig14(out: io.StringIO, result: ex.Fig14Result, paper: dict) -> None:
     """Render Figure 14: BER against each noise source."""
     out.write("## Figure 14 — noise sensitivity\n\n")
     rows = [[f"{int(rate)} events/s", f"{ber:.3f}"]
             for rate, ber in sorted(result.ber_vs_event_rate.items())]
     out.write(f"BER vs interrupt/context-switch rate (paper: "
-              f"{PAPER['fig14.event_ber_max']}):\n\n")
+              f"{paper['fig14.event_ber_max']}):\n\n")
     out.write(format_table(["system event rate", "BER"], rows))
     rows = [[f"{int(rate)} PHIs/s", f"{ber:.3f}"]
             for rate, ber in sorted(result.ber_vs_phi_rate.items())]
     out.write(f"\n\nBER vs concurrent App-PHI rate (paper: "
-              f"{PAPER['fig14.phi_ber_order']}):\n\n")
+              f"{paper['fig14.phi_ber_order']}):\n\n")
     out.write(format_table(["App-PHI rate", "BER"], rows))
     out.write(f"\n\n7-zip neighbour BER: {result.sevenzip_ber:.3f} "
-              f"(paper: {PAPER['fig14.sevenzip_ber']}).\n\n")
+              f"(paper: {paper['fig14.sevenzip_ber']}).\n\n")
 
 
-def _table1(out: io.StringIO, report: MitigationReport) -> None:
+def _table1(out: io.StringIO, report: MitigationReport, paper: dict) -> None:
     """Render Table 1: the measured verdicts beside the paper's overheads."""
     out.write("## Table 1 — mitigations\n\n")
     labels = (("per_core_ldo", "per-core-vr"),
               ("improved_throttling", "improved-throttling"),
               ("secure_mode", "secure-mode"))
-    rows = [[label] + [report.verdict(c, defender) for c in ICC_CHANNELS]
-            + [PAPER[f"table1.{defender}"]] for defender, label in labels]
-    out.write(format_table(["mitigation", *ICC_CHANNELS, "overhead"], rows))
+    rows = [[label] + [report.verdict(c, defender) for c in ex.ICC_CHANNELS]
+            + [paper[f"table1.{defender}"]] for defender, label in labels]
+    out.write(format_table(["mitigation", *ex.ICC_CHANNELS, "overhead"], rows))
     out.write(f"\n\nSecure-mode power overhead (measured): "
               f"{report.secure_mode_power_overhead * 100:.1f}% "
-              f"(paper: {PAPER['table1.secure_mode_power']}).\n\n")
+              f"(paper: {paper['table1.secure_mode_power']}).\n\n")
 
 
 def _table2(out: io.StringIO, rows: List[ex.Table2Row]) -> None:
@@ -272,21 +267,26 @@ def _table2(out: io.StringIO, rows: List[ex.Table2Row]) -> None:
 
 def render_report(results: PaperResults) -> str:
     """The markdown report of ``results``, paper cells from the claims."""
+    # Imported here, not with the module, so that importing the report
+    # generator costs no more than it did before the claims existed.
+    from repro.analysis.claims import CLAIMS
+
+    paper = {claim.key: claim.paper for claim in CLAIMS}
     out = io.StringIO()
     out.write("# IChannels reproduction report\n\n")
     out.write("Generated by `python -m repro.analysis.report`; every value "
               "below is measured from the simulator described in "
               "DESIGN.md.\n\n")
-    _fig6(out, results.fig6)
-    _fig7(out, results.fig7)
-    _fig8(out, results.fig8)
-    _fig9(out, results.fig9)
-    _fig10(out, results.fig10)
-    _fig11(out, results.fig11)
-    _fig12(out, results.fig12)
-    _fig13(out, results.fig13)
-    _fig14(out, results.fig14)
-    _table1(out, results.table1)
+    _fig6(out, results.fig6, paper)
+    _fig7(out, results.fig7, paper)
+    _fig8(out, results.fig8, paper)
+    _fig9(out, results.fig9, paper)
+    _fig10(out, results.fig10, paper)
+    _fig11(out, results.fig11, paper)
+    _fig12(out, results.fig12, paper)
+    _fig13(out, results.fig13, paper)
+    _fig14(out, results.fig14, paper)
+    _table1(out, results.table1, paper)
     _table2(out, results.table2)
     return out.getvalue()
 
