@@ -1,13 +1,14 @@
 """Shared helpers for the benchmark harnesses.
 
-Each ``bench_*`` module regenerates one of the paper's tables or figures
-(see DESIGN.md's per-experiment index and EXPERIMENTS.md for the
-paper-vs-measured record).  Run with::
+Each ``bench_figNN`` / ``bench_tableN`` module times one paper experiment
+at its defaults (the paper run) and prints that artifact's REPORT.md
+section with :func:`repro.analysis.report.render_section`; the other
+benches print their own rows.  Run with::
 
     pytest benchmarks/ --benchmark-only -s
 
-``-s`` shows the regenerated rows/series; without it they are captured
-but the benchmark timings and ``extra_info`` summaries still print.
+``-s`` shows the regenerated sections; without it they are captured but
+the benchmark timings and ``extra_info`` summaries still print.
 """
 
 from __future__ import annotations

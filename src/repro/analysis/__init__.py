@@ -2,9 +2,10 @@
 
 :mod:`repro.analysis.experiments` has one entry point per paper artifact
 (``fig6`` ... ``fig14``, ``table1``, ``table2``); the benchmark harnesses
-under ``benchmarks/`` call these and print the regenerated rows/series.
+under ``benchmarks/`` time these and print their :mod:`repro.analysis.report`
+sections.
 """
 
-from repro.analysis.figures import ascii_bars, ascii_series, format_table
+from repro.analysis.figures import ascii_bars, format_table
 
-__all__ = ["ascii_bars", "ascii_series", "format_table"]
+__all__ = ["ascii_bars", "format_table"]

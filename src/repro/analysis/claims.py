@@ -251,7 +251,7 @@ CLAIMS: Tuple[Claim, ...] = (
     *(Claim(f"fig12.ratio.{baseline}", "Figure 12", paper, "ratio", bound,
             lambda r, ours=ours, baseline=baseline: r.ratio(ours, baseline))
       for ours, baseline, paper, bound in (
-          ("IccThreadCovert", "NetSpectre", "2x", "(1.4, 2.6)"),
+          ("IccThreadCovert", "NetSpectre", "2x", "[1.5, 2.5]"),
           ("IccSMTcovert", "TurboCC", "47x", "[30.55, 63.45]"),
           ("IccSMTcovert", "DFScovert", "145x", "(100, 195.75]"),
           ("IccSMTcovert", "POWERT", "24x", "(20, inf)"))),

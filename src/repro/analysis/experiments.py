@@ -345,7 +345,7 @@ def _spec_channel(kind: str, faults: str = "") -> CovertChannel:
     return make_channel(build_system(spec), tenant, spec)
 
 
-def fig8_throttling(trials: int = 25) -> Fig8Result:
+def fig8_throttling(trials: int = 20) -> Fig8Result:
     """TP distributions on the three parts and PG wake deltas."""
     _require_positive("trials", trials)
     rng = np.random.default_rng(8)

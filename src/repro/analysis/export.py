@@ -1,8 +1,10 @@
 """CSV export of regenerated experiment data.
 
-The benchmark harnesses print human-readable rows; anyone replotting the
-figures (matplotlib, gnuplot, a paper rebuttal) wants machine-readable
-series instead.  ``export_all`` writes one CSV per artifact::
+REPORT.md and the benchmark harnesses print human-readable rows; anyone
+replotting the figures (matplotlib, gnuplot, a paper rebuttal) wants
+machine-readable series instead.  ``export_all`` writes one CSV per
+artifact of a :class:`~repro.analysis.report.PaperResults`; the command
+line exports the paper run::
 
     python -m repro.analysis.export --out-dir results/
 
@@ -18,6 +20,7 @@ import os
 from typing import Optional
 
 from repro.analysis import experiments as ex
+from repro.analysis.report import PaperResults, run_experiments
 from repro.isa import IClass
 
 
@@ -149,22 +152,17 @@ def export_resilience(result: "ex.ResilienceResult",
         rows)]
 
 
-def export_all(out_dir: str, quick: bool = True) -> "list[str]":
-    """Run every exportable experiment and write its CSVs."""
+_WRITERS = (("fig6", export_fig6), ("fig7", export_fig7),
+            ("fig8", export_fig8), ("fig10", export_fig10),
+            ("fig12", export_fig12), ("fig13", export_fig13),
+            ("fig14", export_fig14), ("resilience_sweep", export_resilience))
+
+
+def export_all(results: PaperResults, out_dir: str) -> "list[str]":
+    """Write the CSVs of every exportable experiment in ``results``."""
     os.makedirs(out_dir, exist_ok=True)
-    paths: "list[str]" = []
-    paths += export_fig6(ex.fig6_voltage_steps(), out_dir)
-    paths += export_fig7(ex.fig7_limit_protection(), out_dir)
-    paths += export_fig8(ex.fig8_throttling(trials=8 if quick else 20), out_dir)
-    paths += export_fig10(ex.fig10_multilevel(), out_dir)
-    fig12 = ex.fig12_throughput()
-    paths += export_fig12(fig12, out_dir)
-    paths += export_fig13(ex.fig13_level_distribution(), out_dir)
-    paths += export_fig14(
-        ex.fig14_noise_sensitivity(trials=2 if quick else 3), out_dir)
-    paths += export_resilience(
-        ex.resilience_sweep(trials=1 if quick else 3), out_dir)
-    return paths
+    return [path for name, write in _WRITERS
+            for path in write(getattr(results, name), out_dir)]
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -173,10 +171,8 @@ def main(argv: Optional[list] = None) -> int:
         description="Export regenerated experiment series as CSV files.")
     parser.add_argument("--out-dir", default="results",
                         help="directory for the CSV files (default: results/)")
-    parser.add_argument("--full", action="store_true",
-                        help="full trial counts (slower)")
     args = parser.parse_args(argv)
-    paths = export_all(args.out_dir, quick=not args.full)
+    paths = export_all(run_experiments(), args.out_dir)
     for path in paths:
         print(path)
     return 0

@@ -1,13 +1,13 @@
 """Full reproduction report generator.
 
-:func:`run_experiments` runs every experiment (Figures 6-14, Tables 1-2);
-:func:`render_report` renders the measured values next to the paper's,
-read from :data:`repro.analysis.claims.CLAIMS`.  Usable as a library
-(:func:`generate_report`) or from the command line::
+:func:`run_experiments` runs every experiment (Figures 6-14, Tables 1-2)
+at its defaults, which are the paper run; :func:`render_section` renders
+one REPORT.md section, the measured values next to the paper's read from
+:data:`repro.analysis.claims.CLAIMS`, and :func:`render_report` renders
+them all in order.  Usable as a library (:func:`generate_report`) or
+from the command line::
 
-    python -m repro.analysis.report [-o REPORT.md] [--quick]
-
-``--quick`` trims trial counts for a faster smoke run.
+    python -m repro.analysis.report [-o REPORT.md]
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import argparse
 import io
 from functools import cached_property
 from types import SimpleNamespace
-from typing import List, Optional
+from typing import Any, List, Optional
 
 import numpy as np
 
@@ -30,8 +30,9 @@ class PaperResults(SimpleNamespace):
     """Every experiment's result, one attribute each (``fig6`` ...).
 
     :func:`run_experiments` fills in what REPORT.md renders.  §6.5's side
-    channel and the resilience seed spread have no REPORT.md section, so
-    they run on first access; only their claims read them.
+    channel, the resilience seed spread and the resilience sweep have no
+    REPORT.md section, so they run on first access; only their claims
+    and the CSV export read them.
     """
 
     @property
@@ -51,19 +52,24 @@ class PaperResults(SimpleNamespace):
                                     mitigations=("arq", "adaptive"))
                 for seed in range(1, 11)]
 
+    @cached_property
+    def resilience_sweep(self) -> ex.ResilienceResult:
+        """The fault-resilience sweep at its defaults."""
+        return ex.resilience_sweep()
 
-def run_experiments(quick: bool = False) -> PaperResults:
-    """Run every experiment REPORT.md renders (fewer trials if ``quick``)."""
+
+def run_experiments() -> PaperResults:
+    """Run every experiment REPORT.md renders, each at its defaults."""
     return PaperResults(
         fig6=ex.fig6_voltage_steps(),
         fig7=ex.fig7_limit_protection(),
-        fig8=ex.fig8_throttling(trials=8 if quick else 20),
+        fig8=ex.fig8_throttling(),
         fig9=ex.fig9_timeline(),
         fig10=ex.fig10_multilevel(),
         fig11=ex.fig11_idq_signature(),
         fig12=ex.fig12_throughput(),
         fig13=ex.fig13_level_distribution(),
-        fig14=ex.fig14_noise_sensitivity(trials=2 if quick else 3),
+        fig14=ex.fig14_noise_sensitivity(),
         table1=ex.table1_mitigations(),
     )
 
@@ -246,7 +252,7 @@ def _table1(out: io.StringIO, report: MitigationReport, paper: dict) -> None:
               f"(paper: {paper['table1.secure_mode_power']}).\n\n")
 
 
-def _table2(out: io.StringIO, rows: List[ex.Table2Row]) -> None:
+def _table2(out: io.StringIO, rows: List[ex.Table2Row], paper: dict) -> None:
     """Render Table 2: the comparison matrix with measured bandwidths."""
     out.write("## Table 2 — comparison matrix\n\n")
     def mark(flag: bool) -> str:
@@ -265,35 +271,40 @@ def _table2(out: io.StringIO, rows: List[ex.Table2Row]) -> None:
     out.write("\n")
 
 
-def render_report(results: PaperResults) -> str:
-    """The markdown report of ``results``, paper cells from the claims."""
+_SECTIONS = {
+    "fig6": _fig6, "fig7": _fig7, "fig8": _fig8, "fig9": _fig9,
+    "fig10": _fig10, "fig11": _fig11, "fig12": _fig12, "fig13": _fig13,
+    "fig14": _fig14, "table1": _table1, "table2": _table2,
+}
+
+
+def render_section(name: str, result: Any) -> str:
+    """REPORT.md's section of ``result``, a :class:`PaperResults` attribute.
+
+    ``name`` is that attribute's name (``"fig6"`` ... ``"table2"``).
+    """
     # Imported here, not with the module, so that importing the report
     # generator costs no more than it did before the claims existed.
     from repro.analysis.claims import CLAIMS
 
-    paper = {claim.key: claim.paper for claim in CLAIMS}
     out = io.StringIO()
-    out.write("# IChannels reproduction report\n\n")
-    out.write("Generated by `python -m repro.analysis.report`; every value "
-              "below is measured from the simulator described in "
-              "DESIGN.md.\n\n")
-    _fig6(out, results.fig6, paper)
-    _fig7(out, results.fig7, paper)
-    _fig8(out, results.fig8, paper)
-    _fig9(out, results.fig9, paper)
-    _fig10(out, results.fig10, paper)
-    _fig11(out, results.fig11, paper)
-    _fig12(out, results.fig12, paper)
-    _fig13(out, results.fig13, paper)
-    _fig14(out, results.fig14, paper)
-    _table1(out, results.table1, paper)
-    _table2(out, results.table2)
+    _SECTIONS[name](out, result, {claim.key: claim.paper for claim in CLAIMS})
     return out.getvalue()
 
 
-def generate_report(quick: bool = False) -> str:
+def render_report(results: PaperResults) -> str:
+    """The markdown report of ``results``: every section, in order."""
+    return ("# IChannels reproduction report\n\n"
+            "Generated by `python -m repro.analysis.report`; every value "
+            "below is measured from the simulator described in "
+            "DESIGN.md.\n\n"
+            + "".join(render_section(name, getattr(results, name))
+                      for name in _SECTIONS))
+
+
+def generate_report() -> str:
     """Run every experiment and return the markdown report."""
-    return render_report(run_experiments(quick))
+    return render_report(run_experiments())
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -303,16 +314,14 @@ def main(argv: Optional[list] = None) -> int:
                     "markdown report.")
     parser.add_argument("-o", "--output", default=None,
                         help="write the report to this file (default: stdout)")
-    parser.add_argument("--quick", action="store_true",
-                        help="reduced trial counts for a fast smoke run")
     args = parser.parse_args(argv)
-    report = generate_report(quick=args.quick)
+    report = generate_report()
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(report)
         print(f"wrote {args.output} ({len(report.splitlines())} lines)")
     else:
-        print(report)
+        print(report, end="")
     return 0
 
 

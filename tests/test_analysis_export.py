@@ -18,8 +18,8 @@ def read_csv(path):
 
 
 class TestWriters:
-    def test_fig12_csv_shape(self, tmp_path):
-        result = ex.fig12_throughput()
+    def test_fig12_csv_shape(self, tmp_path, paper_results):
+        result = paper_results.fig12
         paths = export_fig12(result, str(tmp_path))
         rows = read_csv(paths[0])
         assert rows[0] == ["channel", "throughput_bps", "ber"]
@@ -38,22 +38,34 @@ class TestWriters:
 
 
 class TestExportAll:
-    def test_writes_every_artifact(self, tmp_path):
-        paths = export_all(str(tmp_path), quick=True)
+    def test_writes_every_artifact(self, tmp_path, paper_results):
+        paths = export_all(paper_results, str(tmp_path))
         names = {os.path.basename(p) for p in paths}
-        expected = {
+        assert names == {
             "fig6_vcc.csv", "fig6_calculix_vcc.csv", "fig7_points.csv",
             "fig7_freq_timeline.csv", "fig8_tp_samples.csv",
             "fig8_iteration_deltas.csv", "fig10_sweep.csv",
             "fig10_preceded.csv", "fig12_throughput.csv",
-            "fig13_levels.csv", "fig14_ber.csv",
+            "fig13_levels.csv", "fig14_ber.csv", "resilience_ber.csv",
         }
-        assert expected <= names
         for path in paths:
             assert len(read_csv(path)) >= 2  # header plus data
 
-    def test_cli(self, tmp_path, capsys):
+    def test_cli(self, tmp_path, capsys, paper_results):
+        """The command line exports the paper run REPORT.md renders."""
         out_dir = str(tmp_path / "results")
         assert main(["--out-dir", out_dir]) == 0
         printed = capsys.readouterr().out.strip().splitlines()
         assert all(line.startswith(out_dir) for line in printed)
+        tp_rows = read_csv(os.path.join(out_dir, "fig8_tp_samples.csv"))[1:]
+        fig8 = paper_results.fig8.tp_us_by_part
+        assert len(tp_rows) == sum(map(len, fig8.values())) == 60
+        assert tp_rows == [[part, str(tp)] for part, samples in fig8.items()
+                           for tp in samples]
+        fig14 = paper_results.fig14
+        bers = [float(row[2]) for row in
+                read_csv(os.path.join(out_dir, "fig14_ber.csv"))[1:]]
+        assert bers == [
+            *(ber for _, ber in sorted(fig14.ber_vs_event_rate.items())),
+            *(ber for _, ber in sorted(fig14.ber_vs_phi_rate.items())),
+            fig14.sevenzip_ber]

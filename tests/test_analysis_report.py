@@ -1,14 +1,18 @@
 """Report generator and text rendering."""
 
+from pathlib import Path
+
 import pytest
 
-from repro.analysis.figures import (
-    ascii_bars,
-    ascii_series,
-    format_table,
-    histogram_text,
-)
+from repro.analysis import report as report_module
+from repro.analysis.figures import ascii_bars, format_table
+from repro.analysis.report import main, render_section
 from repro.errors import MeasurementError
+
+REPORT = (Path(__file__).resolve().parents[1] / "REPORT.md").read_text(
+    encoding="utf-8")
+SECTIONS = ("fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
+            "fig13", "fig14", "table1", "table2")
 
 
 class TestFigureRendering:
@@ -22,15 +26,6 @@ class TestFigureRendering:
         with pytest.raises(MeasurementError):
             ascii_bars([])
 
-    def test_ascii_series_has_requested_height(self):
-        text = ascii_series([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0],
-                            height=5, label="ramp")
-        assert len(text.splitlines()) == 6  # label + 5 rows
-
-    def test_ascii_series_rejects_mismatch(self):
-        with pytest.raises(MeasurementError):
-            ascii_series([1.0], [1.0, 2.0])
-
     def test_format_table_aligns_columns(self):
         text = format_table(["name", "v"], [["long-name", 1], ["x", 22]])
         lines = text.splitlines()
@@ -42,30 +37,20 @@ class TestFigureRendering:
         with pytest.raises(MeasurementError):
             format_table(["a", "b"], [["only-one"]])
 
-    def test_histogram_text_bins(self):
-        text = histogram_text([1.0, 1.1, 5.0, 9.9], bins=3, width=10)
-        assert len(text.splitlines()) == 3
-
-    def test_histogram_text_rejects_empty(self):
-        with pytest.raises(MeasurementError):
-            histogram_text([])
-
 
 class TestReportGenerator:
-    def test_quick_report_contains_every_artifact(self):
-        from repro.analysis.report import generate_report
+    @pytest.mark.parametrize("name", SECTIONS)
+    def test_section_is_report_md_section(self, name, paper_results):
+        section = render_section(name, getattr(paper_results, name))
+        assert section.startswith("## ")
+        assert section in REPORT
 
-        report = generate_report(quick=True)
-        for heading in ("Figure 6", "Figure 7", "Figure 8", "Figure 9",
-                        "Figure 10", "Figure 11", "Figure 12", "Figure 13",
-                        "Figure 14", "Table 1", "Table 2"):
-            assert heading in report, heading
-
-    def test_cli_writes_file(self, tmp_path):
-        from repro.analysis.report import main
-
+    def test_cli_writes_file(self, tmp_path, monkeypatch, capsys,
+                             paper_results):
+        monkeypatch.setattr(report_module, "run_experiments",
+                            lambda: paper_results)
+        assert main([]) == 0
+        assert capsys.readouterr().out == REPORT
         target = tmp_path / "report.md"
-        assert main(["--quick", "-o", str(target)]) == 0
-        content = target.read_text()
-        assert content.startswith("# IChannels reproduction report")
-        assert "Table 2" in content
+        assert main(["-o", str(target)]) == 0
+        assert target.read_text() == REPORT

@@ -6,20 +6,14 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.claims import CLAIMS, Claim
-from repro.analysis.report import run_experiments
 
 REPORT = (Path(__file__).resolve().parents[1] / "REPORT.md").read_text(
     encoding="utf-8")
 
 
-@pytest.fixture(scope="session")
-def results():
-    return run_experiments()
-
-
 @pytest.mark.parametrize("claim", CLAIMS, ids=[c.key for c in CLAIMS])
-def test_claim_holds(claim, results):
-    problem = claim.violation(getattr(results, claim.experiment))
+def test_claim_holds(claim, paper_results):
+    problem = claim.violation(getattr(paper_results, claim.experiment))
     assert problem is None, problem
 
 
