@@ -6,7 +6,7 @@ import pytest
 
 from repro.analysis import report as report_module
 from repro.analysis.figures import ascii_bars, format_table
-from repro.analysis.report import main, render_section
+from repro.analysis.report import main, render_report, render_section
 from repro.errors import MeasurementError
 
 REPORT = (Path(__file__).resolve().parents[1] / "REPORT.md").read_text(
@@ -39,6 +39,13 @@ class TestFigureRendering:
 
 
 class TestReportGenerator:
+    def test_quick_report_contains_every_artifact(self, paper_results):
+        report = render_report(paper_results)
+        for heading in ("Figure 6", "Figure 7", "Figure 8", "Figure 9",
+                        "Figure 10", "Figure 11", "Figure 12", "Figure 13",
+                        "Figure 14", "Table 1", "Table 2"):
+            assert heading in report, heading
+
     @pytest.mark.parametrize("name", SECTIONS)
     def test_section_is_report_md_section(self, name, paper_results):
         section = render_section(name, getattr(paper_results, name))
