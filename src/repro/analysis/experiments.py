@@ -19,7 +19,7 @@ grid in one call instead of one rail lookup per sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,7 +37,7 @@ from repro.isa.instructions import IClass
 from repro.isa.workload import Loop, calculix_like_trace, uniform_loop
 from repro.measure.daq import DAQCard
 from repro.measure.trace import SampleSeries
-from repro.microarch.counters import PMC, normalized_undelivered
+from repro.microarch.counters import normalized_undelivered
 from repro.microarch.pipeline import CorePipeline, PipelineConfig
 from repro.mitigations.report import MitigationReport, evaluate_all
 from repro.runner import SweepRunner

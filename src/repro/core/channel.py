@@ -377,27 +377,34 @@ class CovertChannel(abc.ABC):
             return 0.0
         return faults.extra_slot_slack_ns()
 
-    def _fresh_schedule(self, n_slots: int) -> SlotSchedule:
-        """A slot schedule starting one quiet slot from now.
+    @property
+    def padded_slot_ns(self) -> float:
+        """Slot length of the channel's schedules: :attr:`slot_ns` plus
+        ``slot_jitter_us``, so a jittered start keeps the reset-time."""
+        return self.slot_ns + us_to_ns(self.config.slot_jitter_us)
 
-        The leading quiet slot guarantees the hysteresis window of any
-        earlier activity has expired before slot 0 begins.
+    def slot_schedule(self, epoch_ns: float, slot_ns: float) -> SlotSchedule:
+        """Slots of ``slot_ns`` from ``epoch_ns``, jittered per the config.
+
+        ``slot_ns`` is :attr:`padded_slot_ns` or longer (a shared slot
+        of several tenants); the one constructor of every schedule the
+        channel's payloads run on.
         """
-        del n_slots  # length is implicit; slots are consumed in order
         jitter_ns = us_to_ns(self.config.slot_jitter_us)
-        slot = self.slot_ns + jitter_ns  # keep the reset-time honoured
-        epoch = self.system.now + slot
         if jitter_ns > 0.0:
-            return JitteredSchedule(epoch_ns=epoch, slot_ns=slot,
+            return JitteredSchedule(epoch_ns=epoch_ns, slot_ns=slot_ns,
                                     jitter_ns=jitter_ns,
                                     seed=self.config.jitter_seed)
-        return SlotSchedule(epoch_ns=epoch, slot_ns=slot)
+        return SlotSchedule(epoch_ns=epoch_ns, slot_ns=slot_ns)
 
     def run_symbols(self, symbols: Sequence[int]) -> List[float]:
         """Transmit a raw symbol stream; returns per-slot probe readings."""
         if not symbols:
             raise ProtocolError("symbol stream is empty")
-        schedule = self._fresh_schedule(len(symbols))
+        # The leading quiet slot guarantees the hysteresis window of any
+        # earlier activity has expired before slot 0 begins.
+        slot = self.padded_slot_ns
+        schedule = self.slot_schedule(self.system.now + slot, slot)
         measurements: List[Optional[float]] = [None] * len(symbols)
         self._spawn_transaction_programs(schedule, list(symbols), measurements)
         end = (schedule.slot_start(len(symbols)) + self.slot_ns

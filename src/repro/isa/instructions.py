@@ -105,15 +105,6 @@ class IClass(enum.IntEnum):
         kind = "Heavy" if self.heavy else "Light"
         return f"{self.width_bits}b_{kind}"
 
-    @classmethod
-    def from_label(cls, label: str) -> "IClass":
-        """Look a class up by its paper-style label (case-insensitive)."""
-        wanted = label.strip().lower()
-        for iclass in cls:
-            if iclass.label.lower() == wanted:
-                return iclass
-        raise ConfigError(f"unknown instruction class label: {label!r}")
-
 
 #: Classes the paper treats as power-hungry instructions.
 PHI_CLASSES: Tuple[IClass, ...] = tuple(c for c in IClass if c.is_phi)

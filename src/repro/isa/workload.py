@@ -17,7 +17,7 @@ This module provides data types for both granularities:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Sequence
 
 from repro.errors import ConfigError, bounded, check_fields
 from repro.isa.instructions import IClass
@@ -103,15 +103,6 @@ class PhaseTrace:
 
     def __len__(self) -> int:
         return len(self.phases)
-
-    def class_at(self, t_ns: float) -> Optional[IClass]:
-        """The class scheduled at offset ``t_ns``, or None past the end."""
-        elapsed = 0.0
-        for phase in self.phases:
-            elapsed += phase.duration_ns
-            if t_ns < elapsed:
-                return phase.iclass
-        return None
 
 
 def avx2_phase_program(scalar_ms: float = 400.0, avx_ms: float = 1200.0,

@@ -15,7 +15,7 @@ import bisect
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Generic, List, Sequence, Tuple, TypeVar
+from typing import TYPE_CHECKING, Any, Generic, List, Tuple, TypeVar
 
 from repro.errors import MeasurementError
 
@@ -102,14 +102,6 @@ class StepTrace(Generic[T]):
             return default
         return self._values[idx]
 
-    def values_at(self, times_ns: np.ndarray, default: float = 0.0) -> np.ndarray:
-        """Vectorized :meth:`value_at` for numeric traces.
-
-        One ``np.searchsorted`` over the whole grid instead of one
-        binary search per sample; same right-continuous semantics.
-        """
-        return self.signal(default=default).sample(times_ns)
-
     def signal(self, default: float = 0.0) -> "PiecewiseConstantSignal":
         """A vectorizable signal-source view of a numeric step trace.
 
@@ -146,21 +138,6 @@ class StepTrace(Generic[T]):
         lo = bisect.bisect_left(self._times, t0_ns)
         hi = bisect.bisect_left(self._times, t1_ns)
         return list(zip(self._times[lo:hi], self._values[lo:hi]))
-
-    def time_weighted_mean(self, t0_ns: float, t1_ns: float) -> float:
-        """Time-weighted mean of a numeric step trace over [t0, t1]."""
-        if t1_ns <= t0_ns:
-            raise MeasurementError(f"empty interval [{t0_ns}, {t1_ns}]")
-        total = 0.0
-        current = self.value_at(t0_ns, default=0.0)  # type: ignore[arg-type]
-        last = t0_ns
-        for t, value in self.changes_in(t0_ns, t1_ns):
-            if t > last:
-                total += float(current) * (t - last)
-                last = t
-            current = value
-        total += float(current) * (t1_ns - last)
-        return total / (t1_ns - t0_ns)
 
 
 @dataclass
@@ -200,13 +177,6 @@ class SampleSeries:
             raise MeasurementError(f"{self.name}: no samples")
         return float(self.values.min()), float(self.values.max())
 
-    def delta_from_start(self) -> "SampleSeries":
-        """Series re-based to its first sample (Figure 6 plots Vcc delta)."""
-        if len(self.values) == 0:
-            raise MeasurementError(f"{self.name}: no samples")
-        return SampleSeries(self.times_ns, self.values - self.values[0],
-                            name=f"{self.name}_delta")
-
     def window(self, t0_ns: float, t1_ns: float) -> "SampleSeries":
         """Samples with t0 <= t <= t1."""
         mask = (self.times_ns >= t0_ns) & (self.times_ns <= t1_ns)
@@ -244,13 +214,3 @@ class SampleSeries:
                 mean=float(values.mean()),
             )
         return out
-
-
-def merge_step_traces(traces: Sequence[StepTrace], t0_ns: float,
-                      t1_ns: float) -> List[float]:
-    """Sorted union of breakpoint times of several traces within a span."""
-    times = {t0_ns, t1_ns}
-    for trace in traces:
-        for t, _ in trace.changes_in(t0_ns, t1_ns):
-            times.add(t)
-    return sorted(times)

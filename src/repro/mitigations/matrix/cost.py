@@ -147,9 +147,3 @@ def defender_cost(name: str) -> DefenderCost:
         reference_ns=reference["completion_ns"],
         mean_power_w=defended["mean_power_w"],
         reference_power_w=reference["mean_power_w"])
-
-
-def cost_from_mapping(mapping: Dict[str, Any]) -> DefenderCost:
-    """Rebuild a :class:`DefenderCost` from :meth:`DefenderCost.to_mapping`."""
-    fields = {f.name for f in dataclasses.fields(DefenderCost)}
-    return DefenderCost(**{k: v for k, v in mapping.items() if k in fields})

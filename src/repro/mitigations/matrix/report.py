@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Set, Tuple
 
 from repro.errors import ConfigError
-from repro.mitigations.matrix.cells import MatrixCell, cell_from_mapping
-from repro.mitigations.matrix.cost import DefenderCost, cost_from_mapping
+from repro.mitigations.matrix.cells import MatrixCell
+from repro.mitigations.matrix.cost import DefenderCost
 from repro.runner.cache import canonicalize
 
 #: Columns of the CSV export, in order.
@@ -120,15 +120,6 @@ class MitigationMatrixReport:
             "cells": [cell.to_mapping() for cell in self.cells],
             "costs": [cost.to_mapping() for cost in self.costs],
         }
-
-    @classmethod
-    def from_document(cls, document: Dict[str, Any]) -> "MitigationMatrixReport":
-        """Rebuild a report from :meth:`document` output."""
-        return cls(
-            cells=tuple(cell_from_mapping(m) for m in document["cells"]),
-            costs=tuple(cost_from_mapping(m) for m in document["costs"]),
-            attackers=tuple(document["attackers"]),
-            defenders=tuple(document["defenders"]))
 
     def to_json_text(self) -> str:
         """The document as canonical (sorted-key, rounded) JSON text."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.errors import ConfigError, bounded, check_fields
 
@@ -78,7 +78,7 @@ def pstate_ladder(curve: VFCurve, min_ghz: float, max_ghz: float,
     """Enumerate P-states from ``min_ghz`` to ``max_ghz`` on the curve.
 
     Intel parts expose ~100 MHz bin granularity; the ladder is sorted by
-    descending frequency so limit searches can walk from fastest down.
+    descending frequency, fastest first.
     """
     if min_ghz <= 0 or max_ghz < min_ghz:
         raise ConfigError(f"bad P-state range [{min_ghz}, {max_ghz}]")
@@ -90,17 +90,3 @@ def pstate_ladder(curve: VFCurve, min_ghz: float, max_ghz: float,
         freq = round(min_ghz + i * step_ghz, 6)
         states.append(PState(freq, curve.vcc_for(freq)))
     return states
-
-
-def highest_not_above(states: Sequence[PState], ceiling_ghz: float) -> PState:
-    """The fastest P-state at or below ``ceiling_ghz``.
-
-    Falls back to the slowest state when even it exceeds the ceiling (the
-    package cannot clock below its minimum bin).
-    """
-    if not states:
-        raise ConfigError("empty P-state ladder")
-    for state in states:  # sorted fastest-first
-        if state.freq_ghz <= ceiling_ghz + 1e-9:
-            return state
-    return states[-1]

@@ -9,7 +9,8 @@ package is the infrastructure they run on:
   order so parallel and serial runs are bit-identical;
 * :class:`ResultCache` — a content-addressed on-disk cache keyed by the
   code version plus the canonicalised task parameters, so a warm rerun
-  of a sweep skips all simulation work.
+  of a sweep skips all simulation work.  It never evicts; its hits,
+  misses and stores are the tracer's ``cache.*`` counters.
 
 Usage::
 
@@ -21,7 +22,6 @@ Usage::
 """
 
 from repro.runner.cache import (
-    CacheStats,
     ResultCache,
     canonicalize,
     code_version,
@@ -30,7 +30,6 @@ from repro.runner.cache import (
 from repro.runner.sweep import RunStats, SweepRunner
 
 __all__ = [
-    "CacheStats",
     "ResultCache",
     "RunStats",
     "SweepRunner",

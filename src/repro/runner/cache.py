@@ -13,8 +13,10 @@ A cache entry is addressed by a SHA-256 over three things:
 
 Entries are pickled results under ``<root>/<key[:2]>/<key>.pkl``.  The
 root defaults to ``$REPRO_CACHE_DIR`` or ``.repro-cache`` in the current
-working directory.  Eviction is explicit: :meth:`ResultCache.clear`
-drops everything, :meth:`ResultCache.evict` trims to a budget by age.
+working directory.  Nothing is evicted: a code change makes every old
+entry unreachable, and removing the directory empties the cache.  Hits,
+misses, stores and corrupt entries are counted by the tracer's
+``cache.*`` counters (:mod:`repro.obs`).
 """
 
 from __future__ import annotations
@@ -28,13 +30,11 @@ import os
 import pickle
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Mapping, Optional, Tuple
 
 import threading
 
-from repro.errors import ConfigError
 from repro.obs.tracer import current as _obs
 
 #: Environment variable overriding the default cache location.
@@ -151,21 +151,6 @@ def task_key(fn: Callable[..., Any], kwargs: Mapping[str, Any],
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss/store counters of one :class:`ResultCache`.
-
-    ``corrupt`` counts entries that existed on disk but could not be
-    decoded; each such entry is also counted as a miss (and unlinked, so
-    it cannot be re-missed forever).
-    """
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    corrupt: int = 0
-
-
 class ResultCache:
     """Pickled experiment results, content-addressed on disk.
 
@@ -185,7 +170,6 @@ class ResultCache:
             root = os.environ.get(CACHE_DIR_ENV, DEFAULT_CACHE_DIR)
         self.root = Path(root)
         self.version = version
-        self.stats = CacheStats()
 
     def key_for(self, fn: Callable[..., Any],
                 kwargs: Mapping[str, Any]) -> str:
@@ -201,8 +185,8 @@ class ResultCache:
 
         A missing entry is a plain miss.  An entry that exists but
         cannot be decoded (truncated write, unpicklable after a class
-        moved, plain disk corruption) is *unlinked* and counted in
-        ``stats.corrupt`` as well as ``stats.misses`` — leaving it on
+        moved, plain disk corruption) is *unlinked* and counted as
+        ``cache.corrupt`` as well as ``cache.misses`` — leaving it on
         disk would re-read and re-miss it on every lookup while
         ``__len__`` kept counting it as a valid entry.
         """
@@ -211,7 +195,6 @@ class ResultCache:
         try:
             fh = open(path, "rb")
         except OSError:
-            self.stats.misses += 1
             if tracer.enabled:
                 tracer.metrics.counter("cache.misses").inc()
             return False, None
@@ -223,8 +206,6 @@ class ResultCache:
             # unpickler (UnpicklingError, EOFError, ImportError, value
             # and type errors from corrupt opcodes); whatever it was,
             # the entry is useless — drop it.
-            self.stats.corrupt += 1
-            self.stats.misses += 1
             if tracer.enabled:
                 tracer.metrics.counter("cache.corrupt").inc()
                 tracer.metrics.counter("cache.misses").inc()
@@ -233,7 +214,6 @@ class ResultCache:
             except OSError:
                 pass
             return False, None
-        self.stats.hits += 1
         if tracer.enabled:
             tracer.metrics.counter("cache.hits").inc()
         return True, value
@@ -253,36 +233,9 @@ class ResultCache:
             except OSError:
                 pass
             raise
-        self.stats.stores += 1
         tracer = _obs()
         if tracer.enabled:
             tracer.metrics.counter("cache.stores").inc()
 
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("*/*.pkl"))
-
-    def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
-        removed = 0
-        for path in self.root.glob("*/*.pkl"):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
-
-    def evict(self, max_entries: int) -> int:
-        """Trim to ``max_entries`` by dropping the oldest entries first."""
-        if max_entries < 0:
-            raise ConfigError(f"max_entries must be >= 0, got {max_entries}")
-        entries = sorted(self.root.glob("*/*.pkl"),
-                         key=lambda p: p.stat().st_mtime)
-        removed = 0
-        for path in entries[:max(0, len(entries) - max_entries)]:
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed

@@ -8,7 +8,7 @@ execution order gives identical results).  :meth:`SweepRunner.map` preserves inp
 which makes ``jobs=1`` and ``jobs=N`` bit-identical by construction.
 
 With a :class:`~repro.runner.cache.ResultCache` attached, each task is
-looked up by content address first; only misses are executed (in
+looked up once by content address; only misses are executed (in
 parallel if requested) and stored back, so a warm rerun of a sweep
 executes nothing.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.obs.tracer import current as _obs
@@ -46,22 +46,12 @@ class RunStats:
     """What one :meth:`SweepRunner.map` call did.
 
     ``executed`` counts tasks that actually ran *to completion* — a
-    sweep that dies on task 1 of 50 reports 1, not 50.  ``deduped``
-    counts positions resolved by copying another position's result
-    because both canonicalised to the same cache key within the call.
+    sweep that dies on task 1 of 50 reports 1, not 50.
     """
 
     tasks: int = 0
     cache_hits: int = 0
     executed: int = 0
-    deduped: int = 0
-
-    def add(self, other: "RunStats") -> None:
-        """Accumulate another call's stats into this one."""
-        self.tasks += other.tasks
-        self.cache_hits += other.cache_hits
-        self.executed += other.executed
-        self.deduped += other.deduped
 
 
 class SweepRunner:
@@ -84,8 +74,6 @@ class SweepRunner:
         self.cache = cache
         #: Stats of the most recent :meth:`map` call.
         self.last_run = RunStats()
-        #: Cumulative stats across the runner's lifetime.
-        self.total = RunStats()
 
     def map(self, fn: Callable[..., Any],
             kwargs_list: Sequence[Mapping[str, Any]]) -> List[Any]:
@@ -101,38 +89,22 @@ class SweepRunner:
         a crashed sweep resumes from where it died instead of replaying
         finished work.  The re-raised exception carries ``task_index``
         and ``task_kwargs`` attributes identifying the failing task, and
-        ``last_run``/``total`` still account for the completed siblings.
+        ``last_run`` still accounts for the completed siblings.
 
-        With a cache attached, positions whose kwargs canonicalise to
-        the same content address are *deduplicated within the call*: one
-        representative executes (or hits), and every duplicate position
-        receives a copy of its result (``RunStats.deduped`` counts the
-        copies).  Without a cache there are no content addresses, so
-        duplicates execute independently, exactly as before.
+        With a cache attached, each task is looked up once; the misses
+        execute and are stored.  Two tasks with the same content address
+        in one call both miss and both execute.
         """
         stats = RunStats(tasks=len(kwargs_list))
         results: List[Any] = [None] * len(kwargs_list)
         pending: List[int] = []
-        keys: List[Optional[str]] = [None] * len(kwargs_list)
-        #: Duplicate position -> representative position with the same key.
-        duplicate_of: Dict[int, int] = {}
+        keys: List[str] = []
         tracer = _obs()
 
         if self.cache is not None:
-            first_by_key: Dict[str, int] = {}
             for idx, kwargs in enumerate(kwargs_list):
                 key = self.cache.key_for(fn, kwargs)
-                keys[idx] = key
-                representative = first_by_key.get(key)
-                if representative is not None:
-                    # Same content address earlier in this very call:
-                    # don't look it up (it would miss while the
-                    # representative is still pending) and don't execute
-                    # it again — copy the representative's result below.
-                    duplicate_of[idx] = representative
-                    stats.deduped += 1
-                    continue
-                first_by_key[key] = idx
+                keys.append(key)
                 hit, value = self.cache.get(key)
                 if hit:
                     results[idx] = value
@@ -185,30 +157,16 @@ class SweepRunner:
         # task reports 1 (or 0), never the whole pending count.
         stats.executed = len(completed)
 
-        # Resolve in-call duplicates from their representatives (cache
-        # hits never entered ``pending``; executed ones must have
-        # completed).  A duplicate of a failed representative stays
-        # unresolved, which only matters on the failure path (no
-        # results are returned).
-        completed_set = set(completed)
-        pending_set = set(pending)
-        for idx, representative in duplicate_of.items():
-            if (representative in completed_set
-                    or representative not in pending_set):
-                results[idx] = results[representative]
-
         if tracer.enabled:
             tracer.metrics.counter("runner.tasks").inc(stats.tasks)
             tracer.metrics.counter("runner.cache_hits").inc(stats.cache_hits)
             tracer.metrics.counter("runner.executed").inc(stats.executed)
-            tracer.metrics.counter("runner.deduped").inc(stats.deduped)
             if failure is not None:
                 tracer.metrics.counter("runner.task_failures").inc()
 
-        # last_run/total stay consistent on the failure path too: the
-        # caller's except clause can still read how much work finished.
+        # last_run stays consistent on the failure path too: the caller's
+        # except clause can still read how much work finished.
         self.last_run = stats
-        self.total.add(stats)
 
         if failure is not None:
             idx, exc = failure

@@ -27,11 +27,8 @@ _LAZY = {
     "interference_spec": "registry",
     "register": "registry",
     "scenario_names": "registry",
-    "InterferencePoint": "run",
-    "InterferenceSweepResult": "run",
     "ScenarioRun": "run",
     "TenantResult": "run",
-    "interference_sweep": "run",
     "make_channel": "run",
     "run_document": "run",
     "run_scenario": "run",
@@ -47,8 +44,6 @@ __getattr__, __dir__ = lazy_exports(__name__, _LAZY)
 
 __all__ = [
     "CHANNEL_KINDS",
-    "InterferencePoint",
-    "InterferenceSweepResult",
     "NoiseSpec",
     "OVERRIDABLE_FIELDS",
     "ScenarioRun",
@@ -62,7 +57,6 @@ __all__ = [
     "check_docs",
     "get_spec",
     "interference_spec",
-    "interference_sweep",
     "make_channel",
     "register",
     "registry_markdown",

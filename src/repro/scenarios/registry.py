@@ -84,9 +84,8 @@ def interference_spec(n_pairs: int, preset: str = "skylake_sp",
     Pair ``i`` occupies cores ``(2i, 2i+1)`` with its slot clock offset
     by ``i / n_pairs`` of the common slot, so the pairs' transitions
     tile the slot evenly — the fairest static schedule.  The default
-    ``skylake_sp`` preset fits up to 12 pairs; the
-    :func:`repro.scenarios.run.interference_sweep` experiment builds
-    its 1/2/4/8-pair ladder through this factory.
+    ``skylake_sp`` preset fits up to 12 pairs; the registered
+    1/2/4/8-pair ladder is built through this factory.
     """
     if n_pairs < 1:
         raise ConfigError(f"n_pairs must be >= 1, got {n_pairs}")

@@ -19,7 +19,7 @@ the plain-JSON document the :mod:`repro.verify` golden gates digest.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.core import IccCoresCovert, IccSMTcovert, IccThreadCovert
 from repro.core.capacity import symbol_channel_capacity_bps
@@ -28,7 +28,7 @@ from repro.core.encoding import bytes_to_symbols
 from repro.core.sync import SlotSchedule
 from repro.errors import CalibrationError, ProtocolError
 from repro.scenarios.build import build_system
-from repro.scenarios.registry import get_spec, interference_spec
+from repro.scenarios.registry import get_spec
 from repro.scenarios.spec import ScenarioSpec, TenantSpec
 from repro.soc.system import System
 from repro.units import bits_per_second, ns_to_us
@@ -191,14 +191,14 @@ def run_scenario(spec: Union[ScenarioSpec, str]) -> ScenarioRun:
     schedules: List[Optional[SlotSchedule]] = []
     readings: List[Optional[List[Optional[float]]]] = []
     if feasible:
-        slot_ns = max(c.slot_ns for c in feasible)
+        slot_ns = max(c.padded_slot_ns for c in feasible)
         epoch_ns = system.now + slot_ns
         for tenant, channel in zip(spec.tenants, channels):
             if channel is None:
                 schedules.append(None)
                 readings.append(None)
                 continue
-            schedule = SlotSchedule(
+            schedule = channel.slot_schedule(
                 epoch_ns + tenant.offset_fraction * slot_ns, slot_ns)
             measurements: List[Optional[float]] = [None] * len(symbols)
             channel._spawn_transaction_programs(schedule, list(symbols),
@@ -263,60 +263,3 @@ def run_scenario(spec: Union[ScenarioSpec, str]) -> ScenarioRun:
 def run_document(spec: Union[ScenarioSpec, str]) -> Dict[str, Any]:
     """Run a scenario and return its digest document (plain JSON)."""
     return run_scenario(spec).document()
-
-
-@dataclass(frozen=True)
-class InterferencePoint:
-    """Per-tenant channel quality at one tenant-pair count."""
-
-    n_pairs: int
-    per_tenant_ber: Tuple[float, ...]
-    per_tenant_capacity_bps: Tuple[float, ...]
-    mean_ber: float
-    aggregate_goodput_bps: float
-
-
-@dataclass(frozen=True)
-class InterferenceSweepResult:
-    """The interference ladder: channel quality vs tenant count."""
-
-    preset: str
-    points: Tuple[InterferencePoint, ...]
-
-    def to_mapping(self) -> Dict[str, Any]:
-        """Plain-JSON form (for reports and documents)."""
-        return {
-            "preset": self.preset,
-            "points": [{
-                "n_pairs": p.n_pairs,
-                "per_tenant_ber": list(p.per_tenant_ber),
-                "per_tenant_capacity_bps": list(p.per_tenant_capacity_bps),
-                "mean_ber": p.mean_ber,
-                "aggregate_goodput_bps": p.aggregate_goodput_bps,
-            } for p in self.points],
-        }
-
-
-def interference_sweep(pair_counts: Sequence[int] = (1, 2, 4, 8),
-                       preset: str = "skylake_sp",
-                       payload_hex: str = "43",
-                       ) -> InterferenceSweepResult:
-    """Per-tenant BER/capacity as tenant count grows on one rail.
-
-    Runs the N-pair ladder (same part, same payload, slot clocks tiled
-    per :func:`~repro.scenarios.registry.interference_spec`) and
-    reduces each point to per-tenant BER and capacity.
-    """
-    points = []
-    for n in pair_counts:
-        run = run_scenario(interference_spec(
-            int(n), preset=preset, payload_hex=payload_hex))
-        points.append(InterferencePoint(
-            n_pairs=int(n),
-            per_tenant_ber=tuple(t.ber for t in run.tenants),
-            per_tenant_capacity_bps=tuple(
-                t.capacity_bps for t in run.tenants),
-            mean_ber=run.mean_ber,
-            aggregate_goodput_bps=run.aggregate_goodput_bps,
-        ))
-    return InterferenceSweepResult(preset=preset, points=tuple(points))

@@ -60,24 +60,6 @@ def ns_to_s(ns: float) -> float:
     return ns / NS_PER_S
 
 
-# -- frequency / cycles ----------------------------------------------------
-
-
-def cycles_at(ns: float, freq_ghz: float) -> float:
-    """Number of clock cycles elapsed in ``ns`` at ``freq_ghz``.
-
-    With frequency in GHz and time in ns this is a plain product.
-    """
-    return ns * freq_ghz
-
-
-def ns_for_cycles(cycles: float, freq_ghz: float) -> float:
-    """Wall time in ns needed to run ``cycles`` at ``freq_ghz``."""
-    if freq_ghz <= 0.0:
-        raise ValueError(f"frequency must be positive, got {freq_ghz} GHz")
-    return cycles / freq_ghz
-
-
 # -- electrical ------------------------------------------------------------
 
 MV_PER_V = 1_000.0

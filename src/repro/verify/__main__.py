@@ -29,7 +29,7 @@ from repro.verify.differential import run_all as run_differential
 from repro.verify.goldens import check_all, update_goldens
 from repro.verify.lint import Report, lint_tree
 from repro.verify.report import check_report
-from repro.verify.scenarios import SCENARIOS, compute_digest, scenario_names
+from repro.verify.scenarios import SCENARIOS, compute_digest
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -21,6 +21,12 @@ One AST visitor enforces every rule over ``src/repro``:
 ``missing-hints``
     A public top-level function or method without a complete set of
     parameter and return annotations.
+``unused-import``
+    A name bound by an import statement of the module body that the
+    module never reads.  A name in the module's ``__all__`` is a
+    re-export, and one read only in annotations (string ones included)
+    is used.  ``from __future__`` is skipped, and so are imports nested
+    in a block such as ``if TYPE_CHECKING:``.
 
 Deliberate exceptions live in ``tests/lint_waivers.txt``, one
 ``rule path-glob [substring]`` line each: the rule id, an fnmatch glob
@@ -36,13 +42,13 @@ import ast
 import fnmatch
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Set
+from typing import List, Optional, Set, Tuple
 
 from repro.errors import ConfigError
 
 #: Every rule id; a waiver must name one of them.
 RULES = ("unseeded-rng", "global-rng", "wall-clock", "float-eq",
-         "mutable-default", "missing-hints")
+         "mutable-default", "missing-hints", "unused-import")
 
 #: ``repro`` subpackages forming the simulator core, where the
 #: wall-clock rule applies.
@@ -187,6 +193,9 @@ def lint_source(source: str, path: str) -> List[Finding]:
     visitor = _Visitor(path, source.splitlines(),
                        bool(below) and below[0] in WALL_CLOCK_PACKAGES)
     visitor.visit(tree)
+    for name, node in _unused_imports(tree):
+        visitor._add("unused-import", node,
+                     f"'{name}' is imported but never used")
     return sorted(visitor.findings, key=lambda f: (f.line, f.rule))
 
 
@@ -228,6 +237,60 @@ def lint_tree(root: Optional[Path] = None,
     report.unused_waivers = [w for i, w in enumerate(waivers)
                              if i not in used]
     return report
+
+
+def _read_names(tree: ast.Module) -> Set[str]:
+    """Every name the module reads, string annotations included."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        annotations = []
+        if isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for annotation in filter(None, annotations):
+            for const in ast.walk(annotation):
+                if isinstance(const, ast.Constant) and isinstance(
+                        const.value, str):
+                    try:
+                        parsed = ast.parse(const.value, mode="eval")
+                    except SyntaxError:
+                        continue
+                    names.update(n.id for n in ast.walk(parsed)
+                                 if isinstance(n, ast.Name))
+    return names
+
+
+def _exported_names(tree: ast.Module) -> Set[str]:
+    """The string entries of a module-level ``__all__`` list or tuple."""
+    for stmt in tree.body:
+        if (isinstance(stmt, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in stmt.targets)
+                and isinstance(stmt.value, (ast.List, ast.Tuple))):
+            return {e.value for e in stmt.value.elts
+                    if isinstance(e, ast.Constant)}
+    return set()
+
+
+def _unused_imports(tree: ast.Module) -> List[Tuple[str, ast.stmt]]:
+    """(name, import statement) of each module-level import never read."""
+    used = _read_names(tree) | _exported_names(tree)
+    unused: List[Tuple[str, ast.stmt]] = []
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Import):
+            bound = [alias.asname or alias.name.split(".")[0]
+                     for alias in stmt.names]
+        elif (isinstance(stmt, ast.ImportFrom)
+                and stmt.module != "__future__"):
+            bound = [alias.asname or alias.name for alias in stmt.names
+                     if alias.name != "*"]
+        else:
+            continue
+        unused.extend((name, stmt) for name in bound if name not in used)
+    return unused
 
 
 def _identifier_of(node: ast.AST) -> str:

@@ -145,14 +145,6 @@ class TestChannelEdges:
 
 
 class TestTraceEdges:
-    def test_time_weighted_mean_before_first_record(self):
-        from repro.measure import StepTrace
-
-        trace = StepTrace("x")
-        trace.record(50.0, 10.0)
-        # First half of the window predates any record: counts as 0.
-        assert trace.time_weighted_mean(0.0, 100.0) == pytest.approx(5.0)
-
     def test_sample_series_empty_stats_rejected(self):
         import numpy as np
 
@@ -164,8 +156,6 @@ class TestTraceEdges:
             empty.mean()
         with pytest.raises(MeasurementError):
             empty.minmax()
-        with pytest.raises(MeasurementError):
-            empty.delta_from_start()
 
 
 class TestLocalPmuEdges:

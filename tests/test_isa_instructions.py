@@ -114,17 +114,6 @@ class TestLabels:
     def test_light_label(self):
         assert IClass.LIGHT_512.label == "512b_Light"
 
-    def test_from_label_roundtrip(self):
-        for iclass in IClass:
-            assert IClass.from_label(iclass.label) == iclass
-
-    def test_from_label_case_insensitive(self):
-        assert IClass.from_label("256B_heavy") == IClass.HEAVY_256
-
-    def test_from_label_unknown_raises(self):
-        with pytest.raises(ConfigError):
-            IClass.from_label("1024b_Heavy")
-
 
 class TestInstructionTable:
     def test_lookup_known_mnemonic(self):

@@ -71,16 +71,6 @@ class TestPhaseTrace:
             IClass.HEAVY_256, 20.0)
         assert trace.duration_ns == pytest.approx(30.0)
 
-    def test_class_at_picks_the_right_phase(self):
-        trace = PhaseTrace().append(IClass.SCALAR_64, 10.0).append(
-            IClass.HEAVY_256, 20.0)
-        assert trace.class_at(5.0) == IClass.SCALAR_64
-        assert trace.class_at(15.0) == IClass.HEAVY_256
-
-    def test_class_at_past_end_is_none(self):
-        trace = PhaseTrace().append(IClass.SCALAR_64, 10.0)
-        assert trace.class_at(11.0) is None
-
     def test_zero_duration_phase_rejected(self):
         with pytest.raises(ConfigError):
             PhaseTrace().append(IClass.SCALAR_64, 0.0)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import main
+from repro.obs import tracing
 
 
 class TestMainDemo:
@@ -18,3 +19,19 @@ class TestMainDemo:
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)
             assert excinfo.value.code == 2
+
+    def test_matrix_cache_dir_warm_rerun_executes_nothing(self, tmp_path,
+                                                          capsys):
+        argv = ["--mitigation-matrix", "smoke",
+                "--cache-dir", str(tmp_path)]
+        runs = []
+        for _ in range(2):
+            with tracing() as tr:
+                code = main(argv)
+            counters = tr.metrics.counters
+            runs.append((code, capsys.readouterr().out,
+                         counters["runner.executed"].value,
+                         counters["runner.cache_hits"].value))
+        (cold_code, cold_out, cold_executed, _), warm = runs
+        assert warm == (cold_code, cold_out, 0, 9)
+        assert cold_executed == 9

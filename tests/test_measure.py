@@ -10,7 +10,6 @@ from repro.measure import (
     SampleSeries,
     StepTrace,
 )
-from repro.measure.trace import merge_step_traces
 
 
 class TestStepTrace:
@@ -52,18 +51,6 @@ class TestStepTrace:
             trace.record(t, t)
         assert trace.changes_in(10.0, 30.0) == [(10.0, 10.0), (20.0, 20.0)]
 
-    def test_time_weighted_mean(self):
-        trace = StepTrace("f")
-        trace.record(0.0, 1.0)
-        trace.record(50.0, 3.0)
-        assert trace.time_weighted_mean(0.0, 100.0) == pytest.approx(2.0)
-
-    def test_time_weighted_mean_empty_interval_rejected(self):
-        trace = StepTrace("f")
-        trace.record(0.0, 1.0)
-        with pytest.raises(MeasurementError):
-            trace.time_weighted_mean(10.0, 10.0)
-
     def test_value_types_follow_the_first_record(self):
         ints, floats, labels = StepTrace("i"), StepTrace("f"), StepTrace("l")
         for t, (i, f, label) in enumerate([(0, 0.5, "idle"), (1, 1.5, "avx")]):
@@ -101,25 +88,10 @@ class TestStepTrace:
         trace.record(40.0, 5)
         assert len(signal.times_ns) == 3 and len(trace) == 4
 
-    def test_merge_step_traces(self):
-        a = StepTrace("a")
-        a.record(0.0, 1)
-        a.record(10.0, 2)
-        b = StepTrace("b")
-        b.record(5.0, 1)
-        times = merge_step_traces([a, b], 0.0, 20.0)
-        assert times == [0.0, 5.0, 10.0, 20.0]
-
-
 class TestSampleSeries:
     def test_length_mismatch_rejected(self):
         with pytest.raises(MeasurementError):
             SampleSeries(np.array([1.0, 2.0]), np.array([1.0]))
-
-    def test_delta_from_start(self):
-        series = SampleSeries(np.array([0.0, 1.0]), np.array([5.0, 7.0]))
-        delta = series.delta_from_start()
-        assert list(delta.values) == [0.0, 2.0]
 
     def test_window(self):
         series = SampleSeries(np.arange(10.0), np.arange(10.0))

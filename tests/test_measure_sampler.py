@@ -155,10 +155,8 @@ class TestPiecewiseConstantSignal:
         trace.record(20.0, 3.0)  # same-time overwrite: latest wins
         signal = trace.signal(default=0.25)
         grid = np.array([0.0, 9.999, 10.0, 15.0, 20.0, 30.0])
-        vec = trace.values_at(grid, default=0.25)
         scalar = np.array([trace.value_at(float(t), default=0.25)
                            for t in grid])
-        assert np.array_equal(vec, scalar)
         assert np.array_equal(signal.sample(grid), scalar)
 
 

@@ -20,7 +20,6 @@ from repro.mitigations.matrix import (
     ATTACKERS,
     DEFENDERS,
     MatrixCell,
-    MitigationMatrixReport,
     attacker_names,
     cell_spec,
     defender_cost,
@@ -178,11 +177,6 @@ class TestReport:
             full_report.cell("plain_cores", "nonexistent")
         with pytest.raises(ConfigError, match="no cost"):
             full_report.cost("secure_mode")
-
-    def test_document_round_trip(self, full_report):
-        rebuilt = MitigationMatrixReport.from_document(
-            full_report.document())
-        assert rebuilt == full_report
 
     def test_csv_has_one_row_per_cell(self, full_report):
         lines = full_report.to_csv_text().strip().split("\n")

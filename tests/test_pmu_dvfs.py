@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.pmu import VFCurve
-from repro.pmu.dvfs import PState, highest_not_above, pstate_ladder
+from repro.pmu.dvfs import PState, pstate_ladder
 
 
 @pytest.fixture
@@ -90,22 +90,3 @@ class TestLadder:
             pstate_ladder(curve, 2.0, 1.0)
         with pytest.raises(ConfigError):
             pstate_ladder(curve, 1.0, 2.0, step_ghz=0.0)
-
-
-class TestHighestNotAbove:
-    def test_picks_fastest_under_ceiling(self, curve):
-        ladder = pstate_ladder(curve, 1.0, 3.0)
-        state = highest_not_above(ladder, 2.25)
-        assert state.freq_ghz == pytest.approx(2.2)
-
-    def test_exact_ceiling_allowed(self, curve):
-        ladder = pstate_ladder(curve, 1.0, 3.0)
-        assert highest_not_above(ladder, 3.0).freq_ghz == pytest.approx(3.0)
-
-    def test_falls_back_to_slowest(self, curve):
-        ladder = pstate_ladder(curve, 1.0, 3.0)
-        assert highest_not_above(ladder, 0.5).freq_ghz == pytest.approx(1.0)
-
-    def test_rejects_empty_ladder(self):
-        with pytest.raises(ConfigError):
-            highest_not_above([], 2.0)

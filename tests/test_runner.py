@@ -8,6 +8,7 @@ import pytest
 
 from repro.analysis.experiments import resilience_sweep
 from repro.errors import ConfigError
+from repro.obs import tracing
 from repro.runner import cache as cache_module
 from repro.runner import (
     ResultCache,
@@ -20,16 +21,6 @@ from repro.soc.config import cannon_lake_i3_8121u, coffee_lake_i7_9700k
 
 def _square(x):
     """Module-level so it pickles into pool workers."""
-    return x * x
-
-
-def _count_calls(x, counter_dir):
-    """Task that records each execution as a file (pool-visible)."""
-    import os
-    import tempfile
-
-    fd, _ = tempfile.mkstemp(dir=counter_dir, prefix=f"call-{x}-")
-    os.close(fd)
     return x * x
 
 
@@ -89,16 +80,22 @@ class TestTaskKey:
         assert task_key(_square, kwargs) == task_key(_square, dict(kwargs))
 
 
+def _cache_counts(tracer):
+    """The tracer's ``cache.*`` counters that fired, by short name."""
+    return {name[len("cache."):]: counter.value
+            for name, counter in tracer.metrics.counters.items()
+            if name.startswith("cache.")}
+
+
 class TestResultCache:
     def test_roundtrip(self, tmp_path):
         cache = ResultCache(root=tmp_path)
         key = cache.key_for(_square, {"x": 4})
-        assert cache.get(key) == (False, None)
-        cache.put(key, 16)
-        assert cache.get(key) == (True, 16)
-        assert cache.stats.misses == 1
-        assert cache.stats.hits == 1
-        assert cache.stats.stores == 1
+        with tracing() as tr:
+            assert cache.get(key) == (False, None)
+            cache.put(key, 16)
+            assert cache.get(key) == (True, 16)
+        assert _cache_counts(tr) == {"misses": 1, "stores": 1, "hits": 1}
         assert len(cache) == 1
 
     def test_corrupt_entry_is_a_miss_and_is_unlinked(self, tmp_path):
@@ -110,16 +107,15 @@ class TestResultCache:
         cache.put(key, 16)
         path = cache._path(key)
         path.write_bytes(b"not a pickle")
-        hit, _ = cache.get(key)
-        assert not hit
-        assert cache.stats.corrupt == 1
-        assert cache.stats.misses == 1
-        assert not path.exists()
-        assert len(cache) == 0
-        # The follow-up lookup is a plain miss, not another corruption.
-        assert cache.get(key) == (False, None)
-        assert cache.stats.corrupt == 1
-        assert cache.stats.misses == 2
+        with tracing() as tr:
+            hit, _ = cache.get(key)
+            assert not hit
+            assert _cache_counts(tr) == {"corrupt": 1, "misses": 1}
+            assert not path.exists()
+            assert len(cache) == 0
+            # The follow-up lookup is a plain miss, not another corruption.
+            assert cache.get(key) == (False, None)
+        assert _cache_counts(tr) == {"corrupt": 1, "misses": 2}
 
     def test_truncated_pickle_is_also_corrupt(self, tmp_path):
         cache = ResultCache(root=tmp_path)
@@ -127,8 +123,9 @@ class TestResultCache:
         cache.put(key, 25)
         path = cache._path(key)
         path.write_bytes(path.read_bytes()[:-3])  # torn write
-        assert cache.get(key) == (False, None)
-        assert cache.stats.corrupt == 1
+        with tracing() as tr:
+            assert cache.get(key) == (False, None)
+        assert _cache_counts(tr)["corrupt"] == 1
         assert not path.exists()
 
     def test_version_isolates_entries(self, tmp_path):
@@ -137,19 +134,6 @@ class TestResultCache:
         new = ResultCache(root=tmp_path, version="v-new")
         hit, _ = new.get(new.key_for(_square, {"x": 4}))
         assert not hit  # a code change invalidates prior results
-
-    def test_clear_and_evict(self, tmp_path):
-        cache = ResultCache(root=tmp_path)
-        keys = [cache.key_for(_square, {"x": x}) for x in range(5)]
-        for x, key in enumerate(keys):
-            cache.put(key, x)
-        assert len(cache) == 5
-        assert cache.evict(max_entries=2) == 3
-        assert len(cache) == 2
-        assert cache.clear() == 2
-        assert len(cache) == 0
-        with pytest.raises(ConfigError):
-            cache.evict(max_entries=-1)
 
 
 class TestSweepRunner:
@@ -198,52 +182,6 @@ class TestSweepRunner:
         assert out == [x * x for x in range(6)]
         assert runner.last_run.cache_hits == 3
         assert runner.last_run.executed == 3
-
-
-class TestInCallDeduplication:
-    """Duplicate tasks within one map call must execute exactly once."""
-
-    def test_duplicates_execute_once_with_cache(self, tmp_path):
-        # Regression: duplicates within one call each missed (the first
-        # had not been stored yet) and each executed.
-        counter_dir = tmp_path / "calls"
-        counter_dir.mkdir()
-        runner = SweepRunner(cache=ResultCache(root=tmp_path / "cache"))
-        tasks = [{"x": 7, "counter_dir": str(counter_dir)}] * 5
-        out = runner.map(_count_calls, tasks)
-        assert out == [49] * 5
-        assert runner.last_run.executed == 1
-        assert runner.last_run.deduped == 4
-        assert len(list(counter_dir.iterdir())) == 1
-
-    def test_duplicates_of_a_cache_hit_are_copies(self, tmp_path):
-        cache = ResultCache(root=tmp_path)
-        SweepRunner(cache=cache).map(_square, [{"x": 3}])
-        runner = SweepRunner(cache=ResultCache(root=tmp_path))
-        out = runner.map(_square, [{"x": 3}, {"x": 3}, {"x": 2}])
-        assert out == [9, 9, 4]
-        assert runner.last_run.cache_hits == 1
-        assert runner.last_run.deduped == 1
-        assert runner.last_run.executed == 1
-
-    def test_mixed_duplicates_parallel(self, tmp_path):
-        runner = SweepRunner(jobs=3, cache=ResultCache(root=tmp_path))
-        tasks = [{"x": x} for x in (1, 2, 1, 3, 2, 1)]
-        assert runner.map(_square, tasks) == [1, 4, 1, 9, 4, 1]
-        assert runner.last_run.executed == 3
-        assert runner.last_run.deduped == 3
-
-    def test_no_cache_means_no_dedup(self, tmp_path):
-        # Without a cache there are no content addresses; behaviour is
-        # unchanged (each duplicate runs).
-        counter_dir = tmp_path / "calls"
-        counter_dir.mkdir()
-        runner = SweepRunner()
-        tasks = [{"x": 7, "counter_dir": str(counter_dir)}] * 3
-        assert runner.map(_count_calls, tasks) == [49] * 3
-        assert runner.last_run.executed == 3
-        assert runner.last_run.deduped == 0
-        assert len(list(counter_dir.iterdir())) == 3
 
 
 class TestCodeVersionReset:
@@ -328,7 +266,6 @@ class TestSweepFailureSemantics:
                                                      for x in range(10)])
         assert runner.last_run.tasks == 11
         assert runner.last_run.executed == 0
-        assert runner.total.executed == 0
 
     def test_stats_consistent_on_serial_failure_path(self, tmp_path):
         runner = SweepRunner(cache=ResultCache(root=tmp_path))
@@ -337,16 +274,14 @@ class TestSweepFailureSemantics:
         # Tasks 0..2 completed before the crash on task 3.
         assert runner.last_run.tasks == 6
         assert runner.last_run.executed == 3
-        assert runner.total.tasks == 6
-        assert runner.total.executed == 3
 
     def test_stats_consistent_on_parallel_failure_path(self, tmp_path):
         runner = SweepRunner(jobs=3, cache=ResultCache(root=tmp_path))
         with pytest.raises(ValueError):
             runner.map(_fail_on_three, [{"x": x} for x in range(6)])
         # Five of six futures complete; the sixth is the failure.
+        assert runner.last_run.tasks == 6
         assert runner.last_run.executed == 5
-        assert runner.total.executed == 5
 
 
 def _small_resilience(runner=None):
@@ -366,11 +301,11 @@ class TestExperimentDeterminism:
     def test_resilience_warm_cache_executes_nothing(self, tmp_path):
         cold_runner = SweepRunner(cache=ResultCache(root=tmp_path))
         cold = _small_resilience(cold_runner)
-        assert cold_runner.total.executed > 0
+        assert cold_runner.last_run.executed > 0
         warm_runner = SweepRunner(cache=ResultCache(root=tmp_path))
         warm = _small_resilience(warm_runner)
-        assert warm_runner.total.executed == 0
-        assert warm_runner.total.cache_hits == warm_runner.total.tasks
+        assert warm_runner.last_run.executed == 0
+        assert warm_runner.last_run.cache_hits == warm_runner.last_run.tasks
         assert cold == warm
 
     def test_resilience_default_runner_unchanged(self):

@@ -1,5 +1,6 @@
 """Scenario materialisation and the N-tenant runner and CLI."""
 
+import dataclasses
 import json
 
 import pytest
@@ -15,12 +16,13 @@ from repro.scenarios import (
     build_system,
     get_spec,
     interference_spec,
-    interference_sweep,
+    make_channel,
     run_document,
     run_scenario,
     scenario_names,
     tenant_thread_ids,
 )
+from repro.units import us_to_ns
 from repro.verify.digest import content_digest
 
 #: A cheap two-tenant spec reused across tests (fast protocol, 1 byte).
@@ -140,18 +142,32 @@ class TestRunScenario:
 
 class TestInterferenceSweep:
     def test_per_tenant_ladder_shape(self):
-        result = interference_sweep(pair_counts=(1, 2))
-        assert [p.n_pairs for p in result.points] == [1, 2]
-        assert len(result.points[0].per_tenant_ber) == 1
-        assert len(result.points[1].per_tenant_ber) == 2
-        assert len(result.points[1].per_tenant_capacity_bps) == 2
+        solo, pair = (run_scenario(interference_spec(n)) for n in (1, 2))
+        assert len(solo.tenants) == 1
+        assert len(pair.tenants) == 2
+        assert [t.index for t in pair.tenants] == [0, 1]
+        assert all(t.capacity_bps >= 0.0 for t in pair.tenants)
 
     def test_contention_is_visible_at_scale(self):
-        result = interference_sweep(pair_counts=(1, 4))
-        solo, crowded = result.points
+        solo, crowded = (run_scenario(interference_spec(n)) for n in (1, 4))
         assert solo.mean_ber <= crowded.mean_ber
-        assert min(crowded.per_tenant_capacity_bps) < max(
-            solo.per_tenant_capacity_bps) + 1e-9
+        assert min(t.capacity_bps for t in crowded.tenants) < max(
+            t.capacity_bps for t in solo.tenants) + 1e-9
+
+
+class TestSlotJitter:
+    @pytest.mark.parametrize("slot_jitter_us", [0.0, 40.0])
+    def test_single_tenant_matches_channel_transfer(self, slot_jitter_us):
+        # Regression: the payload ran on an unjittered, unpadded
+        # schedule while calibration used the channel's jittered one.
+        base = get_spec("baseline_thread")
+        spec = dataclasses.replace(base, protocol=base.protocol + (
+            ("slot_jitter_us", slot_jitter_us),))
+        run = run_scenario(spec)
+        channel = make_channel(build_system(spec), spec.tenants[0], spec)
+        report = channel.transfer(spec.payload)
+        assert run.slot_ns == channel.slot_ns + us_to_ns(slot_jitter_us)
+        assert list(run.tenants[0].measurements_tsc) == report.measurements_tsc
 
 
 class TestEntryPoints:

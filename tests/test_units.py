@@ -25,26 +25,6 @@ class TestTimeConversions:
         assert units.ns_to_s(units.s_to_ns(1.5)) == pytest.approx(1.5)
 
 
-class TestCycles:
-    def test_one_ghz_is_one_cycle_per_ns(self):
-        assert units.cycles_at(100.0, 1.0) == 100.0
-
-    def test_cycles_scale_with_frequency(self):
-        assert units.cycles_at(100.0, 3.0) == 300.0
-
-    def test_ns_for_cycles_inverts_cycles_at(self):
-        ns = units.ns_for_cycles(units.cycles_at(42.0, 2.2), 2.2)
-        assert ns == pytest.approx(42.0)
-
-    def test_ns_for_cycles_rejects_zero_frequency(self):
-        with pytest.raises(ValueError):
-            units.ns_for_cycles(100.0, 0.0)
-
-    def test_ns_for_cycles_rejects_negative_frequency(self):
-        with pytest.raises(ValueError):
-            units.ns_for_cycles(100.0, -1.0)
-
-
 class TestElectrical:
     def test_mv_to_v(self):
         assert units.mv_to_v(788.0) == pytest.approx(0.788)

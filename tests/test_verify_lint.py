@@ -18,8 +18,8 @@ from repro.verify.lint import (
 )
 
 #: The determinism rules.  Their fixtures leave hints out for brevity,
-#: so ``missing-hints`` has fixtures of its own.
-DETERMINISM_RULES = set(RULES) - {"missing-hints"}
+#: so ``missing-hints`` and ``unused-import`` have fixtures of their own.
+DETERMINISM_RULES = set(RULES) - {"missing-hints", "unused-import"}
 
 
 def lint(source, path="repro/core/example.py"):
@@ -33,6 +33,13 @@ def hints(source):
     return [f for f in lint_source(textwrap.dedent(source),
                                    "repro/core/example.py")
             if f.rule == "missing-hints"]
+
+
+def unused(source):
+    """``unused-import`` findings of a dedented snippet."""
+    return [f for f in lint_source(textwrap.dedent(source),
+                                   "repro/core/example.py")
+            if f.rule == "unused-import"]
 
 
 def real_source(rel):
@@ -320,7 +327,44 @@ class TestMissingHints:
         assert findings == []
 
 
-#: (module, before, after, rule): one seeded defect per rule in real code.
+class TestUnusedImport:
+    def test_flags_unread_names(self):
+        findings = unused("""
+            import os.path
+            import numpy as np
+            from typing import Dict, List
+
+            def size(xs: List[int]) -> int:
+                \"\"\"Reads List only.\"\"\"
+                return len(xs)
+        """)
+        assert [f.message for f in findings] == [
+            "'os' is imported but never used",
+            "'np' is imported but never used",
+            "'Dict' is imported but never used"]
+
+    def test_accepts_reads_annotations_and_reexports(self):
+        findings = unused("""
+            from __future__ import annotations
+
+            import math
+            from typing import TYPE_CHECKING, Optional
+            from repro.units import us_to_ns
+
+            if TYPE_CHECKING:
+                from repro.soc.system import System
+
+            __all__ = ["us_to_ns"]
+
+            def tick(system: "System", t: Optional[float]) -> float:
+                \"\"\"Names read only in annotations count as used.\"\"\"
+                return math.floor(t)
+        """)
+        assert findings == []
+
+
+#: (module, before, after, rule): one seeded defect per rule in real code;
+#: ``rule`` is a tuple, in line order, when the defect trips two rules.
 MUTATIONS = [
     pytest.param(
         "faults/base.py",
@@ -335,7 +379,7 @@ MUTATIONS = [
     pytest.param(
         "pmu/thermal.py",
         "dt_s = ns_to_s(now_ns - self._last_update_ns)",
-        "dt_s = time.monotonic() - self._last_update_s",
+        "dt_s = ns_to_s(time.monotonic_ns() - self._last_update_ns)",
         "wall-clock", id="thermal-step-on-host-time"),
     pytest.param(
         "pmu/thermal.py",
@@ -351,7 +395,14 @@ MUTATIONS = [
         "soc/engine.py",
         "def peek_time(self) -> Optional[float]:",
         "def peek_time(self):",
-        "missing-hints", id="engine-peek-time-return-hint"),
+        # The hint was the module's one read of Optional.
+        ("unused-import", "missing-hints"),
+        id="engine-peek-time-return-hint"),
+    pytest.param(
+        "runner/cache.py",
+        "from typing import Any, Callable, Mapping, Optional, Tuple",
+        "from typing import Any, Callable, Dict, Mapping, Optional, Tuple",
+        "unused-import", id="cache-unread-typing-dict"),
 ]
 
 
@@ -367,7 +418,8 @@ class TestSeededMutations:
     def test_mutant_is_caught(self, rel, before, after, rule):
         mutant = mutate(real_source(rel), before, after)
         findings = lint_source(mutant, f"repro/{rel}")
-        assert [f.rule for f in findings] == [rule], \
+        expected = [rule] if isinstance(rule, str) else list(rule)
+        assert [f.rule for f in findings] == expected, \
             [f.render() for f in findings]
 
 
