@@ -1,15 +1,16 @@
-"""Trace-capture microbenchmark: vectorized vs scalar rail sampling.
+"""Trace-capture microbenchmark: vectorized vs per-sample rail lookup.
 
 The paper's measurement setup samples the rail at 3.5 MS/s (NI
 PCIe-6376); regenerating a figure means evaluating the simulated rail
-at tens of thousands of grid points.  This benchmark times the two
-:class:`~repro.measure.sampler.TraceSampler` paths over the same
+at tens of thousands of grid points.  This benchmark times the rail's
+breakpoint export (``System.vcc_signal().sample``, the path the DAQ
+takes) against one ``System.vcc_at`` call per sample over the same
 multi-millisecond covert-transfer trace and asserts the contract the
 experiment code relies on:
 
 * the vectorized breakpoint path is at least 10x faster than the
-  scalar-callable fallback;
-* both paths agree to within 1e-12 V at every sample.
+  per-sample lookup;
+* both agree to within 1e-12 V at every sample.
 """
 
 import time
@@ -18,7 +19,7 @@ import numpy as np
 from conftest import banner
 
 from repro.core import IccThreadCovert
-from repro.measure import TraceSampler, sample_grid
+from repro.measure import sample_grid
 from repro.obs import NullTracer, install
 from repro.obs.tracer import current as _obs
 from repro.soc.config import cannon_lake_i3_8121u
@@ -58,13 +59,12 @@ def test_bench_trace_sampling(benchmark):
     system = _traced_system()
     signal = system.vcc_signal()
     times = sample_grid(0.0, system.now, 3.5e6)
-    sampler = TraceSampler()
 
     def scalar():
-        return sampler.evaluate(lambda t: system.vcc_at(t), times)
+        return np.array([system.vcc_at(float(t)) for t in times])
 
     def vectorized():
-        return sampler.evaluate(signal, times)
+        return signal.sample(times)
 
     scalar_values = scalar()
     vectorized_values = vectorized()
@@ -76,7 +76,7 @@ def test_bench_trace_sampling(benchmark):
 
     benchmark.pedantic(vectorized, rounds=5, iterations=1)
 
-    banner("Trace sampling: vectorized breakpoint path vs scalar fallback")
+    banner("Trace sampling: vectorized breakpoint path vs per-sample vcc_at")
     print(f"trace span: {system.now / 1e6:.2f} ms, "
           f"{len(times):,} samples at 3.5 MS/s, "
           f"{len(signal.breakpoints()[0]):,} rail breakpoints")

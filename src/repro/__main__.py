@@ -22,46 +22,33 @@ import contextlib
 import sys
 from typing import Optional, Sequence, Tuple
 
-from repro import System, cannon_lake_i3_8121u
+from repro import cannon_lake_i3_8121u
 from repro.core import AdaptiveConfig, CovertSession, SessionConfig
-from repro.core import IccCoresCovert, IccSMTcovert, IccThreadCovert
-from repro.errors import CalibrationError, ConfigError, ProtocolError
+from repro.errors import ConfigError, ProtocolError
 from repro.faults import parse_fault_spec
 from repro.obs import Tracer, tracing, write_chrome_trace, write_metrics_json
 from repro.runner import ResultCache, SweepRunner
-
-_DEMO_CHANNELS = {
-    "IccThreadCovert": IccThreadCovert,
-    "IccSMTcovert": IccSMTcovert,
-    "IccCoresCovert": IccCoresCovert,
-}
+from repro.scenarios import baseline_channel
 
 
-def _demo_transfer(channel_name: str, message: bytes,
+def _demo_transfer(kind: str, message: bytes,
                    fault_spec: str = "",
                    adaptive: bool = False) -> Tuple[bytes, float, float]:
-    """One demo transfer: (received, ber, throughput_bps).
+    """One demo transfer on ``baseline_{kind}``: (received, ber, bps).
 
     With a non-empty ``fault_spec`` the named fault models are attached
     before the transfer; ``adaptive`` routes the message through the
     adaptive :class:`CovertSession` instead of a bare transfer.
     """
-    system = System(cannon_lake_i3_8121u())
-    if fault_spec:
-        parse_fault_spec(fault_spec).attach(system)
-    channel = _DEMO_CHANNELS[channel_name](system)
+    channel = baseline_channel(kind, faults=fault_spec)
     if adaptive:
-        session = CovertSession(channel, SessionConfig(
-            max_retries=8, adaptive=AdaptiveConfig()))
-        try:
-            report = session.send(message)
-        except (CalibrationError, ProtocolError):
-            return b"", 1.0, 0.0
+        report = CovertSession(channel, SessionConfig(
+            max_retries=8, adaptive=AdaptiveConfig())).send(message)
         received = report.delivered if report.ok else report.best_effort
         return received, report.residual_ber, report.goodput_bps
     try:
         report = channel.transfer(message)
-    except (CalibrationError, ProtocolError):
+    except ProtocolError:
         return b"", 1.0, 0.0
     return report.received, report.ber, report.throughput_bps
 
@@ -184,17 +171,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
           f"({cannon_lake_i3_8121u().codename})")
     print(f"secret: {message!r}\n")
     labels = (
-        ("same hardware thread ", "IccThreadCovert"),
-        ("across SMT threads   ", "IccSMTcovert"),
-        ("across physical cores", "IccCoresCovert"),
+        ("same hardware thread ", "thread"),
+        ("across SMT threads   ", "smt"),
+        ("across physical cores", "cores"),
     )
     tracer: Optional[Tracer] = None
     if args.trace or args.metrics:
         tracer = Tracer(events=args.trace is not None)
     with (tracing(tracer) if tracer is not None
           else contextlib.nullcontext()):
-        results = [_demo_transfer(name, message, args.faults, args.adaptive)
-                   for _, name in labels]
+        results = [_demo_transfer(kind, message, args.faults, args.adaptive)
+                   for _, kind in labels]
     failures = 0
     for (label, _), (received, ber, bps) in zip(labels, results):
         ok = received == message

@@ -6,10 +6,11 @@ series/rows the corresponding figure or table plots.  The benchmark
 harnesses under ``benchmarks/`` print these; EXPERIMENTS.md records the
 paper-vs-measured comparison.
 
-The covert-channel sweep points (Figure 12's channels, Figure 14 and
-the resilience sweep) are built from
-:class:`~repro.scenarios.ScenarioSpec` values, through the same
-system builder and channel factory the scenario library uses.
+The covert-channel sweep points (Figure 12's channels, Figures 13 and
+14 and the resilience sweep) start from the registered
+``baseline_{thread,smt,cores}`` :class:`~repro.scenarios.ScenarioSpec`
+values, through the same system builder and channel factory the
+scenario library uses.
 
 Rail traces are captured through the vectorized signal exports
 (:meth:`System.vcc_signal`), so the simulated DAQ evaluates each sample
@@ -18,21 +19,16 @@ grid in one call instead of one rail lookup per sample.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core import (
-    AdaptiveConfig,
-    CovertSession,
-    IccThreadCovert,
-    SessionConfig,
-)
+from repro.core import AdaptiveConfig, CovertSession, SessionConfig
 from repro.core.baselines import DFSCovert, NetSpectreGadget, PowerT, TurboCC
-from repro.core.channel import CovertChannel
-from repro.errors import CalibrationError, ConfigError, ProtocolError
+from repro.errors import ConfigError, ProtocolError
 from repro.isa.instructions import IClass
 from repro.isa.workload import Loop, calculix_like_trace, uniform_loop
 from repro.measure.daq import DAQCard
@@ -44,11 +40,9 @@ from repro.runner import SweepRunner
 from repro.scenarios import (
     CHANNEL_KINDS,
     NoiseSpec,
-    ScenarioSpec,
-    TenantSpec,
     WorkloadSpec,
-    build_system,
-    make_channel,
+    baseline_channel,
+    get_spec,
     run_scenario,
 )
 from repro.soc.config import (
@@ -330,21 +324,6 @@ def _require_finite_nonnegative(name: str, values: Sequence[float]) -> None:
                 f"{name} must be finite and >= 0, got {value}")
 
 
-def _spec_channel(kind: str, faults: str = "") -> CovertChannel:
-    """A ``kind`` channel on a fresh Cannon Lake system, built from a spec.
-
-    ``kind`` is one of :data:`~repro.scenarios.CHANNEL_KINDS`; the
-    tenant sits on core 0 (and core 1 for ``cores``), and ``faults`` is
-    an optional :mod:`repro.faults` spec string attached before the
-    channel is made.
-    """
-    tenant = TenantSpec(kind, 0, 1 if kind == "cores" else 0)
-    spec = ScenarioSpec(name=f"{kind}_channel",
-                        description=f"one {kind} channel on Cannon Lake",
-                        tenants=(tenant,), faults=faults)
-    return make_channel(build_system(spec), tenant, spec)
-
-
 def fig8_throttling(trials: int = 20) -> Fig8Result:
     """TP distributions on the three parts and PG wake deltas."""
     _require_positive("trials", trials)
@@ -568,7 +547,7 @@ def fig12_throughput(payload: bytes = b"\xa5\x3c\x96\x0f\x5a\xc3",
     """Run every channel and baseline on Cannon Lake systems."""
     results: Dict[str, Tuple[float, float]] = {}
     for kind in CHANNEL_KINDS:
-        channel = _spec_channel(kind)
+        channel = baseline_channel(kind)
         channel.calibrate()
         report = channel.transfer(payload)
         results[type(channel).__name__] = (report.throughput_bps, report.ber)
@@ -601,15 +580,10 @@ def fig13_level_distribution(symbols_per_level: int = 10,
                              seed: int = 13) -> Fig13Result:
     """IccThreadCovert level clusters under low system noise."""
     _require_positive("symbols_per_level", symbols_per_level)
-    config = cannon_lake_i3_8121u()
-    system = System(config)
-    attach_system_noise(
-        system, [system.thread_on(0)],
-        NoiseConfig(interrupt_rate_per_s=400.0, interrupt_mean_us=2.0,
-                    ctx_switch_rate_per_s=80.0, ctx_switch_mean_us=15.0),
-        horizon_ns=ms_to_ns(80.0), seed=seed,
-    )
-    channel = IccThreadCovert(system)
+    channel = baseline_channel("thread", noise=NoiseSpec(
+        interrupt_rate_per_s=400.0, interrupt_mean_us=2.0,
+        ctx_switch_rate_per_s=80.0, ctx_switch_mean_us=15.0,
+        horizon_ms=80.0, seed=seed))
     rng = np.random.default_rng(seed)
     symbols = [s for s in range(4) for _ in range(symbols_per_level)]
     rng.shuffle(symbols)
@@ -663,10 +637,10 @@ def _fig14_ber(payload: bytes, seed: int, source: str,
     else:
         background = (WorkloadSpec(source, core=1, duration_ms=duration_ms,
                                    seed=seed, rate_per_s=rate_per_s),)
-    spec = ScenarioSpec(name="fig14_point",
-                        description=f"IccThreadCovert beside {source} noise",
-                        noise=noise, background=background,
-                        payload_hex=payload.hex())
+    spec = dataclasses.replace(
+        get_spec("baseline_thread"), name="fig14_point",
+        description=f"IccThreadCovert beside {source} noise",
+        noise=noise, background=background, payload_hex=payload.hex())
     return run_scenario(spec).tenants[0].ber
 
 
@@ -877,13 +851,13 @@ def _resilience_trial(channel_name: str, mitigation: str, intensity: float,
     """
     faults = (f"default:intensity={intensity},seed={seed}"
               if intensity > 0.0 else "")
-    channel = _spec_channel(channel_name, faults)
+    channel = baseline_channel(channel_name, faults=faults)
 
     if mitigation == "none":
         # Bare channel: one calibrated transfer, no framing, no FEC.
         try:
             report = channel.transfer(payload)
-        except (CalibrationError, ProtocolError):
+        except ProtocolError:
             return dict(residual_ber=1.0, raw_ber=1.0, goodput_bps=0.0,
                         delivered=0.0, attempts=1.0, recalibrations=0.0,
                         degraded=0.0)
@@ -895,13 +869,7 @@ def _resilience_trial(channel_name: str, mitigation: str, intensity: float,
 
     adaptive = AdaptiveConfig() if mitigation == "adaptive" else None
     config = SessionConfig(max_retries=8, adaptive=adaptive)
-    session = CovertSession(channel, config)
-    try:
-        report = session.send(payload)
-    except (CalibrationError, ProtocolError):
-        return dict(residual_ber=1.0, raw_ber=1.0, goodput_bps=0.0,
-                    delivered=0.0, attempts=1.0, recalibrations=0.0,
-                    degraded=0.0)
+    report = CovertSession(channel, config).send(payload)
     raw_bers = [b for f in report.frames for b in f.raw_ber_per_attempt]
     return dict(
         residual_ber=report.residual_ber,

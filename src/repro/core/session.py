@@ -323,8 +323,13 @@ class CovertSession:
         senses = 0
         for _ in range(self.config.quiet_patience):
             senses += 1
-            if self.channel_is_quiet():
-                break
+            try:
+                if self.channel_is_quiet():
+                    break
+            except ProtocolError:
+                # A probe (or the calibration behind it) that lost a
+                # slot saw a disturbed channel, not a quiet one.
+                pass
         return senses
 
     # -- adaptive interventions ------------------------------------------------------
@@ -349,8 +354,9 @@ class CovertSession:
                 self.channel.calibrate(symbols=ROBUST_SYMBOLS)
             else:
                 self.channel.calibrate()
-        except CalibrationError:
-            # The ladder no longer calibrates at all: the strongest
+        except ProtocolError:
+            # The ladder no longer calibrates at all (overlapping levels,
+            # or a training slot with no measurement): the strongest
             # remaining move is two-level signalling (whose wider gaps
             # may still clear min_gap); a second failure there leaves
             # retransmission as the only defence.

@@ -16,7 +16,6 @@ _LAZY = {
     "sample_grid": "daq",
     "PiecewiseConstantSignal": "sampler",
     "PiecewiseLinearSignal": "sampler",
-    "TraceSampler": "sampler",
 }
 __getattr__, __dir__ = lazy_exports(__name__, _LAZY)
 
@@ -28,5 +27,4 @@ __all__ = [
     "sample_grid",
     "PiecewiseConstantSignal",
     "PiecewiseLinearSignal",
-    "TraceSampler",
 ]

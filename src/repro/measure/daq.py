@@ -2,21 +2,22 @@
 
 The paper measures rail voltage and current with an NI PCIe-6376 card
 (3.5 MS/s, 99.94 % accuracy) wired to the VR output and motherboard sense
-resistors (Section 5.1, Figure 5).  The simulated card samples arbitrary
-signal callables at a configured rate and can add the instrument's small
-gain error and noise floor so downstream analysis code faces realistic
-data.
+resistors (Section 5.1, Figure 5).  The simulated card samples signal
+sources (anything with a vectorized ``sample(times)`` method, such as
+:meth:`repro.soc.system.System.vcc_signal`) at a configured rate and can
+add the instrument's small gain error and noise floor so downstream
+analysis code faces realistic data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
 from repro.errors import MeasurementError, bounded, check_fields
-from repro.measure.sampler import SignalLike, TraceSampler
+from repro.measure.sampler import PiecewiseConstantSignal, PiecewiseLinearSignal
 from repro.measure.trace import SampleSeries
 from repro.units import NS_PER_S
 
@@ -71,7 +72,7 @@ class DAQSpec:
 
 
 class DAQCard:
-    """Samples signal callables (or signal sources) over a time span."""
+    """Samples signal sources over a time span."""
 
     def __init__(self, spec: DAQSpec = DAQSpec(), seed: int = 6376,
                  faults: Optional[object] = None) -> None:
@@ -82,20 +83,24 @@ class DAQCard:
         self.faults = faults
         self.spec = spec
         self._rng = np.random.default_rng(seed)
-        self.sampler = TraceSampler()
 
-    def sample(self, signal: SignalLike, t0_ns: float,
+    def sample(self, signal: Union[PiecewiseLinearSignal,
+                                   PiecewiseConstantSignal], t0_ns: float,
                t1_ns: float, sample_rate_hz: Optional[float] = None,
                name: str = "channel") -> SampleSeries:
         """Sample ``signal`` uniformly over [t0, t1].
 
         ``sample_rate_hz`` defaults to the instrument maximum and may not
-        exceed it.  ``signal`` is either a scalar callable (sampled one
-        grid point at a time — the documented fallback) or a signal
-        source with a vectorized ``sample(times)`` method such as
-        :meth:`repro.soc.system.System.vcc_signal`, which evaluates the
-        whole grid in one call; the two paths agree to float rounding.
+        exceed it.  ``signal`` is a signal source whose vectorized
+        ``sample(times)`` evaluates the whole grid in one call, such as
+        :meth:`repro.soc.system.System.vcc_signal` or a
+        :class:`~repro.measure.sampler.PiecewiseLinearSignal`.
         """
+        if not callable(getattr(signal, "sample", None)):
+            raise MeasurementError(
+                f"cannot sample {signal!r}: the DAQ needs a signal source "
+                f"with a sample(times) method, e.g. system.vcc_signal() or "
+                f"a PiecewiseLinearSignal")
         rate = sample_rate_hz if sample_rate_hz is not None else self.spec.max_sample_rate_hz
         if rate > self.spec.max_sample_rate_hz + 1e-9:
             raise MeasurementError(
@@ -103,7 +108,7 @@ class DAQCard:
                 f"{self.spec.max_sample_rate_hz} Hz"
             )
         times = sample_grid(t0_ns, t1_ns, rate)
-        values = self.sampler.evaluate(signal, times)
+        values = signal.sample(times)
         gain = 1.0 + (1.0 - self.spec.accuracy) * float(self._rng.normal())
         values = values * gain
         if self.spec.noise_rms > 0:

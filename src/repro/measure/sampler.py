@@ -1,25 +1,19 @@
-"""Vectorized trace sampling: piecewise signal sources and the fast path.
+"""Vectorized trace sampling: piecewise signal sources.
 
 The simulator's observables are all piecewise signals: a rail voltage is
 piecewise-*linear* (flat plateaus joined by VR slews), while frequency,
 Cdyn and throttle state are piecewise-*constant* step traces.  Sampling
-them one scalar call at a time (``signal(float(t))`` per grid point) is
-O(samples x history) and dominates host time when regenerating the
-paper's figures at the NI PCIe-6376's 3.5 MS/s.
+them one scalar lookup at a time is O(samples x history) and dominates
+host time when regenerating the paper's figures at the NI PCIe-6376's
+3.5 MS/s.
 
-This module provides the vectorized alternative:
-
-* :class:`PiecewiseLinearSignal` / :class:`PiecewiseConstantSignal` wrap
-  a breakpoint export — ``(times, values)`` arrays — and evaluate an
-  entire sample grid in one ``np.interp`` / ``np.searchsorted`` call;
-* :class:`TraceSampler` picks the path: signal sources exposing a
-  vectorized ``sample(times)`` method take the fast path, bare callables
-  fall back to the documented scalar loop.
-
-Both paths are equivalent: the signal objects are themselves callables
-whose scalar evaluation uses the same interpolation rule as the
-vectorized evaluation, and ``tests/test_measure_sampler.py`` pins the
-two paths together to 1e-12 on real rail traces.
+:class:`PiecewiseLinearSignal` / :class:`PiecewiseConstantSignal` wrap a
+breakpoint export — ``(times, values)`` arrays — and evaluate an entire
+sample grid in one ``np.interp`` / ``np.searchsorted`` call; the
+simulated DAQ calls their ``sample(times)`` directly.
+``tests/test_measure_sampler.py`` checks each system export against the
+per-sample accessors (``System.vcc_at``, ``System.icc_at``,
+``StepTrace.value_at``) to 1e-12 on real rail traces.
 
 Breakpoint export contract (see also ``docs/SIMULATOR.md``):
 
@@ -36,15 +30,11 @@ Breakpoint export contract (see also ``docs/SIMULATOR.md``):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Tuple, Union
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import MeasurementError
-
-#: Anything the DAQ can sample: a scalar callable or a signal source.
-SignalLike = Union[Callable[[float], float], "PiecewiseLinearSignal",
-                   "PiecewiseConstantSignal"]
 
 
 def _as_breakpoint_arrays(times: Sequence[float], values: Sequence[float],
@@ -70,9 +60,9 @@ def _as_breakpoint_arrays(times: Sequence[float], values: Sequence[float],
 class PiecewiseLinearSignal:
     """A continuous piecewise-linear signal built from breakpoints.
 
-    Calling the object evaluates one scalar time; :meth:`sample`
-    evaluates a whole grid with one vectorized ``np.interp``.  Queries
-    outside the breakpoint span clamp to the first/last value, matching
+    :meth:`sample` evaluates a whole grid with one vectorized
+    ``np.interp``.  Queries outside the breakpoint span clamp to the
+    first/last value, matching
     :meth:`repro.pdn.regulator.VoltageRegulator.voltage_at`.
     """
 
@@ -85,27 +75,6 @@ class PiecewiseLinearSignal:
                                               self.name)
         object.__setattr__(self, "times_ns", times)
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[Tuple[float, float]],
-                   name: str = "signal") -> "PiecewiseLinearSignal":
-        """Build from an iterable of (time, value) breakpoints.
-
-        Consecutive duplicate points are dropped so degenerate segments
-        (zero-length holds) collapse to a single breakpoint.
-        """
-        times: list = []
-        values: list = []
-        for t, v in pairs:
-            if times and t == times[-1] and v == values[-1]:
-                continue
-            times.append(float(t))
-            values.append(float(v))
-        return cls(np.asarray(times), np.asarray(values), name=name)
-
-    def __call__(self, t_ns: float) -> float:
-        """Scalar evaluation (same interpolation rule as :meth:`sample`)."""
-        return float(np.interp(t_ns, self.times_ns, self.values))
 
     def sample(self, times_ns: np.ndarray) -> np.ndarray:
         """Vectorized evaluation of a whole sample grid."""
@@ -137,10 +106,6 @@ class PiecewiseConstantSignal:
         object.__setattr__(self, "times_ns", times)
         object.__setattr__(self, "values", values)
 
-    def __call__(self, t_ns: float) -> float:
-        """Scalar evaluation (same lookup rule as :meth:`sample`)."""
-        return float(self.sample(np.asarray([t_ns], dtype=float))[0])
-
     def sample(self, times_ns: np.ndarray,
                inclusive: bool = True) -> np.ndarray:
         """Vectorized evaluation via one binary search.
@@ -159,38 +124,3 @@ class PiecewiseConstantSignal:
     def breakpoints(self) -> Tuple[np.ndarray, np.ndarray]:
         """The ``(times, values)`` breakpoint export."""
         return self.times_ns, self.values
-
-
-@dataclass
-class TraceSampler:
-    """Evaluates a signal over a sample grid, vectorized when possible.
-
-    The fast path triggers for any signal source exposing a vectorized
-    ``sample(times)`` method (the piecewise signals above, or anything
-    honouring the same contract); bare scalar callables fall back to a
-    per-sample Python loop.  The fallback is kept deliberately simple —
-    it is the reference the fast path is tested against.
-    """
-
-    #: Counters for introspection/benchmarks: grids served per path.
-    vectorized_calls: int = 0
-    scalar_calls: int = 0
-
-    @staticmethod
-    def path_for(signal: SignalLike) -> str:
-        """Which path ``evaluate`` will take: 'vectorized' or 'scalar'."""
-        return "vectorized" if callable(getattr(signal, "sample", None)) \
-            else "scalar"
-
-    def evaluate(self, signal: SignalLike, times_ns: np.ndarray) -> np.ndarray:
-        """Evaluate ``signal`` at every grid time, picking the fast path."""
-        fast = getattr(signal, "sample", None)
-        if callable(fast):
-            self.vectorized_calls += 1
-            return np.asarray(fast(times_ns), dtype=float)
-        if not callable(signal):
-            raise MeasurementError(
-                f"signal {signal!r} is neither callable nor a signal source"
-            )
-        self.scalar_calls += 1
-        return np.array([signal(float(t)) for t in times_ns], dtype=float)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Any, Dict
 
 from repro.core.session import CovertSession
-from repro.errors import CalibrationError, ConfigError, ProtocolError
+from repro.errors import ConfigError
 from repro.mitigations.matrix.attackers import get_attacker, session_config
 from repro.mitigations.matrix.defenders import Defender, get_defender
 from repro.scenarios.build import build_system
@@ -161,10 +161,7 @@ def _run_session_cell(attacker_name: str, defender_name: str,
     channel = make_channel(system, spec.tenants[0], spec)
     session = CovertSession(channel, session_config(attacker.protocol))
     start_ns = system.now
-    try:
-        report = session.send(spec.payload)
-    except (CalibrationError, ProtocolError):
-        return _defeated_cell(attacker_name, defender_name, spec)
+    report = session.send(spec.payload)
     elapsed_ns = system.now - start_ns
     payload_bits = 8 * len(spec.payload)
     residual = report.residual_ber

@@ -29,6 +29,7 @@ _LAZY = {
     "scenario_names": "registry",
     "ScenarioRun": "run",
     "TenantResult": "run",
+    "baseline_channel": "run",
     "make_channel": "run",
     "run_document": "run",
     "run_scenario": "run",
@@ -53,6 +54,7 @@ __all__ = [
     "WORKLOAD_KINDS",
     "WorkloadSpec",
     "all_specs",
+    "baseline_channel",
     "build_system",
     "check_docs",
     "get_spec",

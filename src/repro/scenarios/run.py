@@ -11,13 +11,13 @@ the registry pins, not an error.
 The paper's covert-channel sweeps in :mod:`repro.analysis.experiments`
 build every point as a spec: Figure 14 points run through
 :func:`run_scenario`, while Figure 12 and the resilience sweep take
-their system from :func:`~repro.scenarios.build.build_system` and
-their channel from :func:`make_channel`.  :func:`run_document` emits
+their channel from :func:`baseline_channel`.  :func:`run_document` emits
 the plain-JSON document the :mod:`repro.verify` golden gates digest.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -26,7 +26,7 @@ from repro.core.capacity import symbol_channel_capacity_bps
 from repro.core.channel import CovertChannel
 from repro.core.encoding import bytes_to_symbols
 from repro.core.sync import SlotSchedule
-from repro.errors import CalibrationError, ProtocolError
+from repro.errors import ProtocolError
 from repro.scenarios.build import build_system
 from repro.scenarios.registry import get_spec
 from repro.scenarios.spec import ScenarioSpec, TenantSpec
@@ -55,6 +55,20 @@ def make_channel(system: System, tenant: TenantSpec,
     return IccCoresCovert(system, config,
                           sender_core=tenant.sender_core,
                           receiver_core=tenant.receiver_core)
+
+
+def baseline_channel(kind: str, **changes: Any) -> CovertChannel:
+    """One ``kind`` channel alone on a fresh system.
+
+    Builds the registered ``baseline_{kind}`` scenario (``kind`` is one
+    of :data:`~repro.scenarios.spec.CHANNEL_KINDS`: the tenant on core 0,
+    and core 1 for ``cores``) with ``changes`` applied to its spec —
+    e.g. ``faults=`` or ``noise=`` — and returns its tenant's channel.
+    The demo, the verify demo scenario and the Figure 12, Figure 13 and
+    resilience sweeps all take their single pair from here.
+    """
+    spec = dataclasses.replace(get_spec(f"baseline_{kind}"), **changes)
+    return make_channel(build_system(spec), spec.tenants[0], spec)
 
 
 @dataclass(frozen=True)
@@ -180,7 +194,7 @@ def run_scenario(spec: Union[ScenarioSpec, str]) -> ScenarioRun:
         channel = make_channel(system, tenant, spec)
         try:
             channel.calibrate()
-        except (CalibrationError, ProtocolError):
+        except ProtocolError:
             channel = None
         channels.append(channel)
 

@@ -14,8 +14,8 @@ not a tolerance judgement call.  This package implements that gate:
   regeneration;
 * :mod:`repro.verify.audit` — determinism audit across hash seeds,
   worker counts and cache states;
-* :mod:`repro.verify.differential` — fast-path vs reference-path
-  equivalence checks;
+* :mod:`repro.verify.differential` — the adaptive session against the
+  plain session under zero faults;
 * :mod:`repro.verify.bench_gate` — benchmark regression gate over
   pytest-benchmark artifacts;
 * :mod:`repro.verify.lint` — the determinism lint of the sources.
@@ -42,7 +42,6 @@ _LAZY = {
     "write_baseline": "bench_gate",
     "DiffCheck": "differential",
     "check_adaptive_plain_equivalence": "differential",
-    "check_sampler_bitwise": "differential",
     "canonical_json": "digest",
     "content_digest": "digest",
     "diff_documents": "digest",
@@ -83,7 +82,6 @@ __all__ = [
     "check_adaptive_plain_equivalence",
     "check_all",
     "check_report",
-    "check_sampler_bitwise",
     "check_scenario",
     "compare",
     "compute_digest",

@@ -3,7 +3,7 @@
 Default run order (each stage but the report independently skippable)::
 
     lint          AST lint of src/repro (repro.verify.lint)
-    differential  fast path vs reference equivalence checks
+    differential  adaptive session vs plain session, zero faults
     goldens       canonical scenarios vs committed golden digests
     report        a fresh paper report vs the committed REPORT.md
     audit         hash-seed / worker-count / cache-state variations

@@ -45,11 +45,11 @@ from repro.analysis.experiments import (
     fig14_noise_sensitivity,
     resilience_sweep,
 )
-from repro.core import IccCoresCovert, IccSMTcovert, IccThreadCovert
 from repro.errors import ConfigError
 from repro.obs import Tracer, metrics_fingerprint, tracing
 from repro.runner import SweepRunner
-from repro.soc.config import cannon_lake_i3_8121u
+from repro.scenarios.run import baseline_channel
+from repro.scenarios.spec import CHANNEL_KINDS
 from repro.soc.system import System
 from repro.verify.digest import (
     content_digest,
@@ -76,25 +76,20 @@ def _rail_fingerprint(system: System) -> Dict[str, Any]:
 def demo_transfer() -> Dict[str, Any]:
     """The three-channel demo, reduced to a digest document.
 
-    Runs each channel on a fresh Cannon Lake system under an active
+    Runs each channel on a fresh ``baseline_{kind}`` system under an active
     tracer, and records the full transfer fingerprint (symbols,
     measurements, timings), the rail breakpoints, and the deterministic
     slice of the metrics registry.
     """
-    channels: Tuple[Tuple[str, type], ...] = (
-        ("IccThreadCovert", IccThreadCovert),
-        ("IccSMTcovert", IccSMTcovert),
-        ("IccCoresCovert", IccCoresCovert),
-    )
     document: Dict[str, Any] = {}
     tracer = Tracer(events=False)
     with tracing(tracer):
-        for name, channel_cls in channels:
-            system = System(cannon_lake_i3_8121u())
-            report = channel_cls(system).transfer(DEMO_MESSAGE)
-            document[name] = {
+        for kind in CHANNEL_KINDS:
+            channel = baseline_channel(kind)
+            report = channel.transfer(DEMO_MESSAGE)
+            document[type(channel).__name__] = {
                 "report": report.fingerprint(),
-                "rails": _rail_fingerprint(system),
+                "rails": _rail_fingerprint(channel.system),
             }
     document["metrics"] = metrics_fingerprint(tracer)
     return document

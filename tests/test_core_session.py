@@ -180,6 +180,59 @@ class TestRetryExhaustion:
         assert channel.transfers == 1
 
 
+class _UntrainableChannel(_JammedChannel):
+    """A jammed channel whose every (re)calibration misses a slot.
+
+    ``calibrate`` raises the :class:`ProtocolError` a real channel's
+    ``run_symbols`` raises when the receiver produces no measurement for
+    a training slot; ``run_symbols`` itself (the quiet-sensing probe)
+    fails the same way.
+    """
+
+    calibrator = None
+
+    def __init__(self):
+        super().__init__()
+        self.calibrations = 0
+
+    def calibrate(self, symbols=None):
+        self.calibrations += 1
+        raise ProtocolError("receiver produced no measurement for slots [3]")
+
+    def run_symbols(self, symbols):
+        raise ProtocolError("receiver produced no measurement for slots [0]")
+
+    transfer_robust = _JammedChannel.transfer
+
+
+class TestMissedTrainingSlot:
+    """A missed slot inside the session's own probing never aborts send."""
+
+    def test_recalibration_failure_degrades_and_keeps_the_record(self):
+        channel = _UntrainableChannel()
+        session = CovertSession(channel, SessionConfig(
+            fec=FecScheme.NONE, max_retries=2, frame_bytes=4,
+            adaptive=AdaptiveConfig(ber_window=1, ber_bound=0.02,
+                                    recalibration_budget=1,
+                                    backoff_base_us=0.0)))
+        report = session.send(bytes(range(8)))
+        assert channel.calibrations == 1
+        assert report.recalibrations == 1
+        assert report.degraded
+        assert not report.ok
+        assert [f.attempts for f in report.frames] == [3, 3]
+
+    def test_failed_quiet_sense_counts_as_busy(self):
+        channel = _UntrainableChannel()
+        session = CovertSession(channel, SessionConfig(
+            fec=FecScheme.NONE, max_retries=0, frame_bytes=4,
+            wait_for_quiet=True, quiet_patience=3))
+        report = session.send(b"\xa5\x3c")
+        assert not report.ok
+        assert report.frames[0].quiet_senses == 3
+        assert channel.transfers == 1
+
+
 class TestSessionReport:
     def test_attempt_accounting(self):
         from repro.core.session import FrameLog

@@ -7,9 +7,14 @@ from repro.errors import MeasurementError
 from repro.measure import (
     DAQCard,
     DAQSpec,
+    PiecewiseLinearSignal,
     SampleSeries,
     StepTrace,
 )
+
+#: The constant 1.0 and the ramp 2t over [0, 1000], as signal sources.
+ONE = PiecewiseLinearSignal(np.array([0.0]), np.array([1.0]))
+RAMP = PiecewiseLinearSignal(np.array([0.0, 1000.0]), np.array([0.0, 2000.0]))
 
 
 class TestStepTrace:
@@ -111,33 +116,39 @@ class TestSampleSeries:
 class TestDAQ:
     def test_samples_a_signal(self):
         daq = DAQCard(DAQSpec(max_sample_rate_hz=1e7, accuracy=1.0))
-        series = daq.sample(lambda t: 2.0 * t, 0.0, 1000.0, sample_rate_hz=1e7)
+        series = daq.sample(RAMP, 0.0, 1000.0, sample_rate_hz=1e7)
         assert len(series) == 11
         assert series.values[5] == pytest.approx(2.0 * series.times_ns[5])
 
     def test_rate_limited_by_instrument(self):
         daq = DAQCard()
         with pytest.raises(MeasurementError):
-            daq.sample(lambda t: 1.0, 0.0, 1000.0, sample_rate_hz=1e9)
+            daq.sample(ONE, 0.0, 1000.0, sample_rate_hz=1e9)
 
     def test_default_rate_is_instrument_max(self):
         daq = DAQCard(DAQSpec(accuracy=1.0))
-        series = daq.sample(lambda t: 1.0, 0.0, 1e6)
+        series = daq.sample(ONE, 0.0, 1e6)
         # 3.5 MS/s over 1 ms -> ~3500 samples.
         assert 3400 <= len(series) <= 3600
 
     def test_gain_error_bounded_by_accuracy(self):
         daq = DAQCard(DAQSpec(max_sample_rate_hz=1e7, accuracy=0.9994), seed=1)
-        series = daq.sample(lambda t: 1.0, 0.0, 1000.0, sample_rate_hz=1e7)
+        series = daq.sample(ONE, 0.0, 1000.0, sample_rate_hz=1e7)
         assert series.mean() == pytest.approx(1.0, abs=0.01)
 
     def test_empty_window_rejected(self):
         daq = DAQCard()
         with pytest.raises(MeasurementError):
-            daq.sample(lambda t: 1.0, 10.0, 10.0)
+            daq.sample(ONE, 10.0, 10.0)
 
     def test_noise_added_when_configured(self):
         daq = DAQCard(DAQSpec(accuracy=1.0, noise_rms=0.1), seed=2)
-        series = daq.sample(lambda t: 1.0, 0.0, 1e5, sample_rate_hz=1e6)
+        series = daq.sample(ONE, 0.0, 1e5, sample_rate_hz=1e6)
         assert float(np.std(series.values)) > 0.01
+
+    def test_non_signal_rejected(self):
+        # A bare callable is no signal source either: the DAQ has one path.
+        for source in (object(), lambda t: 1.0):
+            with pytest.raises(MeasurementError, match=r"sample\(times\)"):
+                DAQCard().sample(source, 0.0, 1000.0)
 

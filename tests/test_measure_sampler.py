@@ -1,4 +1,4 @@
-"""Vectorized trace sampling: grids, signal sources, path equivalence."""
+"""Vectorized trace sampling: grids, signal sources, system exports."""
 
 import math
 
@@ -10,9 +10,9 @@ from repro.isa.instructions import IClass
 from repro.isa.workload import Loop
 from repro.measure import (
     DAQCard,
+    DAQSpec,
     PiecewiseConstantSignal,
     PiecewiseLinearSignal,
-    TraceSampler,
     sample_grid,
 )
 from repro.measure.trace import StepTrace
@@ -94,20 +94,31 @@ class TestSampleGrid:
             assert (len(times)) * period > span
 
 
+def _interpolate(times, values, t):
+    """Per-sample linear interpolation written out, clamped at the ends."""
+    if t <= times[0]:
+        return values[0]
+    for (t0, v0), (t1, v1) in zip(zip(times, values),
+                                  zip(times[1:], values[1:])):
+        if t <= t1:
+            return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+    return values[-1]
+
+
 class TestPiecewiseLinearSignal:
     def test_scalar_matches_vectorized(self):
-        signal = PiecewiseLinearSignal(
-            np.array([0.0, 10.0, 20.0]), np.array([1.0, 2.0, 0.5]))
+        times, values = [0.0, 10.0, 20.0], [1.0, 2.0, 0.5]
+        signal = PiecewiseLinearSignal(np.array(times), np.array(values))
         grid = np.linspace(-5.0, 25.0, 301)
         vec = signal.sample(grid)
-        scalar = np.array([signal(float(t)) for t in grid])
-        assert np.array_equal(vec, scalar)
+        scalar = np.array([_interpolate(times, values, float(t))
+                           for t in grid])
+        assert float(np.max(np.abs(vec - scalar))) <= 1e-12
 
     def test_clamps_outside_span(self):
         signal = PiecewiseLinearSignal(
             np.array([10.0, 20.0]), np.array([1.0, 2.0]))
-        assert signal(0.0) == 1.0
-        assert signal(100.0) == 2.0
+        assert list(signal.sample(np.array([0.0, 100.0]))) == [1.0, 2.0]
 
     def test_jump_encoding_is_right_continuous(self):
         # A jump is two breakpoints at the same time; np.interp takes
@@ -115,13 +126,8 @@ class TestPiecewiseLinearSignal:
         signal = PiecewiseLinearSignal(
             np.array([0.0, 10.0, 10.0, 20.0]),
             np.array([1.0, 1.0, 5.0, 5.0]))
-        assert signal(10.0) == 5.0
-        assert signal(math.nextafter(10.0, 0.0)) == 1.0
-
-    def test_from_pairs_drops_duplicates(self):
-        signal = PiecewiseLinearSignal.from_pairs(
-            [(0.0, 1.0), (0.0, 1.0), (5.0, 2.0), (5.0, 2.0), (9.0, 2.0)])
-        assert len(signal.times_ns) == 3
+        grid = np.array([10.0, math.nextafter(10.0, 0.0)])
+        assert list(signal.sample(grid)) == [5.0, 1.0]
 
     def test_validation(self):
         with pytest.raises(MeasurementError):
@@ -136,11 +142,8 @@ class TestPiecewiseConstantSignal:
     def test_right_continuous_with_initial(self):
         signal = PiecewiseConstantSignal(
             np.array([10.0, 20.0]), np.array([1.0, 2.0]), initial=0.5)
-        assert signal(0.0) == 0.5
-        assert signal(10.0) == 1.0
-        assert signal(19.999) == 1.0
-        assert signal(20.0) == 2.0
-        assert signal(1e9) == 2.0
+        grid = np.array([0.0, 10.0, 19.999, 20.0, 1e9])
+        assert list(signal.sample(grid)) == [0.5, 1.0, 1.0, 2.0, 2.0]
 
     def test_left_limit_lookup(self):
         signal = PiecewiseConstantSignal(
@@ -158,33 +161,6 @@ class TestPiecewiseConstantSignal:
         scalar = np.array([trace.value_at(float(t), default=0.25)
                            for t in grid])
         assert np.array_equal(signal.sample(grid), scalar)
-
-
-class TestTraceSampler:
-    def test_path_selection_and_counters(self):
-        sampler = TraceSampler()
-        signal = PiecewiseLinearSignal(
-            np.array([0.0, 1.0]), np.array([0.0, 1.0]))
-        assert TraceSampler.path_for(signal) == "vectorized"
-        assert TraceSampler.path_for(lambda t: t) == "scalar"
-        grid = np.linspace(0.0, 1.0, 11)
-        sampler.evaluate(signal, grid)
-        sampler.evaluate(lambda t: 2.0 * t, grid)
-        assert sampler.vectorized_calls == 1
-        assert sampler.scalar_calls == 1
-
-    def test_scalar_fallback_matches_fast_path(self):
-        sampler = TraceSampler()
-        signal = PiecewiseLinearSignal(
-            np.array([0.0, 10.0, 30.0]), np.array([1.0, 3.0, 0.0]))
-        grid = np.linspace(-1.0, 31.0, 100)
-        fast = sampler.evaluate(signal, grid)
-        slow = sampler.evaluate(lambda t: signal(t), grid)
-        assert np.array_equal(fast, slow)
-
-    def test_non_signal_rejected(self):
-        with pytest.raises(MeasurementError):
-            TraceSampler().evaluate(object(), np.array([0.0]))
 
 
 class TestSystemSignals:
@@ -227,12 +203,13 @@ class TestSystemSignals:
         assert not np.any(dup)
 
     def test_daq_paths_produce_identical_series(self):
+        """A gain-free DAQ capture equals per-sample ``vcc_at``."""
         system = _avx_system()
         horizon = us_to_ns(100.0)
-        fast = DAQCard(seed=7).sample(system.vcc_signal(), 0.0, horizon,
-                                      sample_rate_hz=3.5e6, name="vcc")
-        slow = DAQCard(seed=7).sample(lambda t: system.vcc_at(t), 0.0,
-                                      horizon, sample_rate_hz=3.5e6,
-                                      name="vcc")
-        assert np.array_equal(fast.times_ns, slow.times_ns)
-        assert float(np.max(np.abs(fast.values - slow.values))) <= 1e-12
+        series = DAQCard(DAQSpec(accuracy=1.0), seed=7).sample(
+            system.vcc_signal(), 0.0, horizon, sample_rate_hz=3.5e6,
+            name="vcc")
+        times = sample_grid(0.0, horizon, 3.5e6)
+        scalar = np.array([system.vcc_at(float(t)) for t in times])
+        assert np.array_equal(series.times_ns, times)
+        assert float(np.max(np.abs(series.values - scalar))) <= 1e-12

@@ -5,6 +5,8 @@ import json
 
 import pytest
 
+from repro import System, cannon_lake_i3_8121u
+from repro.core import IccCoresCovert, IccSMTcovert, IccThreadCovert
 from repro.errors import ConfigError
 from repro.isa import IClass
 from repro.scenarios import (
@@ -13,6 +15,7 @@ from repro.scenarios import (
     TenantSpec,
     WorkloadSpec,
     all_specs,
+    baseline_channel,
     build_system,
     get_spec,
     interference_spec,
@@ -92,6 +95,26 @@ class TestBuildSystem:
         workload = WorkloadSpec("power_virus", core=2, duration_ms=2.0)
         trace = workload.build_trace(max_vector_bits=256)
         assert all(p.iclass.width_bits <= 256 for p in trace)
+
+
+class TestBaselineChannel:
+    @pytest.mark.parametrize("kind, cls", [
+        ("thread", IccThreadCovert),
+        ("smt", IccSMTcovert),
+        ("cores", IccCoresCovert),
+    ])
+    def test_equals_the_default_channel_on_cannon_lake(self, kind, cls):
+        channel = baseline_channel(kind)
+        assert type(channel) is cls
+        by_hand = cls(System(cannon_lake_i3_8121u()))
+        assert (channel.transfer(b"\x5a").fingerprint()
+                == by_hand.transfer(b"\x5a").fingerprint())
+
+    def test_changes_reach_the_spec(self):
+        channel = baseline_channel("thread", faults="rail-jitter:seed=5")
+        assert channel.system.faults is not None
+        with pytest.raises(ConfigError, match="baseline_thread"):
+            baseline_channel("threads")
 
 
 class TestRunScenario:

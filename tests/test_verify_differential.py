@@ -1,33 +1,11 @@
-"""Differential checks: fast-path equivalences hold, and would fail."""
+"""Differential checks: the equivalence holds, and a break would show."""
 
-import numpy as np
-
-from repro.measure.sampler import PiecewiseLinearSignal, TraceSampler
 from repro.verify.differential import (
     DiffCheck,
     check_adaptive_plain_equivalence,
-    check_sampler_bitwise,
     run_all,
 )
 from repro.verify.digest import diff_documents
-
-
-class TestSamplerBitwise:
-    def test_vectorized_matches_scalar_on_real_traces(self):
-        check = check_sampler_bitwise()
-        assert check.ok, check.render()
-
-    def test_a_broken_fast_path_would_be_caught(self):
-        """Sanity-check the method: a signal whose vectorized path
-        disagrees with its scalar path by one ULP must not compare
-        equal under the bitwise comparison the check uses."""
-        signal = PiecewiseLinearSignal(np.array([0.0, 10.0]),
-                                       np.array([1.0, 2.0]))
-        grid = np.linspace(0.0, 10.0, 64)
-        sampler = TraceSampler()
-        fast = sampler.evaluate(signal, grid) * (1.0 + 2**-52)
-        reference = sampler.evaluate(lambda t: signal(t), grid)
-        assert not np.array_equal(fast, reference)
 
 
 class TestAdaptiveEquivalence:
@@ -46,7 +24,7 @@ class TestRunAll:
     def test_run_all_names_and_order(self):
         checks = run_all()
         assert [check.name for check in checks] == [
-            "sampler-bitwise", "adaptive-plain-equivalence"]
+            "adaptive-plain-equivalence"]
         assert all(check.ok for check in checks)
 
     def test_render_shows_detail_on_mismatch(self):
